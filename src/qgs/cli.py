@@ -187,7 +187,7 @@ def _cmd_bound(args) -> int:
         mass = norm_sq(p.function, region) if region is not None else 1.0
         masses.append((p.lam, mass))
     out = bnd.heat_trace_bound(masses, gamma=args.gamma, rho=args.rho, t=args.t,
-                               total_length=metrics(g).total_length)
+                               total_length=sum(g.edge_lengths.values()))
     _emit(args, out.to_json())
     return 0
 

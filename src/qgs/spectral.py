@@ -1,19 +1,23 @@
 """Eigenpairs of free and magnetic Laplacians on compact graphs, plus the
 torsion-function solve.
 
-The solver works with the wavenumber k (energy k^2).  On each edge the
-eigenfunction ansatz is a*cos(kx) + b*sin(kx) (affine a + b*x at k = 0); the
-secular matrix collects the boundary conditions "plus-trace in Y" and
-"minus-trace of i*f' in the complement of Y" as linear constraints on the
-2|E| coefficients.  Wavenumbers where the row-normalised matrix loses rank
-are eigenvalues; the rank defect is the multiplicity.  Magnetic fluxes are
-absorbed into the boundary subspace by the gauge rotation, so the solver
-itself only ever sees a free Laplacian; the returned eigenfunctions are the
-gauge-reduced representatives (same pointwise modulus as the magnetic ones).
+The solver works with the wavenumber k (energy k^2).  Every boundary subspace
+Y has the scale-invariant form "plus-trace in Y, minus-trace of i*f' in the
+complement of Y", so the bond scattering matrix U(k) = S J exp(ikL) on the
+2|E| edge ends is unitary, with S = 2 Q_Y - I constant, J swapping the two
+ends of each edge and L holding their lengths.  k > 0 is an eigenvalue of
+multiplicity m exactly when U(k) has the eigenvalue 1 with multiplicity m.
+The eigenfunctions span the null space of the secular matrix, which collects
+the same conditions as linear constraints on the edgewise (cos, sin)
+coefficients (affine a + b*x at k = 0).  Magnetic fluxes are absorbed into
+the boundary subspace by the gauge rotation, so the solver itself only ever
+sees a free Laplacian; the returned eigenfunctions are the gauge-reduced
+representatives (same pointwise modulus as the magnetic ones).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -22,11 +26,13 @@ import numpy as np
 from .graphs import BoundarySubspace, MetricGraph, gauge_transform
 from .polytrig import GraphFunction, PolyTrigTerm, inner_product, norm_sq
 
-TOL_ACCEPT = 1e-8        # sigma_min acceptance threshold (rows scaled to O(1))
-TOL_NULL = 1e-6          # singular-value threshold for multiplicity counting
-REFINE_TOL = 1e-11       # golden-section window size on k
-CLUSTER_GAP = 1e-7       # wavenumber gap below which roots are merged
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
+TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
+CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
+_SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
+_TWO_PI = 2.0 * math.pi
+
+_log = logging.getLogger("qgs.spectral")
 
 
 @dataclass
@@ -110,27 +116,21 @@ def _conditioned(g, y, k) -> tuple[np.ndarray, float]:
     return m, 1.0
 
 
-def _normalized_svd(m: np.ndarray):
-    # scale rows down to O(1) but never up: amplifying a vanishing row would
-    # erase the rank-defect dip at exactly degenerate roots
-    norms = np.linalg.norm(m, axis=1)
-    scale = np.maximum(norms, 1.0)
-    return np.linalg.svd(m / scale[:, None])
-
-
-def _sigma_min(g, y, k) -> float:
-    m, _ = _conditioned(g, y, k)
-    _, s, _ = _normalized_svd(m)
-    return float(s[-1])
-
-
-def _null_vectors(g, y, k, tol_null) -> tuple[float, np.ndarray]:
+def _null_space(g, y, k, nullity=None) -> tuple[float, np.ndarray]:
+    """The `nullity` trailing right-singular vectors of the conditioned
+    secular matrix at k (rows scaled down to O(1) but never up: amplifying a
+    vanishing row would erase the rank defect at exactly degenerate roots),
+    as plain coefficients, and the largest of their singular values.  Without
+    a nullity (k = 0) it is read off the singular values; it may be 0."""
     m, back = _conditioned(g, y, k)
-    _, s, vh = _normalized_svd(m)
-    nullity = max(int(np.sum(s < tol_null)), 1)
-    vecs = np.conj(vh[-nullity:]).copy()
+    _, s, vh = np.linalg.svd(m / np.maximum(np.linalg.norm(m, axis=1), 1.0)[:, None])
+    if nullity is None:
+        nullity = int(np.sum(s < TOL_NULL)) if s[-1] < TOL_ACCEPT else 0
+        if not nullity:
+            return float(s[-1]), vh[:0]
+    vecs = np.conj(vh[len(vh) - nullity:]).copy()
     vecs[:, len(g.edges):] *= back
-    return float(s[-1]), vecs
+    return float(s[len(s) - nullity]), vecs
 
 
 def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFunction:
@@ -148,177 +148,167 @@ def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFu
     return GraphFunction(g, terms)
 
 
-def _golden_minimize(fun, lo, hi, tol):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
-
-
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    piv = vec[i]
-    if abs(piv) == 0.0:
+    """Rotate vec so its pivot entry is real and positive.  The pivot is the
+    first entry within a relative 1e-8 of the largest modulus, so entries of
+    equal modulus (a travelling wave has |a| = |b|) cannot trade places under
+    roundoff and turn the vector by a phase."""
+    mag = np.abs(vec)
+    top = float(mag.max(initial=0.0))
+    if top == 0.0:
         return vec
+    piv = vec[int(np.argmax(mag >= top * (1.0 - 1e-8)))]
     return vec * (abs(piv) / piv)
 
 
-def _weyl_floor(g: MetricGraph, lam_max: float) -> int:
-    """Guaranteed eigenvalue count below lam_max for standard conditions on a
-    connected compact graph that is not a single cycle, from the two-sided
-    eigenvalue bracketing."""
-    from .graphs import metrics as graph_metrics
-
-    m = graph_metrics(g)
-    total = m.total_length
-    count = 1  # lambda_1 = 0
-    k = 2
-    while ((k - 1 + 1.5 * m.betti + 0.5 * m.degree1_count) * math.pi / total) ** 2 <= lam_max:
-        count += 1
-        k += 1
-    return count
+@dataclass
+class _Point:
+    k: float
+    phases: np.ndarray   # eigenphases of U(k) in [0, 2 pi]
+    vecs: np.ndarray     # unit eigenvectors, as columns
 
 
-def _is_single_cycle(g: MetricGraph) -> bool:
-    return all(g.degree(v) == 2 for v in g.vertices) and g.is_connected
+class _Eigenphases:
+    """U(k) = S J exp(ikL) on the bond coordinates (the (e, 0) block, then
+    the (e, len) block) and the exact root count between two wavenumbers."""
+
+    def __init__(self, g: MetricGraph, y: BoundarySubspace):
+        ne = len(g.edges)
+        scatter = 2.0 * (y.basis.T @ y.basis.conj()) - np.eye(g.n_boundary)
+        self.sj = scatter[:, np.r_[ne:2 * ne, 0:ne]]
+        self.lengths = np.tile([g.edge_lengths[eid] for eid in g.edge_ids], 2)
+        self.ell_max = float(self.lengths.max())
+        self.stats = {"eigs": 0, "newton_steps": 0, "bisections": 0}
+
+    def at(self, k: float) -> _Point:
+        self.stats["eigs"] += 1
+        w, v = np.linalg.eig(self.sj * np.exp(1j * k * self.lengths))
+        return _Point(k, np.mod(np.angle(w), _TWO_PI), v)
+
+    def count(self, a: _Point, b: _Point) -> int:
+        """Roots in (a.k, b.k]: the lifted eigenphases gain 2|G|(b - a) in
+        total, and each crossing of 1 moves one wrapped phase back by 2 pi."""
+        turn = float(self.lengths.sum()) * (b.k - a.k)
+        return round((turn + a.phases.sum() - b.phases.sum()) / _TWO_PI)
+
+    def resolve(self, a: _Point, b: _Point, m: int) -> list[tuple[float, int]]:
+        """(wavenumber, multiplicity) of the m roots in (a.k, b.k]."""
+        if m == 1 or b.k - a.k < CLUSTER_GAP:
+            return [(self.root(a, b, m), m)]
+        self.stats["bisections"] += 1
+        mid = self.at(0.5 * (a.k + b.k))
+        left = self.count(a, mid)
+        out = self.resolve(a, mid, left) if left else []
+        return out + (self.resolve(mid, b, m - left) if m > left else [])
+
+    def _newton_step(self, p: _Point, lo: float, hi: float, m: int) -> float | None:
+        """Newton step on the sum of the m eigenphases that can cross 1 inside
+        (lo, hi]: each turns at most ell_max per unit k, so one that has
+        crossed sits in [0, ell_max (k - lo)) and one still to cross in
+        (2 pi - ell_max (hi - k), 2 pi).  The derivative of an eigenphase is
+        <v, L v> (Hellmann-Feynman)."""
+        crossed = p.phases < self.ell_max * (p.k - lo)
+        ahead = p.phases > _TWO_PI - self.ell_max * (hi - p.k)
+        delta = np.where(crossed, p.phases, p.phases - _TWO_PI)
+        cand = np.flatnonzero(crossed | ahead)
+        if cand.size < m:
+            return None
+        pick = cand[np.argsort(np.abs(delta[cand]))[:m]]
+        q = p.vecs[:, pick] if m == 1 else np.linalg.qr(p.vecs[:, pick])[0]
+        speed = float(self.lengths @ np.sum(np.abs(q) ** 2, axis=1))
+        return -float(delta[pick].sum()) / speed
+
+    def root(self, a: _Point, b: _Point, m: int) -> float:
+        """Newton from b, kept inside the count bracket (a.k, b.k]: a step
+        that leaves it is replaced by a bisection, and every new point
+        narrows the bracket by its count."""
+        p = b
+        for _ in range(100):
+            step = self._newton_step(p, a.k, b.k, m)
+            t = p.k + step if step is not None else math.nan
+            if a.k <= t <= b.k:
+                if abs(step) <= 1e-12 * max(1.0, p.k):
+                    return t
+                self.stats["newton_steps"] += 1
+            else:
+                t = 0.5 * (a.k + b.k)
+                if t in (a.k, b.k):
+                    return b.k
+                self.stats["bisections"] += 1
+            p = self.at(t)
+            c = self.count(a, p)
+            if c == m:
+                b = p
+            elif c == 0:
+                a = p
+        return p.k
 
 
-def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float, *,
-                      grid_step: float | None = None,
-                      tol_accept: float = TOL_ACCEPT,
-                      tol_null: float = TOL_NULL,
-                      refine_tol: float = REFINE_TOL,
-                      cluster_gap: float = CLUSTER_GAP,
-                      count_check: bool = True) -> list[EigenPair]:
+def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
-    Scans the smallest singular value of the secular matrix over a wavenumber
-    grid (default step pi / (8 |G|)), refines each local minimum by golden
-    section and accepts it below tol_accept.  Fluxes on the graph are folded
-    into the subspace first.  For pure standard conditions the result is
-    cross-checked against the eigenvalue-count floor implied by the two-sided
-    spectral estimate; a shortfall raises (grid too coarse).
+    k = 0 is read off the affine secular matrix.  For k > 0 the eigenphases of
+    the bond scattering matrix U(k) are sampled on cells of width at most
+    1 / (longest edge); the exact root count of each cell is bisected until
+    every subcell holds one root (or is narrower than CLUSTER_GAP, then one
+    root of that multiplicity), which Newton steps converge.  The count is
+    exact for every boundary subspace and flux, so the spectrum is complete.
+    Eigenfunctions are the trailing right-singular vectors of the secular
+    matrix at each root, as many as the count says, L2-orthonormalised.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
+    if not g.edges:
+        raise ValueError("eigenvalue solve requires at least one edge")
     if lam_max <= 0.0:
         raise ValueError("lam_max must be positive")
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
-    total = sum(g.edge_lengths.values())
-    base_step = grid_step if grid_step is not None else math.pi / (8.0 * total)
-    k_max = math.sqrt(lam_max)
+    pairs: list[EigenPair] = []
 
-    def scan(step: float) -> list[EigenPair]:
-        pairs: list[EigenPair] = []
+    def harvest(k: float, residual: float, vecs: np.ndarray):
+        fns = [_coeffs_to_function(g, k, _phase_fix(v)) for v in vecs]
+        # L2-orthonormalise within the multiplicity cluster
+        kept: list[GraphFunction] = []
+        for f in fns:
+            for u in kept:
+                f = f - inner_product(f, u) * u
+            nrm2 = norm_sq(f)
+            if nrm2 > 1e-12:
+                kept.append(f * (1.0 / math.sqrt(nrm2)))
+        for f in kept:
+            pairs.append(EigenPair(k=k, lam=k * k, function=f, residual=residual))
 
-        def harvest(k_root: float):
-            sig, vecs = _null_vectors(g, y_eff, k_root, tol_null)
-            if sig >= tol_accept:
-                return
-            lam = k_root * k_root
-            if lam > lam_max * (1.0 + 1e-12):
-                return
-            fns = [_coeffs_to_function(g, k_root, _phase_fix(v)) for v in vecs]
-            # L2-orthonormalise within the multiplicity cluster
-            kept: list[GraphFunction] = []
-            for f in fns:
-                for u in kept:
-                    f = f - inner_product(f, u) * u
-                nrm2 = norm_sq(f)
-                if nrm2 > 1e-12:
-                    kept.append(f * (1.0 / math.sqrt(nrm2)))
-            for f in kept:
-                pairs.append(EigenPair(k=k_root, lam=lam, function=f, residual=sig))
+    residual, vecs = _null_space(g, y_eff, 0.0)
+    harvest(0.0, residual, vecs)
+    zero_mult = len(vecs)
 
-        # k = 0: dedicated affine ansatz
-        if _sigma_min(g, y_eff, 0.0) < tol_accept:
-            harvest(0.0)
+    phases = _Eigenphases(g, y_eff)
+    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
+    n_cells = max(1, math.ceil(k_hi * phases.ell_max))
+    prev = phases.at(0.0)
+    # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
+    prev.phases[prev.phases > _TWO_PI - _SNAP] = 0.0
+    roots: list[tuple[float, int]] = []
+    for k in np.linspace(0.0, k_hi, n_cells + 1)[1:]:
+        cur = phases.at(float(k))
+        m = phases.count(prev, cur)
+        if m:
+            roots += phases.resolve(prev, cur, m)
+        prev = cur
 
-        ks = np.arange(step, k_max + step, step)
-        ks = ks[ks <= k_max + 1e-12]
-        n = len(ks)
-        sig = np.array([_sigma_min(g, y_eff, float(k)) for k in ks])
-        # suspicion flags: every strict local minimum, plus every sample low
-        # enough that a root (or a close pair of roots) could hide nearby
-        flagged = np.zeros(n, dtype=bool)
-        for i in range(n):
-            left = sig[i - 1] if i > 0 else math.inf
-            right = sig[i + 1] if i + 1 < n else math.inf
-            flagged[i] = sig[i] <= left and sig[i] <= right
-        flagged |= sig < max(100.0 * tol_accept, 0.3 * float(np.median(sig)))
-
-        roots: list[float] = []
-
-        def refine_window(lo: float, hi: float, guard_zero: bool):
-            # resample 16x finer, then golden-refine every dip: two distinct
-            # roots inside one coarse cell get separate fine cells
-            m = max(int(math.ceil((hi - lo) / step * 16.0)), 4)
-            sub = np.linspace(lo, hi, m + 1)
-            vals = np.array([_sigma_min(g, y_eff, float(k)) for k in sub])
-            for j in range(m + 1):
-                left = vals[j - 1] if j > 0 else math.inf
-                right = vals[j + 1] if j + 1 <= m else math.inf
-                if not (vals[j] <= left and vals[j] <= right):
-                    continue
-                a = sub[j - 1] if j > 0 else lo
-                b = sub[j + 1] if j + 1 <= m else hi
-                k_root = _golden_minimize(lambda k: _sigma_min(g, y_eff, k),
-                                          a, b, refine_tol)
-                if guard_zero and k_root < 1e-3 * step:
-                    continue  # shoulder of the k = 0 root, already harvested
-                if _sigma_min(g, y_eff, k_root) >= tol_accept:
-                    continue
-                if any(abs(k_root - r) < 2e-6 for r in roots):
-                    continue
-                roots.append(k_root)
-
-        i = 0
-        while i < n:
-            if not flagged[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and flagged[j + 1]:
-                j += 1
-            lo = ks[i - 1] if i > 0 else step * 1e-6
-            hi = ks[j + 1] if j + 1 < n else min(ks[j] + step, k_max)
-            refine_window(float(lo), float(hi), guard_zero=(i == 0))
-            i = j + 1
-
-        roots.sort()
-        merged: list[float] = []
-        for r in roots:
-            if merged and r - merged[-1] < cluster_gap:
-                continue
-            merged.append(r)
-        for r in merged:
-            if cluster_gap < r and r * r <= lam_max * (1.0 + 1e-12):
-                harvest(r)
-        pairs.sort(key=lambda p: p.k)
-        return pairs
-
-    check = (count_check and y_eff.kind == "standard" and g.is_connected
-             and not _is_single_cycle(g))
-    floor = _weyl_floor(g, lam_max) if check else 0
-    step = base_step
-    for attempt in range(4):
-        pairs = scan(step)
-        if not check or len(pairs) >= floor:
-            return pairs
-        step /= 4.0  # near-degenerate pair hiding inside one grid cell
-    raise RuntimeError(
-        f"scan grid too coarse: found {len(pairs)} eigenvalues but the "
-        f"spectral estimate guarantees at least {floor} below {lam_max}")
+    # a degenerate root that roundoff split across a cell edge is one root
+    merged: list[list] = []  # [wavenumber, multiplicity]
+    for k, m in sorted(roots):
+        if merged and k - merged[-1][0] < CLUSTER_GAP:
+            merged[-1][1] += m
+        else:
+            merged.append([k, m])
+    for k, m in merged:
+        harvest(k, *_null_space(g, y_eff, k, m))
+    diagnostics = dict(phases.stats, cells=n_cells, zero_multiplicity=zero_mult,
+                       count=zero_mult + sum(m for _, m in merged), pairs=len(pairs))
+    _log.debug("eigenvalues_up_to %s", diagnostics, extra={"diagnostics": diagnostics})
+    return pairs
 
 
 def boundary_residual(g: MetricGraph, y: BoundarySubspace, f: GraphFunction) -> float:

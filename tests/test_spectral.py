@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         gauge_transform, standard_subspace, strip_fluxes,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import GraphFunction, PolyTrigTerm, inner_product, norm_sq
-from qgs.spectral import (EigenPair, boundary_residual, eigenvalues_up_to,
-                          secular_matrix, solve_torsion, spectral_sample)
+from qgs.spectral import (EigenPair, _phase_fix, boundary_residual,
+                          eigenvalues_up_to, secular_matrix, solve_torsion,
+                          spectral_sample)
 
-from oracles import sigma_min_scan, torsion_fd
+from oracles import det_scan_roots, sigma_min_scan, torsion_fd
 
 
 def interval(ell=math.pi):
@@ -266,7 +268,126 @@ class TestSubdivisionInvariance:
         assert base == pytest.approx(fine, abs=1e-7)
 
 
+def _window_ks(pairs, lo, hi):
+    return [p.k for p in pairs if lo <= p.k <= hi]
+
+
+class TestCompleteness:
+    """Spectra with two roots a few thousandths apart in k, where a scan of
+    the smallest singular value over a wavenumber grid loses one of them.
+    Counts and values come from closed forms or from the independent
+    determinant scan."""
+
+    def test_dirichlet_interval_beside_triangle(self):
+        ell, sides = 1.465813, (0.973243, 0.977883, 0.984873)
+        g = build_graph(["a", "b", "p", "q", "r"],
+                        [("e", "a", "b", ell), ("t1", "p", "q", sides[0]),
+                         ("t2", "q", "r", sides[1]), ("t3", "r", "p", sides[2])])
+        y = vertex_conditions_subspace(g, "standard",
+                                       {"a": "dirichlet", "b": "dirichlet"})
+        pairs = eigenvalues_up_to(g, y, 400.0)
+        # a Dirichlet interval (n pi / ell) and a standard triangle, which is
+        # a cycle: 0 once, then 2 pi m / |cycle| twice
+        cycle = sum(sides)
+        want = [(n * math.pi / ell) ** 2 for n in range(1, 10)]
+        want += [0.0] + [(2.0 * math.pi * m / cycle) ** 2 for m in range(1, 10)] * 2
+        want = sorted(w for w in want if w <= 400.0)
+        assert len(want) == 28
+        assert lam_list(pairs) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_lasso_scrambled_raw_basis(self):
+        from scipy.optimize import brentq
+
+        from qgs.graphs import subspace_from_basis
+        loop_len, tail = 1.513225, 1.009786
+        g = build_graph(["v", "w"], [("loop", "v", "v", loop_len),
+                                     ("tail", "v", "w", tail)])
+        # vertex indicators on (loop,0), (tail,0), (loop,len), (tail,len)
+        indicators = np.array([[1, 1, 1, 0], [0, 0, 0, 1]], dtype=complex)
+        rng = np.random.default_rng(3)
+        mix = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) + 3.0 * np.eye(2)
+        raw = eigenvalues_up_to(g, subspace_from_basis(g, mix @ indicators), 1000.0)
+        std = eigenvalues_up_to(g, standard_subspace(g), 1000.0)
+        # closed form: the loop's odd modes 2 pi n / loop and the roots of
+        # 2 sin(k loop / 2) cos(k tail) + cos(k loop / 2) sin(k tail)
+        k_max = math.sqrt(1000.0)
+        ks = [0.0] + [2.0 * math.pi * n / loop_len
+                      for n in range(1, int(k_max * loop_len / (2.0 * math.pi)) + 1)]
+
+        def even(k):
+            return (2.0 * math.sin(k * loop_len / 2.0) * math.cos(k * tail)
+                    + math.cos(k * loop_len / 2.0) * math.sin(k * tail))
+
+        grid = np.arange(1e-3, k_max, 1e-3)
+        vals = [even(k) for k in grid]
+        ks += [brentq(even, a, b, xtol=1e-14)
+               for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0.0]
+        want = sorted(k * k for k in ks)
+        assert len(want) == 25
+        assert lam_list(raw) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert lam_list(raw) == pytest.approx(lam_list(std), rel=1e-9, abs=1e-9)
+
+    def test_k4_mixed_conditions(self):
+        g = build_graph("abcd", [("e1", "a", "b", 0.977027), ("e2", "b", "c", 1.038758),
+                                 ("e3", "c", "d", 0.969668), ("e4", "d", "a", 0.974166),
+                                 ("e5", "a", "c", 1.047653), ("e6", "b", "d", 0.998396)])
+        y = vertex_conditions_subspace(g, "standard", {"a": "dirichlet", "b": "neumann"})
+        pairs = eigenvalues_up_to(g, y, 400.0)
+        # the determinant scan over all of (0, 20] at step 1e-5 finds the
+        # same 38 simple roots (about a minute); here it checks the window
+        # that holds the pair 0.0035 apart
+        assert len(pairs) == 38
+        roots = det_scan_roots(g, y, 11.0, 11.6, 1e-5, chunk=20_000)
+        assert len(roots) == 2
+        assert _window_ks(pairs, 11.0, 11.6) == pytest.approx(roots, abs=1e-9)
+
+    def test_audit_pool_triangle_tail(self):
+        from qgs.verify import audit_pool
+        entry = next(e for e in audit_pool(np.random.default_rng(12345), 200.0)
+                     if e["name"] == "triangle-tail")
+        pairs = entry["pairs"]
+        # one zero mode and 19 simple roots; the window holds a pair 0.0045 apart
+        assert len(pairs) == 20
+        roots = det_scan_roots(entry["graph"], entry["subspace"], 13.0,
+                               math.sqrt(200.0), 1e-5, chunk=20_000)
+        assert len(roots) == 2
+        assert _window_ks(pairs, 13.0, math.sqrt(200.0)) == pytest.approx(roots, abs=1e-9)
+
+    def test_debug_record_counts_every_pair(self, caplog):
+        g = lasso()
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            pairs = eigenvalues_up_to(g, standard_subspace(g), 300.0)
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        assert record.diagnostics["count"] == len(pairs)
+        assert record.diagnostics["zero_multiplicity"] == 1
+
+    def test_silent_by_default(self, capsys):
+        g = lasso()
+        eigenvalues_up_to(g, standard_subspace(g), 50.0)
+        assert capsys.readouterr() == ("", "")
+
+
+class TestPhaseFix:
+    def test_near_tie_pivots_on_first_entry(self):
+        # |b| exceeds |a| by roundoff in one vector and falls short in the
+        # other: both must be turned by the same phase
+        for eps in (1e-13, -1e-13):
+            v = np.array([1j, -(1.0 + eps)], dtype=complex)
+            fixed = _phase_fix(v)
+            assert fixed[0] == pytest.approx(1.0, abs=1e-15)
+            assert fixed[1] == pytest.approx(1j * (1.0 + eps), abs=1e-15)
+
+    def test_clear_maximum_is_the_pivot(self):
+        fixed = _phase_fix(np.array([0.5j, -2.0], dtype=complex))
+        assert fixed[1] == pytest.approx(2.0)
+
+
 class TestDefensive:
     def test_lam_max_positive(self):
         with pytest.raises(ValueError):
             eigenvalues_up_to(interval(), full_subspace(interval()), -1.0)
+
+    def test_edgeless_graph_rejected(self):
+        g = build_graph(["a"], [])
+        with pytest.raises(ValueError, match="at least one edge"):
+            eigenvalues_up_to(g, standard_subspace(g), 10.0)
