@@ -3,16 +3,17 @@
 A set is (gamma, rho)-sampling on an edge when the edge admits a cover by
 adjacent closed intervals of length at most rho, each meeting the set in
 relative measure at least gamma.  Finite edges carry finite interval unions;
-infinite edges carry a head union plus an eventually periodic body.  The
-optimisers run a feasibility dynamic program over a candidate breakpoint
-grid, so the returned parameters are certified one-sided bounds: any
-reported cover verifies exactly.
+infinite edges carry a head union plus an eventually periodic body.  Over a
+candidate breakpoint grid, gamma comes from an exact max-min dynamic program
+and rho from bisection over the cover-feasibility program; both are certified
+one-sided bounds, since any reported cover verifies exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -22,7 +23,6 @@ import numpy as np
 from .graphs import MetricGraph
 from .polytrig import IntervalUnion
 
-GAMMA_TOL = 1e-9         # binary search resolution on gamma
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
 _EQ_SLACK = 1e-12        # comparison slack for exact-measure boundary cases
 
@@ -271,14 +271,34 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 
 
 def _candidates(omega: IntervalUnion, ell: float, rho: float, grid_n: int) -> np.ndarray:
-    pts = {0.0, ell}
-    pts.update(omega.endpoints())
-    for x in list(pts):
-        for y in (x - rho, x + rho):
-            if 0.0 < y < ell:
-                pts.add(y)
-    pts.update(ell * i / grid_n for i in range(1, grid_n))
-    return np.array(sorted(p for p in pts if -1e-15 <= p <= ell * (1 + 1e-15)))
+    base = np.array([0.0, ell, *omega.endpoints()]) + 0.0  # -0.0 -> 0.0
+    shifted = np.concatenate((base - rho, base + rho))
+    pts = np.unique(np.concatenate((base, shifted[(shifted > 0.0) & (shifted < ell)],
+                                    ell * np.arange(1, grid_n) / grid_n)))
+    return pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
+
+
+def _window_starts(ts: np.ndarray, rho: float, ell: float) -> list[int]:
+    """lo[i] = first j with ts[i] - ts[j] <= rho + slack: a window's start."""
+    slack_w = rho + _EQ_SLACK * max(1.0, ell)
+    t, lo, j = ts.tolist(), [], 0
+    for ti in t:
+        while ti - t[j] > slack_w:
+            j += 1
+        lo.append(j)
+    return lo
+
+
+def _maxmin_density(ts: np.ndarray, pref: np.ndarray, lo: list[int]) -> float:
+    """Exact max over candidate-aligned covers of the least window density
+    (-inf if none reaches ell): best[i] = max_j min(best[j], dens(j, i))."""
+    best = np.full(ts.size, -np.inf)
+    best[0] = np.inf
+    for i in range(1, ts.size):
+        if lo[i] < i:
+            dens = (pref[i] - pref[lo[i]:i]) / (ts[i] - ts[lo[i]:i])
+            best[i] = np.minimum(best[lo[i]:i], dens).max()
+    return float(best[-1])
 
 
 def _cover_dp(ts: np.ndarray, pref: np.ndarray, rho: float, gamma: float,
@@ -286,32 +306,27 @@ def _cover_dp(ts: np.ndarray, pref: np.ndarray, rho: float, gamma: float,
     """Feasibility DP: can [0, ell] be covered by candidate-aligned adjacent
     intervals of length <= rho and relative measure >= gamma?  Returns the
     breakpoints of one such cover (preferring long steps), or None."""
-    n = ts.size
-    slack_w = rho + _EQ_SLACK * max(1.0, ell)
     slack_m = _EQ_SLACK * max(1.0, ell)
-    reach = np.zeros(n, dtype=bool)
-    parent = np.full(n, -1, dtype=int)
-    reach[0] = True
-    lo = 0
-    for i in range(1, n):
-        while ts[i] - ts[lo] > slack_w:
-            lo += 1
-        js = np.arange(lo, i)
-        if js.size == 0:
-            continue
-        ok = reach[js] & (pref[i] - pref[js] + slack_m >= gamma * (ts[i] - ts[js]))
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            parent[i] = js[hits[0]]  # earliest feasible predecessor: longest step
-            reach[i] = True
-    if not reach[n - 1]:
+    lo = _window_starts(ts, rho, ell)
+    # [ts[j], ts[i]] is dense enough iff q[j] <= q[i] + slack_m; `live` keeps the
+    # reached points of the window in increasing q; q = inf marks unreached ones
+    q = (pref - gamma * ts).tolist()
+    live = deque([0])
+    for i in range(1, len(q)):
+        while live and live[0] < lo[i]:
+            live.popleft()
+        if live and q[live[0]] <= q[i] + slack_m:
+            while live and q[live[-1]] >= q[i]:
+                live.pop()
+            live.append(i)
+        else:
+            q[i] = math.inf
+    if q[-1] == math.inf:
         return None
-    bps = [float(ts[n - 1])]
-    i = n - 1
-    while parent[i] >= 0:
-        i = parent[i]
-        bps.append(float(ts[i]))
-    return bps[::-1]
+    path = [len(q) - 1]
+    while (i := path[-1]) > 0:  # earliest feasible predecessor: longest step
+        path.append(next(j for j in range(lo[i], i) if q[j] <= q[i] + slack_m))
+    return ts[path[::-1]].tolist()
 
 
 @dataclass
@@ -349,8 +364,9 @@ def _achieved(omega: IntervalUnion, bps: list[float]) -> tuple[float, float]:
 def optimal_gamma(omega: IntervalUnion, ell: float, rho: float,
                   grid_n: int = 200) -> GammaResult:
     """Largest certified gamma such that omega is (gamma, rho)-sampling on
-    [0, ell], by binary search over the cover-feasibility DP.  A guaranteed
-    lower bound on the true optimum; exact when the optimal cover's
+    [0, ell]: the exact max-min window density over candidate-aligned covers
+    (one forward DP), certified by the cover the feasibility DP builds at it.
+    A lower bound on the true optimum; exact when an optimal cover's
     breakpoints lie in the candidate set."""
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
@@ -359,33 +375,17 @@ def optimal_gamma(omega: IntervalUnion, ell: float, rho: float,
                            gap_witness="empty set")
     ts = _candidates(omega, ell, rho, grid_n)
     pref = omega.prefix_measures(ts)
-    if _cover_dp(ts, pref, rho, 1e-12, ell) is None:
-        left, interior, right = omega.gaps()
-        worst = max([left, right] + interior)
-        return GammaResult(gamma=0.0, breakpoints=None, feasible=False,
-                           gap_witness=f"gap of length {worst} cannot be covered "
-                                       f"at rho={rho}")
-    lo, hi = 0.0, 1.0
-    best = None
-    while hi - lo > GAMMA_TOL:
-        mid = 0.5 * (lo + hi)
-        bps = _cover_dp(ts, pref, rho, mid, ell)
-        if bps is None:
-            hi = mid
-        else:
-            lo = mid
-            best = bps
-    if best is None:
-        best = _cover_dp(ts, pref, rho, lo, ell)
-    gamma_star, _ = _achieved(omega, best)
+    gamma = _maxmin_density(ts, pref, _window_starts(ts, rho, ell))
+    bps = _cover_dp(ts, pref, rho, gamma, ell) if gamma > 0.0 else None
+    gamma_star = _achieved(omega, bps)[0] if bps else 0.0
     if gamma_star <= 10.0 * _EQ_SLACK:
-        # the comparison slack let a measure-zero window through the probe
+        # no cover, or only ones with a measure-zero window the slack let through
         left, interior, right = omega.gaps()
         worst = max([left, right] + interior)
         return GammaResult(gamma=0.0, breakpoints=None, feasible=False,
                            gap_witness=f"gap of length {worst} cannot be covered "
                                        f"at rho={rho}")
-    return GammaResult(gamma=gamma_star, breakpoints=tuple(best), feasible=True)
+    return GammaResult(gamma=gamma_star, breakpoints=tuple(bps), feasible=True)
 
 
 def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,

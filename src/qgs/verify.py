@@ -9,9 +9,7 @@ estimates so that a reported pass is meaningful.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +27,6 @@ from .spectral import EigenPair, eigenvalues_up_to, spectral_sample
 PASS_REL_TOL = 1e-12      # strict ">" of the theorems at floating-point scale
 DEFAULT_M_MAX = 40        # derivative orders checked per edge
 DEFAULT_SEED = 20240 + 5
-
-
-def worker_count() -> int:
-    """Thread cap from QGS_THREADS (default 1: sequential, deterministic)."""
-    try:
-        return max(1, int(os.environ.get("QGS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +257,8 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
     polynomial phi with |phi(0)| >= 1; the left supremum and M are certified
     upper bounds, the right supremum a grid lower bound, so a pass is
     meaningful.  A failing grid is refined before being reported."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     coeffs = np.asarray([complex(c) for c in coeffs])
     if abs(coeffs[0]) < 1.0:
         raise ValueError("|phi(0)| must be at least 1")
@@ -606,7 +598,7 @@ def _audit_trial(pool, seed: int, index: int, lam_max: float,
 
 
 def audit(trials: int = 10000, seed: int = DEFAULT_SEED, lam_max: float = 200.0,
-          threads: int | None = None, classify: bool = False) -> AuditResult:
+          classify: bool = False) -> AuditResult:
     """Randomized inequality campaign: certified random control sets against
     random spectral-subspace functions on the graph catalogue; every observed
     mass and derivative-mass ratio must clear the explicit constant.  With
@@ -615,16 +607,7 @@ def audit(trials: int = 10000, seed: int = DEFAULT_SEED, lam_max: float = 200.0,
     if trials < 1:
         raise ValueError("need at least one trial")
     pool = audit_pool(np.random.default_rng(seed), lam_max)
-    n_workers = worker_count() if threads is None else max(1, threads)
-    if n_workers == 1:
-        rows = [_audit_trial(pool, seed, i, lam_max, classify)
-                for i in range(trials)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool_ex:
-            rows = list(pool_ex.map(
-                lambda i: _audit_trial(pool, seed, i, lam_max, classify),
-                range(trials)))
-    rows.sort(key=lambda r: r["trial"])
+    rows = [_audit_trial(pool, seed, i, lam_max, classify) for i in range(trials)]
     violations = sum(1 for r in rows
                      if not r["mass_passed"]
                      or (not r["deriv_vacuous"] and not r["deriv_passed"])

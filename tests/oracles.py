@@ -3,7 +3,9 @@
 Everything here deliberately avoids the closed-form paths of the package:
 adaptive Simpson quadrature for integrals, dense point clouds for the graph
 diameter, a fine determinant-style scan for eigenvalues and a second-order
-finite-difference solve for the torsion function.
+finite-difference solve for the torsion function.  The sampling optimisers
+keep their plain loop versions here (bisection over a loop feasibility DP) as
+the reference the vectorised kernels must reproduce decision for decision.
 """
 
 from __future__ import annotations
@@ -248,3 +250,136 @@ def torsion_fd(g, dirichlet, h=1e-4):
             vals[i] = u[index[("p", e.id, i)]]
         total += float(np.trapezoid(vals, dx=dx))
     return total
+
+
+# ---------------------------------------------------------------------------
+# sampling optimisers: the loop versions
+
+_EQ_SLACK = 1e-12
+_GAMMA_TOL = 1e-9
+_RHO_TOL_REL = 1e-9
+
+
+def loop_candidates(omega, ell, rho, grid_n):
+    pts = {0.0, ell}
+    pts.update(omega.endpoints())
+    for x in list(pts):
+        for y in (x - rho, x + rho):
+            if 0.0 < y < ell:
+                pts.add(y)
+    pts.update(ell * i / grid_n for i in range(1, grid_n))
+    return np.array(sorted(p for p in pts if -1e-15 <= p <= ell * (1 + 1e-15)))
+
+
+def loop_cover_dp(ts, pref, rho, gamma, ell):
+    """Earliest-predecessor cover of [0, ell] by candidate windows of length
+    <= rho and density >= gamma, or None."""
+    n = ts.size
+    slack_w = rho + _EQ_SLACK * max(1.0, ell)
+    slack_m = _EQ_SLACK * max(1.0, ell)
+    reach = np.zeros(n, dtype=bool)
+    parent = np.full(n, -1, dtype=int)
+    reach[0] = True
+    lo = 0
+    for i in range(1, n):
+        while ts[i] - ts[lo] > slack_w:
+            lo += 1
+        js = np.arange(lo, i)
+        if js.size == 0:
+            continue
+        ok = reach[js] & (pref[i] - pref[js] + slack_m >= gamma * (ts[i] - ts[js]))
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            parent[i] = js[hits[0]]
+            reach[i] = True
+    if not reach[n - 1]:
+        return None
+    bps = [float(ts[n - 1])]
+    i = n - 1
+    while parent[i] >= 0:
+        i = parent[i]
+        bps.append(float(ts[i]))
+    return bps[::-1]
+
+
+def _loop_achieved(omega, bps):
+    dens = [omega.measure_in(a, b) / (b - a) for a, b in zip(bps, bps[1:])]
+    widths = [b - a for a, b in zip(bps, bps[1:])]
+    return min(dens), max(widths)
+
+
+def _gap_refusal(omega, rho):
+    left, interior, right = omega.gaps()
+    worst = max([left, right] + interior)
+    return {"gamma": 0.0, "breakpoints": None, "feasible": False,
+            "gap_witness": f"gap of length {worst} cannot be covered at rho={rho}"}
+
+
+def bottleneck_gamma(ts, pref, rho, ell):
+    """Max over covers with breakpoints in ts of the least window density, by
+    the backward max-min recursion best_from(i) = max_j min(dens(i, j),
+    best_from(j)) with best_from(last) = 1 (0 when no cover reaches ell)."""
+    n = len(ts)
+    best_from = [0.0] * n
+    best_from[-1] = 1.0
+    for i in range(n - 2, -1, -1):
+        out = 0.0
+        for j in range(i + 1, n):
+            w = ts[j] - ts[i]
+            if w > rho + _EQ_SLACK * max(1.0, ell):
+                break
+            out = max(out, min((pref[j] - pref[i]) / w, best_from[j]))
+        best_from[i] = out
+    return best_from[0]
+
+
+def bisection_optimal_gamma(omega, ell, rho, grid_n=200):
+    """Best gamma by bisection to 1e-9 over the loop DP, as a dict of the
+    fields of ``qgs.sampling.GammaResult``."""
+    if omega.measure <= 0.0:
+        return {"gamma": 0.0, "breakpoints": None, "feasible": False,
+                "gap_witness": "empty set"}
+    ts = loop_candidates(omega, ell, rho, grid_n)
+    pref = omega.prefix_measures(ts)
+    if loop_cover_dp(ts, pref, rho, 1e-12, ell) is None:
+        return _gap_refusal(omega, rho)
+    lo, hi = 0.0, 1.0
+    best = None
+    while hi - lo > _GAMMA_TOL:
+        mid = 0.5 * (lo + hi)
+        bps = loop_cover_dp(ts, pref, rho, mid, ell)
+        if bps is None:
+            hi = mid
+        else:
+            lo = mid
+            best = bps
+    if best is None:
+        best = loop_cover_dp(ts, pref, rho, lo, ell)
+    gamma_star, _ = _loop_achieved(omega, best)
+    if gamma_star <= 10.0 * _EQ_SLACK:
+        return _gap_refusal(omega, rho)
+    return {"gamma": gamma_star, "breakpoints": tuple(best), "feasible": True,
+            "gap_witness": None}
+
+
+def bisection_optimal_rho(omega, ell, gamma, grid_n=200):
+    """Smallest rho by bisection over the loop DP, as a dict of the fields of
+    ``qgs.sampling.RhoResult``."""
+    global_density = omega.measure / ell if ell > 0 else 0.0
+    if global_density + _EQ_SLACK < gamma:
+        return {"rho": math.inf, "breakpoints": None, "feasible": False,
+                "global_density": global_density}
+    lo, hi = 0.0, ell
+    best = [0.0, ell]
+    while hi - lo > _RHO_TOL_REL * ell:
+        mid = 0.5 * (lo + hi)
+        ts = loop_candidates(omega, ell, mid, grid_n)
+        bps = loop_cover_dp(ts, omega.prefix_measures(ts), mid, gamma, ell)
+        if bps is None:
+            lo = mid
+        else:
+            hi = mid
+            best = bps
+    _, rho_star = _loop_achieved(omega, best)
+    return {"rho": rho_star, "breakpoints": tuple(best), "feasible": True,
+            "global_density": global_density}

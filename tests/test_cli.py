@@ -155,6 +155,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_kovrijkine_grid_too_small(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "kovrijkine", "--coeffs", "[1, 2]",
+                             "--e-set", "[[0, 0.5]]", "--grid", grid)
+        assert code == 1 and out == ""
+        assert "grid_n must be at least 2" in err
+
     def test_local(self, capsys):
         code, out, _ = run(capsys, "verify", "local", "--terms",
                            "[[1.0, 0.0, 0, 2.0]]", "--ell", "1.0",

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from qgs.graphs import build_graph
 from qgs.polytrig import IntervalUnion
 from qgs.sampling import (Cover, CoverViolation, GammaResult, PeriodicTail,
-                          SamplingParams, SamplingSet, gap_analysis,
+                          SamplingParams, SamplingSet, _candidates, gap_analysis,
                           graph_params, necessary_check, optimal_gamma,
                           optimal_rho, periodic_params, periodic_uniform_gamma,
                           svc_set, verify_cover)
+
+from oracles import (bisection_optimal_gamma, bisection_optimal_rho,
+                     bottleneck_gamma, loop_candidates)
 
 
 def single_edge_set(iu):
@@ -259,6 +262,87 @@ class TestOptimalRho:
                                  single_edge_cover(res.breakpoints),
                                  gamma=gamma, rho=res.rho)
             assert isinstance(check, SamplingParams)
+
+
+def reference_corpus(seed=2024, count=200):
+    """Seeded (union, ell, rho, gamma, grid_n) cases: random unions with rho
+    below the widest gap, at or above ell and in between, touching and nearly
+    touching intervals, plus sets of measure below 1e-11 and the fat Cantor
+    set."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for c in range(count):
+        ell = float(rng.uniform(0.5, 3.0))
+        k = int(rng.integers(1, 7))
+        pts = np.sort(rng.uniform(0.0, ell, 2 * k))
+        ivs = [(pts[2 * i], pts[2 * i + 1]) for i in range(k)]
+        if k > 1 and c % 10 == 1:
+            ivs[1] = (ivs[0][1], ivs[1][1])            # touching: merged
+        if k > 1 and c % 10 == 2:
+            ivs[1] = (ivs[0][1] + 1e-13, ivs[1][1])    # a gap of 1e-13
+        iu = IntervalUnion(ivs, length=ell)
+        left, interior, right = iu.gaps()
+        widest = max([left, right] + interior)
+        rho = (widest * float(rng.uniform(0.3, 0.99)) if c % 4 == 0
+               else ell * float(rng.uniform(1.0, 1.5)) if c % 4 == 1
+               else max(widest, 1e-3) * float(rng.uniform(1.0, 4.0)))
+        grid_n = int(rng.choice([20, 50, 100, 200]))
+        cases.append((iu, ell, rho, float(rng.uniform(0.02, 1.0)), grid_n))
+    tiny = IntervalUnion([(0.3, 0.3 + 5e-12)], length=1.0)
+    dust = IntervalUnion([(0.05 + 0.1 * j, 0.05 + 0.1 * j + 1e-13)
+                          for j in range(10)], length=1.0)
+    svc, _ = svc_set(6)
+    cases += [(tiny, 1.0, 0.8, 1e-12, 200), (tiny, 1.0, 1.2, 1e-12, 200),
+              (dust, 1.0, 0.3, 1e-13, 200), (svc, 1.0, 9 / 32, 4 / 9, 200),
+              (svc, 1.0, 0.5, 0.5, 200), (svc, 1.0, 0.1, 1.0, 200)]
+    return cases
+
+
+class TestReferenceKernels:
+    """The optimisers against the loop versions kept in oracles.py: every
+    decision, hence every returned number, must be the same."""
+
+    def test_corpus_exercises_every_branch(self):
+        corpus = reference_corpus()
+        results = [optimal_gamma(iu, ell, rho, n) for iu, ell, rho, _, n in corpus]
+        assert sum(r.feasible for r in results) >= 100
+        assert sum(not r.feasible for r in results) >= 30
+        # the measure-zero rule refuses sets whose max-min density is positive
+        for iu, ell, rho, _, grid_n in corpus[-5:-3]:
+            ts = _candidates(iu, ell, rho, grid_n)
+            assert 0.0 < bottleneck_gamma(ts, iu.prefix_measures(ts), rho, ell)
+            assert not optimal_gamma(iu, ell, rho, grid_n).feasible
+
+    def test_optimal_gamma_matches_bisection(self):
+        for iu, ell, rho, _, grid_n in reference_corpus():
+            assert np.array_equal(_candidates(iu, ell, rho, grid_n),
+                                  loop_candidates(iu, ell, rho, grid_n))
+            got = optimal_gamma(iu, ell, rho, grid_n)
+            want = bisection_optimal_gamma(iu, ell, rho, grid_n)
+            assert (got.feasible, got.gamma, got.breakpoints, got.gap_witness) == \
+                (want["feasible"], want["gamma"], want["breakpoints"],
+                 want["gap_witness"])
+
+    def test_optimal_rho_matches_bisection(self):
+        for iu, ell, _, gamma, grid_n in reference_corpus():
+            got = optimal_rho(iu, ell, gamma, grid_n)
+            want = bisection_optimal_rho(iu, ell, gamma, grid_n)
+            assert (got.feasible, got.rho, got.breakpoints, got.global_density) == \
+                (want["feasible"], want["rho"], want["breakpoints"],
+                 want["global_density"])
+
+    def test_optimal_gamma_is_exact_on_its_grid(self):
+        checked = 0
+        for iu, ell, rho, _, grid_n in reference_corpus(seed=77, count=60):
+            res = optimal_gamma(iu, ell, rho, grid_n)
+            ts = _candidates(iu, ell, rho, grid_n)
+            want = bottleneck_gamma(ts, iu.prefix_measures(ts), rho, ell)
+            if res.feasible:
+                assert res.gamma == pytest.approx(want, abs=1e-12)
+                checked += 1
+            else:
+                assert want <= 10.0 * 1e-12
+        assert checked >= 30
 
 
 class TestPeriodic:

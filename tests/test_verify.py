@@ -353,20 +353,6 @@ class TestAudit:
         b = audit(trials=40, seed=7, lam_max=60.0)
         assert a.rows == b.rows
 
-    def test_threaded_matches_sequential(self):
-        a = audit(trials=60, seed=13, lam_max=60.0, threads=1)
-        b = audit(trials=60, seed=13, lam_max=60.0, threads=4)
-        assert a.rows == b.rows
-
-    def test_thread_cap_env(self, monkeypatch):
-        from qgs.verify import worker_count
-        monkeypatch.setenv("QGS_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("QGS_THREADS", "bogus")
-        assert worker_count() == 1
-        monkeypatch.delenv("QGS_THREADS")
-        assert worker_count() == 1
-
     def test_classify_option(self):
         res = audit(trials=50, seed=21, lam_max=80.0, classify=True)
         assert res.violations == 0
