@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 domain or input error, 2 inequality-audit violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +20,6 @@ from . import verify as vfy
 from .graphs import load_graph, metrics
 from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
 from .spectral import eigenvalues_up_to, solve_torsion, spectral_sample
-
-
-@dataclass
-class RunConfig:
-    graph_path: str | None = None
-    set_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-    seed: int = vfy.DEFAULT_SEED
-    lam_max: float = 100.0
 
 
 def _positive(value: str) -> float:
@@ -279,7 +269,9 @@ def _cmd_audit(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qgs argument parser, built once: parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="qgs",
         description="Eigenpairs, sampling-set certification and explicit "

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm
 
@@ -212,35 +211,36 @@ def _vertex_distances(g: MetricGraph) -> dict[str, dict[str, float]]:
 
 
 def _edge_pair_max(e: Edge, f: Edge, dv: dict[str, dict[str, float]]) -> float:
-    """Max over x in e, y in f of the point distance, via tiny max-min LPs."""
+    """Max over x in e, y in f of the point distance, by exact enumeration.
+
+    At s on e and t on f the distance is the minimum of four routes through
+    the edge ends (and of |s - t| when e is f), all affine with slopes +-1.
+    The maximum over the rectangle is where two lines a*s + b*t + c = 0 meet:
+    sides, or where two pieces are equal (s = t among them).  With a, b in
+    {0, +-1, +-2}, Cramer's rule costs one rounding; points are clipped into
+    the rectangle, so every value taken is a true distance.
+    """
     le, lf = e.length, f.length
-    routes = [
+    pieces = np.array([
         (1.0, 1.0, dv[e.source][f.source]),
         (1.0, -1.0, dv[e.source][f.target] + lf),
         (-1.0, 1.0, dv[e.target][f.source] + le),
         (-1.0, -1.0, dv[e.target][f.target] + le + lf),
-    ]
+    ])
     same = e.id == f.id
-    best = 0.0
-    triangles = ((1.0, -1.0), (-1.0, 1.0)) if same else (None,)
-    for tri in triangles:
-        pieces = list(routes)
-        if same:
-            # direct route |s - t| restricted to the triangle where it is affine
-            pieces.append((tri[0], tri[1], 0.0))
-        # maximize z s.t. z <= a*s + b*t + c  ->  minimize -z
-        a_ub = [[-a, -b, 1.0] for a, b, _ in pieces]
-        b_ub = [c for _, _, c in pieces]
-        if same:
-            a_ub.append([-tri[0], -tri[1], 0.0])  # keep s-t (or t-s) nonnegative
-            b_ub.append(0.0)
-        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(0.0, le), (0.0, lf), (0.0, None)],
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"diameter LP failed on edges {e.id}, {f.id}: {res.message}")
-        best = max(best, -res.fun)
-    return best
+    if same:  # the direct route: s - t on one triangle, t - s on the other
+        pieces = np.vstack([pieces, [(1.0, -1.0, 0.0), (-1.0, 1.0, 0.0)]])
+    i, j = np.triu_indices(len(pieces), 1)
+    a, b, c = np.vstack([[(1.0, 0.0, 0.0), (1.0, 0.0, -le), (0.0, 1.0, 0.0),
+                          (0.0, 1.0, -lf)], pieces[i] - pieces[j]]).T
+    det = np.multiply.outer(a, b) - np.multiply.outer(b, a)
+    hit = det != 0.0
+    s = ((np.multiply.outer(b, c) - np.multiply.outer(c, b))[hit] / det[hit]).clip(0.0, le)
+    t = ((np.multiply.outer(c, a) - np.multiply.outer(a, c))[hit] / det[hit]).clip(0.0, lf)
+    dist = (pieces[:4, :1] * s + pieces[:4, 1:2] * t + pieces[:4, 2:]).min(axis=0)
+    if same:
+        dist = np.minimum(dist, np.abs(s - t))
+    return float(dist.max())
 
 
 def diameter(g: MetricGraph) -> float:
@@ -249,11 +249,8 @@ def diameter(g: MetricGraph) -> float:
     if not g.is_connected:
         raise ValueError("diameter undefined on a disconnected graph")
     dv = _vertex_distances(g)
-    best = 0.0
-    for i, e in enumerate(g.edges):
-        for f in g.edges[i:]:
-            best = max(best, _edge_pair_max(e, f, dv))
-    return best
+    return max((_edge_pair_max(e, f, dv) for i, e in enumerate(g.edges) for f in g.edges[i:]),
+               default=0.0)
 
 
 def metrics(g: MetricGraph) -> GraphMetrics:

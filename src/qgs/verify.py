@@ -13,16 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .bounds import BernsteinProfile, BoundReport, h_bound, spectral_bound
+from .bounds import (BernsteinProfile, BoundReport, h_bound, observability_constant,
+                     spectral_bound)
 from .graphs import (BoundarySubspace, MetricGraph, build_graph,
                      standard_subspace, vertex_conditions_subspace)
 from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm,
                        cosine_power_terms, inner_product, integrate_powexp,
                        norm_sq, sup_on_disk_neighborhood, whole_edge)
 from .sampling import Cover, SamplingParams, SamplingSet, verify_cover
-from .spectral import EigenPair, eigenvalues_up_to, spectral_sample
+from .spectral import EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample
 
 PASS_REL_TOL = 1e-12      # strict ">" of the theorems at floating-point scale
 DEFAULT_M_MAX = 40        # derivative orders checked per edge
@@ -56,15 +56,19 @@ def _region_of(omega) -> dict[str, IntervalUnion]:
     return dict(omega)
 
 
+def _bounded_ratio(part: float, total: float) -> float:
+    ratio = part / total
+    if ratio > 1.0 + 1e-12:
+        raise AssertionError(f"ratio {ratio} exceeds 1")
+    return min(ratio, 1.0)
+
+
 def mass_ratio(f: GraphFunction, omega) -> float:
     """||chi_omega f||^2 / ||f||^2, both sides by exact quadrature."""
     total = norm_sq(f)
     if total <= 0.0:
         raise ValueError("mass ratio undefined for the zero function")
-    ratio = norm_sq(f, _region_of(omega)) / total
-    if ratio > 1.0 + 1e-12:
-        raise AssertionError(f"ratio {ratio} exceeds 1")
-    return min(ratio, 1.0)
+    return _bounded_ratio(norm_sq(f, _region_of(omega)), total)
 
 
 def _passes(observed: float, bound: float) -> bool:
@@ -106,14 +110,15 @@ def compare_derivative(f: GraphFunction, omega, params: SamplingParams,
     """Derivative-mass ratio against the same constant, plus the combined
     first-order-norm ratio it implies."""
     bound = _resolve_bound(params, lam, profile)
-    ratio = derivative_ratio(f, omega)
-    if ratio is None:
+    fp = f.derivative()
+    fp_total = 0.0 if fp.is_zero() else norm_sq(fp)
+    if fp_total <= 0.0:
         return RatioReport(kind="derivative", observed=math.nan, bound=bound,
                            margin=math.nan, passed=True, vacuous=True)
     region = _region_of(omega)
-    fp = f.derivative()
-    w12 = ((norm_sq(f, region) + norm_sq(fp, region))
-           / (norm_sq(f) + norm_sq(fp)))
+    fp_part = norm_sq(fp, region)
+    ratio = _bounded_ratio(fp_part, fp_total)
+    w12 = (norm_sq(f, region) + fp_part) / (norm_sq(f) + fp_total)
     return RatioReport(kind="derivative", observed=ratio, bound=bound,
                        margin=ratio - bound.value,
                        passed=_passes(ratio, bound.value),
@@ -123,6 +128,15 @@ def compare_derivative(f: GraphFunction, omega, params: SamplingParams,
 
 # ---------------------------------------------------------------------------
 # good/bad edge classification
+
+
+def max_generalized_eig(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest mu with a x = mu b x, for a Hermitian and b Hermitian positive
+    definite, by Cholesky reduction b = L L^H to L^-1 a L^-H.  Raises
+    np.linalg.LinAlgError when b is not positive definite."""
+    low = np.linalg.cholesky(b)
+    reduced = np.linalg.solve(low, np.linalg.solve(low, a).conj().T)
+    return float(np.linalg.eigvalsh(reduced)[-1])
 
 
 def _gram_matrix(freqs: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -181,9 +195,8 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
             # largest one-step derivative gain on the span of these modes
             d = np.diag(iw)
             try:
-                gains.append(float(np.max(scipy.linalg.eigvalsh(
-                    d.conj().T @ gram_t @ d, gram_t))))
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+                gains.append(max_generalized_eig(d.conj().T @ gram_t @ d, gram_t))
+            except np.linalg.LinAlgError:
                 gains.append(math.inf)
         else:
             fn = GraphFunction(g, {eid: list(terms)})
@@ -407,12 +420,10 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
         return ObservabilityNumeric(observable=False, numeric_c_squared=math.inf,
                                     formula_c_squared=None, modes=modes,
                                     horizon=horizon)
-    top = float(scipy.linalg.eigh(lhs, rhs, eigvals_only=True)[-1])
+    top = max_generalized_eig(lhs, rhs)
     formula = None
     if params is not None:
-        from .bounds import observability_constant
-        formula = observability_constant(params.gamma, params.rho, horizon)
-        formula = formula.c_squared.value
+        formula = observability_constant(params.gamma, params.rho, horizon).c_squared.value
     return ObservabilityNumeric(observable=True, numeric_c_squared=top,
                                 formula_c_squared=formula, modes=modes,
                                 horizon=horizon)
@@ -442,7 +453,6 @@ def lasso_counterexample() -> dict:
     amp = math.sqrt(2.0)  # L2-normalises sin(2 pi x) on the unit loop
     phi = GraphFunction(g, {"loop": [PolyTrigTerm(-0.5j * amp, 0, k),
                                      PolyTrigTerm(0.5j * amp, 0, -k)]})
-    from .spectral import boundary_residual
     residual = boundary_residual(g, y, phi)
     if residual >= 1e-10:
         raise AssertionError(f"loop mode fails the vertex conditions: {residual}")

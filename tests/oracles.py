@@ -1,22 +1,26 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the closed-form paths of the package:
-adaptive Simpson quadrature for integrals, dense point clouds for the graph
-diameter, a fine determinant-style scan for eigenvalues and a second-order
-finite-difference solve for the torsion function.  The sampling optimisers
-keep their plain loop versions here (bisection over a loop feasibility DP) as
-the reference the vectorised kernels must reproduce decision for decision.
+adaptive Simpson quadrature for integrals, dense point clouds, a verbatim
+copy of the old max-min LPs per edge pair and a rational-arithmetic edge-pair
+maximum for the graph diameter, a fine determinant-style scan for eigenvalues
+and a second-order finite-difference solve for the torsion function.  The
+sampling optimisers keep their plain loop versions here (bisection over a loop
+feasibility DP) as the reference the vectorised kernels must reproduce
+decision for decision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from scipy.optimize import linprog
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -88,6 +92,84 @@ def diameter_point_cloud(g, pts_per_edge=200):
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
     dist = scipy.sparse.csgraph.shortest_path(mat, method="D", directed=False)
     return float(dist.max())
+
+
+# The HiGHS formulation that the exact enumeration in qgs.graphs replaced,
+# kept verbatim (only renamed) as its reference.
+def lp_edge_pair_max(e, f, dv):
+    """Max over x in e, y in f of the point distance, via tiny max-min LPs."""
+    le, lf = e.length, f.length
+    routes = [
+        (1.0, 1.0, dv[e.source][f.source]),
+        (1.0, -1.0, dv[e.source][f.target] + lf),
+        (-1.0, 1.0, dv[e.target][f.source] + le),
+        (-1.0, -1.0, dv[e.target][f.target] + le + lf),
+    ]
+    same = e.id == f.id
+    best = 0.0
+    triangles = ((1.0, -1.0), (-1.0, 1.0)) if same else (None,)
+    for tri in triangles:
+        pieces = list(routes)
+        if same:
+            # direct route |s - t| restricted to the triangle where it is affine
+            pieces.append((tri[0], tri[1], 0.0))
+        # maximize z s.t. z <= a*s + b*t + c  ->  minimize -z
+        a_ub = [[-a, -b, 1.0] for a, b, _ in pieces]
+        b_ub = [c for _, _, c in pieces]
+        if same:
+            a_ub.append([-tri[0], -tri[1], 0.0])  # keep s-t (or t-s) nonnegative
+            b_ub.append(0.0)
+        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(0.0, le), (0.0, lf), (0.0, None)],
+                      method="highs")
+        if not res.success:
+            raise RuntimeError(f"diameter LP failed on edges {e.id}, {f.id}: {res.message}")
+        best = max(best, -res.fun)
+    return best
+
+
+def exact_edge_pair_max(g, e, f):
+    """The same maximum in rational arithmetic: exact vertex distances by
+    Floyd-Warshall, then every meeting point of two lines (sides, s = t and
+    the lines where two distance pieces are equal) that lies in the
+    rectangle, solved by Cramer's rule without rounding."""
+    dist = {u: {v: Fraction(0) if u == v else None for v in g.vertices}
+            for u in g.vertices}
+    for edge in g.edges:
+        w = Fraction(edge.length)
+        for a, b in ((edge.source, edge.target), (edge.target, edge.source)):
+            if dist[a][b] is None or w < dist[a][b]:
+                dist[a][b] = w
+    for k in g.vertices:
+        for i in g.vertices:
+            for j in g.vertices:
+                if dist[i][k] is not None and dist[k][j] is not None:
+                    via = dist[i][k] + dist[k][j]
+                    if dist[i][j] is None or via < dist[i][j]:
+                        dist[i][j] = via
+    le, lf = Fraction(e.length), Fraction(f.length)
+    routes = [(1, 1, dist[e.source][f.source]),
+              (1, -1, dist[e.source][f.target] + lf),
+              (-1, 1, dist[e.target][f.source] + le),
+              (-1, -1, dist[e.target][f.target] + le + lf)]
+    same = e.id == f.id
+    pieces = routes + ([(1, -1, Fraction(0)), (-1, 1, Fraction(0))] if same else [])
+    lines = [(1, 0, Fraction(0)), (1, 0, le), (0, 1, Fraction(0)), (0, 1, lf)]
+    lines += [(p[0] - q[0], p[1] - q[1], q[2] - p[2])
+              for i, p in enumerate(pieces) for q in pieces[i + 1:]
+              if (p[0], p[1]) != (q[0], q[1])]
+    best = Fraction(0)
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            s = (c1 * b2 - c2 * b1) / det
+            t = (a1 * c2 - a2 * c1) / det
+            if 0 <= s <= le and 0 <= t <= lf:
+                d = min(a * s + b * t + c for a, b, c in routes)
+                best = max(best, min(d, abs(s - t)) if same else d)
+    return best
 
 
 def sigma_min_scan(matrix_fun, k_lo, k_hi, step, accept=1e-7):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,13 @@ class TestAudit:
         header = out.read_text().splitlines()[0]
         assert header.startswith("trial,graph,gamma,rho,lam")
         assert len(out.read_text().splitlines()) == 11
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    code = ("import qgs.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert res.stdout.strip() == "[]"

@@ -1,16 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, build_graph,
-                        diameter, dual_subspace, full_subspace, gauge_transform,
-                        graph_from_dict, metrics, standard_subspace, subdivide,
-                        subspace_from_basis, vertex_conditions_subspace,
-                        zero_subspace)
+from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
+                        _vertex_distances, build_graph, diameter, dual_subspace,
+                        full_subspace, gauge_transform, graph_from_dict, metrics,
+                        standard_subspace, subdivide, subspace_from_basis,
+                        vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
 
-from oracles import diameter_point_cloud
+from oracles import diameter_point_cloud, exact_edge_pair_max, lp_edge_pair_max
 
 
 def interval(ell=math.pi):
@@ -26,6 +27,44 @@ def three_star(ell=1.0):
 def lasso(loop_len=1.0, tail_len=1.0):
     return build_graph(["v", "w"], [("loop", "v", "v", loop_len),
                                     ("tail", "v", "w", tail_len)])
+
+
+def complete(n, length):
+    vs = [f"v{i}" for i in range(n)]
+    return build_graph(vs, [(f"e{a}{b}", vs[a], vs[b], length())
+                            for a in range(n) for b in range(a + 1, n)])
+
+
+def diameter_corpus(seed, count):
+    """Seeded connected graphs in turn: trees, cycles (a loop and a parallel
+    pair among them), multigraphs with loops and parallel edges, complete
+    graphs.  Half the lengths are halves, so that many routes tie exactly."""
+    rng = np.random.default_rng(seed)
+
+    def length():
+        if rng.random() < 0.5:
+            return float(rng.uniform(0.1, 3.0))
+        return int(rng.integers(1, 5)) / 2.0
+
+    for i in range(count):
+        kind = i % 4
+        n = int(rng.integers(*((2, 6), (1, 6), (1, 6), (3, 5))[kind]))
+        vs = [f"v{j}" for j in range(n)]
+        if kind == 3:
+            yield complete(n, length)
+            continue
+        if kind == 1:
+            es = [(f"e{j}", vs[j], vs[(j + 1) % n], length()) for j in range(n)]
+        else:
+            es = [(f"t{j}", vs[int(rng.integers(j))], vs[j], length()) for j in range(1, n)]
+        if kind == 2:
+            es += [(f"x{j}", vs[int(rng.integers(n))], vs[int(rng.integers(n))], length())
+                   for j in range(int(rng.integers(1, 4)))]
+        yield build_graph(vs, es)
+
+
+def edge_pairs(g):
+    return [(e, f) for i, e in enumerate(g.edges) for f in g.edges[i:]]
 
 
 class TestBuild:
@@ -86,6 +125,28 @@ class TestMetrics:
         got = metrics(g).diameter
         brute = diameter_point_cloud(g, pts_per_edge=400)
         assert got == pytest.approx(brute, abs=5e-3)
+
+    def test_diameter_matches_lp_reference(self):
+        graphs = [lasso(1.0, 1.0), lasso(1.513225, 1.009786), complete(4, lambda: 1.0),
+                  complete(5, lambda: 1.0), *diameter_corpus(5, 200)]
+        for g in graphs:
+            dv = _vertex_distances(g)
+            ref = [lp_edge_pair_max(e, f, dv) for e, f in edge_pairs(g)]
+            got = [_edge_pair_max(e, f, dv) for e, f in edge_pairs(g)]
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert diameter(g) == pytest.approx(max(ref), rel=1e-14, abs=0.0)
+
+    def test_diameter_exact_on_near_ties(self):
+        # Lengths 1 + eps on complete graphs leave route gaps of 1e-15..1e-9.
+        # There the LP reference drifts by up to 2.5e-10 relative within its
+        # feasibility tolerance, so rational arithmetic is the arbiter.
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 5) * 8:
+            g = complete(n, lambda: 1.0 + float(rng.choice([0.0, 1e-15, 1e-13, -1e-13, 1e-9])))
+            dv = _vertex_distances(g)
+            for e, f in edge_pairs(g):
+                exact = exact_edge_pair_max(g, e, f)
+                assert abs(Fraction(_edge_pair_max(e, f, dv)) - exact) <= 1e-15 * exact
 
     def test_disconnected_diameter(self):
         g = build_graph(["a", "b", "c", "d"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qgs.bounds import BernsteinProfile
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
@@ -13,7 +14,8 @@ from qgs.spectral import eigenvalues_up_to, spectral_sample
 from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
                         compare_derivative, derivative_ratio, kovrijkine_check,
                         lasso_counterexample, local_estimate_check, mass_ratio,
-                        observability_numeric, optimality_example)
+                        max_generalized_eig, observability_numeric,
+                        optimality_example)
 
 
 def interval(ell=math.pi):
@@ -224,6 +226,28 @@ class TestOptimality:
     def test_small_alpha_rejected(self):
         with pytest.raises(ValueError, match="energy too small"):
             optimality_example(1.0, 1.0, 0.1)
+
+
+class TestMaxGeneralizedEig:
+    def test_matches_scipy_on_hermitian_definite_pairs(self):
+        rng = np.random.default_rng(11)
+        for n in list(range(1, 9)) * 10:
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            a = x + x.conj().T
+            b = z @ z.conj().T + rng.uniform(0.01, 1.0) * np.eye(n)
+            ref = scipy.linalg.eigh(a, b, eigvals_only=True)
+            assert max_generalized_eig(a, b) == pytest.approx(
+                ref[-1], rel=1e-12, abs=1e-12 * np.abs(ref).max())
+
+    def test_raises_where_scipy_does(self):
+        a = np.eye(3)
+        for b in (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, 1.0]), -np.eye(3),
+                  np.ones((3, 3))):
+            with pytest.raises(np.linalg.LinAlgError):
+                scipy.linalg.eigh(a, b, eigvals_only=True)
+            with pytest.raises(np.linalg.LinAlgError):
+                max_generalized_eig(a, b)
 
 
 class TestObservabilityNumeric:
