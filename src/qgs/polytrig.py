@@ -1,13 +1,16 @@
-"""Edgewise poly-trigonometric functions with exact closed-form quadrature.
+"""Edgewise poly-trigonometric functions and the one closed-form mass kernel.
 
 Functions on a metric graph are stored per edge as finite sums of terms
 ``c * x**p * exp(1j*w*x)`` with p <= 2.  This class contains every
 eigenfunction of a free Laplacian realisation (p = 0), edgewise quadratics
 such as torsion functions (w = 0), and is closed under differentiation and
-restriction.  Pairwise products reach p = 4, for which the antiderivative
-is still closed form, so all L2 inner products over finite unions of
-intervals are evaluated exactly (up to floating point), with a series
-branch that handles the w -> 0 degeneration without cancellation.
+restriction.  Pairwise products reach p = 4, whose integrals are closed
+form: `integrate_powexp` integrates all windows of an edge in one numpy call
+(2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a fixed-length
+series near wd = 0, for p >= 1).  Every L2 mass goes through it: `norm_sq`
+and `inner_product` for one pair, `gram` and `term_gram` for many at once.
+A norm too small for the closed form to resolve from rounding is integrated
+again by a positive Gauss rule with an explicit error bound.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ import numpy as np
 MAX_TERM_POWER = 2       # per-term polynomial degree cap; products reach 4
 PRUNE_REL = 1e-15        # drop terms whose |coeff| is below this times the edge max
 _SERIES_SWITCH = 0.5     # |w*d| below which the Taylor branch of the kernel is used
+_SERIES_TERMS = 8        # fixed length of that branch (see _exp_poly_base)
+_RESOLVED_REL = 1e-12    # norm_sq below this share of its gross scale is re-integrated
 
 # Pascal triangle up to the largest power a pairwise product can reach.
 _BINOM = np.array([[math.comb(p, q) if q <= p else 0 for q in range(5)] for p in range(5)],
                   dtype=float)
+# _SERIES[q, j] = 1 / ((n0 + 2j)! (n0 + 2j + q + 1)), n0 = q mod 2 (see _exp_poly_base)
+_SERIES = np.array([[1.0 / (math.factorial(q % 2 + 2 * j) * (q % 2 + 2 * j + q + 1))
+                     for j in range(_SERIES_TERMS)] for q in range(5)])
 
 
 class PolyTrigTerm(NamedTuple):
@@ -111,12 +119,6 @@ class IntervalUnion:
             out.extend((a, b))
         return out
 
-    def intersect(self, lo: float, hi: float) -> "IntervalUnion":
-        """Intersection with the window [lo, hi], as a new union on the same edge."""
-        parts = [(max(a, lo), min(b, hi)) for a, b in self.intervals
-                 if min(b, hi) > max(a, lo)]
-        return IntervalUnion(parts, length=self.length)
-
     def measure_in(self, lo: float, hi: float) -> float:
         return sum(min(b, hi) - max(a, lo) for a, b in self.intervals
                    if min(b, hi) > max(a, lo))
@@ -141,19 +143,6 @@ class IntervalUnion:
                     for i in range(len(self.intervals) - 1)]
         return left, [g for g in interior if g > 0.0], right
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        events = sorted(list(self.intervals) + list(other.intervals))
-        merged: list[list[float]] = []
-        for a, b in events:
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return IntervalUnion(merged, length=max(self.length, other.length))
-
-    def shifted(self, dx: float, length: float) -> "IntervalUnion":
-        return IntervalUnion([(a + dx, b + dx) for a, b in self.intervals], length=length)
-
     def to_json(self) -> list[list[float]]:
         return [[a, b] for a, b in self.intervals]
 
@@ -166,70 +155,61 @@ def whole_edge(length: float) -> IntervalUnion:
 # exact quadrature kernel
 
 
-def _exp_poly_base(freqs: np.ndarray, d: float, qmax: int) -> np.ndarray:
-    """I[i, q] = ∫_{-d}^{d} y**q exp(1j*freqs[i]*y) dy for q = 0..qmax.
+def _exp_poly_base(w: np.ndarray, d: np.ndarray, qmax: int) -> list[np.ndarray]:
+    """I[q] = ∫_{-d}^{d} y**q exp(1j*w*y) dy for q = 0..qmax, elementwise.
 
-    Two branches: the antiderivative form away from w*d = 0 and a rapidly
-    converging parity series near it, which avoids the 1/w**(q+1)
-    cancellation blow-up of the closed form.
+    q = 0 is 2d sinc(wd/pi), exact at w = 0.  For q >= 1 the antiderivative
+    is used where |wd| > 1/2, and below that, where it would cancel like
+    1/w**(q+1), the parity series
+        I_q = 2 d**(q+1) (i s)**n0 sum_j (-s**2)**j / ((n0+2j)! (n0+2j+q+1)),
+    s = wd, n0 = q mod 2, summed by Horner over a fixed _SERIES_TERMS = 8
+    terms (j = 0..7).  For |s| <= 1/2 and 1 <= q <= 4 the terms alternate,
+    each is at most 0.09 of the one before and the first omitted one (j = 8)
+    is below 1.8e-19 of the first, so the sum is within 9 % of its first
+    term and the truncation error is below 2.1e-19 relative: no
+    data-dependent stopping test is needed.
     """
-    n = freqs.size
-    out = np.zeros((n, qmax + 1), dtype=complex)
-    s = freqs * d
+    s = w * d
+    out = [2.0 * d * np.sinc(s / math.pi)]
+    if not qmax:
+        return out
+    w, d = np.broadcast_to(w, s.shape), np.broadcast_to(d, s.shape)
     small = np.abs(s) <= _SERIES_SWITCH
-
-    big = ~small
-    if big.any():
-        w = freqs[big]
-        iw = 1j * w
-        epd = np.exp(iw * d)
-        emd = np.exp(-iw * d)
-        for q in range(qmax + 1):
-            acc_p = np.zeros(w.size, dtype=complex)
-            acc_m = np.zeros(w.size, dtype=complex)
-            for j in range(q + 1):
-                coef = (-1.0) ** j * math.perm(q, j)
-                ipow = iw ** (j + 1)
-                acc_p += coef * d ** (q - j) / ipow
-                acc_m += coef * (-d) ** (q - j) / ipow
-            out[big, q] = epd * acc_p - emd * acc_m
-
-    if small.any():
-        w = freqs[small]
-        iw2d2 = (1j * w) ** 2 * d * d
-        for q in range(qmax + 1):
-            n0 = q % 2  # only n with n + q even contribute
-            term = (2.0 * (1j * w) ** n0 * d ** (n0 + q + 1)
-                    / (math.factorial(n0) * (n0 + q + 1)))
-            acc = term.copy()
-            nn = n0
-            for _ in range(40):
-                term = term * iw2d2 * (nn + q + 1) / ((nn + 1) * (nn + 2) * (nn + q + 3))
-                acc += term
-                nn += 2
-                if np.max(np.abs(term)) <= 1e-18 * max(np.max(np.abs(acc)), 1e-300):
-                    break
-            out[small, q] = acc
+    ds, ss, t = d[small], s[small], -s[small] ** 2
+    iw, db = 1j * w[~small], d[~small]
+    epd, emd = np.exp(iw * db), np.exp(-iw * db)
+    for q in range(1, qmax + 1):
+        col = np.empty(s.shape, dtype=complex)
+        acc = np.full(t.shape, _SERIES[q, -1])
+        for c in _SERIES[q, -2::-1]:
+            acc = acc * t + c
+        col[small] = 2.0 * ds ** (q + 1) * (1j * ss if q % 2 else 1.0) * acc
+        # the antiderivative sum_j (-1)^j q!/(q-j)! y^(q-j) / (iw)^(j+1) e^(iwy) at -+d
+        parts = [(-1.0) ** j * math.perm(q, j) * db ** (q - j) / iw ** (j + 1)
+                 for j in range(q + 1)]
+        col[~small] = epd * sum(parts) - emd * sum((-1.0) ** (q - j) * part
+                                                   for j, part in enumerate(parts))
+        out.append(col)
     return out
 
 
-def integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: float) -> np.ndarray:
-    """∫_a^b x**p exp(1j*w*x) dx, elementwise over the vectors p, w."""
+def integrate_powexp(powers, freqs, a, b) -> np.ndarray:
+    """∫_a^b x**p exp(1j*w*x) dx, elementwise over p and w (one shape)
+    broadcast against the window ends a, b, so the windows of an edge, as
+    arrays against a trailing term axis, are one call.  Empty windows give 0.
+    With m, d the midpoint and half-width, (m + y)**p is expanded binomially
+    over _exp_poly_base; with every power 0 it is 2d sinc(wd/pi) exp(iwm)."""
     powers = np.asarray(powers, dtype=int)
     freqs = np.asarray(freqs, dtype=float)
-    if b <= a:
-        return np.zeros(powers.size, dtype=complex)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m = 0.5 * (a + b)
-    d = 0.5 * (b - a)
+    d = 0.5 * np.maximum(b - a, 0.0)
     qmax = int(powers.max(initial=0))
     base = _exp_poly_base(freqs, d, qmax)
-    res = np.zeros(powers.size, dtype=complex)
-    for q in range(qmax + 1):
-        mask = powers >= q
-        if not mask.any():
-            continue
-        p = powers[mask]
-        res[mask] += _BINOM[p, q] * m ** (p - q) * base[mask, q]
+    res = base[0]
+    if qmax:
+        res = sum(_BINOM[powers, q] * m ** np.maximum(powers - q, 0) * base[q]
+                  for q in range(qmax + 1))
     return np.exp(1j * freqs * m) * res
 
 
@@ -298,13 +278,6 @@ class GraphFunction:
                 for t in ts]
             for e, ts in sorted(self.terms.items())}}
 
-    @classmethod
-    def from_json(cls, graph, data: Mapping) -> "GraphFunction":
-        return cls(graph, {
-            e: [PolyTrigTerm(complex(t["re"], t.get("im", 0.0)), int(t["power"]), float(t["freq"]))
-                for t in ts]
-            for e, ts in data["edges"].items()})
-
 
 def differentiate(f: GraphFunction, order: int = 1) -> GraphFunction:
     """Exact termwise derivative of the given order (order 0 is the identity)."""
@@ -345,62 +318,117 @@ def _coerce_region(f: GraphFunction, region) -> dict[str, IntervalUnion] | None:
     return out
 
 
-def _edge_pair_arrays(tf, tg):
-    c1 = np.array([t.coeff for t in tf], dtype=complex)
-    p1 = np.array([t.power for t in tf], dtype=int)
-    w1 = np.array([t.freq for t in tf], dtype=float)
-    c2 = np.array([t.coeff for t in tg], dtype=complex)
-    p2 = np.array([t.power for t in tg], dtype=int)
-    w2 = np.array([t.freq for t in tg], dtype=float)
-    C = np.multiply.outer(c1, np.conj(c2)).ravel()
-    P = np.add.outer(p1, p2).ravel()
-    W = np.subtract.outer(w1, w2).ravel()
-    return C, P, W
+def _edge_windows(f: GraphFunction, reg, eid: str) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the windows of edge eid: the whole edge without
+    a region."""
+    if reg is None:
+        ell = f.graph.edge_lengths[eid]
+        if not math.isfinite(ell):
+            raise ValueError("whole-graph quadrature on a non-compact graph")
+        return np.array([0.0]), np.array([ell])
+    iv = reg.get(eid)
+    ends = np.array(iv.intervals if iv is not None else (), dtype=float).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
 
 
-def _inner_product_gross(f: GraphFunction, g: GraphFunction, region) -> tuple[complex, float]:
-    if f.graph is not g.graph:
+def term_gram(powers, freqs, a, b) -> np.ndarray:
+    """B[s, t, k] = ∫ x**(p_s + p_t) exp(1j*(w_s - w_t)*x) dx over the window
+    [a_k, b_k] (a, b scalars or arrays of ends): one kernel call."""
+    p = np.asarray(powers, dtype=int)
+    w = np.asarray(freqs, dtype=float)
+    return integrate_powexp(np.add.outer(p, p)[..., None], np.subtract.outer(w, w)[..., None],
+                            np.atleast_1d(a), np.atleast_1d(b))
+
+
+def gram(fns: Sequence[GraphFunction], region=None) -> np.ndarray:
+    """G[i, j] = <fns[i], fns[j]> = ∫ fns[i] conj(fns[j]) over the region (the
+    whole graph without one).  Per edge, the terms of all the functions are
+    one basis whose term_gram B over every window is one kernel call, and G is
+    the sum over edges of C B C^H, C the coefficients on that basis:
+    Hermitian up to rounding."""
+    n = len(fns)
+    out = np.zeros((n, n), dtype=complex)
+    if not n:
+        return out
+    graph = fns[0].graph
+    if any(f.graph is not graph for f in fns):
         raise ValueError("functions live on different graphs")
-    reg = _coerce_region(f, region)
-    lengths = f.graph.edge_lengths
-    total = 0j
-    gross = 0.0
-    for eid, tf in f.terms.items():
-        tg = g.terms.get(eid)
-        if not tg:
+    reg = _coerce_region(fns[0], region)
+    for eid in graph.edge_ids:
+        owner = [i for i, f in enumerate(fns) for _ in f.terms.get(eid, ())]
+        a, b = _edge_windows(fns[0], reg, eid)
+        if not (owner and a.size):
             continue
-        if reg is None:
-            ell = lengths[eid]
-            if not math.isfinite(ell):
-                raise ValueError("whole-graph quadrature on a non-compact graph")
-            windows = ((0.0, ell),)
-        else:
-            iv = reg.get(eid)
-            if iv is None:
-                continue
-            windows = iv.intervals
-        C, P, W = _edge_pair_arrays(tf, tg)
-        for a, b in windows:
-            vals = integrate_powexp(P, W, a, b)
-            total += (C * vals).sum()
-            gross += float(np.abs(C * vals).sum())
-    return complex(total), gross
+        c, p, w = np.array([t for f in fns for t in f.terms.get(eid, ())], dtype=complex).T
+        coeffs = np.zeros((n, len(owner)), dtype=complex)
+        coeffs[owner, np.arange(len(owner))] = c
+        out += coeffs @ term_gram(p.real, w.real, a, b).sum(axis=-1) @ coeffs.conj().T
+    return out
 
 
 def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
     """L2 inner product <f, g> = ∫ f conj(g), over the whole graph or a
     per-edge region given as a mapping edge id -> IntervalUnion."""
-    val, _ = _inner_product_gross(f, g, region)
-    return val
+    return complex(gram([f, g], region)[0, 1])
+
+
+def _norm_sq_gross(f: GraphFunction, region) -> tuple[complex, float]:
+    """∫ |f|^2 over the region, as a complex number, and its gross scale: the
+    sum of |c conj(c') I| over every term pair and window."""
+    reg = _coerce_region(f, region)
+    total, gross = 0j, 0.0
+    for eid, terms in f.terms.items():
+        a, b = _edge_windows(f, reg, eid)
+        if a.size:
+            c, p, w = np.array(terms, dtype=complex).T
+            vals = np.multiply.outer(c, c.conj())[..., None] * term_gram(p.real, w.real, a, b)
+            total += vals.sum()
+            gross += float(np.abs(vals).sum())
+    return complex(total), gross
 
 
 def norm_sq(f: GraphFunction, region=None) -> float:
-    """Squared L2 norm over the region; asserts the imaginary residue is noise."""
-    val, gross = _inner_product_gross(f, f, region)
+    """Squared L2 norm over the region; asserts the imaginary residue is noise.
+
+    The closed form cancels down to about 1e-16 of its gross scale, so a norm
+    below _RESOLVED_REL of that scale (f tiny on the region next to its
+    coefficients) is integrated again by _gauss_norm_sq, which is positive
+    and accurate relative to |f| itself."""
+    val, gross = _norm_sq_gross(f, region)
     re, im = val.real, val.imag
     if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
         raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
-    return max(re, 0.0)
+    if re <= _RESOLVED_REL * gross:
+        return _gauss_norm_sq(f, _coerce_region(f, region))
+    return re
+
+
+def _gauss_norm_sq(f: GraphFunction, reg) -> float:
+    """∫ |f|^2 by n-point Gauss-Legendre on every window [lo, hi], cut into
+    pieces of length L with |u| L <= 8: a sum of positive terms.  With u = w -
+    (middle frequency), |f|^2 is the entire g(z) = sum c_s conj(c_t)
+    z**(p_s+p_t) exp(1j*(u_s - u_t)*z) on the line, |g| <= M = (sum |c|
+    (hi + L)**p exp(|u| L))**2 within L of a piece, and Cauchy's estimate in
+    the Gauss error term bounds a piece's error by L M (n!)**4 / ((2n+1)
+    ((2n)!)**2) <= 2 L M 16**-n; n puts that below 1e-40 L (sum |c|)**2."""
+    total = 0.0
+    for eid, terms in f.terms.items():
+        c, p, w = np.array(terms, dtype=complex).T
+        p, w = p.real, w.real
+        u = np.abs(w - 0.5 * (w.max() + w.min()))
+        log_tol = math.log(1e-40) + 2.0 * math.log(float(np.abs(c).sum()))
+        for lo, hi in zip(*(ends.tolist() for ends in _edge_windows(f, reg, eid))):
+            pieces = 1 + int(u.max() * (hi - lo) / 8.0)
+            length = (hi - lo) / pieces
+            logs = np.log(np.abs(c)) + p * math.log(hi + length) + u * length
+            log_m = 2.0 * (logs.max() + math.log(np.exp(logs - logs.max()).sum()))
+            n = max(1, math.ceil((math.log(2.0) + log_m - log_tol) / math.log(16.0)))
+            nodes, weights = np.polynomial.legendre.leggauss(n)
+            for mid in (lo + length * (np.arange(pieces) + 0.5)).tolist():
+                x = (mid + 0.5 * length * nodes)[:, None]
+                vals = (c * x ** p * np.exp(1j * w * x)).sum(axis=1)
+                total += 0.5 * length * float(weights @ np.abs(vals) ** 2)
+    return total
 
 
 def sup_on_disk_neighborhood(terms: Iterable[PolyTrigTerm], ell: float,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BoundarySubspace, MetricGraph, gauge_transform
-from .polytrig import GraphFunction, PolyTrigTerm, inner_product, norm_sq
+from .polytrig import GraphFunction, PolyTrigTerm, gram
 
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
@@ -254,7 +254,8 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     root of that multiplicity), which Newton steps converge.  The count is
     exact for every boundary subspace and flux, so the spectrum is complete.
     Eigenfunctions are the trailing right-singular vectors of the secular
-    matrix at each root, as many as the count says, L2-orthonormalised.
+    matrix at each root, as many as the count says, L2-orthonormalised
+    through the Cholesky factor of their Gram matrix.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -266,17 +267,16 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     pairs: list[EigenPair] = []
 
     def harvest(k: float, residual: float, vecs: np.ndarray):
-        fns = [_coeffs_to_function(g, k, _phase_fix(v)) for v in vecs]
-        # L2-orthonormalise within the multiplicity cluster
-        kept: list[GraphFunction] = []
-        for f in fns:
-            for u in kept:
-                f = f - inner_product(f, u) * u
-            nrm2 = norm_sq(f)
-            if nrm2 > 1e-12:
-                kept.append(f * (1.0 / math.sqrt(nrm2)))
-        for f in kept:
-            pairs.append(EigenPair(k=k, lam=k * k, function=f, residual=residual))
+        if not len(vecs):
+            return
+        vecs = np.array([_phase_fix(v) for v in vecs])
+        # L2-orthonormalise within the multiplicity cluster: with the L2 Gram
+        # G = L L^H of the functions, the rows of L^-1 vecs (Gram-Schmidt in
+        # closed form) give orthonormal ones
+        low = np.linalg.cholesky(gram([_coeffs_to_function(g, k, v) for v in vecs]))
+        for v in np.linalg.solve(low, vecs):
+            pairs.append(EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
+                                   residual=residual))
 
     residual, vecs = _null_space(g, y_eff, 0.0)
     harvest(0.0, residual, vecs)

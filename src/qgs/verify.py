@@ -3,8 +3,9 @@ bounds, good/bad edge classification, polynomial and single-edge desk checks,
 the optimality example, matrix-level observability, the boundary trace
 inequality, the loop counterexample and the randomized inequality audit.
 
-All quadrature is exact (closed form); suprema use certified one-sided
-estimates so that a reported pass is meaningful.
+All quadrature goes through the closed-form kernel of `qgs.polytrig`;
+suprema use certified one-sided estimates so that a reported pass is
+meaningful.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .bounds import (BernsteinProfile, BoundReport, h_bound, observability_const
                      spectral_bound)
 from .graphs import (BoundarySubspace, MetricGraph, build_graph,
                      standard_subspace, vertex_conditions_subspace)
-from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm,
-                       cosine_power_terms, inner_product, integrate_powexp,
-                       norm_sq, sup_on_disk_neighborhood, whole_edge)
+from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
+                       gram, norm_sq, sup_on_disk_neighborhood, term_gram, whole_edge)
 from .sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from .spectral import EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample
 
@@ -139,12 +139,6 @@ def max_generalized_eig(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(reduced)[-1])
 
 
-def _gram_matrix(freqs: np.ndarray, a: float, b: float) -> np.ndarray:
-    diff = np.subtract.outer(freqs, freqs)
-    vals = integrate_powexp(np.zeros(diff.size, dtype=int), diff.ravel(), a, b)
-    return vals.reshape(diff.shape)
-
-
 @dataclass
 class EdgeClassification:
     good: dict[str, bool]
@@ -177,21 +171,19 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
     g = f.graph
     total = norm_sq(f)
 
+    orders = np.arange(m_max + 1)
+    caps = np.array([profile.value(m) for m in orders])  # C(m)
     per_edge: dict[str, np.ndarray] = {}
-    edge_norm0: dict[str, float] = {}
     gains: list[float] = []
     for eid, terms in f.terms.items():
         ell = g.edge_lengths[eid]
         if all(t.power == 0 for t in terms):
-            freqs = np.array([t.freq for t in terms])
-            coeff = np.array([t.coeff for t in terms])
-            gram_t = _gram_matrix(freqs, 0.0, ell).T  # x^H (G^T) x is the norm
-            iw = 1j * freqs
-            norms = np.empty(m_max + 1)
-            for m in range(m_max + 1):
-                v = coeff * iw ** m
-                norms[m] = float(np.real(np.conj(v) @ gram_t @ v))
-            per_edge[eid] = norms
+            coeff, _, freqs = np.array(terms, dtype=complex).T
+            # the modes' Gram, transposed: x^H (G^T) x is the norm
+            gram_t = term_gram(np.zeros(freqs.size), freqs.real, 0.0, ell)[..., 0].T
+            iw = 1j * freqs.real
+            derivs = coeff * iw ** orders[:, None]  # row m: the modes of f_e^(m)
+            per_edge[eid] = np.real(np.sum((derivs.conj() @ gram_t) * derivs, axis=1))
             # largest one-step derivative gain on the span of these modes
             d = np.diag(iw)
             try:
@@ -200,27 +192,20 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
                 gains.append(math.inf)
         else:
             fn = GraphFunction(g, {eid: list(terms)})
-            norms = np.empty(m_max + 1)
-            for m in range(m_max + 1):
-                norms[m] = norm_sq(fn.derivative(m)) if m else norm_sq(fn)
-            per_edge[eid] = norms
+            per_edge[eid] = np.array([norm_sq(fn.derivative(m)) for m in orders])
             gains.append(0.0 if all(t.freq == 0.0 for t in terms) else math.inf)
-        edge_norm0[eid] = per_edge[eid][0]
 
     # the function itself must obey its profile before edges are judged by it
-    for m in range(1, m_max + 1):
-        lhs = sum(norms[m] for norms in per_edge.values())
-        cap = profile.value(m) * total
-        if lhs > cap * (1.0 + 1e-9) + 1e-12 * total:
-            raise ValueError(f"profile violated at order {m}: "
-                             f"||f^({m})||^2 = {lhs} > C({m})||f||^2 = {cap}")
+    lhs = sum(per_edge.values())
+    over = np.flatnonzero(lhs[1:] > caps[1:] * total * (1.0 + 1e-9) + 1e-12 * total)
+    if over.size:
+        m = int(over[0]) + 1
+        raise ValueError(f"profile violated at order {m}: "
+                         f"||f^({m})||^2 = {lhs[m]} > C({m})||f||^2 = {caps[m] * total}")
 
-    good: dict[str, bool] = {}
-    for eid, norms in per_edge.items():
-        n0 = norms[0]
-        ok = all(norms[m] <= 2.0 ** (m + 1) * profile.value(m) * n0
-                 * (1.0 + 1e-9) + 1e-14 * total for m in range(1, m_max + 1))
-        good[eid] = bool(ok)
+    good = {eid: bool(np.all(norms[1:] <= 2.0 ** (orders[1:] + 1) * caps[1:] * norms[0]
+                             * (1.0 + 1e-9) + 1e-14 * total))
+            for eid, norms in per_edge.items()}
 
     closure = False
     if profile.kind == "power" and profile.lam > 0.0:
@@ -229,8 +214,8 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
         # finite profiles pair with polynomial data: derivatives vanish beyond
         closure = all(gain == 0.0 for gain in gains)
 
-    good_mass = sum(n for e, n in edge_norm0.items() if good[e])
-    bad_mass = sum(n for e, n in edge_norm0.items() if not good[e])
+    good_mass = sum(float(n[0]) for e, n in per_edge.items() if good[e])
+    bad_mass = sum(float(n[0]) for e, n in per_edge.items() if not good[e])
     # edges where f vanishes identically are good and carry no mass
     if bad_mass >= 0.5 * total:
         raise AssertionError("bad edges carry at least half the mass")
@@ -303,19 +288,6 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
                                 "grid": n})
 
 
-def _terms_norm_sq(terms, windows) -> float:
-    c = np.array([t.coeff for t in terms])
-    p = np.array([t.power for t in terms], dtype=int)
-    w = np.array([t.freq for t in terms])
-    cc = np.multiply.outer(c, np.conj(c)).ravel()
-    pp = np.add.outer(p, p).ravel()
-    ww = np.subtract.outer(w, w).ravel()
-    val = 0.0
-    for a, b in windows:
-        val += float(np.real((cc * integrate_powexp(pp, ww, a, b)).sum()))
-    return max(val, 0.0)
-
-
 def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
                          grid_n: int = 4096) -> CheckReport:
     """Single-edge estimate ||g||_{L2(S)}^2 >= 24 (|S|/(48 l))^(4 log2 M + 1)
@@ -323,10 +295,11 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
     the analytic extension over the 4l-neighborhood; over-estimating M only
     weakens the right side, never falsifies a pass."""
     terms = [PolyTrigTerm(complex(c), int(p), float(w)) for c, p, w in terms]
-    full = _terms_norm_sq(terms, ((0.0, ell),))
+    f = GraphFunction(build_graph(["a", "b"], [("e", "a", "b", ell)]), {"e": terms})
+    full = norm_sq(f)
     if full <= 0.0:
         raise ValueError("function vanishes on the edge")
-    lhs = _terms_norm_sq(terms, s_set.intervals)
+    lhs = norm_sq(f, {"e": s_set})
     sup = sup_on_disk_neighborhood(terms, ell, 4.0, samples=grid_n)
     m_big = max(1.0, math.sqrt(ell) * sup / math.sqrt(full))
     expo = 4.0 * math.log(m_big) / math.log(2.0) + 1.0
@@ -402,13 +375,7 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
     pairs = pairs[:modes]
     region = _region_of(omega) if omega is not None else None
     lam = np.array([p.lam for p in pairs])
-    n = len(pairs)
-    mass = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = inner_product(pairs[i].function, pairs[j].function, region)
-            mass[i, j] = val
-            mass[j, i] = np.conj(val)
+    mass = gram([p.function for p in pairs], region)
     s = lam[:, None] + lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(s > 1e-14, -np.expm1(-s * horizon) / np.where(s > 1e-14, s, 1.0),

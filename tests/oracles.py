@@ -7,7 +7,9 @@ maximum for the graph diameter, a fine determinant-style scan for eigenvalues
 and a second-order finite-difference solve for the torsion function.  The
 sampling optimisers keep their plain loop versions here (bisection over a loop
 feasibility DP) as the reference the vectorised kernels must reproduce
-decision for decision.
+decision for decision, and the quadrature kernel keeps its per-window loop
+version with a data-dependent series stop as the reference for the batched
+one.
 """
 
 from __future__ import annotations
@@ -465,3 +467,80 @@ def bisection_optimal_rho(omega, ell, gamma, grid_n=200):
     _, rho_star = _loop_achieved(omega, best)
     return {"rho": rho_star, "breakpoints": tuple(best), "feasible": True,
             "global_density": global_density}
+
+
+# ---------------------------------------------------------------------------
+# the loop quadrature kernel: a verbatim copy of the per-window closed form with
+# a data-dependent stopping test in its series branch, kept as the reference
+# the batched kernel in qgs.polytrig must reproduce
+
+_SERIES_SWITCH = 0.5
+_BINOM = np.array([[math.comb(p, q) if q <= p else 0 for q in range(5)] for p in range(5)],
+                  dtype=float)
+
+
+def _loop_exp_poly_base(freqs: np.ndarray, d: float, qmax: int) -> np.ndarray:
+    """I[i, q] = ∫_{-d}^{d} y**q exp(1j*freqs[i]*y) dy for q = 0..qmax.
+
+    Two branches: the antiderivative form away from w*d = 0 and a rapidly
+    converging parity series near it, which avoids the 1/w**(q+1)
+    cancellation blow-up of the closed form.
+    """
+    n = freqs.size
+    out = np.zeros((n, qmax + 1), dtype=complex)
+    s = freqs * d
+    small = np.abs(s) <= _SERIES_SWITCH
+
+    big = ~small
+    if big.any():
+        w = freqs[big]
+        iw = 1j * w
+        epd = np.exp(iw * d)
+        emd = np.exp(-iw * d)
+        for q in range(qmax + 1):
+            acc_p = np.zeros(w.size, dtype=complex)
+            acc_m = np.zeros(w.size, dtype=complex)
+            for j in range(q + 1):
+                coef = (-1.0) ** j * math.perm(q, j)
+                ipow = iw ** (j + 1)
+                acc_p += coef * d ** (q - j) / ipow
+                acc_m += coef * (-d) ** (q - j) / ipow
+            out[big, q] = epd * acc_p - emd * acc_m
+
+    if small.any():
+        w = freqs[small]
+        iw2d2 = (1j * w) ** 2 * d * d
+        for q in range(qmax + 1):
+            n0 = q % 2  # only n with n + q even contribute
+            term = (2.0 * (1j * w) ** n0 * d ** (n0 + q + 1)
+                    / (math.factorial(n0) * (n0 + q + 1)))
+            acc = term.copy()
+            nn = n0
+            for _ in range(40):
+                term = term * iw2d2 * (nn + q + 1) / ((nn + 1) * (nn + 2) * (nn + q + 3))
+                acc += term
+                nn += 2
+                if np.max(np.abs(term)) <= 1e-18 * max(np.max(np.abs(acc)), 1e-300):
+                    break
+            out[small, q] = acc
+    return out
+
+
+def loop_integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: float) -> np.ndarray:
+    """∫_a^b x**p exp(1j*w*x) dx, elementwise over the vectors p, w."""
+    powers = np.asarray(powers, dtype=int)
+    freqs = np.asarray(freqs, dtype=float)
+    if b <= a:
+        return np.zeros(powers.size, dtype=complex)
+    m = 0.5 * (a + b)
+    d = 0.5 * (b - a)
+    qmax = int(powers.max(initial=0))
+    base = _loop_exp_poly_base(freqs, d, qmax)
+    res = np.zeros(powers.size, dtype=complex)
+    for q in range(qmax + 1):
+        mask = powers >= q
+        if not mask.any():
+            continue
+        p = powers[mask]
+        res[mask] += _BINOM[p, q] * m ** (p - q) * base[mask, q]
+    return np.exp(1j * freqs * m) * res

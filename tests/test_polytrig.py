@@ -3,16 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgs.graphs import build_graph
-from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm,
-                          cosine_power_terms, differentiate, inner_product,
+from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, _gauss_norm_sq,
+                          cosine_power_terms, differentiate, gram, inner_product,
                           integrate_powexp, norm_sq, sup_on_disk_neighborhood,
-                          whole_edge)
+                          term_gram, whole_edge)
 
-from oracles import adaptive_simpson, eval_terms, integral_pairs_simpson
+from oracles import (adaptive_simpson, eval_terms, integral_pairs_simpson,
+                     loop_integrate_powexp)
+
+# w*d values on both sides of the series/closed-form switch at 1/2 and at the
+# extremes of both branches
+SWITCH_WD = (0.0, 1e-300, 1e-12, 1e-3, math.nextafter(0.5, 0.0), 0.5,
+             math.nextafter(0.5, 1.0), 3.0, 200.0)
 
 
 def interval_graph(ell=math.pi, name="e"):
@@ -130,11 +136,93 @@ class TestQuadrature:
         assert got == pytest.approx(want.real, abs=1e-10)
 
     def test_low_frequency_branch_matches_series(self):
-        # near-zero combined frequency takes the series path; compare to oracle
-        for w in (0.0, 1e-12, 1e-7, 1e-3):
-            vals = integrate_powexp(np.array([3]), np.array([w]), 0.2, 1.7)
-            want = adaptive_simpson(lambda x: x ** 3 * cmath.exp(1j * w * x), 0.2, 1.7)
-            assert abs(vals[0] - want) < 1e-12 * max(1.0, abs(want))
+        # near-zero combined frequency takes the series path, and w*d = 0.75 w
+        # just either side of 1/2 the last series and first closed-form
+        # windows; compare to oracle
+        for p in range(5):
+            for w in (0.0, 1e-12, 1e-7, 1e-3, (0.5 - 1e-9) / 0.75, (0.5 + 1e-9) / 0.75):
+                vals = integrate_powexp(np.array([p]), np.array([w]), 0.2, 1.7)
+                want = adaptive_simpson(lambda x: x ** p * cmath.exp(1j * w * x), 0.2, 1.7)
+                assert abs(vals[0] - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_kernel_matches_loop_oracle(self):
+        # exact half-widths (powers of 2) put w*d exactly on each SWITCH_WD value
+        rng = np.random.default_rng(2026)
+        for wd in SWITCH_WD:
+            for d in (0.125, 0.25, 0.5):
+                a = float(rng.integers(0, 64)) / 64.0
+                w = wd / d * rng.choice([-1.0, 1.0], size=5)
+                powers = np.arange(5)
+                coeff = rng.normal(size=5) + 1j * rng.normal(size=5)
+                got = coeff * integrate_powexp(powers, w, a, a + 2.0 * d)
+                want = coeff * loop_integrate_powexp(powers, w, a, a + 2.0 * d)
+                gross = float(np.abs(want).sum())
+                assert float(np.abs(got - want).sum()) <= 1e-13 * gross, (wd, d)
+                for p in powers:
+                    one = integrate_powexp(np.array([p]), w[p:p + 1], a, a + 2.0 * d)
+                    assert abs(coeff[p] * one[0] - want[p]) <= 1e-13 * abs(want[p]), (wd, d, p)
+
+    def test_batched_windows_match_single_windows(self):
+        # touching and separated windows of one edge in one call, against the
+        # loop oracle per window and against single-window calls
+        rng = np.random.default_rng(11)
+        a = np.array([0.0, 0.25, 0.5, 0.9, 1.3])
+        b = np.array([0.25, 0.5, 0.6, 1.3, 1.3 + 1e-9])
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            powers = rng.integers(0, 5, size=n) * (rng.random() < 0.5)
+            freqs = rng.choice([0.0, 1e-13, 1.0, 4.0, 400.0], size=n) * rng.normal(size=n)
+            coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
+            batch = coeff[:, None] * integrate_powexp(powers[:, None], freqs[:, None], a, b)
+            assert batch.shape == (n, a.size)
+            single = np.array([coeff * integrate_powexp(powers, freqs, lo, hi)
+                               for lo, hi in zip(a, b)]).T
+            want = np.array([coeff * loop_integrate_powexp(powers, freqs, lo, hi)
+                             for lo, hi in zip(a, b)]).T
+            gross = float(np.abs(want).sum())
+            assert float(np.abs(batch - want).sum()) <= 1e-13 * gross
+            assert float(np.abs(batch - single).sum()) <= 1e-15 * gross
+            assert abs(batch.sum() - single.sum()) <= 1e-15 * gross
+
+    def test_empty_window_integrates_to_zero(self):
+        vals = integrate_powexp(np.arange(5), np.array([0.0, 1.0, 2.0, 0.0, 30.0]), 0.7, 0.7)
+        assert np.all(vals == 0.0)
+
+    def test_gram_matches_simpson(self):
+        g = build_graph(["a", "b", "c"], [("e", "a", "b", 1.3), ("f", "b", "c", 0.8)])
+        rng = np.random.default_rng(5)
+        fns = [GraphFunction(g, {e: [PolyTrigTerm(complex(*rng.normal(size=2)),
+                                                  int(rng.integers(0, 3)),
+                                                  float(rng.choice([0.0, 2.0, -3.5])))
+                                     for _ in range(3)] for e in ("e", "f")})
+               for _ in range(4)]
+        region = {"e": IntervalUnion([(0.1, 0.4), (0.4, 0.9)], length=1.3),
+                  "f": IntervalUnion([(0.2, 0.5)], length=0.8)}
+        for reg in (None, region):
+            got = gram(fns, reg)
+            for i, fi in enumerate(fns):
+                for j, fj in enumerate(fns):
+                    want = 0j
+                    for e, ell in g.edge_lengths.items():
+                        windows = [(0.0, ell)] if reg is None else reg[e].intervals
+                        for a, b in windows:
+                            want += integral_pairs_simpson(list(fi.terms[e]),
+                                                           list(fj.terms[e]), a, b)
+                    assert abs(got[i, j] - want) <= 1e-9 * max(1.0, abs(want))
+                    assert abs(got[i, j] - inner_product(fi, fj, reg)) <= 1e-13 * abs(want)
+
+    def test_term_gram_per_window(self):
+        p = np.array([0, 1, 2])
+        w = np.array([0.0, 3.0, -1.5])
+        a, b = np.array([0.0, 0.5]), np.array([0.5, 1.25])
+        got = term_gram(p, w, a, b)
+        assert got.shape == (3, 3, 2)
+        for s in range(3):
+            for t in range(3):
+                for k in range(2):
+                    want = loop_integrate_powexp(np.array([p[s] + p[t]]),
+                                                 np.array([w[s] - w[t]]), a[k], b[k])[0]
+                    assert abs(got[s, t, k] - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_randomized_against_simpson(self):
         rng = np.random.default_rng(7)
@@ -153,6 +241,37 @@ class TestQuadrature:
             got = inner_product(f, h, {"e": IntervalUnion([(a, b)], length=1.3)})
             want = integral_pairs_simpson(list(f.terms["e"]), list(h.terms["e"]), a, b)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_tiny_window_mass_is_resolved(self):
+        # cos^8(2 pi x) on windows of half-width h around its zeros 1/4, 3/4:
+        # the mass, 2 * (1/pi) * int_0^{2 pi h} sin^16, is 6e-21 and 1.6e-14,
+        # below the closed form's rounding floor (it returns -1.1e-18 and is
+        # off by 1.4e-4).  f itself is at most 1.4e-9 on the narrow windows,
+        # so evaluating it from O(1) terms costs about 7 digits: rel 1e-6.
+        g = interval_graph(1.0)
+        f = GraphFunction(g, {"e": list(cosine_power_terms(8, 2.0 * math.pi))})
+        for h in (0.0125, 0.03):
+            region = {"e": IntervalUnion([(0.25 - h, 0.25 + h), (0.75 - h, 0.75 + h)],
+                                         length=1.0)}
+            nodes, weights = np.polynomial.legendre.leggauss(60)
+            theta = math.pi * h * (nodes + 1.0)
+            want = 2.0 / math.pi * math.pi * h * float(weights @ np.sin(theta) ** 16)
+            assert norm_sq(f, region) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    def test_gauss_fallback_matches_closed_form(self):
+        # where the closed form is resolved, the fallback must agree with it
+        rng = np.random.default_rng(17)
+        g = interval_graph(1.3)
+        for _ in range(30):
+            f = GraphFunction(g, {"e": [PolyTrigTerm(complex(*rng.normal(size=2)),
+                                                     int(rng.integers(0, 3)),
+                                                     float(rng.uniform(-30, 30)))
+                                        for _ in range(4)]})
+            a, b = sorted(rng.uniform(0, 1.3, size=2))
+            region = {"e": IntervalUnion([(a, b), (1.3 - 1e-3, 1.3)], length=1.3)}
+            want = norm_sq(f, region)
+            assert _gauss_norm_sq(f, region) == pytest.approx(want, rel=1e-10)
+            assert _gauss_norm_sq(f, None) == pytest.approx(norm_sq(f), rel=1e-10)
 
     def test_region_outside_edge_rejected(self):
         g = interval_graph(1.0)
@@ -177,8 +296,13 @@ class TestQuadrature:
         width=st.floats(0.01, 0.5),
         w1=st.floats(-15.0, 15.0),
         w2=st.floats(-15.0, 15.0),
-        p=st.integers(0, 2),
+        p=st.integers(0, 4),
     )
+    # width 0.5 has d = 1/4, so w1 - w2 = 2 -+ 1e-9 puts w*d either side of 1/2
+    @example(a=0.25, width=0.5, w1=2.0 - 1e-9, w2=0.0, p=4)
+    @example(a=0.25, width=0.5, w1=2.0 + 1e-9, w2=0.0, p=4)
+    @example(a=0.25, width=0.5, w1=0.0, w2=2.0 - 1e-9, p=3)
+    @example(a=0.25, width=0.5, w1=0.0, w2=2.0 + 1e-9, p=3)
     def test_kernel_matches_oracle_property(self, a, width, w1, w2, p):
         b = min(a + width, 1.0)
         vals = integrate_powexp(np.array([p]), np.array([w1 - w2]), a, b)
