@@ -369,16 +369,14 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
     torsion function, its exact series budget h, the geometry-only majorant
     h' = 1 + 10 rho sqrt(|G|/T) + 50 rho^2 |G|/T, and the resulting sampling
     bound evaluated at h' (formula id torsion)."""
-    from .polytrig import norm_sq
+    from .polytrig import masses
 
     total = sum(graph.edge_lengths.values())
     if not math.isfinite(total):
         raise ValueError("torsion profile needs a compact graph")
     rigidity = torsion.rigidity
     u = torsion.function
-    n0 = norm_sq(u)
-    n1 = norm_sq(u.derivative())
-    n2 = norm_sq(u.derivative(2))
+    n0, n1, n2 = (m.whole for m in masses([u, u.derivative(), u.derivative(2)]))
     cb1 = total / rigidity
     cb2 = total / n0
     if abs(n2 - total) > 1e-10 * max(1.0, total):

@@ -18,7 +18,7 @@ from . import report as rep
 from . import sampling as smp
 from . import verify as vfy
 from .graphs import load_graph, metrics
-from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
+from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, masses
 from .spectral import eigenvalues_up_to, solve_torsion, spectral_sample
 
 
@@ -171,12 +171,10 @@ def _cmd_bound(args) -> int:
     # trace
     g, y, sset = _load(args)
     pairs = eigenvalues_up_to(g, y, args.lambda_max)
-    region = sset.region() if sset is not None else None
-    masses = []
-    for p in pairs:
-        mass = norm_sq(p.function, region) if region is not None else 1.0
-        masses.append((p.lam, mass))
-    out = bnd.heat_trace_bound(masses, gamma=args.gamma, rho=args.rho, t=args.t,
+    parts = ([m.part for m in masses([p.function for p in pairs], sset.region())]
+             if sset is not None else [1.0] * len(pairs))
+    out = bnd.heat_trace_bound([(p.lam, m) for p, m in zip(pairs, parts)],
+                               gamma=args.gamma, rho=args.rho, t=args.t,
                                total_length=sum(g.edge_lengths.values()))
     _emit(args, out.to_json())
     return 0

@@ -15,12 +15,12 @@ import heapq
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm
+from .polytrig import GraphFunction
 
 ORTHO_TOL = 1e-12        # orthonormality validation tolerance
 RANK_TOL = 1e-10         # Gram-Schmidt rank tolerance for user bases
@@ -466,85 +466,6 @@ def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
             basis[:, offset + j] *= complex(math.cos(theta), -math.sin(theta))
     return BoundarySubspace(g, basis, kind=y.kind if all(e.flux == 0.0 for e in g.edges) else None,
                             check=False)
-
-
-def strip_fluxes(g: MetricGraph) -> MetricGraph:
-    return MetricGraph(g.vertices, [Edge(e.id, e.source, e.target, e.length, 0.0)
-                                    for e in g.edges])
-
-
-# ---------------------------------------------------------------------------
-# subdivision
-
-
-@dataclass
-class CoordinateMap:
-    """Translates edge-local data from a graph to its subdivision."""
-
-    source: MetricGraph
-    target: MetricGraph
-    pieces: dict[str, list[tuple[str, float, float]]] = field(default_factory=dict)
-
-    def map_intervals(self, eid: str, iv: IntervalUnion) -> dict[str, IntervalUnion]:
-        out: dict[str, IntervalUnion] = {}
-        for nid, c0, c1 in self.pieces[eid]:
-            parts = [(max(a, c0) - c0, min(b, c1) - c0) for a, b in iv.intervals
-                     if min(b, c1) > max(a, c0)]
-            if parts:
-                out[nid] = IntervalUnion(parts, length=c1 - c0)
-        return out
-
-    def map_region(self, region: Mapping[str, IntervalUnion]) -> dict[str, IntervalUnion]:
-        out: dict[str, IntervalUnion] = {}
-        for eid, iv in region.items():
-            out.update(self.map_intervals(eid, iv))
-        return out
-
-    def map_function(self, f: GraphFunction) -> GraphFunction:
-        terms: dict[str, list[PolyTrigTerm]] = {}
-        for eid, ts in f.terms.items():
-            for nid, c0, c1 in self.pieces[eid]:
-                acc = terms.setdefault(nid, [])
-                for c, p, w in ts:
-                    # substitute x = c0 + y and expand (c0 + y)**p
-                    phase = c * complex(math.cos(w * c0), math.sin(w * c0))
-                    for j in range(p + 1):
-                        acc.append(PolyTrigTerm(phase * math.comb(p, j) * c0 ** (p - j), j, w))
-        return GraphFunction(self.target, terms)
-
-
-def subdivide(g: MetricGraph, max_len: float) -> tuple[MetricGraph, CoordinateMap]:
-    """Split every finite edge into equal pieces of length <= max_len.
-
-    Inserted vertices are degree-2, meant to carry standard conditions
-    (transparent for the Laplacian); edges already short enough are kept as is.
-    """
-    if not (max_len > 0.0):
-        raise ValueError("max_len must be positive")
-    if not g.is_compact:
-        raise ValueError("subdivision requires a compact graph")
-    vertices = list(g.vertices)
-    new_edges: list[Edge] = []
-    cmap_pieces: dict[str, list[tuple[str, float, float]]] = {}
-    for e in g.edges:
-        n = max(1, math.ceil(e.length / max_len - 1e-12))
-        if n == 1:
-            new_edges.append(e)
-            cmap_pieces[e.id] = [(e.id, 0.0, e.length)]
-            continue
-        cuts = [e.length * i / n for i in range(n + 1)]
-        mids = [f"{e.id}.v{i}" for i in range(1, n)]
-        vertices.extend(mids)
-        chain = [e.source] + mids + [e.target]
-        pieces = []
-        for i in range(n):
-            nid = f"{e.id}.{i}"
-            new_edges.append(Edge(nid, chain[i], chain[i + 1],
-                                  cuts[i + 1] - cuts[i], e.flux / n))
-            pieces.append((nid, cuts[i], cuts[i + 1]))
-        cmap_pieces[e.id] = pieces
-    sub = MetricGraph(vertices, new_edges)
-    return sub, CoordinateMap(source=g, target=sub, pieces=cmap_pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ such as torsion functions (w = 0), and is closed under differentiation and
 restriction.  Pairwise products reach p = 4, whose integrals are closed
 form: `integrate_powexp` integrates all windows of an edge in one numpy call
 (2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a fixed-length
-series near wd = 0, for p >= 1).  Every L2 mass goes through it: `norm_sq`
-and `inner_product` for one pair, `gram` and `term_gram` for many at once.
-A norm too small for the closed form to resolve from rounding is integrated
-again by a positive Gauss rule with an explicit error bound.
+series near wd = 0, for p >= 1).  Every L2 mass goes through it: `masses`
+gives the whole-graph and region masses of many functions with one call per
+edge (`norm_sq` is one of them), `gram`, `term_gram` and `inner_product` the
+cross terms.  A norm too small for the closed form to resolve from rounding
+is integrated again by a positive Gauss rule with an explicit error bound.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ def integrate_powexp(powers, freqs, a, b) -> np.ndarray:
 
 
 class GraphFunction:
-    """Edgewise poly-trig function; edges absent from the map are zero."""
+    """Edgewise poly-trig function; edges absent from the map are zero.
+    Functions are values: operations build new ones and never edit terms."""
 
-    __slots__ = ("graph", "terms")
+    __slots__ = ("graph", "terms", "_mass")
 
     def __init__(self, graph, terms_by_edge: Mapping[str, Iterable[PolyTrigTerm]]):
         self.graph = graph
@@ -233,6 +235,7 @@ class GraphFunction:
             if canon:
                 terms[eid] = canon
         self.terms = terms
+        self._mass: Mass | None = None  # the whole-graph Mass, once masses has it
 
     @classmethod
     def zero(cls, graph) -> "GraphFunction":
@@ -372,35 +375,90 @@ def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
     return complex(gram([f, g], region)[0, 1])
 
 
-def _norm_sq_gross(f: GraphFunction, region) -> tuple[complex, float]:
-    """∫ |f|^2 over the region, as a complex number, and its gross scale: the
-    sum of |c conj(c') I| over every term pair and window."""
-    reg = _coerce_region(f, region)
+class Mass(NamedTuple):
+    """||f||^2 on the whole graph, ||f||^2 on the region (the whole graph
+    again without one) and, per edge, the whole-edge term Gram of f's terms."""
+
+    whole: float
+    part: float
+    edge_grams: dict[str, np.ndarray]
+
+
+def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
+    """The Mass of each function in fns, with one kernel call per edge over
+    [0, l] and the region's windows: the term pairs of each distinct (power,
+    freq) basis on the edge, concatenated.  Each function's sums run over a
+    contiguous copy of its own block, so a mass is the same float whatever
+    else is in fns.  The imaginary residue is asserted to be noise; the
+    closed form cancels down to about 1e-16 of its gross scale (the sum of
+    |c conj(c') I| over every term pair and window), so a mass below
+    _RESOLVED_REL of that scale (f tiny on the region next to its
+    coefficients) is integrated again by _gauss_norm_sq, which is positive
+    and accurate relative to |f| itself.  A function keeps its whole-graph
+    Mass, so asking for that again integrates nothing."""
+    if not fns:
+        return []
+    graph = fns[0].graph
+    if any(f.graph is not graph for f in fns):
+        raise ValueError("functions live on different graphs")
+    if region is None and all(f._mass is not None for f in fns):
+        return [f._mass for f in fns]
+    reg = _coerce_region(fns[0], region)
+    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (eid, basis) -> whole, part
+    for eid in graph.edge_ids:
+        bases = list(dict.fromkeys(tuple(t[1:] for t in f.terms[eid])
+                                   for f in fns if eid in f.terms))
+        if not bases:
+            continue
+        a, b = _edge_windows(fns[0], None, eid)
+        if reg is not None:
+            ra, rb = _edge_windows(fns[0], reg, eid)
+            a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
+        pw = [np.array(basis).T for basis in bases]
+        powers = np.concatenate([np.add.outer(p, p).ravel() for p, _ in pw])
+        freqs = np.concatenate([np.subtract.outer(w, w).ravel() for _, w in pw])
+        vals = integrate_powexp(powers[:, None], freqs[:, None], a, b)
+        start = 0
+        for basis in bases:
+            n = len(basis)
+            block = vals[start:start + n * n].reshape(n, n, a.size)
+            blocks[eid, basis] = block[..., :1].copy(), block[..., 1:].copy()
+            start += n * n
+    out = []
+    for f in fns:
+        per_edge = {eid: (np.array([t.coeff for t in ts]), *blocks[eid, tuple(t[1:] for t in ts)])
+                    for eid, ts in f.terms.items()}
+        whole = _settle(f, None, [(c, ints) for c, ints, _ in per_edge.values()])
+        part = whole if reg is None else _settle(f, reg, [(c, ints)
+                                                          for c, _, ints in per_edge.values()])
+        grams = {eid: ints[..., 0] for eid, (_, ints, _) in per_edge.items()}
+        f._mass = Mass(whole, whole, grams)
+        out.append(Mass(whole, part, grams))
+    return out
+
+
+def _settle(f: GraphFunction, reg, blocks) -> float:
+    """∫ |f|^2 from the coefficients c and term integrals I of each edge: the
+    sum of c conj(c') I over every term pair and window, checked and, if
+    unresolved, integrated again (see masses)."""
     total, gross = 0j, 0.0
-    for eid, terms in f.terms.items():
-        a, b = _edge_windows(f, reg, eid)
-        if a.size:
-            c, p, w = np.array(terms, dtype=complex).T
-            vals = np.multiply.outer(c, c.conj())[..., None] * term_gram(p.real, w.real, a, b)
+    for c, ints in blocks:
+        if ints.shape[-1]:
+            vals = np.multiply.outer(c, c.conj())[..., None] * ints
             total += vals.sum()
             gross += float(np.abs(vals).sum())
-    return complex(total), gross
-
-
-def norm_sq(f: GraphFunction, region=None) -> float:
-    """Squared L2 norm over the region; asserts the imaginary residue is noise.
-
-    The closed form cancels down to about 1e-16 of its gross scale, so a norm
-    below _RESOLVED_REL of that scale (f tiny on the region next to its
-    coefficients) is integrated again by _gauss_norm_sq, which is positive
-    and accurate relative to |f| itself."""
-    val, gross = _norm_sq_gross(f, region)
+    val = complex(total)
     re, im = val.real, val.imag
     if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
         raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
     if re <= _RESOLVED_REL * gross:
-        return _gauss_norm_sq(f, _coerce_region(f, region))
+        return _gauss_norm_sq(f, reg)
     return re
+
+
+def norm_sq(f: GraphFunction, region=None) -> float:
+    """Squared L2 norm over the region (the whole graph without one)."""
+    return masses([f], region)[0].part
 
 
 def _gauss_norm_sq(f: GraphFunction, reg) -> float:

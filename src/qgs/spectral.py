@@ -326,10 +326,16 @@ def spectral_sample(pairs: list[EigenPair], coeffs) -> GraphFunction:
         raise ValueError("one coefficient per eigenpair required")
     if not pairs:
         raise ValueError("empty eigenpair list")
-    out = GraphFunction.zero(pairs[0].function.graph)
+    graph = pairs[0].function.graph
+    merged: dict[str, list[PolyTrigTerm]] = {}
     for c, p in zip(coeffs, pairs):
-        out = out + complex(c) * p.function
-    return out
+        if p.function.graph is not graph:
+            raise ValueError("functions live on different graphs")
+        z = complex(c)
+        for e, ts in p.function.terms.items():
+            merged.setdefault(e, []).extend(PolyTrigTerm(t.coeff * z, t.power, t.freq)
+                                            for t in ts)
+    return GraphFunction(graph, merged)
 
 
 def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:

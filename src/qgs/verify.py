@@ -20,7 +20,7 @@ from .bounds import (BernsteinProfile, BoundReport, h_bound, observability_const
 from .graphs import (BoundarySubspace, MetricGraph, build_graph,
                      standard_subspace, vertex_conditions_subspace)
 from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
-                       gram, norm_sq, sup_on_disk_neighborhood, term_gram, whole_edge)
+                       gram, masses, norm_sq, sup_on_disk_neighborhood, whole_edge)
 from .sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from .spectral import EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample
 
@@ -65,10 +65,10 @@ def _bounded_ratio(part: float, total: float) -> float:
 
 def mass_ratio(f: GraphFunction, omega) -> float:
     """||chi_omega f||^2 / ||f||^2, both sides by exact quadrature."""
-    total = norm_sq(f)
-    if total <= 0.0:
+    m = masses([f], _region_of(omega))[0]
+    if m.whole <= 0.0:
         raise ValueError("mass ratio undefined for the zero function")
-    return _bounded_ratio(norm_sq(f, _region_of(omega)), total)
+    return _bounded_ratio(m.part, m.whole)
 
 
 def _passes(observed: float, bound: float) -> bool:
@@ -84,24 +84,50 @@ def _resolve_bound(params: SamplingParams, lam: float | None,
     return h_bound(params.gamma, h=profile.h_series(params.rho))
 
 
+def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
+                   ) -> tuple[RatioReport | None, RatioReport]:
+    """The mass report (None for the zero function) and the derivative report
+    of f on omega against the bound, with all four masses from one masses
+    call over f and f'."""
+    m, mp = masses([f, f.derivative()], _region_of(omega))
+    rep = None
+    if m.whole > 0.0:
+        observed = _bounded_ratio(m.part, m.whole)
+        rep = RatioReport(kind="mass", observed=observed, bound=bound,
+                          margin=observed - bound.value,
+                          passed=_passes(observed, bound.value))
+    if mp.whole <= 0.0:
+        der = RatioReport(kind="derivative", observed=math.nan, bound=bound,
+                          margin=math.nan, passed=True, vacuous=True)
+    else:
+        ratio = _bounded_ratio(mp.part, mp.whole)
+        w12 = (m.part + mp.part) / (m.whole + mp.whole)
+        der = RatioReport(kind="derivative", observed=ratio, bound=bound,
+                          margin=ratio - bound.value,
+                          passed=_passes(ratio, bound.value),
+                          extras={"w12_ratio": w12,
+                                  "w12_passed": _passes(w12, bound.value)})
+    return rep, der
+
+
 def compare(f: GraphFunction, omega, params: SamplingParams,
             lam: float | None = None,
             profile: BernsteinProfile | None = None) -> RatioReport:
     """Observed mass ratio against the sampling-inequality constant."""
-    bound = _resolve_bound(params, lam, profile)
-    observed = mass_ratio(f, omega)
-    return RatioReport(kind="mass", observed=observed, bound=bound,
-                       margin=observed - bound.value,
-                       passed=_passes(observed, bound.value))
+    rep = _ratio_reports(f, omega, _resolve_bound(params, lam, profile))[0]
+    if rep is None:
+        raise ValueError("mass ratio undefined for the zero function")
+    return rep
 
 
 def derivative_ratio(f: GraphFunction, omega) -> float | None:
     """Mass ratio of f'; None when f' vanishes identically (the derivative
     inequality is vacuous for locally constant functions)."""
     fp = f.derivative()
-    if fp.is_zero() or norm_sq(fp) <= 0.0:
+    if fp.is_zero():
         return None
-    return mass_ratio(fp, omega)
+    m = masses([fp], _region_of(omega))[0]
+    return _bounded_ratio(m.part, m.whole) if m.whole > 0.0 else None
 
 
 def compare_derivative(f: GraphFunction, omega, params: SamplingParams,
@@ -109,21 +135,7 @@ def compare_derivative(f: GraphFunction, omega, params: SamplingParams,
                        profile: BernsteinProfile | None = None) -> RatioReport:
     """Derivative-mass ratio against the same constant, plus the combined
     first-order-norm ratio it implies."""
-    bound = _resolve_bound(params, lam, profile)
-    fp = f.derivative()
-    fp_total = 0.0 if fp.is_zero() else norm_sq(fp)
-    if fp_total <= 0.0:
-        return RatioReport(kind="derivative", observed=math.nan, bound=bound,
-                           margin=math.nan, passed=True, vacuous=True)
-    region = _region_of(omega)
-    fp_part = norm_sq(fp, region)
-    ratio = _bounded_ratio(fp_part, fp_total)
-    w12 = (norm_sq(f, region) + fp_part) / (norm_sq(f) + fp_total)
-    return RatioReport(kind="derivative", observed=ratio, bound=bound,
-                       margin=ratio - bound.value,
-                       passed=_passes(ratio, bound.value),
-                       extras={"w12_ratio": w12,
-                               "w12_passed": _passes(w12, bound.value)})
+    return _ratio_reports(f, omega, _resolve_bound(params, lam, profile))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +181,18 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
     if f.is_zero():
         raise ValueError("cannot classify the zero function")
     g = f.graph
-    total = norm_sq(f)
+    mass = masses([f])[0]  # kept by f when its ratios were just computed
+    total = mass.whole
 
     orders = np.arange(m_max + 1)
     caps = np.array([profile.value(m) for m in orders])  # C(m)
     per_edge: dict[str, np.ndarray] = {}
     gains: list[float] = []
     for eid, terms in f.terms.items():
-        ell = g.edge_lengths[eid]
         if all(t.power == 0 for t in terms):
             coeff, _, freqs = np.array(terms, dtype=complex).T
             # the modes' Gram, transposed: x^H (G^T) x is the norm
-            gram_t = term_gram(np.zeros(freqs.size), freqs.real, 0.0, ell)[..., 0].T
+            gram_t = mass.edge_grams[eid].T
             iw = 1j * freqs.real
             derivs = coeff * iw ** orders[:, None]  # row m: the modes of f_e^(m)
             per_edge[eid] = np.real(np.sum((derivs.conj() @ gram_t) * derivs, axis=1))
@@ -192,7 +204,8 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
                 gains.append(math.inf)
         else:
             fn = GraphFunction(g, {eid: list(terms)})
-            per_edge[eid] = np.array([norm_sq(fn.derivative(m)) for m in orders])
+            per_edge[eid] = np.array([d.whole for d in masses([fn.derivative(k)
+                                                               for k in orders])])
             gains.append(0.0 if all(t.freq == 0.0 for t in terms) else math.inf)
 
     # the function itself must obey its profile before edges are judged by it
@@ -296,10 +309,9 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
     weakens the right side, never falsifies a pass."""
     terms = [PolyTrigTerm(complex(c), int(p), float(w)) for c, p, w in terms]
     f = GraphFunction(build_graph(["a", "b"], [("e", "a", "b", ell)]), {"e": terms})
-    full = norm_sq(f)
+    full, lhs, _ = masses([f], {"e": s_set})[0]
     if full <= 0.0:
         raise ValueError("function vanishes on the edge")
-    lhs = norm_sq(f, {"e": s_set})
     sup = sup_on_disk_neighborhood(terms, ell, 4.0, samples=grid_n)
     m_big = max(1.0, math.sqrt(ell) * sup / math.sqrt(full))
     expo = 4.0 * math.log(m_big) / math.log(2.0) + 1.0
@@ -405,7 +417,8 @@ def boundary_trace_check(f: GraphFunction, g: MetricGraph) -> CheckReport:
     vec = g.trace_plus(f)
     lhs = float(np.vdot(vec, vec).real)
     min_edge = min(g.edge_lengths.values())
-    rhs = 2.0 / math.tanh(min_edge) * (norm_sq(f) + norm_sq(f.derivative()))
+    m, mp = masses([f, f.derivative()])
+    rhs = 2.0 / math.tanh(min_edge) * (m.whole + mp.whole)
     return CheckReport(name="boundary-trace", passed=lhs <= rhs * (1.0 + 1e-12),
                        lhs=lhs, rhs=rhs, details={"min_edge": min_edge})
 
@@ -535,8 +548,9 @@ def _random_certified_set(rng: np.random.Generator, g: MetricGraph
     return res, sset
 
 
-def _audit_trial(pool, seed: int, index: int, lam_max: float,
-                 classify: bool) -> dict:
+def _trial_sample(pool, seed: int, index: int):
+    """The pool entry, certified set (params, set), eigenpairs, random
+    combination f of them and top eigenvalue of audit trial `index`."""
     rng = np.random.default_rng([seed, index])
     entry = pool[int(rng.integers(len(pool)))]
     g, pairs = entry["graph"], entry["pairs"]
@@ -553,10 +567,13 @@ def _audit_trial(pool, seed: int, index: int, lam_max: float,
     chosen = [pairs[i] for i in sorted(idx)]
     coeffs = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
     f = spectral_sample(chosen, coeffs)
-    lam = max(p.lam for p in chosen)
-    omega = sset.region()
-    rep = compare(f, omega, params, lam=lam)
-    der = compare_derivative(f, omega, params, lam=lam)
+    return entry, params, sset, chosen, f, max(p.lam for p in chosen)
+
+
+def _audit_trial(pool, seed: int, index: int, lam_max: float,
+                 classify: bool) -> dict:
+    entry, params, sset, chosen, f, lam = _trial_sample(pool, seed, index)
+    rep, der = _ratio_reports(f, sset.region(), _resolve_bound(params, lam, None))
     row = {
         "trial": index, "graph": entry["name"], "gamma": params.gamma,
         "rho": params.rho, "lam": lam, "modes": len(chosen),

@@ -9,20 +9,29 @@ sampling optimisers keep their plain loop versions here (bisection over a loop
 feasibility DP) as the reference the vectorised kernels must reproduce
 decision for decision, and the quadrature kernel keeps its per-window loop
 version with a data-dependent series stop as the reference for the batched
-one.
+one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
+as the reference its masses must equal bit for bit, and the graph
+transformations only the tests use (flux removal, subdivision with its
+coordinate map) live here too.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.optimize import linprog
+
+from qgs.graphs import Edge, MetricGraph
+from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
+                          _coerce_region, _edge_windows, _gauss_norm_sq, term_gram)
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -544,3 +553,135 @@ def loop_integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: fl
         p = powers[mask]
         res[mask] += _BINOM[p, q] * m ** (p - q) * base[mask, q]
     return np.exp(1j * freqs * m) * res
+
+
+# ---------------------------------------------------------------------------
+# the per-function mass loop: a verbatim copy of the norm_sq that integrated
+# each function and region on its own, kept as the reference qgs.polytrig.masses
+# must reproduce bit for bit
+
+
+def loop_norm_sq_gross(f: GraphFunction, region) -> tuple[complex, float]:
+    """∫ |f|^2 over the region, as a complex number, and its gross scale: the
+    sum of |c conj(c') I| over every term pair and window."""
+    reg = _coerce_region(f, region)
+    total, gross = 0j, 0.0
+    for eid, terms in f.terms.items():
+        a, b = _edge_windows(f, reg, eid)
+        if a.size:
+            c, p, w = np.array(terms, dtype=complex).T
+            vals = np.multiply.outer(c, c.conj())[..., None] * term_gram(p.real, w.real, a, b)
+            total += vals.sum()
+            gross += float(np.abs(vals).sum())
+    return complex(total), gross
+
+
+def loop_norm_sq(f: GraphFunction, region=None) -> float:
+    """Squared L2 norm over the region; asserts the imaginary residue is noise.
+
+    The closed form cancels down to about 1e-16 of its gross scale, so a norm
+    below _RESOLVED_REL of that scale (f tiny on the region next to its
+    coefficients) is integrated again by _gauss_norm_sq, which is positive
+    and accurate relative to |f| itself."""
+    val, gross = loop_norm_sq_gross(f, region)
+    re, im = val.real, val.imag
+    if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
+        raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
+    if re <= _RESOLVED_REL * gross:
+        return _gauss_norm_sq(f, _coerce_region(f, region))
+    return re
+
+
+# ---------------------------------------------------------------------------
+# the spectral sample as a fold of GraphFunction + and *, re-canonicalising
+# the partial sum at every step: the reference for the one-merge version
+
+
+def fold_spectral_sample(pairs, coeffs) -> GraphFunction:
+    out = GraphFunction.zero(pairs[0].function.graph)
+    for c, p in zip(coeffs, pairs):
+        out = out + complex(c) * p.function
+    return out
+
+
+# ---------------------------------------------------------------------------
+# graph transformations used only by the tests: flux removal
+
+
+def strip_fluxes(g: MetricGraph) -> MetricGraph:
+    return MetricGraph(g.vertices, [Edge(e.id, e.source, e.target, e.length, 0.0)
+                                    for e in g.edges])
+
+
+# ---------------------------------------------------------------------------
+# ... and subdivision
+
+
+@dataclass
+class CoordinateMap:
+    """Translates edge-local data from a graph to its subdivision."""
+
+    source: MetricGraph
+    target: MetricGraph
+    pieces: dict[str, list[tuple[str, float, float]]] = field(default_factory=dict)
+
+    def map_intervals(self, eid: str, iv: IntervalUnion) -> dict[str, IntervalUnion]:
+        out: dict[str, IntervalUnion] = {}
+        for nid, c0, c1 in self.pieces[eid]:
+            parts = [(max(a, c0) - c0, min(b, c1) - c0) for a, b in iv.intervals
+                     if min(b, c1) > max(a, c0)]
+            if parts:
+                out[nid] = IntervalUnion(parts, length=c1 - c0)
+        return out
+
+    def map_region(self, region: Mapping[str, IntervalUnion]) -> dict[str, IntervalUnion]:
+        out: dict[str, IntervalUnion] = {}
+        for eid, iv in region.items():
+            out.update(self.map_intervals(eid, iv))
+        return out
+
+    def map_function(self, f: GraphFunction) -> GraphFunction:
+        terms: dict[str, list[PolyTrigTerm]] = {}
+        for eid, ts in f.terms.items():
+            for nid, c0, c1 in self.pieces[eid]:
+                acc = terms.setdefault(nid, [])
+                for c, p, w in ts:
+                    # substitute x = c0 + y and expand (c0 + y)**p
+                    phase = c * complex(math.cos(w * c0), math.sin(w * c0))
+                    for j in range(p + 1):
+                        acc.append(PolyTrigTerm(phase * math.comb(p, j) * c0 ** (p - j), j, w))
+        return GraphFunction(self.target, terms)
+
+
+def subdivide(g: MetricGraph, max_len: float) -> tuple[MetricGraph, CoordinateMap]:
+    """Split every finite edge into equal pieces of length <= max_len.
+
+    Inserted vertices are degree-2, meant to carry standard conditions
+    (transparent for the Laplacian); edges already short enough are kept as is.
+    """
+    if not (max_len > 0.0):
+        raise ValueError("max_len must be positive")
+    if not g.is_compact:
+        raise ValueError("subdivision requires a compact graph")
+    vertices = list(g.vertices)
+    new_edges: list[Edge] = []
+    cmap_pieces: dict[str, list[tuple[str, float, float]]] = {}
+    for e in g.edges:
+        n = max(1, math.ceil(e.length / max_len - 1e-12))
+        if n == 1:
+            new_edges.append(e)
+            cmap_pieces[e.id] = [(e.id, 0.0, e.length)]
+            continue
+        cuts = [e.length * i / n for i in range(n + 1)]
+        mids = [f"{e.id}.v{i}" for i in range(1, n)]
+        vertices.extend(mids)
+        chain = [e.source] + mids + [e.target]
+        pieces = []
+        for i in range(n):
+            nid = f"{e.id}.{i}"
+            new_edges.append(Edge(nid, chain[i], chain[i + 1],
+                                  cuts[i + 1] - cuts[i], e.flux / n))
+            pieces.append((nid, cuts[i], cuts[i + 1]))
+        cmap_pieces[e.id] = pieces
+    sub = MetricGraph(vertices, new_edges)
+    return sub, CoordinateMap(source=g, target=sub, pieces=cmap_pieces)

@@ -7,11 +7,11 @@ import pytest
 from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
                         _vertex_distances, build_graph, diameter, dual_subspace,
                         full_subspace, gauge_transform, graph_from_dict, metrics,
-                        standard_subspace, subdivide, subspace_from_basis,
+                        standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
 
-from oracles import diameter_point_cloud, exact_edge_pair_max, lp_edge_pair_max
+from oracles import diameter_point_cloud, exact_edge_pair_max, lp_edge_pair_max, subdivide
 
 
 def interval(ell=math.pi):

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qgs import verify
 from qgs.graphs import build_graph
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, _gauss_norm_sq,
                           cosine_power_terms, differentiate, gram, inner_product,
-                          integrate_powexp, norm_sq, sup_on_disk_neighborhood,
+                          integrate_powexp, masses, norm_sq, sup_on_disk_neighborhood,
                           term_gram, whole_edge)
+from qgs.spectral import solve_torsion
 
 from oracles import (adaptive_simpson, eval_terms, integral_pairs_simpson,
-                     loop_integrate_powexp)
+                     loop_integrate_powexp, loop_norm_sq)
 
 # w*d values on both sides of the series/closed-form switch at 1/2 and at the
 # extremes of both branches
@@ -308,6 +310,104 @@ class TestQuadrature:
         vals = integrate_powexp(np.array([p]), np.array([w1 - w2]), a, b)
         want = adaptive_simpson(lambda x: x ** p * cmath.exp(1j * (w1 - w2) * x), a, b)
         assert abs(vals[0] - want) <= 1e-10
+
+
+class TestMasses:
+    """masses against the per-function loop it replaced: the same floats, with
+    ==, whatever else shares the kernel call."""
+
+    @staticmethod
+    def assert_matches_loop(fns, region):
+        got = masses(fns, region)
+        assert len(got) == len(fns)
+        for f, m in zip(fns, got):
+            assert m.whole == loop_norm_sq(f)
+            assert m.part == loop_norm_sq(f, region)
+            assert list(m.edge_grams) == list(f.terms)
+            for eid, ts in f.terms.items():
+                _, p, w = np.array(ts, dtype=complex).T
+                ell = f.graph.edge_lengths[eid]
+                want = term_gram(p.real, w.real, 0.0, ell)[..., 0]
+                assert np.array_equal(m.edge_grams[eid], want)
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        return verify.audit_pool(np.random.default_rng(5), 200.0)
+
+    def test_audit_functions_and_derivatives(self, pool):
+        for i in range(60):
+            _, _, sset, _, f, _ = verify._trial_sample(pool, 5, i)
+            fp = f.derivative()
+            self.assert_matches_loop([f, fp], sset.region())
+            self.assert_matches_loop([fp.derivative(), fp, f], sset.region())
+
+    def test_torsion_function(self):
+        g = build_graph(["c", "w1", "w2", "w3"],
+                        [("e1", "c", "w1", 0.7), ("e2", "c", "w2", 1.1),
+                         ("e3", "c", "w3", 1.4)])
+        u = solve_torsion(g, ["w1", "w2"]).function
+        assert max(t.power for ts in u.terms.values() for t in ts) == 2
+        region = {"e1": IntervalUnion([(0.1, 0.3), (0.5, 0.65)], length=0.7),
+                  "e3": IntervalUnion([(0.2, 1.3)], length=1.4)}
+        self.assert_matches_loop([u, u.derivative(), u.derivative(2)], region)
+        self.assert_matches_loop([u.derivative(2), u], region)
+
+    def test_region_with_an_empty_edge(self):
+        g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.5)])
+        f = GraphFunction(g, {"e1": [PolyTrigTerm(1.0, 0, 3.0), PolyTrigTerm(0.5j, 0, -3.0)],
+                              "e2": [PolyTrigTerm(2.0, 1, 0.0), PolyTrigTerm(-1.0, 0, 2.0)]})
+        for region in ({"e1": IntervalUnion([], length=1.0),
+                        "e2": IntervalUnion([(0.2, 0.9)], length=1.5)},
+                       {"e2": IntervalUnion([(0.2, 0.9)], length=1.5)},
+                       {"e1": IntervalUnion([], length=1.0)}):
+            self.assert_matches_loop([f, f.derivative()], region)
+        assert masses([f], {"e1": IntervalUnion([], length=1.0)})[0].part == 0.0
+
+    def test_edge_without_terms(self):
+        g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.5)])
+        f = GraphFunction(g, {"e1": [PolyTrigTerm(1.0, 0, 3.0), PolyTrigTerm(0.5j, 0, -3.0)]})
+        h = GraphFunction(g, {"e2": [PolyTrigTerm(1.0 - 1j, 2, 0.5)]})
+        region = {"e1": IntervalUnion([(0.1, 0.4)], length=1.0),
+                  "e2": IntervalUnion([(0.0, 1.5)], length=1.5)}
+        self.assert_matches_loop([f, h, GraphFunction.zero(g)], region)
+        zero = masses([GraphFunction.zero(g)], region)[0]
+        assert (zero.whole, zero.part, zero.edge_grams) == (0.0, 0.0, {})
+
+    def test_region_none_is_the_whole_graph(self):
+        g = interval_graph(1.3)
+        f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 1, 4.0), PolyTrigTerm(0.5j, 0, -2.0)]})
+        self.assert_matches_loop([f, f.derivative()], None)
+        m = masses([f])[0]
+        assert m.whole == m.part == norm_sq(f) == loop_norm_sq(f)
+
+    def test_whole_mass_is_kept(self, monkeypatch):
+        import qgs.polytrig as polytrig
+        g = interval_graph(1.3)
+        f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 1, 4.0), PolyTrigTerm(0.5j, 0, -2.0)]})
+        first = masses([f, f.derivative()], {"e": IntervalUnion([(0.2, 0.7)], length=1.3)})[0]
+        want = loop_norm_sq(f)
+        monkeypatch.setattr(polytrig, "integrate_powexp", None)  # no kernel call below
+        kept = masses([f])[0]
+        assert kept.whole == kept.part == first.whole == norm_sq(f) == want
+        assert kept.edge_grams is first.edge_grams
+
+    def test_gauss_fallback_case_of_criterion_7(self):
+        # optimality_example(1, ((8.5) 2 pi)^2, 0.05): cos^8(2 pi x) on windows of
+        # half-width 1/80 around its zeros, a mass below the closed form's floor
+        ell, gamma = 1.0, 0.05
+        f = GraphFunction(interval_graph(ell), {"e": list(cosine_power_terms(8, 2.0 * math.pi))})
+        omega = {"e": IntervalUnion([(0.25 * (1.0 - gamma), 0.25 * (1.0 + gamma)),
+                                     (0.25 * (3.0 - gamma), 0.25 * (3.0 + gamma))], length=ell)}
+        self.assert_matches_loop([f, f.derivative()], omega)
+        part = masses([f], omega)[0].part
+        assert part == _gauss_norm_sq(f, omega)
+        assert 0.0 < part < 1e-18
+
+    def test_empty_and_mixed_graphs(self):
+        assert masses([]) == []
+        f = cos_fn(interval_graph(1.0), 2.0)
+        with pytest.raises(ValueError, match="different graphs"):
+            masses([f, cos_fn(interval_graph(1.0), 2.0)])
 
 
 class TestParsevalStyle:

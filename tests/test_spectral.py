@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from qgs.graphs import (build_graph, dual_subspace, full_subspace,
-                        gauge_transform, standard_subspace, strip_fluxes,
+                        gauge_transform, standard_subspace,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import GraphFunction, PolyTrigTerm, inner_product, norm_sq
 from qgs.spectral import (EigenPair, _phase_fix, boundary_residual,
                           eigenvalues_up_to, secular_matrix, solve_torsion,
                           spectral_sample)
 
-from oracles import det_scan_roots, sigma_min_scan, torsion_fd
+from oracles import (det_scan_roots, fold_spectral_sample, sigma_min_scan, strip_fluxes,
+                     torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -210,6 +211,20 @@ class TestSpectralSample:
         f = spectral_sample(pairs, c)
         assert norm_sq(f) == pytest.approx(float(np.sum(np.abs(c) ** 2)), abs=1e-10)
 
+    def test_one_merge_equals_the_fold(self):
+        # term for term, in the same edge order, on every audit graph (the
+        # cycles have double eigenvalues whose modes share frequencies)
+        from qgs.verify import audit_pool
+        rng = np.random.default_rng(29)
+        for entry in audit_pool(np.random.default_rng(29), 200.0):
+            pairs = entry["pairs"]
+            for _ in range(20):
+                idx = sorted(rng.choice(len(pairs), size=min(5, len(pairs)), replace=False))
+                chosen = [pairs[i] for i in idx]
+                c = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
+                got, want = spectral_sample(chosen, c), fold_spectral_sample(chosen, c)
+                assert list(got.terms.items()) == list(want.terms.items())
+
 
 class TestTorsion:
     def test_interval_both_ends(self):
@@ -260,7 +275,7 @@ class TestTorsion:
 class TestSubdivisionInvariance:
     def test_spectrum_unchanged(self):
         # inserted degree-2 vertices with standard conditions are transparent
-        from qgs.graphs import subdivide
+        from oracles import subdivide
         g = lasso()
         sub, _ = subdivide(g, 0.45)
         base = lam_list(eigenvalues_up_to(g, standard_subspace(g), 60.0))

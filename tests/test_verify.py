@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qgs import verify
 from qgs.bounds import BernsteinProfile
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
-                        strip_fluxes, full_subspace, zero_subspace)
+                        full_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq,
                           whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
@@ -16,6 +17,8 @@ from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
                         lasso_counterexample, local_estimate_check, mass_ratio,
                         max_generalized_eig, observability_numeric,
                         optimality_example)
+
+from oracles import strip_fluxes
 
 
 def interval(ell=math.pi):
@@ -382,3 +385,46 @@ class TestAudit:
         assert res.violations == 0
         assert all(r["classified_ok"] for r in res.rows)
         assert all(r["bad_mass_fraction"] < 0.5 for r in res.rows)
+
+    def test_shared_mass_pass_matches_the_public_calls(self):
+        # a trial takes all its masses from one pass, which f keeps for
+        # classify_edges; every field must equal what the public calls give
+        # on their own, each on a fresh copy of f
+        seed = 31
+        res = audit(trials=200, seed=seed, classify=True)
+        pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
+        for row in res.rows:
+            entry, params, sset, chosen, f, lam = verify._trial_sample(pool, seed, row["trial"])
+            rep = compare(f, sset.region(), params, lam=lam)
+            der = compare_derivative(f, sset.region(), params, lam=lam)
+            cls = classify_edges(GraphFunction(f.graph, f.terms),
+                                 BernsteinProfile.power_law(lam))
+            want = {
+                "trial": row["trial"], "graph": entry["name"], "gamma": params.gamma,
+                "rho": params.rho, "lam": lam, "modes": len(chosen),
+                "mass_observed": rep.observed, "bound": rep.bound.value,
+                "mass_margin": rep.margin, "mass_passed": rep.passed,
+                "deriv_observed": der.observed, "deriv_margin": der.margin,
+                "deriv_passed": der.passed, "deriv_vacuous": der.vacuous,
+                "bad_mass_fraction": cls.bad_mass / cls.total_mass,
+                "classified_ok": (cls.bad_mass < 0.5 * cls.total_mass
+                                  and cls.total_mass < 2.0 * cls.good_mass),
+                "closure_complete": cls.closure_complete,
+            }
+            assert list(row) == list(want)
+            for key, val in want.items():
+                assert row[key] == val or (val != val and row[key] != row[key]), key
+
+    def test_one_kernel_call_per_edge_per_trial(self, monkeypatch):
+        import qgs.polytrig as polytrig
+        seed = 31
+        pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
+        calls = []
+        kernel = polytrig.integrate_powexp
+        monkeypatch.setattr(polytrig, "integrate_powexp",
+                            lambda *args: calls.append(1) or kernel(*args))
+        for i in range(50):
+            f = verify._trial_sample(pool, seed, i)[4]
+            calls.clear()
+            verify._audit_trial(pool, seed, i, 200.0, classify=True)
+            assert len(calls) == len(f.terms)
