@@ -64,15 +64,10 @@ def _certify(g, sset, grid_n):
     gammas, rhos = {}, {}
     covers = {}
     for eid, iu in sset.finite.items():
-        ell = g.edge_lengths[eid]
-        res_r = smp.optimal_rho(iu, ell, gamma=1e-6, grid_n=grid_n)
-        if not res_r.feasible:
+        found = smp.certified_params(iu, g.edge_lengths[eid], grid_n)
+        if found is None:
             raise ValueError(f"edge {eid!r}: set cannot be certified")
-        res_g = smp.optimal_gamma(iu, ell, rho=res_r.rho, grid_n=grid_n)
-        if not res_g.feasible:
-            raise ValueError(f"edge {eid!r}: set cannot be certified")
-        gammas[eid], rhos[eid] = res_g.gamma, res_r.rho
-        covers[eid] = res_g.breakpoints
+        gammas[eid], rhos[eid], covers[eid] = found
     gamma, rho = smp.graph_params(gammas, rhos)
     params = smp.verify_cover(sset, smp.Cover(breakpoints=covers), gamma=gamma,
                               rho=rho)

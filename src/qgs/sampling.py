@@ -414,6 +414,24 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
                      global_density=global_density)
 
 
+def certified_params(omega: IntervalUnion, ell: float, grid_n: int = 200
+                     ) -> tuple[float, float, tuple[float, ...]] | None:
+    """(gamma, rho, cover breakpoints) at the smallest workable rho, the one
+    optimal_rho finds for gamma = 1e-6, or None if the edge cannot be
+    certified.  gamma is optimal_gamma's at that rho.  That DP is aligned to
+    the candidates at rho, which optimal_rho's cover (built at the rho of a
+    bisection step) need not be; where it finds no cover, that cover
+    certifies at its achieved gamma, under the same measure-zero rule."""
+    res_r = optimal_rho(omega, ell, gamma=1e-6, grid_n=grid_n)
+    if not res_r.feasible:
+        return None
+    res_g = optimal_gamma(omega, ell, rho=res_r.rho, grid_n=grid_n)
+    if res_g.feasible:
+        return res_g.gamma, res_r.rho, res_g.breakpoints
+    gamma = _achieved(omega, list(res_r.breakpoints))[0]
+    return (gamma, res_r.rho, res_r.breakpoints) if gamma > 10.0 * _EQ_SLACK else None
+
+
 def graph_params(per_edge_gamma: Mapping[str, float],
                  per_edge_rho: Mapping[str, float]) -> tuple[float, float]:
     """Aggregate per-edge parameters: the graph-level set is sampling at

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BoundarySubspace, MetricGraph, gauge_transform
-from .polytrig import GraphFunction, PolyTrigTerm, gram
+from .polytrig import GraphFunction, PolyTrigTerm
 
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
@@ -62,75 +62,37 @@ def secular_matrix(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:
         raise ValueError("secular matrix requires a compact graph")
     if k < 0.0:
         raise ValueError("wavenumber must be nonnegative")
+    return _secular_stack(g, y, [k])[0]
+
+
+def _secular_stack(g: MetricGraph, y: BoundarySubspace, ks) -> np.ndarray:
+    """secular_matrix at every wavenumber of ks, stacked on a leading axis,
+    with one y.perp() SVD per call.  The rows hold the end values of f = a
+    cos kx + b sin kx (a + b x at k = 0) and of i f'; every entry, down to
+    the sign of a zero, is the float a one-wavenumber call has always built,
+    so an SVD of the stack sees the same input."""
     ne = len(g.edges)
-    nb = g.n_boundary
-    b_plus = np.zeros((nb, 2 * ne), dtype=complex)
-    b_minus = np.zeros((nb, 2 * ne), dtype=complex)
+    ks = np.asarray(ks, dtype=float)
+    zero = ks == 0.0
+    kl = np.multiply.outer(ks, [g.edge_lengths[e.id] for e in g.edges])
+    cos = np.array(list(map(math.cos, kl.ravel().tolist()))).reshape(kl.shape)
+    sin = np.array(list(map(math.sin, kl.ravel().tolist()))).reshape(kl.shape)
+    b_plus = np.zeros((ks.size, g.n_boundary, 2 * ne), dtype=complex)
+    b_minus = np.zeros_like(b_plus)
     col_a = {e.id: i for i, e in enumerate(g.edges)}
     for row, (eid, end) in enumerate(g.boundary_coords):
         ia = col_a[eid]
         ib = ia + ne
-        ell = g.edge_lengths[eid]
-        if k == 0.0:
-            # f = a + b x, i f' = i b
-            if end == 0:
-                b_plus[row, ia] = 1.0
-                b_minus[row, ib] = -1.0j
-            else:
-                b_plus[row, ia] = 1.0
-                b_plus[row, ib] = ell
-                b_minus[row, ib] = 1.0j
-        else:
-            c, s = math.cos(k * ell), math.sin(k * ell)
-            if end == 0:
-                b_plus[row, ia] = 1.0
-                b_minus[row, ib] = -1.0j * k
-            else:
-                b_plus[row, ia] = c
-                b_plus[row, ib] = s
-                b_minus[row, ia] = -1.0j * k * s
-                b_minus[row, ib] = 1.0j * k * c
-    perp = y.perp()
-    rows = []
-    if perp.dim:
-        rows.append(perp.basis.conj() @ b_plus)
-    if y.dim:
-        rows.append(y.basis.conj() @ b_minus)
-    if not rows:
-        return np.zeros((0, 2 * ne), dtype=complex)
-    return np.vstack(rows)
-
-
-def _conditioned(g, y, k) -> tuple[np.ndarray, float]:
-    """Secular matrix with the sin-coefficient columns rescaled by 1/k below
-    k = 1.  Those columns vanish like k as k -> 0 (the cos/sin ansatz
-    degenerates toward the affine one), which would drive sigma_min to zero
-    near k = 0 whether or not an eigenvalue sits there; the rescaled matrix
-    instead converges to the k = 0 affine matrix.  Returns the matrix and the
-    factor that maps conditioned sin-coefficients back to plain ones."""
-    m = secular_matrix(g, y, k)
-    if 0.0 < k < 1.0:
-        m = m.copy()
-        m[:, len(g.edges):] /= k
-        return m, 1.0 / k
-    return m, 1.0
-
-
-def _null_space(g, y, k, nullity=None) -> tuple[float, np.ndarray]:
-    """The `nullity` trailing right-singular vectors of the conditioned
-    secular matrix at k (rows scaled down to O(1) but never up: amplifying a
-    vanishing row would erase the rank defect at exactly degenerate roots),
-    as plain coefficients, and the largest of their singular values.  Without
-    a nullity (k = 0) it is read off the singular values; it may be 0."""
-    m, back = _conditioned(g, y, k)
-    _, s, vh = np.linalg.svd(m / np.maximum(np.linalg.norm(m, axis=1), 1.0)[:, None])
-    if nullity is None:
-        nullity = int(np.sum(s < TOL_NULL)) if s[-1] < TOL_ACCEPT else 0
-        if not nullity:
-            return float(s[-1]), vh[:0]
-    vecs = np.conj(vh[len(vh) - nullity:]).copy()
-    vecs[:, len(g.edges):] *= back
-    return float(s[len(s) - nullity]), vecs
+        b_plus[:, row, ia] = np.where(zero, 1.0, cos[:, ia]) if end else 1.0
+        if end == 0:
+            b_minus[:, row, ib] = np.where(zero, -1.0j, -1.0j * ks)
+        else:  # f = a + b x at k = 0, i f' = i b
+            b_plus[:, row, ib] = np.where(zero, g.edge_lengths[eid], sin[:, ia])
+            b_minus[:, row, ia] = np.where(zero, 0.0, -1.0j * ks * sin[:, ia])
+            b_minus[:, row, ib] = np.where(zero, 1.0j, 1.0j * ks * cos[:, ia])
+    rows = [basis.conj() @ b for basis, b in ((y.perp().basis, b_plus), (y.basis, b_minus))
+            if len(basis)]
+    return np.concatenate(rows, axis=1) if rows else np.zeros((ks.size, 0, 2 * ne), complex)
 
 
 def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFunction:
@@ -244,18 +206,34 @@ class _Eigenphases:
         return p.k
 
 
+def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """P[:, r, e]: the integrals of cos^2, cos sin and sin^2 of k x over
+    [0, l_e] at k = ks[r], or of 1, x and x^2 where k = 0: the entries of the
+    2 x 2 Gram W_e of an edge's (cos, sin) or affine pair.  The sin^2 integral
+    l/2 - sin(2kl)/4k cancels to an absolute 1e-16 l at small kl, which is
+    harmless: an eigenfunction's sin coefficient b has |b|^2 l of order
+    ||f||^2 at most there, since the integral of |f'|^2 is k^2 ||f||^2."""
+    k = np.where(ks > 0.0, ks, 1.0)[:, None]
+    half, odd = 0.5 * ells, np.sin(2.0 * k * ells) / (4.0 * k)
+    out = np.stack([half + odd, np.sin(k * ells) ** 2 / (2.0 * k), half - odd])
+    out[:, ks == 0.0] = np.array([ells, half * ells, ells ** 3 / 3.0])[:, None]
+    return out
+
+
 def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
-    k = 0 is read off the affine secular matrix.  For k > 0 the eigenphases of
-    the bond scattering matrix U(k) are sampled on cells of width at most
-    1 / (longest edge); the exact root count of each cell is bisected until
-    every subcell holds one root (or is narrower than CLUSTER_GAP, then one
-    root of that multiplicity), which Newton steps converge.  The count is
-    exact for every boundary subspace and flux, so the spectrum is complete.
-    Eigenfunctions are the trailing right-singular vectors of the secular
-    matrix at each root, as many as the count says, L2-orthonormalised
-    through the Cholesky factor of their Gram matrix.
+    For k > 0 the eigenphases of the bond scattering matrix U(k) are sampled
+    on cells of width at most 1 / (longest edge); the exact root count of
+    each cell is bisected until every subcell holds one root (or is narrower
+    than CLUSTER_GAP, then one root of that multiplicity), which Newton steps
+    converge.  The count is exact for every boundary subspace and flux, so
+    the spectrum is complete.  One harvest pass then turns the roots into
+    eigenfunctions: the secular matrices of every root and of k = 0 are one
+    stack with one SVD, and each root's eigenfunctions are the trailing
+    right-singular vectors, as many as the count says (at k = 0 as many as
+    the singular values say), L2-orthonormalised through the Cholesky factor
+    of their Gram matrix, which is closed form in the edgewise coefficients.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -264,24 +242,6 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     if lam_max <= 0.0:
         raise ValueError("lam_max must be positive")
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
-    pairs: list[EigenPair] = []
-
-    def harvest(k: float, residual: float, vecs: np.ndarray):
-        if not len(vecs):
-            return
-        vecs = np.array([_phase_fix(v) for v in vecs])
-        # L2-orthonormalise within the multiplicity cluster: with the L2 Gram
-        # G = L L^H of the functions, the rows of L^-1 vecs (Gram-Schmidt in
-        # closed form) give orthonormal ones
-        low = np.linalg.cholesky(gram([_coeffs_to_function(g, k, v) for v in vecs]))
-        for v in np.linalg.solve(low, vecs):
-            pairs.append(EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
-                                   residual=residual))
-
-    residual, vecs = _null_space(g, y_eff, 0.0)
-    harvest(0.0, residual, vecs)
-    zero_mult = len(vecs)
-
     phases = _Eigenphases(g, y_eff)
     k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     n_cells = max(1, math.ceil(k_hi * phases.ell_max))
@@ -303,9 +263,34 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
             merged[-1][1] += m
         else:
             merged.append([k, m])
-    for k, m in merged:
-        harvest(k, *_null_space(g, y_eff, k, m))
-    diagnostics = dict(phases.stats, cells=n_cells, zero_multiplicity=zero_mult,
+
+    # Below k = 1 the sin columns vanish like k (the cos/sin ansatz degenerates
+    # toward the affine one) and would drive sigma_min to zero near k = 0, so
+    # they are divided by k; rows are scaled down to O(1) but never up, since
+    # amplifying a vanishing row would erase the rank defect of a degenerate root
+    ne = len(g.edges)
+    ks = np.array([0.0] + [k for k, _ in merged])
+    mats = _secular_stack(g, y_eff, ks)
+    low = (ks > 0.0) & (ks < 1.0)
+    mats[low, :, ne:] /= ks[low, None, None]
+    _, sv, vh = np.linalg.svd(mats / np.maximum(np.linalg.norm(mats, axis=-1), 1.0)[..., None])
+    zero_mult = int(np.sum(sv[0] < TOL_NULL)) if sv[0, -1] < TOL_ACCEPT else 0
+    ints = _pair_integrals(np.array([g.edge_lengths[e.id] for e in g.edges]), ks)
+    pairs: list[EigenPair] = []
+    for i, (k, m) in enumerate([(0.0, zero_mult), *merged]):
+        if not m:
+            continue
+        vecs = np.conj(vh[i, -m:])
+        vecs[:, ne:] *= 1.0 / k if low[i] else 1.0
+        vecs = np.array([_phase_fix(v) for v in vecs])
+        # the cluster Gram G = sum_e V_e W_e V_e^H = L L^H: the rows of L^-1 vecs
+        # are L2-orthonormal
+        cross = (vecs[:, :ne] * ints[1, i]) @ vecs[:, ne:].conj().T
+        gram = (vecs * np.r_[ints[0, i], ints[2, i]]) @ vecs.conj().T + cross + cross.conj().T
+        chol = np.linalg.cholesky(gram)
+        pairs += [EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
+                            residual=float(sv[i, -m])) for v in np.linalg.solve(chol, vecs)]
+    diagnostics = dict(phases.stats, cells=n_cells, svds=len(ks), zero_multiplicity=zero_mult,
                        count=zero_mult + sum(m for _, m in merged), pairs=len(pairs))
     _log.debug("eigenvalues_up_to %s", diagnostics, extra={"diagnostics": diagnostics})
     return pairs

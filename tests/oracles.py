@@ -10,7 +10,9 @@ feasibility DP) as the reference the vectorised kernels must reproduce
 decision for decision, and the quadrature kernel keeps its per-window loop
 version with a data-dependent series stop as the reference for the batched
 one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
-as the reference its masses must equal bit for bit, and the graph
+as the reference its masses must equal bit for bit, the per-root
+eigenfunction harvest as the reference for the one-pass harvest of
+`qgs.spectral.eigenvalues_up_to`, and the graph
 transformations only the tests use (flux removal, subdivision with its
 coordinate map) live here too.
 """
@@ -29,9 +31,11 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.optimize import linprog
 
-from qgs.graphs import Edge, MetricGraph
+from qgs.graphs import BoundarySubspace, Edge, MetricGraph, gauge_transform
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _edge_windows, _gauss_norm_sq, term_gram)
+                          _coerce_region, _edge_windows, _gauss_norm_sq, gram, term_gram)
+from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
+                          _coeffs_to_function, _Eigenphases, _phase_fix)
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -590,6 +594,157 @@ def loop_norm_sq(f: GraphFunction, region=None) -> float:
     if re <= _RESOLVED_REL * gross:
         return _gauss_norm_sq(f, _coerce_region(f, region))
     return re
+
+
+# ---------------------------------------------------------------------------
+# the per-root eigenfunction harvest: one secular matrix (with its own
+# y.perp() SVD), one conditioned SVD per root and the eigenfunction
+# normalisation through the kernel Gram of throw-away functions, copied
+# verbatim from the solver before the stacked harvest (renamed only, and the
+# solver's DEBUG record dropped); the reference the one-pass harvest must
+# reproduce: eigenvalues, multiplicities and residuals bit for bit
+
+
+def loop_secular_matrix(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:
+    """Square 2|E| matrix on the edgewise (cos, sin) coefficients whose rank
+    defect at wavenumber k marks the eigenvalue k^2; k = 0 uses the affine
+    ansatz a + b*x."""
+    if not g.is_compact:
+        raise ValueError("secular matrix requires a compact graph")
+    if k < 0.0:
+        raise ValueError("wavenumber must be nonnegative")
+    ne = len(g.edges)
+    nb = g.n_boundary
+    b_plus = np.zeros((nb, 2 * ne), dtype=complex)
+    b_minus = np.zeros((nb, 2 * ne), dtype=complex)
+    col_a = {e.id: i for i, e in enumerate(g.edges)}
+    for row, (eid, end) in enumerate(g.boundary_coords):
+        ia = col_a[eid]
+        ib = ia + ne
+        ell = g.edge_lengths[eid]
+        if k == 0.0:
+            # f = a + b x, i f' = i b
+            if end == 0:
+                b_plus[row, ia] = 1.0
+                b_minus[row, ib] = -1.0j
+            else:
+                b_plus[row, ia] = 1.0
+                b_plus[row, ib] = ell
+                b_minus[row, ib] = 1.0j
+        else:
+            c, s = math.cos(k * ell), math.sin(k * ell)
+            if end == 0:
+                b_plus[row, ia] = 1.0
+                b_minus[row, ib] = -1.0j * k
+            else:
+                b_plus[row, ia] = c
+                b_plus[row, ib] = s
+                b_minus[row, ia] = -1.0j * k * s
+                b_minus[row, ib] = 1.0j * k * c
+    perp = y.perp()
+    rows = []
+    if perp.dim:
+        rows.append(perp.basis.conj() @ b_plus)
+    if y.dim:
+        rows.append(y.basis.conj() @ b_minus)
+    if not rows:
+        return np.zeros((0, 2 * ne), dtype=complex)
+    return np.vstack(rows)
+
+
+def loop_conditioned(g, y, k) -> tuple[np.ndarray, float]:
+    """Secular matrix with the sin-coefficient columns rescaled by 1/k below
+    k = 1.  Those columns vanish like k as k -> 0 (the cos/sin ansatz
+    degenerates toward the affine one), which would drive sigma_min to zero
+    near k = 0 whether or not an eigenvalue sits there; the rescaled matrix
+    instead converges to the k = 0 affine matrix.  Returns the matrix and the
+    factor that maps conditioned sin-coefficients back to plain ones."""
+    m = loop_secular_matrix(g, y, k)
+    if 0.0 < k < 1.0:
+        m = m.copy()
+        m[:, len(g.edges):] /= k
+        return m, 1.0 / k
+    return m, 1.0
+
+
+def loop_null_space(g, y, k, nullity=None) -> tuple[float, np.ndarray]:
+    """The `nullity` trailing right-singular vectors of the conditioned
+    secular matrix at k (rows scaled down to O(1) but never up: amplifying a
+    vanishing row would erase the rank defect at exactly degenerate roots),
+    as plain coefficients, and the largest of their singular values.  Without
+    a nullity (k = 0) it is read off the singular values; it may be 0."""
+    m, back = loop_conditioned(g, y, k)
+    _, s, vh = np.linalg.svd(m / np.maximum(np.linalg.norm(m, axis=1), 1.0)[:, None])
+    if nullity is None:
+        nullity = int(np.sum(s < TOL_NULL)) if s[-1] < TOL_ACCEPT else 0
+        if not nullity:
+            return float(s[-1]), vh[:0]
+    vecs = np.conj(vh[len(vh) - nullity:]).copy()
+    vecs[:, len(g.edges):] *= back
+    return float(s[len(s) - nullity]), vecs
+
+
+def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
+    """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
+
+    k = 0 is read off the affine secular matrix.  For k > 0 the eigenphases of
+    the bond scattering matrix U(k) are sampled on cells of width at most
+    1 / (longest edge); the exact root count of each cell is bisected until
+    every subcell holds one root (or is narrower than CLUSTER_GAP, then one
+    root of that multiplicity), which Newton steps converge.  The count is
+    exact for every boundary subspace and flux, so the spectrum is complete.
+    Eigenfunctions are the trailing right-singular vectors of the secular
+    matrix at each root, as many as the count says, L2-orthonormalised
+    through the Cholesky factor of their Gram matrix.
+    """
+    if not g.is_compact:
+        raise ValueError("eigenvalue solve requires a compact graph")
+    if not g.edges:
+        raise ValueError("eigenvalue solve requires at least one edge")
+    if lam_max <= 0.0:
+        raise ValueError("lam_max must be positive")
+    y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
+    pairs: list[EigenPair] = []
+
+    def harvest(k: float, residual: float, vecs: np.ndarray):
+        if not len(vecs):
+            return
+        vecs = np.array([_phase_fix(v) for v in vecs])
+        # L2-orthonormalise within the multiplicity cluster: with the L2 Gram
+        # G = L L^H of the functions, the rows of L^-1 vecs (Gram-Schmidt in
+        # closed form) give orthonormal ones
+        low = np.linalg.cholesky(gram([_coeffs_to_function(g, k, v) for v in vecs]))
+        for v in np.linalg.solve(low, vecs):
+            pairs.append(EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
+                                   residual=residual))
+
+    residual, vecs = loop_null_space(g, y_eff, 0.0)
+    harvest(0.0, residual, vecs)
+
+    phases = _Eigenphases(g, y_eff)
+    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
+    n_cells = max(1, math.ceil(k_hi * phases.ell_max))
+    prev = phases.at(0.0)
+    # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
+    prev.phases[prev.phases > _TWO_PI - _SNAP] = 0.0
+    roots: list[tuple[float, int]] = []
+    for k in np.linspace(0.0, k_hi, n_cells + 1)[1:]:
+        cur = phases.at(float(k))
+        m = phases.count(prev, cur)
+        if m:
+            roots += phases.resolve(prev, cur, m)
+        prev = cur
+
+    # a degenerate root that roundoff split across a cell edge is one root
+    merged: list[list] = []  # [wavenumber, multiplicity]
+    for k, m in sorted(roots):
+        if merged and k - merged[-1][0] < CLUSTER_GAP:
+            merged[-1][1] += m
+        else:
+            merged.append([k, m])
+    for k, m in merged:
+        harvest(k, *loop_null_space(g, y_eff, k, m))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from qgs.cli import main
+from qgs.graphs import load_graph
+from qgs.sampling import (Cover, SamplingParams, SamplingSet, certified_params, optimal_gamma,
+                          optimal_rho, verify_cover)
 
 
 @pytest.fixture
@@ -152,6 +155,37 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["passed"] is True
+
+    def test_set_certified_by_the_rho_cover(self, capsys, tmp_path):
+        # certify seed 7107's lasso: on the tail, optimal_gamma at optimal_rho's
+        # rho finds no candidate-aligned cover, but optimal_rho's own cover
+        # certifies at the gamma it achieves
+        graph, sset = tmp_path / "lasso.json", tmp_path / "set.json"
+        graph.write_text(json.dumps({"vertices": ["v", "w"], "edges": [
+            {"id": "loop", "from": "v", "to": "v", "length": 1.486532},
+            {"id": "tail", "from": "v", "to": "w", "length": 0.97472}]}))
+        sset.write_text(json.dumps({"edges": {
+            "loop": [[0.262232717, 0.390462], [0.552606459, 0.810202944],
+                     [1.246223437, 1.348580724]],
+            "tail": [[0.165297237, 0.246126], [0.246647912, 0.398450034],
+                     [0.857616398, 0.94508746]]}}))
+        code, out, err = run(capsys, "verify", "ratio", "--graph", str(graph), "--set",
+                             str(sset), "--lambda-max", "100", "--modes", "4", "--seed", "5")
+        assert (code, err) == (0, "") and json.loads(out)["passed"] is True
+        g, _ = load_graph(str(graph))
+        omega = SamplingSet.load(g, str(sset))
+        tail = omega.finite["tail"]
+        res_r = optimal_rho(tail, 0.97472, gamma=1e-6)
+        assert not optimal_gamma(tail, 0.97472, rho=res_r.rho).feasible
+        gamma, rho, bps = certified_params(tail, 0.97472)
+        assert (rho, bps) == (res_r.rho, res_r.breakpoints)
+        assert gamma == pytest.approx(5.99e-4, rel=1e-2)
+        found = {eid: certified_params(iu, g.edge_lengths[eid]) for eid, iu in
+                 omega.finite.items()}
+        params = verify_cover(omega, Cover(breakpoints={e: f[2] for e, f in found.items()}),
+                              gamma=min(f[0] for f in found.values()),
+                              rho=max(f[1] for f in found.values()))
+        assert isinstance(params, SamplingParams)
 
     def test_kovrijkine(self, capsys):
         code, out, _ = run(capsys, "verify", "kovrijkine", "--coeffs", "[1, 0.5]",

@@ -1,19 +1,22 @@
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from qgs.cli import main
 from qgs.graphs import (build_graph, dual_subspace, full_subspace,
-                        gauge_transform, standard_subspace,
+                        gauge_transform, standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import GraphFunction, PolyTrigTerm, inner_product, norm_sq
-from qgs.spectral import (EigenPair, _phase_fix, boundary_residual,
-                          eigenvalues_up_to, secular_matrix, solve_torsion,
-                          spectral_sample)
+from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
+                          norm_sq)
+from qgs.spectral import (EigenPair, _coeffs_to_function, _pair_integrals, _phase_fix,
+                          _secular_stack, boundary_residual, eigenvalues_up_to,
+                          secular_matrix, solve_torsion, spectral_sample)
 
-from oracles import (det_scan_roots, fold_spectral_sample, sigma_min_scan, strip_fluxes,
-                     torsion_fd)
+from oracles import (det_scan_roots, fold_spectral_sample, loop_eigenvalues_up_to,
+                     loop_secular_matrix, sigma_min_scan, strip_fluxes, torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -406,3 +409,152 @@ class TestDefensive:
         g = build_graph(["a"], [])
         with pytest.raises(ValueError, match="at least one edge"):
             eigenvalues_up_to(g, standard_subspace(g), 10.0)
+
+
+def _equilateral(shape):
+    """K4, K5, K3,3, a 5-star or a 3-petal flower, every edge of length 1."""
+    if shape == "k4":
+        names = "abcd"
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    elif shape == "k5":
+        names = "abcde"
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    elif shape == "k33":
+        names = "abcxyz"
+        pairs = [(u, v) for u in "abc" for v in "xyz"]
+    elif shape == "star5":
+        names = ["c"] + [f"w{i}" for i in range(5)]
+        pairs = [("c", w) for w in names[1:]]
+    else:
+        names = ["v"]
+        pairs = [("v", "v")] * 3
+    return build_graph(names, [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(pairs)])
+
+
+def _harvest_cases():
+    """(graph, subspace, lam_max) of the one-pass harvest's reference cases."""
+    cases = {}
+    for shape in ("k4", "k5", "k33", "star5", "flower3"):
+        g = _equilateral(shape)
+        cases[f"{shape}-standard"] = (g, standard_subspace(g), 150.0)
+        cases[f"{shape}-dirichlet"] = (
+            g, vertex_conditions_subspace(g, "standard", {g.vertices[0]: "dirichlet"}), 150.0)
+        cases[f"{shape}-anti-kirchhoff"] = (g, vertex_conditions_subspace(g, "anti-kirchhoff"),
+                                            150.0)
+    star = build_graph(["c", "w1", "w2", "w3", "w4"],
+                       [("e1", "c", "w1", 0.97), ("e2", "c", "w2", 1.03),
+                        ("e3", "c", "w3", 1.01), ("e4", "c", "w4", 0.98)])
+    cases["star-dirichlet"] = (star, vertex_conditions_subspace(star, "dirichlet",
+                                                                {"c": "standard"}), 400.0)
+    cases["star-anti-kirchhoff"] = (star, vertex_conditions_subspace(
+        star, "standard", {"c": "anti-kirchhoff"}), 400.0)
+    flux = build_graph(["v", "w"], [("loop", "v", "v", 1.52, 1.1), ("tail", "v", "w", 0.96)])
+    cases["lasso-flux"] = (flux, standard_subspace(flux), 400.0)
+    g = lasso()
+    indicators = np.array([[1, 1, 1, 0], [0, 0, 0, 1]], dtype=complex)
+    rng = np.random.default_rng(5)
+    mix = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) + 3.0 * np.eye(2)
+    cases["lasso-raw-basis"] = (g, subspace_from_basis(g, mix @ indicators), 400.0)
+    g = build_graph(["a", "b", "p", "q", "r"],
+                    [("e", "a", "b", 1.47), ("t1", "p", "q", 0.97), ("t2", "q", "r", 0.98),
+                     ("t3", "r", "p", 0.99)])
+    cases["interval+triangle"] = (g, vertex_conditions_subspace(
+        g, "standard", {"a": "dirichlet", "b": "dirichlet"}), 400.0)
+    return cases
+
+
+HARVEST_CASES = _harvest_cases()
+
+
+def _clusters(pairs):
+    out: dict[float, list] = {}
+    for p in pairs:
+        out.setdefault(p.k, []).append(p)
+    return list(out.values())
+
+
+class TestOnePassHarvest:
+    """The stacked-SVD, closed-form-Gram harvest against the per-root one it
+    replaced (tests/oracles.py): the same roots, multiplicities and residuals
+    bit for bit, the same eigenfunctions to rounding."""
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_matches_per_root_oracle(self, name):
+        g, y, lam_max = HARVEST_CASES[name]
+        new = eigenvalues_up_to(g, y, lam_max)
+        old = loop_eigenvalues_up_to(g, y, lam_max)
+        assert [(p.k, p.lam, p.residual) for p in new] == [(p.k, p.lam, p.residual)
+                                                           for p in old]
+        for p, q in zip(new, old):
+            big = max(abs(t.coeff) for ts in q.function.terms.values() for t in ts)
+            for eid in g.edge_ids:
+                a = {t[1:]: t.coeff for t in p.function.edge_terms(eid)}
+                b = {t[1:]: t.coeff for t in q.function.edge_terms(eid)}
+                for key in a.keys() | b.keys():
+                    assert abs(a.get(key, 0.0) - b.get(key, 0.0)) <= 1e-15 * big
+
+    def test_stacked_secular_matrices_are_the_scalar_ones(self):
+        # bit for bit, signs of zeros included: the SVD sees the same input
+        rng = np.random.default_rng(0)
+        for g, y, _ in HARVEST_CASES.values():
+            y = gauge_transform(y, g)
+            ks = np.concatenate([[0.0, 1e-9, 0.5], rng.uniform(0.0, 20.0, 10)])
+            for k, m in zip(ks.tolist(), _secular_stack(g, y, ks)):
+                assert np.array_equal(m.view(np.uint64),
+                                      loop_secular_matrix(g, y, k).view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_clusters_orthonormal(self, name):
+        g, y, lam_max = HARVEST_CASES[name]
+        for cluster in _clusters(eigenvalues_up_to(g, y, lam_max)):
+            dev = gram([p.function for p in cluster]) - np.eye(len(cluster))
+            assert np.max(np.abs(dev)) <= 1e-12
+
+    def test_equilateral_cases_are_degenerate(self):
+        # every equilateral case has a root of multiplicity >= 3 (K5 reaches 7)
+        for name, (g, y, lam) in HARVEST_CASES.items():
+            if not name.startswith(("star-", "lasso", "interval")):
+                assert max(len(c) for c in _clusters(eigenvalues_up_to(g, y, lam))) >= 3
+
+    @pytest.mark.parametrize("ell", [1e-3, 1.0, 20.0])
+    def test_pair_integrals_match_kernel_gram(self, ell):
+        g = interval(ell)
+        ks = np.array([0.0, 1e-3, 0.7, 5.0])
+        ints = _pair_integrals(np.array([ell]), ks)
+        for r, k in enumerate(ks):
+            want = gram([_coeffs_to_function(g, k, v) for v in np.eye(2)])
+            got = [[ints[0, r, 0], ints[1, r, 0]], [ints[1, r, 0], ints[2, r, 0]]]
+            assert np.max(np.abs(want - got)) <= 1e-14 * max(ell, ell ** 3)
+
+    @pytest.mark.parametrize("edges", [
+        [("e1", "c", "a", 20.0), ("e2", "c", "b", 17.3), ("e3", "c", "s", 1e-3)],
+        [("e1", "a", "v", 30.0), ("e2", "v", "b", 20.0), ("stub", "v", "s", 2e-3)],
+    ])
+    def test_unit_norm_at_small_k_ell(self, edges):
+        # k ~ 0.06-0.2: k l ~ 1e-4 on the short edge, where the sin^2 integral
+        # of the closed-form Gram would cancel
+        g = build_graph(sorted({v for e in edges for v in e[1:3]}), edges)
+        pairs = eigenvalues_up_to(g, standard_subspace(g), 0.05)
+        assert len(pairs) >= 3 and pairs[1].k < 0.1
+        for p in pairs:
+            assert abs(_gauss_norm_sq(p.function, None) - 1.0) <= 1e-13
+
+    def test_svds_one_per_distinct_root_and_zero(self, caplog):
+        g = _equilateral("star5")
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            pairs = eigenvalues_up_to(g, standard_subspace(g), 150.0)
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        roots = {p.k for p in pairs if p.k > 0.0}
+        assert len(roots) < len(pairs) - 1  # the 5-star has multiple roots
+        assert record.diagnostics["svds"] == len(roots) + 1
+
+    def test_record_is_opt_in(self, caplog, capsys, tmp_path):
+        path = tmp_path / "lasso.json"
+        path.write_text(json.dumps({"vertices": ["v", "w"], "edges": [
+            {"id": "loop", "from": "v", "to": "v", "length": 1.0},
+            {"id": "tail", "from": "v", "to": "w", "length": 1.0}]}))
+        assert main(["spectrum", "--graph", str(path), "--lambda-max", "50"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["count"] == len(
+            eigenvalues_up_to(lasso(), standard_subspace(lasso()), 50.0))
+        assert not [r for r in caplog.records if r.name == "qgs.spectral"]
