@@ -19,7 +19,7 @@ from . import sampling as smp
 from . import verify as vfy
 from .graphs import load_graph, metrics
 from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, masses
-from .spectral import eigenvalues_up_to, solve_torsion, spectral_sample
+from .spectral import eigenvalues_up_to, solve_torsion
 
 
 def _positive(value: str) -> float:
@@ -51,12 +51,7 @@ def _random_sample(g, y, lam_max, modes, seed):
     pairs = eigenvalues_up_to(g, y, lam_max)
     if not pairs:
         raise ValueError(f"no eigenvalues at or below {lam_max}")
-    rng = np.random.default_rng(seed)
-    take = rng.choice(len(pairs), size=min(modes, len(pairs)), replace=False)
-    chosen = [pairs[i] for i in sorted(take)]
-    coeffs = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
-    f = spectral_sample(chosen, coeffs)
-    return f, max(p.lam for p in chosen), chosen
+    return vfy.random_combination(np.random.default_rng(seed), pairs, modes)
 
 
 def _certify(g, sset, grid_n):
@@ -226,13 +221,13 @@ def _cmd_verify(args) -> int:
         _emit(args, out.to_json())
         return 0
     if cmd == "classify":
-        f, lam, _ = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
+        _, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
         out = vfy.classify_edges(f, bnd.BernsteinProfile.power_law(lam),
                                  m_max=args.m_max)
         _emit(args, out.to_json())
         return 0
     # ratio / derivative
-    f, lam, chosen = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
+    chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
     params = _certify(g, sset, args.grid)
     if cmd == "ratio":
         out = vfy.compare(f, sset.region(), params, lam=lam)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BoundarySubspace, MetricGraph, gauge_transform
+from .graphs import (BoundarySubspace, MetricGraph, gauge_transform,
+                     vertex_conditions_subspace)
 from .polytrig import GraphFunction, PolyTrigTerm
 
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
@@ -93,6 +94,13 @@ def _secular_stack(g: MetricGraph, y: BoundarySubspace, ks) -> np.ndarray:
     rows = [basis.conj() @ b for basis, b in ((y.perp().basis, b_plus), (y.basis, b_minus))
             if len(basis)]
     return np.concatenate(rows, axis=1) if rows else np.zeros((ks.size, 0, 2 * ne), complex)
+
+
+def _unit_rows(mats: np.ndarray) -> np.ndarray:
+    """Rows scaled down to unit norm but never up: amplifying a vanishing row
+    would erase the rank defect of a degenerate root.  0 is an eigenvalue
+    where the k = 0 matrix scaled so has sigma_min below TOL_ACCEPT."""
+    return mats / np.maximum(np.linalg.norm(mats, axis=-1), 1.0)[..., None]
 
 
 def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFunction:
@@ -266,14 +274,13 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
 
     # Below k = 1 the sin columns vanish like k (the cos/sin ansatz degenerates
     # toward the affine one) and would drive sigma_min to zero near k = 0, so
-    # they are divided by k; rows are scaled down to O(1) but never up, since
-    # amplifying a vanishing row would erase the rank defect of a degenerate root
+    # they are divided by k
     ne = len(g.edges)
     ks = np.array([0.0] + [k for k, _ in merged])
     mats = _secular_stack(g, y_eff, ks)
     low = (ks > 0.0) & (ks < 1.0)
     mats[low, :, ne:] /= ks[low, None, None]
-    _, sv, vh = np.linalg.svd(mats / np.maximum(np.linalg.norm(mats, axis=-1), 1.0)[..., None])
+    _, sv, vh = np.linalg.svd(_unit_rows(mats))
     zero_mult = int(np.sum(sv[0] < TOL_NULL)) if sv[0, -1] < TOL_ACCEPT else 0
     ints = _pair_integrals(np.array([g.edge_lengths[e.id] for e in g.edges]), ks)
     pairs: list[EigenPair] = []
@@ -324,9 +331,13 @@ def spectral_sample(pairs: list[EigenPair], coeffs) -> GraphFunction:
 
 
 def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
-    """Edgewise quadratic solution of -u'' = 1 with u = 0 on the Dirichlet
-    vertex set and continuity + flux balance (standard) elsewhere; also
-    returns the total integral of u (the torsional rigidity)."""
+    """Edgewise quadratic solution u = -x^2/2 + a + b x of -u'' = 1 with u = 0
+    on the Dirichlet vertex set and standard conditions elsewhere; also
+    returns the total integral of u (the torsional rigidity).  The edgewise
+    (a, b) solve the k = 0 secular system of that boundary subspace, whose
+    right side carries the traces of -x^2/2.  By the Fredholm alternative the
+    system is solvable exactly when 0 is not an eigenvalue, which is decided
+    by the k = 0 acceptance rule of eigenvalues_up_to."""
     dirichlet = tuple(dict.fromkeys(str(v) for v in dirichlet))
     if not dirichlet:
         raise ValueError("Dirichlet vertex set must be nonempty")
@@ -335,69 +346,23 @@ def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
             raise ValueError(f"unknown vertex {v!r}")
     if not g.is_compact:
         raise ValueError("torsion solve requires a compact graph")
-    ne = len(g.edges)
-    # unknowns: (alpha_e, beta_e) with u_e = -x^2/2 + alpha x + beta
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    col_a = {e.id: i for i, e in enumerate(g.edges)}
-
-    def value_row(eid: str, at_end: int) -> tuple[np.ndarray, float]:
-        """(coefficient row, constant) with u(endpoint) = row @ x + constant."""
-        r = np.zeros(2 * ne)
-        ell = g.edge_lengths[eid]
-        if at_end == 0:
-            r[col_a[eid] + ne] = 1.0
-            return r, 0.0
-        r[col_a[eid]] = ell
-        r[col_a[eid] + ne] = 1.0
-        return r, -0.5 * ell * ell
-
-    for v in g.vertices:
-        incid = [(e.id, end) for e in g.edges
-                 for end in ((0,) if e.source == v and e.target != v else ())
-                 + ((0, 1) if e.source == v and e.target == v else ())
-                 + ((1,) if e.target == v and e.source != v else ())]
-        if not incid:
-            continue
-        if v in dirichlet:
-            for eid, end in incid:
-                r, c = value_row(eid, end)
-                rows.append(r)
-                rhs.append(-c)
-        else:
-            ref = value_row(*incid[0])
-            for eid, end in incid[1:]:
-                r, c = value_row(eid, end)
-                rows.append(r - ref[0])
-                rhs.append(ref[1] - c)
-            # flux balance: sum over incoming u'(ell) minus outgoing u'(0) = 0,
-            # with u'(x) = -x + alpha
-            r = np.zeros(2 * ne)
-            const = 0.0
-            for eid, end in incid:
-                if end == 1:
-                    r[col_a[eid]] += 1.0
-                    const += -g.edge_lengths[eid]
-                else:
-                    r[col_a[eid]] -= 1.0
-            rows.append(r)
-            rhs.append(-const)
-    mat = np.array(rows)
-    vec = np.array(rhs)
-    if mat.shape[0] != 2 * ne:
-        raise ValueError("vertex incidences do not close the torsion system")
-    try:
-        sol = np.linalg.solve(mat, vec)
-    except np.linalg.LinAlgError as exc:
+    if not g.edges:
+        raise ValueError("torsion solve requires at least one edge")
+    y = vertex_conditions_subspace(g, "standard", dict.fromkeys(dirichlet, "dirichlet"))
+    mat = _secular_stack(g, y, [0.0])[0]
+    if np.linalg.svd(_unit_rows(mat), compute_uv=False)[-1] < TOL_ACCEPT:
         raise ValueError("torsion system singular: some part of the graph is "
-                         "not connected to the Dirichlet set") from exc
-    terms = {}
-    rigidity = 0.0
-    for e in g.edges:
-        alpha, beta = sol[col_a[e.id]], sol[col_a[e.id] + ne]
-        terms[e.id] = [PolyTrigTerm(-0.5, 2, 0.0), PolyTrigTerm(alpha, 1, 0.0),
-                       PolyTrigTerm(beta, 0, 0.0)]
-        ell = e.length
-        rigidity += -ell ** 3 / 6.0 + 0.5 * alpha * ell * ell + beta * ell
+                         "not connected to the Dirichlet set")
+    # -x^2/2 has plus-trace -l^2/2 and minus-trace of i f' equal to -i l at
+    # (e, l), both 0 at (e, 0)
+    at_len = np.array([end * g.edge_lengths[eid] for eid, end in g.boundary_coords])
+    rhs = np.concatenate([y.perp().basis.conj() @ (0.5 * at_len ** 2),
+                          y.basis.conj() @ (1.0j * at_len)])
+    sol = np.linalg.solve(mat, rhs).real
+    terms, rigidity = {}, 0.0
+    for e, a, b in zip(g.edges, sol, sol[len(g.edges):]):
+        terms[e.id] = [PolyTrigTerm(-0.5, 2, 0.0), PolyTrigTerm(b, 1, 0.0),
+                       PolyTrigTerm(a, 0, 0.0)]
+        rigidity += -e.length ** 3 / 6.0 + 0.5 * b * e.length * e.length + a * e.length
     return TorsionSolution(function=GraphFunction(g, terms), rigidity=rigidity,
                            dirichlet=dirichlet)

@@ -514,9 +514,10 @@ def audit_pool(rng: np.random.Generator, lam_max: float):
 
 
 def _random_certified_set(rng: np.random.Generator, g: MetricGraph
-                          ) -> tuple[SamplingParams, SamplingSet] | None:
+                          ) -> tuple[SamplingParams, SamplingSet]:
     """Cover-first random control set: windows first, then mass gamma|J|
-    inside each window, so certification is guaranteed by construction."""
+    inside each window, so certification is guaranteed by construction;
+    verify_cover still checks it."""
     gamma_target = float(rng.uniform(0.15, 0.85))
     finite: dict[str, IntervalUnion] = {}
     breaks: dict[str, tuple[float, ...]] = {}
@@ -544,8 +545,18 @@ def _random_certified_set(rng: np.random.Generator, g: MetricGraph
     res = verify_cover(sset, cover, gamma=gamma_target * (1.0 - 1e-9),
                        rho=max(g.edge_lengths.values()) * (1.0 + 1e-9))
     if not isinstance(res, SamplingParams):
-        return None
+        raise AssertionError(f"cover-first random set not certified: {res.issues}")
     return res, sset
+
+
+def random_combination(rng: np.random.Generator, pairs: list[EigenPair], modes: int):
+    """min(modes, len(pairs)) distinct eigenpairs drawn at random, in order,
+    their combination f with complex normal coefficients and their top
+    eigenvalue: (chosen, f, lam)."""
+    idx = rng.choice(len(pairs), size=min(modes, len(pairs)), replace=False)
+    chosen = [pairs[i] for i in sorted(idx)]
+    coeffs = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
+    return chosen, spectral_sample(chosen, coeffs), max(p.lam for p in chosen)
 
 
 def _trial_sample(pool, seed: int, index: int):
@@ -553,25 +564,12 @@ def _trial_sample(pool, seed: int, index: int):
     combination f of them and top eigenvalue of audit trial `index`."""
     rng = np.random.default_rng([seed, index])
     entry = pool[int(rng.integers(len(pool)))]
-    g, pairs = entry["graph"], entry["pairs"]
-    certified = None
-    for _ in range(32):
-        certified = _random_certified_set(rng, g)
-        if certified is not None:
-            break
-    if certified is None:
-        raise RuntimeError(f"trial {index}: could not certify a random set")
-    params, sset = certified
-    n_modes = int(rng.integers(1, 6))
-    idx = rng.choice(len(pairs), size=min(n_modes, len(pairs)), replace=False)
-    chosen = [pairs[i] for i in sorted(idx)]
-    coeffs = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
-    f = spectral_sample(chosen, coeffs)
-    return entry, params, sset, chosen, f, max(p.lam for p in chosen)
+    params, sset = _random_certified_set(rng, entry["graph"])
+    chosen, f, lam = random_combination(rng, entry["pairs"], int(rng.integers(1, 6)))
+    return entry, params, sset, chosen, f, lam
 
 
-def _audit_trial(pool, seed: int, index: int, lam_max: float,
-                 classify: bool) -> dict:
+def _audit_trial(pool, seed: int, index: int, classify: bool) -> dict:
     entry, params, sset, chosen, f, lam = _trial_sample(pool, seed, index)
     rep, der = _ratio_reports(f, sset.region(), _resolve_bound(params, lam, None))
     row = {
@@ -601,7 +599,7 @@ def audit(trials: int = 10000, seed: int = DEFAULT_SEED, lam_max: float = 200.0,
     if trials < 1:
         raise ValueError("need at least one trial")
     pool = audit_pool(np.random.default_rng(seed), lam_max)
-    rows = [_audit_trial(pool, seed, i, lam_max, classify) for i in range(trials)]
+    rows = [_audit_trial(pool, seed, i, classify) for i in range(trials)]
     violations = sum(1 for r in rows
                      if not r["mass_passed"]
                      or (not r["deriv_vacuous"] and not r["deriv_passed"])

@@ -12,7 +12,8 @@ version with a data-dependent series stop as the reference for the batched
 one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
 as the reference its masses must equal bit for bit, the per-root
 eigenfunction harvest as the reference for the one-pass harvest of
-`qgs.spectral.eigenvalues_up_to`, and the graph
+`qgs.spectral.eigenvalues_up_to`, the incidence-system torsion solve as
+the reference for the secular one of `qgs.spectral.solve_torsion`, and the graph
 transformations only the tests use (flux removal, subdivision with its
 coordinate map) live here too.
 """
@@ -35,7 +36,7 @@ from qgs.graphs import BoundarySubspace, Edge, MetricGraph, gauge_transform
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
                           _coerce_region, _edge_windows, _gauss_norm_sq, gram, term_gram)
 from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
-                          _coeffs_to_function, _Eigenphases, _phase_fix)
+                          TorsionSolution, _coeffs_to_function, _Eigenphases, _phase_fix)
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -757,6 +758,92 @@ def fold_spectral_sample(pairs, coeffs) -> GraphFunction:
     for c, p in zip(coeffs, pairs):
         out = out + complex(c) * p.function
     return out
+
+
+# ---------------------------------------------------------------------------
+# the torsion solve as a hand-built incidence system (continuity, flux balance
+# and Dirichlet rows per vertex) solved by LU: the reference for the k = 0
+# secular system of qgs.spectral.solve_torsion
+
+
+def loop_solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
+    """Edgewise quadratic solution of -u'' = 1 with u = 0 on the Dirichlet
+    vertex set and continuity + flux balance (standard) elsewhere; also
+    returns the total integral of u (the torsional rigidity)."""
+    dirichlet = tuple(dict.fromkeys(str(v) for v in dirichlet))
+    if not dirichlet:
+        raise ValueError("Dirichlet vertex set must be nonempty")
+    for v in dirichlet:
+        if v not in g.vertices:
+            raise ValueError(f"unknown vertex {v!r}")
+    if not g.is_compact:
+        raise ValueError("torsion solve requires a compact graph")
+    ne = len(g.edges)
+    # unknowns: (alpha_e, beta_e) with u_e = -x^2/2 + alpha x + beta
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    col_a = {e.id: i for i, e in enumerate(g.edges)}
+
+    def value_row(eid: str, at_end: int) -> tuple[np.ndarray, float]:
+        """(coefficient row, constant) with u(endpoint) = row @ x + constant."""
+        r = np.zeros(2 * ne)
+        ell = g.edge_lengths[eid]
+        if at_end == 0:
+            r[col_a[eid] + ne] = 1.0
+            return r, 0.0
+        r[col_a[eid]] = ell
+        r[col_a[eid] + ne] = 1.0
+        return r, -0.5 * ell * ell
+
+    for v in g.vertices:
+        incid = [(e.id, end) for e in g.edges
+                 for end in ((0,) if e.source == v and e.target != v else ())
+                 + ((0, 1) if e.source == v and e.target == v else ())
+                 + ((1,) if e.target == v and e.source != v else ())]
+        if not incid:
+            continue
+        if v in dirichlet:
+            for eid, end in incid:
+                r, c = value_row(eid, end)
+                rows.append(r)
+                rhs.append(-c)
+        else:
+            ref = value_row(*incid[0])
+            for eid, end in incid[1:]:
+                r, c = value_row(eid, end)
+                rows.append(r - ref[0])
+                rhs.append(ref[1] - c)
+            # flux balance: sum over incoming u'(ell) minus outgoing u'(0) = 0,
+            # with u'(x) = -x + alpha
+            r = np.zeros(2 * ne)
+            const = 0.0
+            for eid, end in incid:
+                if end == 1:
+                    r[col_a[eid]] += 1.0
+                    const += -g.edge_lengths[eid]
+                else:
+                    r[col_a[eid]] -= 1.0
+            rows.append(r)
+            rhs.append(-const)
+    mat = np.array(rows)
+    vec = np.array(rhs)
+    if mat.shape[0] != 2 * ne:
+        raise ValueError("vertex incidences do not close the torsion system")
+    try:
+        sol = np.linalg.solve(mat, vec)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("torsion system singular: some part of the graph is "
+                         "not connected to the Dirichlet set") from exc
+    terms = {}
+    rigidity = 0.0
+    for e in g.edges:
+        alpha, beta = sol[col_a[e.id]], sol[col_a[e.id] + ne]
+        terms[e.id] = [PolyTrigTerm(-0.5, 2, 0.0), PolyTrigTerm(alpha, 1, 0.0),
+                       PolyTrigTerm(beta, 0, 0.0)]
+        ell = e.length
+        rigidity += -ell ** 3 / 6.0 + 0.5 * alpha * ell * ell + beta * ell
+    return TorsionSolution(function=GraphFunction(g, terms), rigidity=rigidity,
+                           dirichlet=dirichlet)
 
 
 # ---------------------------------------------------------------------------

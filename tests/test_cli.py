@@ -63,6 +63,17 @@ class TestTorsion:
         data = json.loads(out)
         assert data["rigidity"] == pytest.approx(math.pi ** 3 / 3.0, rel=1e-12)
 
+    def test_dirichlet_free_component_refused(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"id": "e1", "from": "a", "to": "b", "length": 1.0},
+                      {"id": "e2", "from": "c", "to": "d", "length": 1.3}],
+        }))
+        code, out, err = run(capsys, "torsion", "--graph", str(path), "--dirichlet", "a")
+        assert code == 1 and out == ""
+        assert err.startswith("error: torsion system singular") and err.count("\n") == 1
+
 
 class TestSampling:
     def test_verify(self, capsys, tmp_path, interval_file, set_file):

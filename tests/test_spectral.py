@@ -16,7 +16,8 @@ from qgs.spectral import (EigenPair, _coeffs_to_function, _pair_integrals, _phas
                           secular_matrix, solve_torsion, spectral_sample)
 
 from oracles import (det_scan_roots, fold_spectral_sample, loop_eigenvalues_up_to,
-                     loop_secular_matrix, sigma_min_scan, strip_fluxes, torsion_fd)
+                     loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
+                     torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -268,11 +269,65 @@ class TestTorsion:
         with pytest.raises(ValueError, match="nonempty"):
             solve_torsion(interval(), [])
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            solve_torsion(build_graph(["a"], []), ["a"])
+
     def test_disconnected_detected(self):
         g = build_graph(["a", "b", "c", "d"],
                         [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)])
         with pytest.raises(ValueError, match="singular"):
             solve_torsion(g, ["a"])
+
+    def test_dirichlet_free_path_refused(self):
+        # the incidence system of the LU solve is singular here only up to
+        # roundoff: it returned rigidity 3.3e16
+        g = build_graph(["a", "b", "c", "d", "e"],
+                        [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.1159794704733146),
+                         ("e3", "d", "e", 0.6950339633868166)])
+        with pytest.raises(ValueError, match="singular"):
+            solve_torsion(g, ["a"])
+
+    def test_dirichlet_free_triangle_with_tail_refused(self):
+        # LU returned rigidity -8.3e16 here
+        g = build_graph(["a", "b", "c", "d", "e", "f"],
+                        [("i", "a", "b", 1.0), ("t1", "c", "d", 1.043624991465423),
+                         ("t2", "d", "e", 1.4350724237877683),
+                         ("t3", "e", "c", 1.3158535541215322),
+                         ("tail", "e", "f", 0.5027385001701481)])
+        with pytest.raises(ValueError, match="singular"):
+            solve_torsion(g, ["a"])
+
+    def test_matches_incidence_system(self):
+        # random connected graphs (spanning tree plus extra edges, loops and
+        # multi-edges included) and random Dirichlet sets against the
+        # hand-built incidence system; coefficients to 1e-13 of the edge
+        # scale ell_max (u ~ ell_max^2, u' ~ ell_max)
+        rng = np.random.default_rng(1010)
+        shapes = set()
+        for _ in range(320):
+            nv = int(rng.integers(1, 7))
+            vs = [f"v{i}" for i in range(nv)]
+            edges = [(vs[int(rng.integers(i))], vs[i]) for i in range(1, nv)]
+            edges += [(vs[int(rng.integers(nv))], vs[int(rng.integers(nv))])
+                      for _ in range(int(rng.integers(0 if nv > 1 else 1, 4)))]
+            g = build_graph(vs, [(f"e{j}", a, b, float(rng.uniform(0.2, 3.0)))
+                                 for j, (a, b) in enumerate(edges)])
+            dirichlet = [vs[i] for i in rng.choice(nv, size=int(rng.integers(1, nv + 1)),
+                                                   replace=False)]
+            shapes.update(("loop" if a == b else "multi" if edges.count((a, b)) > 1
+                           else "plain") for a, b in edges)
+            got, want = solve_torsion(g, dirichlet), loop_solve_torsion(g, dirichlet)
+            scale = max(g.edge_lengths.values())
+            for eid in g.edge_ids:
+                a = {t.power: t.coeff for t in got.function.edge_terms(eid)}
+                b = {t.power: t.coeff for t in want.function.edge_terms(eid)}
+                assert abs(a.get(2, 0.0) - b.get(2, 0.0)) == 0.0
+                assert abs(a.get(1, 0.0) - b.get(1, 0.0)) <= 1e-13 * scale
+                assert abs(a.get(0, 0.0) - b.get(0, 0.0)) <= 1e-13 * scale ** 2
+            assert got.rigidity == pytest.approx(want.rigidity, rel=1e-12, abs=0.0)
+            assert got.dirichlet == want.dirichlet
+        assert shapes == {"loop", "multi", "plain"}
 
 
 class TestSubdivisionInvariance:

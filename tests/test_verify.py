@@ -415,6 +415,16 @@ class TestAudit:
             for key, val in want.items():
                 assert row[key] == val or (val != val and row[key] != row[key]), key
 
+    def test_cover_first_sets_always_certify(self):
+        # the random set is certified by construction: verify_cover accepts
+        # every draw, so the audit needs no retry
+        rng = np.random.default_rng(404)
+        pool = verify.audit_pool(np.random.default_rng(verify.DEFAULT_SEED), 200.0)
+        for i in range(2000):
+            params, sset = verify._random_certified_set(rng, pool[i % len(pool)]["graph"])
+            assert isinstance(params, SamplingParams) and params.gamma > 0.0
+            assert set(sset.finite) == set(pool[i % len(pool)]["graph"].edge_ids)
+
     def test_one_kernel_call_per_edge_per_trial(self, monkeypatch):
         import qgs.polytrig as polytrig
         seed = 31
@@ -426,5 +436,5 @@ class TestAudit:
         for i in range(50):
             f = verify._trial_sample(pool, seed, i)[4]
             calls.clear()
-            verify._audit_trial(pool, seed, i, 200.0, classify=True)
+            verify._audit_trial(pool, seed, i, classify=True)
             assert len(calls) == len(f.terms)
