@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,10 @@ class _Point:
     phases: np.ndarray   # eigenphases of U(k) in [0, 2 pi]
     vecs: np.ndarray     # unit eigenvectors, as columns
 
+    @cached_property
+    def phase_sum(self) -> float:
+        return float(self.phases.sum())
+
 
 class _Eigenphases:
     """U(k) = S J exp(ikL) on the bond coordinates (the (e, 0) block, then
@@ -148,70 +153,142 @@ class _Eigenphases:
         self.sj = scatter[:, np.r_[ne:2 * ne, 0:ne]]
         self.lengths = np.tile([g.edge_lengths[eid] for eid in g.edge_ids], 2)
         self.ell_max = float(self.lengths.max())
-        self.stats = {"eigs": 0, "newton_steps": 0, "bisections": 0}
+        self.length_sum = float(self.lengths.sum())
+        self.stats = {"eigs": 0, "eig_calls": 0, "newton_steps": 0, "bisections": 0}
 
-    def at(self, k: float) -> _Point:
-        self.stats["eigs"] += 1
-        w, v = np.linalg.eig(self.sj * np.exp(1j * k * self.lengths))
-        return _Point(k, np.mod(np.angle(w), _TWO_PI), v)
+    def points(self, ks) -> list[_Point]:
+        """U at every wavenumber of ks from one stacked eig call; each matrix
+        gets the bits a one-matrix call gives it."""
+        ks = np.asarray(ks, dtype=float)
+        self.stats["eigs"] += ks.size
+        self.stats["eig_calls"] += 1
+        w, v = np.linalg.eig(self.sj * np.exp(1j * ks[:, None] * self.lengths)[:, None, :])
+        return [_Point(k, p, vecs) for k, p, vecs
+                in zip(ks.tolist(), np.mod(np.angle(w), _TWO_PI), v)]
 
     def count(self, a: _Point, b: _Point) -> int:
         """Roots in (a.k, b.k]: the lifted eigenphases gain 2|G|(b - a) in
         total, and each crossing of 1 moves one wrapped phase back by 2 pi."""
-        turn = float(self.lengths.sum()) * (b.k - a.k)
-        return round((turn + a.phases.sum() - b.phases.sum()) / _TWO_PI)
+        turn = self.length_sum * (b.k - a.k)
+        return round((turn + a.phase_sum - b.phase_sum) / _TWO_PI)
 
-    def resolve(self, a: _Point, b: _Point, m: int) -> list[tuple[float, int]]:
-        """(wavenumber, multiplicity) of the m roots in (a.k, b.k]."""
-        if m == 1 or b.k - a.k < CLUSTER_GAP:
-            return [(self.root(a, b, m), m)]
-        self.stats["bisections"] += 1
-        mid = self.at(0.5 * (a.k + b.k))
-        left = self.count(a, mid)
-        out = self.resolve(a, mid, left) if left else []
-        return out + (self.resolve(mid, b, m - left) if m > left else [])
+    def _predicted_split(self, a: _Point, b: _Point) -> float | None:
+        """Midway between the two lowest predicted crossings b.k - theta /
+        theta' inside (a.k, b.k), with the Hellmann-Feynman speed theta' =
+        <v, L v>, of the phases below ell_max (b - a) at b, where every phase
+        that crossed in (a, b] sits; None if fewer than two lie inside."""
+        crossed = np.flatnonzero(b.phases < self.ell_max * (b.k - a.k))
+        at = b.k - b.phases[crossed] / (self.lengths @ np.abs(b.vecs[:, crossed]) ** 2)
+        at = np.sort(at[(at > max(a.k, CLUSTER_GAP)) & (at < b.k)])
+        return 0.5 * (at[0] + at[1]) if at.size >= 2 else None
 
-    def _newton_step(self, p: _Point, lo: float, hi: float, m: int) -> float | None:
-        """Newton step on the sum of the m eigenphases that can cross 1 inside
-        (lo, hi]: each turns at most ell_max per unit k, so one that has
-        crossed sits in [0, ell_max (k - lo)) and one still to cross in
+    def roots(self, brackets: list[tuple[_Point, _Point, int]]) -> list[tuple[float, int]]:
+        """(wavenumber, multiplicity) of the m roots in each count bracket
+        (a.k, b.k], all brackets advanced together: each round decomposes the
+        new point of every unfinished bracket in one stacked eig call.  A
+        bracket of several roots is split at its predicted split, or at its
+        midpoint when there is none or when the split that made the bracket
+        separated nothing, so every bracket at least halves every two
+        splits; narrower than CLUSTER_GAP it holds one root of multiplicity
+        m."""
+        todo = [(a, b, m, True) for a, b, m in brackets]
+        single = []
+        while todo:
+            single += [br[:3] for br in todo if br[2] == 1 or br[1].k - br[0].k < CLUSTER_GAP]
+            split = [br for br in todo if br[2] > 1 and br[1].k - br[0].k >= CLUSTER_GAP]
+            if not split:
+                break
+            self.stats["bisections"] += len(split)
+            ts = [self._predicted_split(a, b) if predict else None for a, b, _, predict in split]
+            cuts = self.points([0.5 * (a.k + b.k) if t is None else t
+                                for (a, b, _, _), t in zip(split, ts)])
+            todo = []
+            for (a, b, m, _), t, cut in zip(split, ts, cuts):
+                left = self.count(a, cut)
+                predict = t is None or 0 < left < m
+                todo += [(a, cut, left, predict)] if left else []
+                todo += [(cut, b, m - left, predict)] if m > left else []
+        return self._newton(single)
+
+    def _newton_steps(self, ps: list[_Point], lo: np.ndarray, hi: np.ndarray,
+                      m: int) -> tuple[np.ndarray, np.ndarray]:
+        """At each point of ps, the Newton step on the sum of the m
+        eigenphases that can cross 1 inside its bracket (lo, hi] (nan where
+        fewer can) and the estimated distance of the step's end point from
+        the root.  Each phase turns at most ell_max per unit k, so one that
+        has crossed sits in [0, ell_max (k - lo)) and one still to cross in
         (2 pi - ell_max (hi - k), 2 pi).  The derivative of an eigenphase is
-        <v, L v> (Hellmann-Feynman)."""
-        crossed = p.phases < self.ell_max * (p.k - lo)
-        ahead = p.phases > _TWO_PI - self.ell_max * (hi - p.k)
-        delta = np.where(crossed, p.phases, p.phases - _TWO_PI)
-        cand = np.flatnonzero(crossed | ahead)
-        if cand.size < m:
-            return None
-        pick = cand[np.argsort(np.abs(delta[cand]))[:m]]
-        q = p.vecs[:, pick] if m == 1 else np.linalg.qr(p.vecs[:, pick])[0]
-        speed = float(self.lengths @ np.sum(np.abs(q) ** 2, axis=1))
-        return -float(delta[pick].sum()) / speed
+        <v, L v> (Hellmann-Feynman) and its second derivative is the sum of
+        |<v_i, L v>|^2 cot((theta - theta_i) / 2) over the other eigenpairs,
+        so the end point of a step s lies about |theta''| s^2 / (2 theta')
+        from the root."""
+        k = np.array([p.k for p in ps])
+        phases = np.array([p.phases for p in ps])
+        vecs = np.array([p.vecs for p in ps])
+        crossed = phases < (self.ell_max * (k - lo))[:, None]
+        delta = np.where(crossed, phases, phases - _TWO_PI)
+        ahead = delta > (self.ell_max * (k - hi))[:, None]
+        dist = np.where(crossed | ahead, np.abs(delta), math.inf)
+        pick = np.argsort(dist, axis=1)[:, :m]
+        q = np.take_along_axis(vecs, pick[:, None, :], axis=2)
+        if m > 1:
+            q = np.linalg.qr(q)[0]
+        lq = np.swapaxes(q.conj(), 1, 2) * self.lengths
+        speed = (lq * np.swapaxes(q, 1, 2)).real.sum(axis=(1, 2))
+        step = -np.take_along_axis(delta, pick, axis=1).sum(axis=1) / speed
+        step[np.take_along_axis(dist, pick[:, -1:], axis=1)[:, 0] == math.inf] = math.nan
+        half = 0.5 * (np.take_along_axis(phases, pick, axis=1)[:, :, None] - phases[:, None, :])
+        # the picked phases' terms cancel in the sum
+        np.put_along_axis(half, np.repeat(pick[:, None, :], m, axis=1), 0.5 * math.pi, axis=2)
+        c = lq @ vecs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = ((c.real ** 2 + c.imag ** 2) / np.tan(half)).sum(axis=(1, 2))
+            return step, 0.5 * np.abs(curv) / speed * step * step
 
-    def root(self, a: _Point, b: _Point, m: int) -> float:
-        """Newton from b, kept inside the count bracket (a.k, b.k]: a step
-        that leaves it is replaced by a bisection, and every new point
-        narrows the bracket by its count."""
-        p = b
+    def _newton(self, brackets: list[tuple[_Point, _Point, int]]) -> list[tuple[float, int]]:
+        """Newton from b in every bracket (a.k, b.k] of m roots, kept inside
+        it: a step that leaves it is replaced by a bisection, and every new
+        point narrows the bracket by its count.  A step is accepted without
+        another eig when it is tiny or its estimated error is at most
+        1e-13 max(1, k)."""
+        out, live = [], [[a, b, m, b] for a, b, m in brackets]
         for _ in range(100):
-            step = self._newton_step(p, a.k, b.k, m)
-            t = p.k + step if step is not None else math.nan
-            if a.k <= t <= b.k:
-                if abs(step) <= 1e-12 * max(1.0, p.k):
-                    return t
-                self.stats["newton_steps"] += 1
-            else:
-                t = 0.5 * (a.k + b.k)
-                if t in (a.k, b.k):
-                    return b.k
-                self.stats["bisections"] += 1
-            p = self.at(t)
-            c = self.count(a, p)
-            if c == m:
-                b = p
-            elif c == 0:
-                a = p
-        return p.k
+            moving, ts = [], []
+            for m in sorted({br[2] for br in live}):
+                group = [br for br in live if br[2] == m]
+                steps, errs = self._newton_steps([br[3] for br in group],
+                                                 np.array([br[0].k for br in group]),
+                                                 np.array([br[1].k for br in group]), m)
+                for br, step, err in zip(group, steps.tolist(), errs.tolist()):
+                    a, b, _, p = br
+                    t = p.k + step
+                    # phases at 1 for k = 0 leave it counter-clockwise: Newton
+                    # on them heads for k = 0, which is no root of the first cell
+                    if max(a.k, CLUSTER_GAP) <= t <= b.k:
+                        scale = max(1.0, p.k)
+                        if abs(step) <= 1e-12 * scale or err <= 1e-13 * scale:
+                            out.append((t, m))
+                            continue
+                        self.stats["newton_steps"] += 1
+                    else:
+                        t = 0.5 * (a.k + b.k)
+                        if t in (a.k, b.k):
+                            out.append((b.k, m))
+                            continue
+                        self.stats["bisections"] += 1
+                    moving.append(br)
+                    ts.append(t)
+            if not moving:
+                return out
+            for br, p in zip(moving, self.points(ts)):
+                c = self.count(br[0], p)
+                if c == br[2]:
+                    br[1] = p
+                elif c == 0:
+                    br[0] = p
+                br[3] = p
+            live = moving
+        return out + [(p.k, m) for _, _, m, p in live]
 
 
 def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -232,16 +309,18 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
     For k > 0 the eigenphases of the bond scattering matrix U(k) are sampled
-    on cells of width at most 1 / (longest edge); the exact root count of
-    each cell is bisected until every subcell holds one root (or is narrower
-    than CLUSTER_GAP, then one root of that multiplicity), which Newton steps
-    converge.  The count is exact for every boundary subspace and flux, so
-    the spectrum is complete.  One harvest pass then turns the roots into
-    eigenfunctions: the secular matrices of every root and of k = 0 are one
-    stack with one SVD, and each root's eigenfunctions are the trailing
-    right-singular vectors, as many as the count says (at k = 0 as many as
-    the singular values say), L2-orthonormalised through the Cholesky factor
-    of their Gram matrix, which is closed form in the edgewise coefficients.
+    on cells of width at most 1 / (longest edge), all cell ends with one
+    stacked eig; the exact root count of each cell is split, between the
+    crossings its phases predict, until every subcell holds one root (or is
+    narrower than CLUSTER_GAP, then one root of that multiplicity), which
+    Newton steps converge.  The count is exact for every boundary subspace
+    and flux, so the spectrum is complete.  One harvest pass then turns the
+    roots into eigenfunctions: the secular matrices of every root and of
+    k = 0 are one stack with one SVD, and each root's eigenfunctions are the
+    trailing right-singular vectors, as many as the count says (at k = 0 as
+    many as the singular values say), L2-orthonormalised through the
+    Cholesky factor of their Gram matrix, which is closed form in the
+    edgewise coefficients.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -253,16 +332,11 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     phases = _Eigenphases(g, y_eff)
     k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     n_cells = max(1, math.ceil(k_hi * phases.ell_max))
-    prev = phases.at(0.0)
+    ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
     # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
-    prev.phases[prev.phases > _TWO_PI - _SNAP] = 0.0
-    roots: list[tuple[float, int]] = []
-    for k in np.linspace(0.0, k_hi, n_cells + 1)[1:]:
-        cur = phases.at(float(k))
-        m = phases.count(prev, cur)
-        if m:
-            roots += phases.resolve(prev, cur, m)
-        prev = cur
+    ends[0].phases[ends[0].phases > _TWO_PI - _SNAP] = 0.0
+    roots = phases.roots([(a, b, m) for a, b in zip(ends, ends[1:])
+                          if (m := phases.count(a, b))])
 
     # a degenerate root that roundoff split across a cell edge is one root
     merged: list[list] = []  # [wavenumber, multiplicity]

@@ -71,8 +71,12 @@ def mass_ratio(f: GraphFunction, omega) -> float:
     return _bounded_ratio(m.part, m.whole)
 
 
-def _passes(observed: float, bound: float) -> bool:
-    return observed - bound > -PASS_REL_TOL * observed
+def _passes(observed: float, bound: BoundReport) -> bool:
+    """observed >= bound up to PASS_REL_TOL; an underflowed bound, whose value
+    is 0.0, is compared in log space."""
+    if bound.underflow:
+        return observed > 0.0 and math.log(observed) > bound.log_value - PASS_REL_TOL
+    return observed - bound.value > -PASS_REL_TOL * observed
 
 
 def _resolve_bound(params: SamplingParams, lam: float | None,
@@ -95,7 +99,7 @@ def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
         observed = _bounded_ratio(m.part, m.whole)
         rep = RatioReport(kind="mass", observed=observed, bound=bound,
                           margin=observed - bound.value,
-                          passed=_passes(observed, bound.value))
+                          passed=_passes(observed, bound))
     if mp.whole <= 0.0:
         der = RatioReport(kind="derivative", observed=math.nan, bound=bound,
                           margin=math.nan, passed=True, vacuous=True)
@@ -104,9 +108,9 @@ def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
         w12 = (m.part + mp.part) / (m.whole + mp.whole)
         der = RatioReport(kind="derivative", observed=ratio, bound=bound,
                           margin=ratio - bound.value,
-                          passed=_passes(ratio, bound.value),
+                          passed=_passes(ratio, bound),
                           extras={"w12_ratio": w12,
-                                  "w12_passed": _passes(w12, bound.value)})
+                                  "w12_passed": _passes(w12, bound)})
     return rep, der
 
 

@@ -13,9 +13,10 @@ one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
 as the reference its masses must equal bit for bit, the per-root
 eigenfunction harvest as the reference for the one-pass harvest of
 `qgs.spectral.eigenvalues_up_to`, the incidence-system torsion solve as
-the reference for the secular one of `qgs.spectral.solve_torsion`, and the graph
-transformations only the tests use (flux removal, subdivision with its
-coordinate map) live here too.
+the reference for the secular one of `qgs.spectral.solve_torsion`, the root
+search with one eig per wavenumber and midpoint splits as the reference for
+the stacked one, and the graph transformations only the tests use (flux
+removal, subdivision with its coordinate map) live here too.
 """
 
 from __future__ import annotations
@@ -688,13 +689,9 @@ def loop_null_space(g, y, k, nullity=None) -> tuple[float, np.ndarray]:
 def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
-    k = 0 is read off the affine secular matrix.  For k > 0 the eigenphases of
-    the bond scattering matrix U(k) are sampled on cells of width at most
-    1 / (longest edge); the exact root count of each cell is bisected until
-    every subcell holds one root (or is narrower than CLUSTER_GAP, then one
-    root of that multiplicity), which Newton steps converge.  The count is
-    exact for every boundary subspace and flux, so the spectrum is complete.
-    Eigenfunctions are the trailing right-singular vectors of the secular
+    k = 0 is read off the affine secular matrix.  For k > 0 the roots and
+    their multiplicities come from the solver's eigenphase search (its own
+    reference is loop_eigenphase_roots).  Eigenfunctions are the trailing right-singular vectors of the secular
     matrix at each root, as many as the count says, L2-orthonormalised
     through the Cholesky factor of their Gram matrix.
     """
@@ -722,19 +719,14 @@ def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) 
     residual, vecs = loop_null_space(g, y_eff, 0.0)
     harvest(0.0, residual, vecs)
 
+    # the solver's own root search: this reference checks the harvest
     phases = _Eigenphases(g, y_eff)
     k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     n_cells = max(1, math.ceil(k_hi * phases.ell_max))
-    prev = phases.at(0.0)
-    # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
-    prev.phases[prev.phases > _TWO_PI - _SNAP] = 0.0
-    roots: list[tuple[float, int]] = []
-    for k in np.linspace(0.0, k_hi, n_cells + 1)[1:]:
-        cur = phases.at(float(k))
-        m = phases.count(prev, cur)
-        if m:
-            roots += phases.resolve(prev, cur, m)
-        prev = cur
+    ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
+    ends[0].phases[ends[0].phases > _TWO_PI - _SNAP] = 0.0
+    roots = phases.roots([(a, b, m) for a, b in zip(ends, ends[1:])
+                          if (m := phases.count(a, b))])
 
     # a degenerate root that roundoff split across a cell edge is one root
     merged: list[list] = []  # [wavenumber, multiplicity]
@@ -746,6 +738,123 @@ def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) 
     for k, m in merged:
         harvest(k, *loop_null_space(g, y_eff, k, m))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# the root search before the stacked cell grid: one eig per wavenumber,
+# multi-root cells split at their midpoints, and a Newton step accepted only
+# once the step after it is tiny, copied verbatim from the solver (renamed
+# only); the reference the stacked grid, the predicted splits and the
+# acceptance rule must reproduce root for root
+
+
+@dataclass
+class _Point:
+    k: float
+    phases: np.ndarray   # eigenphases of U(k) in [0, 2 pi]
+    vecs: np.ndarray     # unit eigenvectors, as columns
+
+
+class LoopEigenphases:
+    """U(k) = S J exp(ikL) on the bond coordinates (the (e, 0) block, then
+    the (e, len) block) and the exact root count between two wavenumbers."""
+
+    def __init__(self, g: MetricGraph, y: BoundarySubspace):
+        ne = len(g.edges)
+        scatter = 2.0 * (y.basis.T @ y.basis.conj()) - np.eye(g.n_boundary)
+        self.sj = scatter[:, np.r_[ne:2 * ne, 0:ne]]
+        self.lengths = np.tile([g.edge_lengths[eid] for eid in g.edge_ids], 2)
+        self.ell_max = float(self.lengths.max())
+        self.stats = {"eigs": 0, "newton_steps": 0, "bisections": 0}
+
+    def at(self, k: float) -> _Point:
+        self.stats["eigs"] += 1
+        w, v = np.linalg.eig(self.sj * np.exp(1j * k * self.lengths))
+        return _Point(k, np.mod(np.angle(w), _TWO_PI), v)
+
+    def count(self, a: _Point, b: _Point) -> int:
+        """Roots in (a.k, b.k]: the lifted eigenphases gain 2|G|(b - a) in
+        total, and each crossing of 1 moves one wrapped phase back by 2 pi."""
+        turn = float(self.lengths.sum()) * (b.k - a.k)
+        return round((turn + a.phases.sum() - b.phases.sum()) / _TWO_PI)
+
+    def resolve(self, a: _Point, b: _Point, m: int) -> list[tuple[float, int]]:
+        """(wavenumber, multiplicity) of the m roots in (a.k, b.k]."""
+        if m == 1 or b.k - a.k < CLUSTER_GAP:
+            return [(self.root(a, b, m), m)]
+        self.stats["bisections"] += 1
+        mid = self.at(0.5 * (a.k + b.k))
+        left = self.count(a, mid)
+        out = self.resolve(a, mid, left) if left else []
+        return out + (self.resolve(mid, b, m - left) if m > left else [])
+
+    def _newton_step(self, p: _Point, lo: float, hi: float, m: int) -> float | None:
+        """Newton step on the sum of the m eigenphases that can cross 1 inside
+        (lo, hi]: each turns at most ell_max per unit k, so one that has
+        crossed sits in [0, ell_max (k - lo)) and one still to cross in
+        (2 pi - ell_max (hi - k), 2 pi).  The derivative of an eigenphase is
+        <v, L v> (Hellmann-Feynman)."""
+        crossed = p.phases < self.ell_max * (p.k - lo)
+        ahead = p.phases > _TWO_PI - self.ell_max * (hi - p.k)
+        delta = np.where(crossed, p.phases, p.phases - _TWO_PI)
+        cand = np.flatnonzero(crossed | ahead)
+        if cand.size < m:
+            return None
+        pick = cand[np.argsort(np.abs(delta[cand]))[:m]]
+        q = p.vecs[:, pick] if m == 1 else np.linalg.qr(p.vecs[:, pick])[0]
+        speed = float(self.lengths @ np.sum(np.abs(q) ** 2, axis=1))
+        return -float(delta[pick].sum()) / speed
+
+    def root(self, a: _Point, b: _Point, m: int) -> float:
+        """Newton from b, kept inside the count bracket (a.k, b.k]: a step
+        that leaves it is replaced by a bisection, and every new point
+        narrows the bracket by its count."""
+        p = b
+        for _ in range(100):
+            step = self._newton_step(p, a.k, b.k, m)
+            t = p.k + step if step is not None else math.nan
+            if a.k <= t <= b.k:
+                if abs(step) <= 1e-12 * max(1.0, p.k):
+                    return t
+                self.stats["newton_steps"] += 1
+            else:
+                t = 0.5 * (a.k + b.k)
+                if t in (a.k, b.k):
+                    return b.k
+                self.stats["bisections"] += 1
+            p = self.at(t)
+            c = self.count(a, p)
+            if c == m:
+                b = p
+            elif c == 0:
+                a = p
+        return p.k
+
+
+def loop_eigenphase_roots(g: MetricGraph, y: BoundarySubspace,
+                          lam_max: float) -> tuple[list[tuple[float, int]], dict]:
+    """(wavenumber, multiplicity) of every root k > 0 with k^2 <= lam_max,
+    after the merge pass of eigenvalues_up_to, and the search's counters."""
+    y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
+    phases = LoopEigenphases(g, y_eff)
+    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
+    n_cells = max(1, math.ceil(k_hi * phases.ell_max))
+    prev = phases.at(0.0)
+    prev.phases[prev.phases > _TWO_PI - _SNAP] = 0.0
+    roots: list[tuple[float, int]] = []
+    for k in np.linspace(0.0, k_hi, n_cells + 1)[1:]:
+        cur = phases.at(float(k))
+        m = phases.count(prev, cur)
+        if m:
+            roots += phases.resolve(prev, cur, m)
+        prev = cur
+    merged: list[list] = []
+    for k, m in sorted(roots):
+        if merged and k - merged[-1][0] < CLUSTER_GAP:
+            merged[-1][1] += m
+        else:
+            merged.append([k, m])
+    return [(k, m) for k, m in merged], phases.stats
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
                           norm_sq)
-from qgs.spectral import (EigenPair, _coeffs_to_function, _pair_integrals, _phase_fix,
-                          _secular_stack, boundary_residual, eigenvalues_up_to,
-                          secular_matrix, solve_torsion, spectral_sample)
+from qgs.spectral import (CLUSTER_GAP, EigenPair, _coeffs_to_function, _Eigenphases,
+                          _pair_integrals, _phase_fix, _secular_stack, boundary_residual,
+                          eigenvalues_up_to, secular_matrix, solve_torsion, spectral_sample)
 
-from oracles import (det_scan_roots, fold_spectral_sample, loop_eigenvalues_up_to,
-                     loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
-                     torsion_fd)
+from oracles import (det_scan_roots, fold_spectral_sample, loop_conditioned,
+                     loop_eigenphase_roots, loop_eigenvalues_up_to, loop_secular_matrix,
+                     loop_solve_torsion, sigma_min_scan, strip_fluxes, torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -613,3 +613,141 @@ class TestOnePassHarvest:
         assert err == "" and json.loads(out)["count"] == len(
             eigenvalues_up_to(lasso(), standard_subspace(lasso()), 50.0))
         assert not [r for r in caplog.records if r.name == "qgs.spectral"]
+
+
+def _seeded_graph(seed):
+    """(graph, subspace, lam_max): up to 4 vertices and 6 edges with loops,
+    multi-edges and fluxes, under mixed vertex conditions or (every fourth
+    seed) a random raw boundary subspace."""
+    from qgs.graphs import CONDITION_NAMES
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(int(rng.integers(1, 5)))]
+    edges = []
+    for i in range(int(rng.integers(1, 7))):
+        u = str(rng.choice(names))
+        v = u if rng.random() < 0.2 else str(rng.choice(names))
+        flux = float(rng.uniform(-math.pi, math.pi)) if rng.random() < 0.3 else 0.0
+        edges.append((f"e{i}", u, v, round(float(rng.uniform(0.4, 1.6)), 6), flux))
+    g = build_graph(names, edges)
+    if seed % 4 == 3:
+        rows = rng.normal(size=(int(rng.integers(0, g.n_boundary + 1)), g.n_boundary))
+        y = subspace_from_basis(g, rows + 1j * rng.normal(size=rows.shape))
+    else:
+        conds = sorted(CONDITION_NAMES)
+        y = vertex_conditions_subspace(g, str(rng.choice(conds)), {
+            v: str(rng.choice(conds)) for v in names if rng.random() < 0.3})
+    return g, y, float(rng.uniform(50.0, 300.0))
+
+
+def _generic_k4():
+    g = build_graph("abcd", [("e1", "a", "b", 0.977027), ("e2", "b", "c", 1.038758),
+                             ("e3", "c", "d", 0.969668), ("e4", "d", "a", 0.974166),
+                             ("e5", "a", "c", 1.047653), ("e6", "b", "d", 0.998396)])
+    return g, standard_subspace(g)
+
+
+class TestRootSearch:
+    """The stacked rounds, the predicted splits and the Newton acceptance rule
+    against the root search they replaced (tests/oracles.py): the same roots
+    and multiplicities, every root within 1e-12 relative, and no accepted
+    root worse than a residual of 1e-10."""
+
+    @staticmethod
+    def assert_same_roots(g, y, lam_max):
+        pairs = eigenvalues_up_to(g, y, lam_max)
+        want, _ = loop_eigenphase_roots(g, y, lam_max)
+        got = [(c[0].k, len(c)) for c in _clusters(pairs) if c[0].k > 0.0]
+        assert [m for _, m in got] == [m for _, m in want]
+        for (k, _), (k0, _) in zip(got, want):
+            # below CLUSTER_GAP the loop search has returned k = 0 for a root
+            # of the first cell (TestFirstCell); the residual judges that root
+            assert k0 < CLUSTER_GAP or abs(k - k0) <= 1e-12 * k0
+        assert max(p.residual for p in pairs) <= 1e-10
+
+    def test_seeded_graphs(self):
+        for seed in range(200):
+            self.assert_same_roots(*_seeded_graph(seed))
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_harvest_cases(self, name):
+        self.assert_same_roots(*HARVEST_CASES[name])
+
+    def test_stacked_points_are_the_single_ones(self):
+        # bit for bit: the counts and phases cannot tell the two apart
+        rng = np.random.default_rng(1)
+        for g, y, _ in HARVEST_CASES.values():
+            phases = _Eigenphases(g, gauge_transform(y, g))
+            ks = np.concatenate([[0.0, 1e-9], rng.uniform(0.0, 20.0, 12)])
+            for p in phases.points(ks):
+                [q] = phases.points([p.k])
+                assert np.array_equal(p.phases.view(np.uint64), q.phases.view(np.uint64))
+                assert np.array_equal(p.vecs.view(np.uint64), q.vecs.view(np.uint64))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unseparating_prediction_is_followed_by_the_midpoint(self, side, monkeypatch):
+        # the first prediction is forced next to one end of its bracket, so
+        # the split separates nothing; in the next round the split of what is
+        # left must be that bracket's midpoint
+        g, y = _generic_k4()
+        rounds, forced = [], {}
+        points, predicted = _Eigenphases.points, _Eigenphases._predicted_split
+
+        def spy_points(self, ks):
+            out = points(self, ks)
+            rounds.append(out)
+            return out
+
+        def force(self, a, b):
+            if forced:
+                return predicted(self, a, b)
+            forced.update(a=a, b=b, m=self.count(a, b))
+            forced["t"] = a.k + 1e-6 * (b.k - a.k) if side == "left" else b.k - 1e-6 * (b.k - a.k)
+            return forced["t"]
+
+        monkeypatch.setattr(_Eigenphases, "points", spy_points)
+        monkeypatch.setattr(_Eigenphases, "_predicted_split", force)
+        self.assert_same_roots(g, y, 1000.0)
+        r, cut = next((r, p) for r, pts in enumerate(rounds) for p in pts if p.k == forced["t"])
+        lo, hi = (forced["t"], forced["b"].k) if side == "left" else (forced["a"].k, forced["t"])
+        assert _Eigenphases(g, y).count(forced["a"], cut) == (0 if side == "left" else forced["m"])
+        assert 0.5 * (lo + hi) in [p.k for p in rounds[r + 1]]
+
+    def test_counters_against_the_loop_search(self, caplog):
+        g, y = _generic_k4()
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            eigenvalues_up_to(g, y, 1000.0)
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        _, loop = loop_eigenphase_roots(g, y, 1000.0)
+        d = record.diagnostics
+        assert d["eigs"] < 2 / 3 * loop["eigs"]
+        assert d["eig_calls"] < 0.5 * loop["eigs"]
+        assert d["bisections"] <= loop["bisections"]
+
+
+class TestFirstCell:
+    """Eigenphases at 1 for k = 0 leave it counter-clockwise and are no roots,
+    but Newton on them heads for k = 0.  The first cell's roots must be found
+    (the search once returned k = 0 or 1e-15 for them, a copy of a zero mode
+    or a residual of 0.01, and lost the true root); the reference is a scan
+    of the smallest singular value of the conditioned secular matrix."""
+
+    @pytest.mark.parametrize("edges, default, overrides", [
+        # a fluxed loop beside an anti-Kirchhoff lasso-like part
+        ([("e0", "v1", "v2", 0.830948, 0.5578291747029591),
+          ("e1", "v3", "v3", 0.690467, 0.10119249198931879),
+          ("e2", "v2", "v2", 0.418524, 0.0)], "anti-kirchhoff", {}),
+        # five loops at one standard vertex, one of them fluxed
+        ([("e0", "v0", "v0", 0.472083, 0.0), ("e1", "v0", "v0", 0.45084, 0.0),
+          ("e2", "v0", "v0", 1.364789, 0.0), ("e3", "v0", "v0", 0.930405, -0.2836768837171899),
+          ("e4", "v0", "v0", 0.87642, 0.0)], "standard", {}),
+    ])
+    def test_first_cell_roots_are_roots(self, edges, default, overrides):
+        g = build_graph(sorted({v for e in edges for v in e[1:3]}), edges)
+        y = vertex_conditions_subspace(g, default, overrides)
+        pairs = eigenvalues_up_to(g, y, 2.0)
+        y_eff = gauge_transform(y, g)
+        want = sigma_min_scan(lambda k: loop_conditioned(g, y_eff, k)[0], 1e-3, 1.5, 1e-3)
+        assert [p.k for p in pairs if p.k > 0.0] == pytest.approx(want, rel=1e-9)
+        assert max(p.residual for p in pairs) <= 1e-10
+        dev = gram([p.function for p in pairs]) - np.eye(len(pairs))
+        assert np.max(np.abs(dev)) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from qgs import verify
-from qgs.bounds import BernsteinProfile
+from qgs.bounds import BernsteinProfile, BoundReport
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq,
@@ -105,6 +105,36 @@ class TestDerivativeRatio:
         omega = {"e": IntervalUnion([(0.2, 1.4), (2.0, 2.9)], length=math.pi)}
         rep = compare_derivative(f, omega, half_params(math.pi), lam=9.0)
         assert "w12_ratio" in rep.extras and rep.extras["w12_passed"]
+
+
+class TestUnderflowedVerdicts:
+    """A bound whose value underflowed to 0.0 is judged by its log: a tiny
+    observed ratio below it must fail, not pass against 0.0."""
+
+    @staticmethod
+    def underflowed(log_value):
+        return BoundReport(formula="test", value=0.0, log_value=log_value, inputs={},
+                           underflow=True)
+
+    def test_tiny_ratio_below_the_bound_fails(self):
+        # log(1e-320) = -736.8: below e^-720, above e^-800 and e^-2000
+        assert not verify._passes(1e-320, self.underflowed(-720.0))
+        assert verify._passes(1e-320, self.underflowed(-800.0))
+        assert verify._passes(1e-320, self.underflowed(-2000.0))
+        assert not verify._passes(0.0, self.underflowed(-2000.0))
+
+    def test_every_verdict_of_a_report_uses_the_log(self):
+        # mass, derivative and w12 verdicts against a log value just above or
+        # just below all three observed ratios
+        g = interval(math.pi)
+        f = cos_fn(g, 3.0) + 0.3 * sin_fn(g, 2.0)
+        omega = {"e": IntervalUnion([(0.2, 1.4), (2.0, 2.9)], length=math.pi)}
+        ref_mass, ref_der = verify._ratio_reports(f, omega, self.underflowed(-2000.0))
+        ratios = [ref_mass.observed, ref_der.observed, ref_der.extras["w12_ratio"]]
+        for log_value, want in ((math.log(min(ratios)) - 1e-6, True),
+                                (math.log(max(ratios)) + 1e-6, False)):
+            mass, der = verify._ratio_reports(f, omega, self.underflowed(log_value))
+            assert [mass.passed, der.passed, der.extras["w12_passed"]] == [want] * 3
 
 
 class TestClassifyEdges:
