@@ -15,6 +15,7 @@ import heapq
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -472,42 +473,48 @@ def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
 # JSON ingestion
 
 
+@contextmanager
+def malformed(what: str):
+    """Report a JSON description of the wrong shape, which Python meets as a
+    KeyError, TypeError or AttributeError, as a ValueError naming what was
+    read."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, BoundarySubspace]:
     """Parse the graph description format; returns the graph and the compiled
     vertex-condition subspace (standard by default)."""
-    try:
+    with malformed("graph description"):
         vertices = [str(v) for v in data["vertices"]]
-        raw_edges = data["edges"]
-    except KeyError as exc:
-        raise ValueError(f"graph description missing field {exc}") from exc
-    edges = []
-    for i, ed in enumerate(raw_edges):
-        try:
-            length = ed["length"]
-            if isinstance(length, str):
-                if length.lower() not in ("inf", "infinity"):
-                    raise ValueError(f"edge {i}: bad length {length!r}")
-                length = math.inf
-            target = ed.get("to")
-            edges.append(Edge(
-                id=str(ed.get("id", f"e{i}")),
-                source=str(ed["from"]),
-                target=None if target is None else str(target),
-                length=float(length),
-                flux=float(ed.get("flux", 0.0)),
-            ))
-        except KeyError as exc:
-            raise ValueError(f"edge {i} missing field {exc}") from exc
-    g = MetricGraph(vertices, edges)
-    cond = data.get("conditions", {})
-    if "subspace" in cond:
-        rows = [[complex(z["re"], z.get("im", 0.0)) for z in row]
-                for row in cond["subspace"]["basis"]]
-        y = subspace_from_basis(g, rows)
-    else:
-        y = vertex_conditions_subspace(g, cond.get("default", "standard"),
-                                       cond.get("overrides"))
-    return g, y
+        edges = []
+        for i, ed in enumerate(data["edges"]):
+            with malformed(f"edge {i}"):
+                length = ed["length"]
+                if isinstance(length, str):
+                    if length.lower() not in ("inf", "infinity"):
+                        raise ValueError(f"edge {i}: bad length {length!r}")
+                    length = math.inf
+                target = ed.get("to")
+                edges.append(Edge(
+                    id=str(ed.get("id", f"e{i}")),
+                    source=str(ed["from"]),
+                    target=None if target is None else str(target),
+                    length=float(length),
+                    flux=float(ed.get("flux", 0.0)),
+                ))
+        g = MetricGraph(vertices, edges)
+        cond = data.get("conditions", {})
+        if "subspace" in cond:
+            rows = [[complex(z["re"], z.get("im", 0.0)) for z in row]
+                    for row in cond["subspace"]["basis"]]
+            return g, subspace_from_basis(g, rows)
+        return g, vertex_conditions_subspace(g, cond.get("default", "standard"),
+                                             cond.get("overrides"))
 
 
 def load_graph(path) -> tuple[MetricGraph, BoundarySubspace]:

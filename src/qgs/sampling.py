@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import MetricGraph
+from .graphs import MetricGraph, malformed
 from .polytrig import IntervalUnion
 
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
@@ -71,21 +71,23 @@ class SamplingSet:
     @classmethod
     def from_dict(cls, g: MetricGraph, data: Mapping) -> "SamplingSet":
         finite: dict[str, IntervalUnion] = {}
-        for eid, ivs in dict(data.get("edges", {})).items():
-            if eid not in g.edge_lengths:
-                raise ValueError(f"sampling set references unknown edge {eid!r}")
-            ell = g.edge_lengths[eid]
-            if not math.isfinite(ell):
-                raise ValueError(f"edge {eid!r} is infinite; use the external section")
-            finite[eid] = IntervalUnion(ivs, length=ell)
         external: dict[str, PeriodicTail] = {}
-        for eid, spec in dict(data.get("external", {})).items():
-            if eid not in g.edge_lengths or math.isfinite(g.edge_lengths[eid]):
-                raise ValueError(f"external section references non-ray edge {eid!r}")
-            period = float(spec["period"])
-            head = IntervalUnion(spec.get("head", []))
-            body = IntervalUnion(spec["body"], length=period)
-            external[eid] = PeriodicTail(head=head, period=period, body=body)
+        with malformed("sampling set"):
+            for eid, ivs in dict(data.get("edges", {})).items():
+                if eid not in g.edge_lengths:
+                    raise ValueError(f"sampling set references unknown edge {eid!r}")
+                ell = g.edge_lengths[eid]
+                if not math.isfinite(ell):
+                    raise ValueError(f"edge {eid!r} is infinite; use the external section")
+                finite[eid] = IntervalUnion(ivs, length=ell)
+            for eid, spec in dict(data.get("external", {})).items():
+                if eid not in g.edge_lengths or math.isfinite(g.edge_lengths[eid]):
+                    raise ValueError(f"external section references non-ray edge {eid!r}")
+                with malformed(f"external set entry {eid!r}"):
+                    period = float(spec["period"])
+                    head = IntervalUnion(spec.get("head", []))
+                    body = IntervalUnion(spec["body"], length=period)
+                external[eid] = PeriodicTail(head=head, period=period, body=body)
         return cls(finite, external)
 
     @classmethod
@@ -118,11 +120,12 @@ class Cover:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Cover":
-        return cls(
-            breakpoints={e: tuple(map(float, bps)) for e, bps in
-                         dict(data.get("edges", {})).items()},
-            external={e: (tuple(map(float, v["head"])), tuple(map(float, v["body"])))
-                      for e, v in dict(data.get("external", {})).items()})
+        with malformed("cover"):
+            return cls(
+                breakpoints={e: tuple(map(float, bps)) for e, bps in
+                             dict(data.get("edges", {})).items()},
+                external={e: (tuple(map(float, v["head"])), tuple(map(float, v["body"])))
+                          for e, v in dict(data.get("external", {})).items()})
 
     def to_json(self) -> dict:
         out: dict = {"edges": {e: list(b) for e, b in sorted(dict(self.breakpoints).items())}}

@@ -184,31 +184,64 @@ class _Eigenphases:
 
     def roots(self, brackets: list[tuple[_Point, _Point, int]]) -> list[tuple[float, int]]:
         """(wavenumber, multiplicity) of the m roots in each count bracket
-        (a.k, b.k], all brackets advanced together: each round decomposes the
-        new point of every unfinished bracket in one stacked eig call.  A
-        bracket of several roots is split at its predicted split, or at its
-        midpoint when there is none or when the split that made the bracket
-        separated nothing, so every bracket at least halves every two
-        splits; narrower than CLUSTER_GAP it holds one root of multiplicity
-        m."""
-        todo = [(a, b, m, True) for a, b, m in brackets]
-        single = []
-        while todo:
-            single += [br[:3] for br in todo if br[2] == 1 or br[1].k - br[0].k < CLUSTER_GAP]
-            split = [br for br in todo if br[2] > 1 and br[1].k - br[0].k >= CLUSTER_GAP]
-            if not split:
-                break
+        (a.k, b.k], all brackets advanced together: in each round every live
+        bracket takes one new point, and one stacked eig call decomposes them
+        all.  A bracket of several roots at least CLUSTER_GAP wide is split at
+        its predicted split, or at its midpoint when there is none or when the
+        split that made it separated nothing, so it at least halves every two
+        splits.  Any other bracket holds one root of multiplicity m, which
+        Newton from b converges inside it: a step that leaves the bracket is
+        replaced by the midpoint, and every new point narrows the bracket by
+        its count.  A step is accepted without another eig when it is tiny or
+        its estimated error is at most 1e-13 max(1, k); a midpoint that is an
+        end or the current point cannot narrow the bracket and ends it there.
+        200 rounds outlast a split tree about 50 deep and 100 Newton rounds."""
+        out, live = [], [(a, b, m, b, True) for a, b, m in brackets]
+        for _ in range(200):
+            split = [br for br in live if br[2] > 1 and br[1].k - br[0].k >= CLUSTER_GAP]
             self.stats["bisections"] += len(split)
-            ts = [self._predicted_split(a, b) if predict else None for a, b, _, predict in split]
-            cuts = self.points([0.5 * (a.k + b.k) if t is None else t
-                                for (a, b, _, _), t in zip(split, ts)])
-            todo = []
-            for (a, b, m, _), t, cut in zip(split, ts, cuts):
+            guesses = [self._predicted_split(a, b) if predict else None
+                       for a, b, _, _, predict in split]
+            ts = [0.5 * (a.k + b.k) if t is None else t for (a, b, *_), t in zip(split, guesses)]
+            moving = []
+            newton = [br for br in live if br[2] == 1 or br[1].k - br[0].k < CLUSTER_GAP]
+            for m in sorted({br[2] for br in newton}):
+                group = [br for br in newton if br[2] == m]
+                steps, errs = self._newton_steps([br[3] for br in group],
+                                                 np.array([br[0].k for br in group]),
+                                                 np.array([br[1].k for br in group]), m)
+                for br, step, err in zip(group, steps.tolist(), errs.tolist()):
+                    a, b, _, p, _ = br
+                    t = p.k + step
+                    # phases at 1 for k = 0 leave it counter-clockwise: Newton
+                    # on them heads for k = 0, which is no root of the first cell
+                    if max(a.k, CLUSTER_GAP) <= t <= b.k:
+                        scale = max(1.0, p.k)
+                        if abs(step) <= 1e-12 * scale or err <= 1e-13 * scale:
+                            out.append((t, m))
+                            continue
+                        self.stats["newton_steps"] += 1
+                    else:
+                        t = 0.5 * (a.k + b.k)
+                        if t in (a.k, b.k, p.k):
+                            out.append((b.k if t in (a.k, b.k) else p.k, m))
+                            continue
+                        self.stats["bisections"] += 1
+                    moving.append(br)
+                    ts.append(t)
+            if not ts:
+                return out
+            new = self.points(ts)
+            live = []
+            for (a, b, m, _, _), t, cut in zip(split, guesses, new):
                 left = self.count(a, cut)
                 predict = t is None or 0 < left < m
-                todo += [(a, cut, left, predict)] if left else []
-                todo += [(cut, b, m - left, predict)] if m > left else []
-        return self._newton(single)
+                live += [(a, cut, left, cut, predict)] if left else []
+                live += [(cut, b, m - left, b, predict)] if m > left else []
+            for (a, b, m, _, predict), p in zip(moving, new[len(split):]):
+                c = self.count(a, p)
+                live.append((p if c == 0 else a, p if c == m else b, m, p, predict))
+        return out + [(p.k, m) for _, _, m, p, _ in live]
 
     def _newton_steps(self, ps: list[_Point], lo: np.ndarray, hi: np.ndarray,
                       m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,51 +277,6 @@ class _Eigenphases:
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = ((c.real ** 2 + c.imag ** 2) / np.tan(half)).sum(axis=(1, 2))
             return step, 0.5 * np.abs(curv) / speed * step * step
-
-    def _newton(self, brackets: list[tuple[_Point, _Point, int]]) -> list[tuple[float, int]]:
-        """Newton from b in every bracket (a.k, b.k] of m roots, kept inside
-        it: a step that leaves it is replaced by a bisection, and every new
-        point narrows the bracket by its count.  A step is accepted without
-        another eig when it is tiny or its estimated error is at most
-        1e-13 max(1, k)."""
-        out, live = [], [[a, b, m, b] for a, b, m in brackets]
-        for _ in range(100):
-            moving, ts = [], []
-            for m in sorted({br[2] for br in live}):
-                group = [br for br in live if br[2] == m]
-                steps, errs = self._newton_steps([br[3] for br in group],
-                                                 np.array([br[0].k for br in group]),
-                                                 np.array([br[1].k for br in group]), m)
-                for br, step, err in zip(group, steps.tolist(), errs.tolist()):
-                    a, b, _, p = br
-                    t = p.k + step
-                    # phases at 1 for k = 0 leave it counter-clockwise: Newton
-                    # on them heads for k = 0, which is no root of the first cell
-                    if max(a.k, CLUSTER_GAP) <= t <= b.k:
-                        scale = max(1.0, p.k)
-                        if abs(step) <= 1e-12 * scale or err <= 1e-13 * scale:
-                            out.append((t, m))
-                            continue
-                        self.stats["newton_steps"] += 1
-                    else:
-                        t = 0.5 * (a.k + b.k)
-                        if t in (a.k, b.k):
-                            out.append((b.k, m))
-                            continue
-                        self.stats["bisections"] += 1
-                    moving.append(br)
-                    ts.append(t)
-            if not moving:
-                return out
-            for br, p in zip(moving, self.points(ts)):
-                c = self.count(br[0], p)
-                if c == br[2]:
-                    br[1] = p
-                elif c == 0:
-                    br[0] = p
-                br[3] = p
-            live = moving
-        return out + [(p.k, m) for _, _, m, p in live]
 
 
 def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:

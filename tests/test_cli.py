@@ -260,6 +260,43 @@ class TestAudit:
         assert len(out.read_text().splitlines()) == 11
 
 
+_INTERVAL = {"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b",
+                                                "length": 1.0}]}
+_RAY = {"vertices": ["v"], "edges": [{"id": "r", "from": "v", "length": "inf"}]}
+_RAY_SET = {"external": {"r": {"period": 1.0, "body": [[0.0, 0.5]]}}}
+
+
+@pytest.mark.parametrize("graph, sset, cover", [
+    ([1], None, None),
+    ({"vertices": ["a", "b"], "edges": 5}, None, None),
+    ({"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b", "length": None}]},
+     None, None),
+    (dict(_INTERVAL, conditions={"subspace": {"basis": [[1]]}}), None, None),
+    (_INTERVAL, [[0.0, 0.5]], None),
+    (_RAY, {"external": {"r": {"body": [[0.0, 0.5]]}}}, None),
+    (_RAY, _RAY_SET, {"external": {"r": {"body": [0.0, 1.0]}}}),
+], ids=["graph-list", "edges-int", "length-null", "basis-of-ints", "set-list",
+        "set-without-period", "cover-without-head"])
+def test_malformed_input_is_one_error_line(capsys, tmp_path, graph, sset, cover):
+    files = {}
+    for name, data in (("graph", graph), ("set", sset), ("cover", cover)):
+        if data is not None:
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(data))
+    if cover is not None:
+        argv = ["sampling", "verify", "--cover", str(files["cover"]), "--gamma", "0.1",
+                "--rho", "1"]
+    elif sset is not None:
+        argv = ["sampling", "gaps"]
+    else:
+        argv = ["spectrum"]
+    argv += ["--graph", str(files["graph"])]
+    argv += ["--set", str(files["set"])] if sset is not None else []
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)

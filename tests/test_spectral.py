@@ -722,6 +722,37 @@ class TestRootSearch:
         assert d["eigs"] < 2 / 3 * loop["eigs"]
         assert d["eig_calls"] < 0.5 * loop["eigs"]
         assert d["bisections"] <= loop["bisections"]
+        # splits and Newton steps share rounds: the same points, fewer calls
+        assert (d["eigs"], d["newton_steps"], d["bisections"]) == (125, 59, 31)
+        assert d["eig_calls"] <= 5
+
+    @pytest.mark.parametrize("case", ["k4-generic", "k33-standard", "lasso-flux",
+                                      "interval+triangle"])
+    def test_brackets_together_are_the_brackets_alone(self, case, monkeypatch):
+        # a round only groups points into one LAPACK call: each bracket visits
+        # the points it visits alone, so its roots have the same bits
+        g, y, lam_max = (*_generic_k4(), 1000.0) if case == "k4-generic" else HARVEST_CASES[case]
+        roots, seen = _Eigenphases.roots, []
+
+        def spy(self, brackets):
+            seen.append((self, brackets, roots(self, brackets)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(_Eigenphases, "roots", spy)
+        eigenvalues_up_to(g, y, lam_max)
+        [(phases, brackets, together)] = seen
+        alone = [r for br in brackets for r in roots(phases, [br])]
+        assert len(brackets) > 1
+        assert sorted((k.hex(), m) for k, m in together) == sorted((k.hex(), m) for k, m in alone)
+
+    def test_stuck_midpoint_ends_its_bracket(self, caplog):
+        # the 4-fold root at pi / 2 leaves a Newton bracket 2 ulps wide whose
+        # midpoint counts 0 < c < 4: it ends the bracket instead of being
+        # decomposed again in every round
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            self.assert_same_roots(*HARVEST_CASES["k33-standard"])
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        assert record.diagnostics["eig_calls"] <= 30
 
 
 class TestFirstCell:
