@@ -238,6 +238,15 @@ class GraphFunction:
         self._mass: Mass | None = None  # the whole-graph Mass, once masses has it
 
     @classmethod
+    def _canonical(cls, graph, terms: dict[str, tuple[PolyTrigTerm, ...]]) -> "GraphFunction":
+        """A function from edge terms that are already what canonical_terms
+        makes of them (merged, pruned, sorted, -0.0 folded, no empty edge)
+        on edges of the graph; nothing is checked."""
+        f = cls.__new__(cls)
+        f.graph, f.terms, f._mass = graph, terms, None
+        return f
+
+    @classmethod
     def zero(cls, graph) -> "GraphFunction":
         return cls(graph, {})
 

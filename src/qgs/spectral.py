@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import (BoundarySubspace, MetricGraph, gauge_transform,
                      vertex_conditions_subspace)
-from .polytrig import GraphFunction, PolyTrigTerm
+from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm
 
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
@@ -104,32 +104,50 @@ def _unit_rows(mats: np.ndarray) -> np.ndarray:
     return mats / np.maximum(np.linalg.norm(mats, axis=-1), 1.0)[..., None]
 
 
-def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFunction:
+def _phase_fix(vecs: np.ndarray) -> np.ndarray:
+    """Rotate every vector along the last axis (none of them zero) so its
+    pivot entry is real and positive.  The pivot is the first entry within a
+    relative 1e-8 of the largest modulus, so entries of equal modulus (a
+    travelling wave has |a| = |b|) cannot trade places under roundoff and
+    turn the vector by a phase.  The pivot's modulus is a hypot, the value
+    abs gives one complex number, not np.abs's vectorised one."""
+    mag = np.abs(vecs)
+    near = mag >= mag.max(axis=-1, keepdims=True) * (1.0 - 1e-8)
+    piv = np.take_along_axis(vecs, np.argmax(near, axis=-1)[..., None], axis=-1)
+    return vecs * (np.hypot(piv.real, piv.imag) / piv)
+
+
+def _eigenfunctions(g: MetricGraph, ks: np.ndarray, coeffs: np.ndarray) -> list[GraphFunction]:
+    """The function a cos kx + b sin kx (a + b x at k = 0) on every edge, for
+    each wavenumber of ks and row (a_e..., b_e...) of coeffs, built in the
+    form canonical_terms gives it: the terms (a + ib)/2 at frequency -k and
+    (a - ib)/2 at k (a at power 0 and b at power 1 where k = 0), each kept
+    when its modulus is at least PRUNE_REL times the larger of the two,
+    -0.0 folded by adding 0j, and an edge whose terms are both 0 left out.
+    The moduli are hypots, as abs computes them, since np.abs can differ in
+    the last bit."""
     ne = len(g.edges)
-    terms: dict[str, list[PolyTrigTerm]] = {}
-    for i, e in enumerate(g.edges):
-        a, b = coeffs[i], coeffs[i + ne]
-        if k == 0.0:
-            ts = [PolyTrigTerm(a, 0, 0.0), PolyTrigTerm(b, 1, 0.0)]
-        else:
-            # a cos(kx) + b sin(kx) in complex exponentials
-            ts = [PolyTrigTerm(0.5 * (a - 1j * b), 0, k),
-                  PolyTrigTerm(0.5 * (a + 1j * b), 0, -k)]
-        terms[e.id] = ts
-    return GraphFunction(g, terms)
-
-
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate vec so its pivot entry is real and positive.  The pivot is the
-    first entry within a relative 1e-8 of the largest modulus, so entries of
-    equal modulus (a travelling wave has |a| = |b|) cannot trade places under
-    roundoff and turn the vector by a phase."""
-    mag = np.abs(vec)
-    top = float(mag.max(initial=0.0))
-    if top == 0.0:
-        return vec
-    piv = vec[int(np.argmax(mag >= top * (1.0 - 1e-8)))]
-    return vec * (abs(piv) / piv)
+    a, b = coeffs[:, :ne], coeffs[:, ne:]
+    zero = (ks == 0.0)[:, None]
+    first = np.where(zero, a, 0.5 * (a + 1j * b)) + 0j
+    second = np.where(zero, b, 0.5 * (a - 1j * b)) + 0j
+    mag1, mag2 = np.hypot(first.real, first.imag), np.hypot(second.real, second.imag)
+    peak = np.maximum(mag1, mag2)
+    live = peak > 0.0
+    keep1 = live & (mag1 >= PRUNE_REL * peak)
+    keep2 = live & (mag2 >= PRUNE_REL * peak)
+    eids = [e.id for e in g.edges]
+    out = []
+    for k, row1, row2, row_keep1, row_keep2 in zip(ks.tolist(), first.tolist(), second.tolist(),
+                                                     keep1.tolist(), keep2.tolist()):
+        w1, p2 = (0.0, 1) if k == 0.0 else (-k, 0)
+        terms = {}
+        for eid, c1, c2, s1, s2 in zip(eids, row1, row2, row_keep1, row_keep2):
+            if s1 or s2:
+                pair = (PolyTrigTerm(c1, 0, w1), PolyTrigTerm(c2, p2, k))
+                terms[eid] = pair[0 if s1 else 1:2 if s2 else 1]
+        out.append(GraphFunction._canonical(g, terms))
+    return out
 
 
 @dataclass
@@ -154,7 +172,8 @@ class _Eigenphases:
         self.lengths = np.tile([g.edge_lengths[eid] for eid in g.edge_ids], 2)
         self.ell_max = float(self.lengths.max())
         self.length_sum = float(self.lengths.sum())
-        self.stats = {"eigs": 0, "eig_calls": 0, "newton_steps": 0, "bisections": 0}
+        self.stats = {"eigs": 0, "eig_calls": 0, "newton_steps": 0, "bisections": 0,
+                      "probes": 0}
 
     def points(self, ks) -> list[_Point]:
         """U at every wavenumber of ks from one stacked eig call; each matrix
@@ -172,37 +191,58 @@ class _Eigenphases:
         turn = self.length_sum * (b.k - a.k)
         return round((turn + a.phase_sum - b.phase_sum) / _TWO_PI)
 
-    def _predicted_split(self, a: _Point, b: _Point) -> float | None:
-        """Midway between the two lowest predicted crossings b.k - theta /
-        theta' inside (a.k, b.k), with the Hellmann-Feynman speed theta' =
-        <v, L v>, of the phases below ell_max (b - a) at b, where every phase
-        that crossed in (a, b] sits; None if fewer than two lie inside."""
-        crossed = np.flatnonzero(b.phases < self.ell_max * (b.k - a.k))
+    def _predicted_split(self, a: _Point, b: _Point, m: int) -> list[float]:
+        """Split points for the count bracket (a.k, b.k] of m roots, from the
+        crossings b.k - theta / theta' that b predicts, with the
+        Hellmann-Feynman speed theta' = <v, L v>, for the phases below
+        ell_max (b.k - lo), lo = a.k - CLUSTER_GAP / 4: every phase whose
+        prediction can lie above lo sits there.  When the m lowest predictions
+        in (lo, b.k] span less than CLUSTER_GAP / 2 (a cluster on either end
+        of the bracket included), the probes CLUSTER_GAP / 4 below and above
+        them that lie inside (max(a.k, CLUSTER_GAP), b.k) close the cluster
+        from both sides.  Otherwise the split is midway between the two
+        lowest predictions inside that interval; [] when there are fewer than
+        two."""
+        lo = a.k - 0.25 * CLUSTER_GAP
+        crossed = np.flatnonzero(b.phases < self.ell_max * (b.k - lo))
         at = b.k - b.phases[crossed] / (self.lengths @ np.abs(b.vecs[:, crossed]) ** 2)
-        at = np.sort(at[(at > max(a.k, CLUSTER_GAP)) & (at < b.k)])
-        return 0.5 * (at[0] + at[1]) if at.size >= 2 else None
+        at = np.sort(at[(at > lo) & (at <= b.k)])
+        floor = max(a.k, CLUSTER_GAP)
+        if at.size >= m and at[m - 1] - at[0] < 0.5 * CLUSTER_GAP:
+            probes = [t for t in (at[0] - 0.25 * CLUSTER_GAP, at[m - 1] + 0.25 * CLUSTER_GAP)
+                      if floor < t < b.k]
+            if probes:
+                self.stats["probes"] += len(probes)
+                return probes
+        at = at[(at > floor) & (at < b.k)]
+        return [0.5 * (at[0] + at[1])] if at.size >= 2 else []
 
     def roots(self, brackets: list[tuple[_Point, _Point, int]]) -> list[tuple[float, int]]:
         """(wavenumber, multiplicity) of the m roots in each count bracket
         (a.k, b.k], all brackets advanced together: in each round every live
-        bracket takes one new point, and one stacked eig call decomposes them
-        all.  A bracket of several roots at least CLUSTER_GAP wide is split at
-        its predicted split, or at its midpoint when there is none or when the
-        split that made it separated nothing, so it at least halves every two
-        splits.  Any other bracket holds one root of multiplicity m, which
-        Newton from b converges inside it: a step that leaves the bracket is
-        replaced by the midpoint, and every new point narrows the bracket by
-        its count.  A step is accepted without another eig when it is tiny or
-        its estimated error is at most 1e-13 max(1, k); a midpoint that is an
-        end or the current point cannot narrow the bracket and ends it there.
+        bracket takes one new point (a pair of probes takes two), and one
+        stacked eig call decomposes them all.  A bracket of several roots at
+        least CLUSTER_GAP wide is split at its predicted points (two probes
+        around a cluster of predictions, or one split between them), or at
+        its midpoint when there are none or when the split that made it
+        separated nothing, so it at least halves every two splits.  It
+        becomes up to three children by exact counts, and a child narrower
+        than CLUSTER_GAP that holds a whole cluster goes straight to Newton.
+        Any other bracket holds one root of multiplicity m, which Newton from
+        b converges inside it: a step that leaves the bracket is replaced by
+        the midpoint, and every new point narrows the bracket by its count.
+        A step is accepted without another eig when it is tiny or its
+        estimated error is at most 1e-13 max(1, k); a midpoint that is an end
+        or the current point cannot narrow the bracket and ends it there.
         200 rounds outlast a split tree about 50 deep and 100 Newton rounds."""
         out, live = [], [(a, b, m, b, True) for a, b, m in brackets]
         for _ in range(200):
             split = [br for br in live if br[2] > 1 and br[1].k - br[0].k >= CLUSTER_GAP]
             self.stats["bisections"] += len(split)
-            guesses = [self._predicted_split(a, b) if predict else None
-                       for a, b, _, _, predict in split]
-            ts = [0.5 * (a.k + b.k) if t is None else t for (a, b, *_), t in zip(split, guesses)]
+            guesses = [self._predicted_split(a, b, m) if predict else []
+                       for a, b, m, _, predict in split]
+            cuts = [guess or [0.5 * (a.k + b.k)] for (a, b, *_), guess in zip(split, guesses)]
+            ts = [t for cut in cuts for t in cut]
             moving = []
             newton = [br for br in live if br[2] == 1 or br[1].k - br[0].k < CLUSTER_GAP]
             for m in sorted({br[2] for br in newton}):
@@ -232,13 +272,15 @@ class _Eigenphases:
             if not ts:
                 return out
             new = self.points(ts)
-            live = []
-            for (a, b, m, _, _), t, cut in zip(split, guesses, new):
-                left = self.count(a, cut)
-                predict = t is None or 0 < left < m
-                live += [(a, cut, left, cut, predict)] if left else []
-                live += [(cut, b, m - left, b, predict)] if m > left else []
-            for (a, b, m, _, predict), p in zip(moving, new[len(split):]):
+            live, used = [], 0
+            for (a, b, m, _, _), guess, cut in zip(split, guesses, cuts):
+                ends = [a, *new[used:used + len(cut)], b]
+                used += len(cut)
+                counts = [self.count(lo, hi) for lo, hi in zip(ends, ends[1:-1])]
+                counts.append(m - sum(counts))
+                predict = not guess or max(counts) < m
+                live += [(lo, hi, c, hi, predict) for lo, hi, c in zip(ends, ends[1:], counts) if c]
+            for (a, b, m, _, predict), p in zip(moving, new[used:]):
                 c = self.count(a, p)
                 live.append((p if c == 0 else a, p if c == m else b, m, p, predict))
         return out + [(p.k, m) for _, _, m, p, _ in live]
@@ -301,14 +343,17 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     stacked eig; the exact root count of each cell is split, between the
     crossings its phases predict, until every subcell holds one root (or is
     narrower than CLUSTER_GAP, then one root of that multiplicity), which
-    Newton steps converge.  The count is exact for every boundary subspace
-    and flux, so the spectrum is complete.  One harvest pass then turns the
-    roots into eigenfunctions: the secular matrices of every root and of
-    k = 0 are one stack with one SVD, and each root's eigenfunctions are the
-    trailing right-singular vectors, as many as the count says (at k = 0 as
-    many as the singular values say), L2-orthonormalised through the
-    Cholesky factor of their Gram matrix, which is closed form in the
-    edgewise coefficients.
+    Newton steps converge; a cluster of predicted crossings (a degenerate
+    root) is closed by two probes just outside it.  The count is exact for
+    every boundary subspace and flux, so the spectrum is complete.  One
+    harvest pass then turns the roots into eigenfunctions: the secular
+    matrices of every root and of k = 0 are one stack with one SVD, and each
+    root's eigenfunctions are the trailing right-singular vectors, as many as
+    the count says (at k = 0 as many as the singular values say),
+    L2-orthonormalised through the Cholesky factor of their Gram matrix,
+    which is closed form in the edgewise coefficients.  The roots of one
+    multiplicity share one array pass (phase fix, Gram, Cholesky and solve),
+    and the eigenfunctions' terms are built in canonical form directly.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -345,20 +390,26 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     _, sv, vh = np.linalg.svd(_unit_rows(mats))
     zero_mult = int(np.sum(sv[0] < TOL_NULL)) if sv[0, -1] < TOL_ACCEPT else 0
     ints = _pair_integrals(np.array([g.edge_lengths[e.id] for e in g.edges]), ks)
-    pairs: list[EigenPair] = []
-    for i, (k, m) in enumerate([(0.0, zero_mult), *merged]):
-        if not m:
-            continue
-        vecs = np.conj(vh[i, -m:])
-        vecs[:, ne:] *= 1.0 / k if low[i] else 1.0
-        vecs = np.array([_phase_fix(v) for v in vecs])
-        # the cluster Gram G = sum_e V_e W_e V_e^H = L L^H: the rows of L^-1 vecs
-        # are L2-orthonormal
-        cross = (vecs[:, :ne] * ints[1, i]) @ vecs[:, ne:].conj().T
-        gram = (vecs * np.r_[ints[0, i], ints[2, i]]) @ vecs.conj().T + cross + cross.conj().T
-        chol = np.linalg.cholesky(gram)
-        pairs += [EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
-                            residual=float(sv[i, -m])) for v in np.linalg.solve(chol, vecs)]
+    scale = np.ones_like(ks)
+    scale[low] = 1.0 / ks[low]
+    clusters = [(0.0, zero_mult), *merged]
+    funcs: list[list[GraphFunction]] = [[] for _ in clusters]
+    for m in sorted({m for _, m in clusters} - {0}):
+        idx = [i for i, (_, mi) in enumerate(clusters) if mi == m]
+        vecs = np.conj(vh[idx, -m:])
+        vecs[..., ne:] *= scale[idx, None, None]
+        vecs = _phase_fix(vecs)
+        # each cluster Gram G = sum_e V_e W_e V_e^H = L L^H: the rows of
+        # L^-1 vecs are L2-orthonormal
+        cross = (vecs[..., :ne] * ints[1, idx, None]) @ np.swapaxes(vecs[..., ne:].conj(), 1, 2)
+        gram = ((vecs * np.concatenate([ints[0, idx], ints[2, idx]], axis=1)[:, None])
+                @ np.swapaxes(vecs.conj(), 1, 2) + cross + np.swapaxes(cross.conj(), 1, 2))
+        coeffs = np.linalg.solve(np.linalg.cholesky(gram), vecs)
+        fs = _eigenfunctions(g, np.repeat(ks[idx], m), coeffs.reshape(-1, 2 * ne))
+        for j, i in enumerate(idx):
+            funcs[i] = fs[j * m:(j + 1) * m]
+    pairs = [EigenPair(k=k, lam=k * k, function=f, residual=float(sv[i, -m]))
+             for i, (k, m) in enumerate(clusters) for f in funcs[i]]
     diagnostics = dict(phases.stats, cells=n_cells, svds=len(ks), zero_multiplicity=zero_mult,
                        count=zero_mult + sum(m for _, m in merged), pairs=len(pairs))
     _log.debug("eigenvalues_up_to %s", diagnostics, extra={"diagnostics": diagnostics})

@@ -37,7 +37,7 @@ from qgs.graphs import BoundarySubspace, Edge, MetricGraph, gauge_transform
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
                           _coerce_region, _edge_windows, _gauss_norm_sq, gram, term_gram)
 from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
-                          TorsionSolution, _coeffs_to_function, _Eigenphases, _phase_fix)
+                          TorsionSolution, _Eigenphases)
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -684,6 +684,37 @@ def loop_null_space(g, y, k, nullity=None) -> tuple[float, np.ndarray]:
     vecs = np.conj(vh[len(vh) - nullity:]).copy()
     vecs[:, len(g.edges):] *= back
     return float(s[len(s) - nullity]), vecs
+
+
+# the per-root harvest's helpers, copied verbatim from the solver before the
+# harvest ran in arrays: one function per coefficient row through
+# canonical_terms, one phase fix per vector
+def _coeffs_to_function(g: MetricGraph, k: float, coeffs: np.ndarray) -> GraphFunction:
+    ne = len(g.edges)
+    terms: dict[str, list[PolyTrigTerm]] = {}
+    for i, e in enumerate(g.edges):
+        a, b = coeffs[i], coeffs[i + ne]
+        if k == 0.0:
+            ts = [PolyTrigTerm(a, 0, 0.0), PolyTrigTerm(b, 1, 0.0)]
+        else:
+            # a cos(kx) + b sin(kx) in complex exponentials
+            ts = [PolyTrigTerm(0.5 * (a - 1j * b), 0, k),
+                  PolyTrigTerm(0.5 * (a + 1j * b), 0, -k)]
+        terms[e.id] = ts
+    return GraphFunction(g, terms)
+
+
+def _phase_fix(vec: np.ndarray) -> np.ndarray:
+    """Rotate vec so its pivot entry is real and positive.  The pivot is the
+    first entry within a relative 1e-8 of the largest modulus, so entries of
+    equal modulus (a travelling wave has |a| = |b|) cannot trade places under
+    roundoff and turn the vector by a phase."""
+    mag = np.abs(vec)
+    top = float(mag.max(initial=0.0))
+    if top == 0.0:
+        return vec
+    piv = vec[int(np.argmax(mag >= top * (1.0 - 1e-8)))]
+    return vec * (abs(piv) / piv)
 
 
 def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgs.cli import main
 from qgs.graphs import load_graph
@@ -305,3 +310,66 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert res.stdout.strip() == "[]"
+
+
+_KEYS = ("vertices", "edges", "id", "from", "to", "length", "flux", "conditions", "default",
+         "overrides", "subspace", "basis", "re", "im", "external", "head", "body", "period")
+_LEAF = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3.0, 3.0)
+         | st.sampled_from([0.0, -1.0, 1e308, math.inf, -math.inf, math.nan])
+         | st.sampled_from(["a", "b", "e", "inf", "x", "standard", "dirichlet", "neumann",
+                            "anti-kirchhoff", ""]))
+_JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner,
+                                       max_size=4), max_leaves=12)
+_EDGE = st.fixed_dictionaries(
+    {"from": st.sampled_from(["a", "b"]) | _JSON,
+     "length": st.floats(0.5, 2.0) | st.sampled_from(["inf", 0.0, -1.0, math.nan]) | _JSON},
+    optional={"id": st.sampled_from(["e", "r"]) | _JSON, "to": st.sampled_from(["a", "b"]) | _JSON,
+              "flux": st.floats(-1.0, 1.0) | _JSON})
+# a well-formed interval (with a ray) half of the time, so the set and cover
+# files are read too
+_WELL_FORMED = st.sampled_from([
+    {"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.5}]},
+    {"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.5},
+                                       {"id": "r", "from": "b", "length": "inf"}]}])
+_GRAPH = _WELL_FORMED | _WELL_FORMED | _JSON | st.fixed_dictionaries(
+    {"vertices": st.just(["a", "b"]) | _JSON, "edges": st.lists(_EDGE, max_size=3) | _JSON},
+    optional={"conditions": _JSON})
+_INTERVALS = st.lists(st.lists(st.floats(-0.5, 2.5) | _LEAF, max_size=3), max_size=3) | _JSON
+_SET = _JSON | st.fixed_dictionaries({}, optional={
+    "edges": st.dictionaries(st.sampled_from(["e", "r", "x"]), _INTERVALS, max_size=2) | _JSON,
+    "external": st.dictionaries(st.sampled_from(["e", "r"]), st.fixed_dictionaries(
+        {}, optional={"head": _INTERVALS, "body": _INTERVALS,
+                      "period": st.floats(0.1, 2.0) | _LEAF}) | _JSON, max_size=2) | _JSON})
+_COVER = _JSON | st.fixed_dictionaries({}, optional={
+    "edges": st.dictionaries(st.sampled_from(["e", "r"]), st.lists(
+        st.floats(0.0, 2.0) | _LEAF, max_size=4) | _JSON, max_size=2) | _JSON,
+    "external": st.dictionaries(st.sampled_from(["e", "r"]), st.fixed_dictionaries(
+        {}, optional={"head": st.lists(st.floats(0.0, 2.0), max_size=3) | _JSON,
+                      "body": st.lists(st.floats(0.0, 2.0), max_size=3) | _JSON})
+        | _JSON, max_size=2) | _JSON})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph=_GRAPH, sset=_SET, cover=_COVER, verify=st.booleans())
+def test_arbitrary_json_input_never_tracebacks(graph, sset, cover, verify):
+    # whatever JSON the graph, set and cover files hold, the CLI answers, or
+    # refuses with exit 1 and one error line; a cover that fails to verify
+    # is an exit-1 report
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, data in (("graph", graph), ("set", sset), ("cover", cover)):
+            files[name] = os.path.join(tmp, f"{name}.json")
+            with open(files[name], "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        argv = ["sampling", "verify" if verify else "gaps", "--graph", files["graph"],
+                "--set", files["set"]]
+        argv += ["--cover", files["cover"], "--gamma", "0.1", "--rho", "1"] if verify else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1 and err:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == "" and (code == 0 or (verify and json.loads(out)["ok"] is False))

@@ -11,13 +11,15 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
                           norm_sq)
-from qgs.spectral import (CLUSTER_GAP, EigenPair, _coeffs_to_function, _Eigenphases,
-                          _pair_integrals, _phase_fix, _secular_stack, boundary_residual,
-                          eigenvalues_up_to, secular_matrix, solve_torsion, spectral_sample)
+from qgs.spectral import (CLUSTER_GAP, EigenPair, _Eigenphases, _pair_integrals, _phase_fix,
+                          _secular_stack, boundary_residual, eigenvalues_up_to, secular_matrix,
+                          solve_torsion, spectral_sample)
 
-from oracles import (det_scan_roots, fold_spectral_sample, loop_conditioned,
-                     loop_eigenphase_roots, loop_eigenvalues_up_to, loop_secular_matrix,
-                     loop_solve_torsion, sigma_min_scan, strip_fluxes, torsion_fd)
+from oracles import _phase_fix as loop_phase_fix
+from oracles import (_coeffs_to_function, det_scan_roots, fold_spectral_sample,
+                     loop_conditioned, loop_eigenphase_roots, loop_eigenvalues_up_to,
+                     loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
+                     torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -454,6 +456,16 @@ class TestPhaseFix:
         fixed = _phase_fix(np.array([0.5j, -2.0], dtype=complex))
         assert fixed[1] == pytest.approx(2.0)
 
+    def test_stack_is_the_per_vector_fix(self):
+        # bit for bit, near ties included: a stacked harvest pivots and turns
+        # every vector as the per-vector fix does
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(6, 3, 8)) + 1j * rng.normal(size=(6, 3, 8))
+        vecs[:3, :, 5] = 4.0 * np.exp(1j * rng.uniform(0.0, 6.0, (3, 3)))
+        vecs[:3, :, 2] = vecs[:3, :, 5] * (1.0 + rng.uniform(-1e-12, 1e-12, (3, 3)))
+        want = np.array([[loop_phase_fix(v) for v in stack] for stack in vecs])
+        assert np.array_equal(_phase_fix(vecs).view(np.uint64), want.view(np.uint64))
+
 
 class TestDefensive:
     def test_lam_max_positive(self):
@@ -594,6 +606,17 @@ class TestOnePassHarvest:
         for p in pairs:
             assert abs(_gauss_norm_sq(p.function, None) - 1.0) <= 1e-13
 
+    def test_terms_are_canonical(self):
+        # built straight from the coefficients, each eigenfunction's terms are
+        # what canonical_terms makes of them, bit for bit
+        def bits(f):
+            return {e: [(t.coeff.real.hex(), t.coeff.imag.hex(), t.power, t.freq.hex())
+                        for t in ts] for e, ts in f.terms.items()}
+
+        for g, y, lam_max in [*HARVEST_CASES.values(), *map(_seeded_graph, range(200))]:
+            for p in eigenvalues_up_to(g, y, lam_max):
+                assert bits(p.function) == bits(GraphFunction(g, p.function.terms))
+
     def test_svds_one_per_distinct_root_and_zero(self, caplog):
         g = _equilateral("star5")
         with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
@@ -697,12 +720,12 @@ class TestRootSearch:
             rounds.append(out)
             return out
 
-        def force(self, a, b):
+        def force(self, a, b, m):
             if forced:
-                return predicted(self, a, b)
-            forced.update(a=a, b=b, m=self.count(a, b))
+                return predicted(self, a, b, m)
+            forced.update(a=a, b=b, m=m)
             forced["t"] = a.k + 1e-6 * (b.k - a.k) if side == "left" else b.k - 1e-6 * (b.k - a.k)
-            return forced["t"]
+            return [forced["t"]]
 
         monkeypatch.setattr(_Eigenphases, "points", spy_points)
         monkeypatch.setattr(_Eigenphases, "_predicted_split", force)
@@ -744,6 +767,31 @@ class TestRootSearch:
         alone = [r for br in brackets for r in roots(phases, [br])]
         assert len(brackets) > 1
         assert sorted((k.hex(), m) for k, m in together) == sorted((k.hex(), m) for k, m in alone)
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in HARVEST_CASES if n.startswith(("k4-", "k5-", "k33-", "star5-", "flower3-"))))
+    def test_equilateral_clusters_close_in_few_calls(self, name, caplog):
+        # every root of an equilateral graph is a cluster; the probes around
+        # its predictions close it without a crawl of midpoints
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            self.assert_same_roots(*HARVEST_CASES[name])
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        assert record.diagnostics["eig_calls"] <= 8
+
+    def test_triangle_double_roots_close_by_probes(self, caplog):
+        # a cycle of length 3.01: 0 and every (2 pi m / 3.01)^2 twice, each
+        # double root closed by two probes
+        g = build_graph("pqr", [("t1", "p", "q", 0.97), ("t2", "q", "r", 1.03),
+                                ("t3", "r", "p", 1.01)])
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            pairs = eigenvalues_up_to(g, standard_subspace(g), 400.0)
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        want = [0.0] + [(2.0 * math.pi * m / 3.01) ** 2 for m in range(1, 10) for _ in "ab"]
+        assert len(pairs) == len(want)
+        for p, lam in zip(pairs, want):
+            assert abs(p.lam - lam) <= 1e-12 * lam
+        d = record.diagnostics
+        assert d["probes"] == 18 and d["eig_calls"] <= 3
 
     def test_stuck_midpoint_ends_its_bracket(self, caplog):
         # the 4-fold root at pi / 2 leaves a Newton bracket 2 ulps wide whose
