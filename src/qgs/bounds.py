@@ -31,11 +31,6 @@ class BoundReport:
     underflow: bool = False
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"formula": self.formula, "value": self.value,
-                "log_value": self.log_value, "inputs": dict(self.inputs),
-                "underflow": self.underflow, "notes": list(self.notes)}
-
 
 def _report(formula: str, log_value: float, inputs: dict,
             notes: tuple[str, ...] = ()) -> BoundReport:
@@ -146,11 +141,6 @@ class StandardRange:
     upper: BoundReport
     lower_diameter: BoundReport
 
-    def to_json(self) -> dict:
-        return {"lower_length": self.lower_length.to_json(),
-                "upper": self.upper.to_json(),
-                "lower_diameter": self.lower_diameter.to_json()}
-
 
 def standard_range(m, k: int, gamma: float, rho: float) -> StandardRange:
     """Two-sided range for the constant covering combinations of the k lowest
@@ -215,23 +205,23 @@ class TraceReport:
     inputs: dict
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"bound": self.bound, "log_bound": self.log_bound,
-                "exact_partial": self.exact_partial, "tail_bound": self.tail_bound,
-                "inputs": dict(self.inputs), "notes": list(self.notes)}
-
 
 def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
-                     rho: float, t: float, total_length: float) -> TraceReport:
+                     rho: float, t: float, total_length: float,
+                     edges: int) -> TraceReport:
     """Upper bound on the heat-semigroup trace from the sampling inequality
     applied to every eigenpair (formula id trace).
 
     eigen_masses lists (lambda_k, control-set mass of the k-th eigenfunction)
     for all eigenvalues up to the computed cutoff; the remainder is bounded
-    rigorously using mass <= 1 and the standard-conditions eigenvalue floor
-    lambda_k >= k^2 pi^2 / (4 |G|^2).  The exponent is -lambda*t + c*sqrt(lambda)
-    (the time factor is deliberate; see notes), so the tail is summable; the
-    call refuses cutoffs that do not reach the decaying regime.
+    rigorously using mass <= 1 and the eigenphase count, which holds under
+    every vertex condition and flux: at most |G| k / pi + 2E eigenvalues lie
+    in (0, k^2], so with z zero modes the i-th eigenvalue has
+    sqrt(lambda_i) >= pi (i - z - 2E) / |G|.  The exponent is
+    -lambda*t + c*sqrt(lambda) (the time factor is deliberate; see notes); the
+    call refuses cutoffs that do not reach its decaying regime, past which the
+    remainder has a closed form: the indices whose floor is at most the cutoff
+    at the cutoff's term, then a geometric series in the floors.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -256,25 +246,20 @@ def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
         return -lam * t + c_lin * math.sqrt(lam) + math.log(mass)
 
     logs = [log_term(lam, mass) for lam, mass in eigen_masses]
-    # rigorous remainder: indices beyond the computed ones, lambda at least
-    # max(cutoff, floor(index)); terms beyond the peak are decreasing
-    a = math.pi ** 2 / (4.0 * total_length ** 2)
-    idx = len(eigen_masses) + 1
-    tail_logs: list[float] = []
-    while True:
-        lam_floor = max(lam_cut, a * idx * idx)
-        lt = -lam_floor * t + c_lin * math.sqrt(lam_floor)
-        if a * idx * idx > lam_cut:
-            # consecutive log-ratio bound, monotone decreasing from here on
-            dec = -a * t * (2 * idx + 1) + c_lin * math.sqrt(a)
-            if dec < -1e-3:
-                # close with the geometric series exp(lt) / (1 - exp(dec))
-                tail_logs.append(lt - math.log(-math.expm1(dec)))
-                break
-        tail_logs.append(lt)
-        idx += 1
-        if idx > 10 ** 7:
-            raise RuntimeError("trace tail did not converge")
+    # remainder: indices n+1, n+2, ... have sqrt(lambda_i) at least
+    # max(sqrt(cutoff), floor_i), floor_i = step * (i - z - 2E), and past the
+    # peak every term is decreasing in lambda
+    n = len(eigen_masses)
+    zero_modes = sum(1 for lam, _ in eigen_masses if lam == 0.0)
+    step = math.pi / total_length
+    s_cut = math.sqrt(lam_cut)
+    j = max(n + 1, math.floor(zero_modes + 2 * edges + s_cut / step) + 1)
+    floor_j = step * (j - zero_modes - 2 * edges)
+    # the log-ratio of consecutive floor terms is largest at j, negative there
+    dec = step * (c_lin - t * (2.0 * floor_j + step))
+    tail_logs = [-floor_j * floor_j * t + c_lin * floor_j - math.log(-math.expm1(dec))]
+    if j > n + 1:
+        tail_logs.append(math.log(j - n - 1) - lam_cut * t + c_lin * s_cut)
     log_main = _logsumexp(logs)
     log_tail = _logsumexp(tail_logs)
     log_bound = log_pref + _logsumexp([log_main, log_tail])
@@ -285,7 +270,8 @@ def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
         exact_partial=exact_partial,
         tail_bound=math.exp(log_pref + log_tail),
         inputs={"gamma": gamma, "rho": rho, "t": t, "lambda_cut": lam_cut,
-                "total_length": total_length, "terms": len(eigen_masses)},
+                "total_length": total_length, "terms": n, "edges": edges,
+                "zero_modes": zero_modes},
         notes=("exponent uses -lambda*t (time restored for dimensional "
                "consistency with the semigroup trace)",))
 
@@ -300,10 +286,6 @@ class ObservabilityReport:
     envelope: BoundReport
     d0: float
     d1: float
-
-    def to_json(self) -> dict:
-        return {"c_squared": self.c_squared.to_json(),
-                "envelope": self.envelope.to_json(), "d0": self.d0, "d1": self.d1}
 
 
 def observability_constant(gamma: float, rho: float, horizon: float,
@@ -357,11 +339,6 @@ class TorsionProfileReport:
     h_prime: float
     bound: BoundReport
     norms: dict
-
-    def to_json(self) -> dict:
-        return {"profile": self.profile.to_json(), "h": self.h,
-                "h_prime": self.h_prime, "bound": self.bound.to_json(),
-                "norms": dict(self.norms)}
 
 
 def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileReport:

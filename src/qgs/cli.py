@@ -43,7 +43,7 @@ def _load(args, need_set=False):
     return g, y, sset
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
     rep.emit(rep.json_dumps(payload), getattr(args, "out", None))
 
 
@@ -79,7 +79,7 @@ def _cmd_spectrum(args) -> int:
     g, y, _ = _load(args)
     pairs = eigenvalues_up_to(g, y, args.lambda_max)
     _emit(args, {"count": len(pairs), "lambda_max": args.lambda_max,
-                 "eigenvalues": [p.to_json() for p in pairs]})
+                 "eigenvalues": pairs})
     return 0
 
 
@@ -100,28 +100,26 @@ def _cmd_sampling(args) -> int:
             cover = smp.Cover.from_dict(json.load(fh))
         res = smp.verify_cover(sset, cover, gamma=args.gamma, rho=args.rho)
         ok = isinstance(res, smp.SamplingParams)
-        _emit(args, {"ok": ok, **res.to_json()})
+        _emit(args, {"ok": ok, **rep.sanitize(res)})
         return 0 if ok else 1
     if args.sampling_cmd in ("gamma", "rho"):
+        cmd = args.sampling_cmd
         out = {}
         for eid, iu in sorted(sset.finite.items()):
             ell = g.edge_lengths[eid]
-            if args.sampling_cmd == "gamma":
-                res = smp.optimal_gamma(iu, ell, rho=args.rho, grid_n=args.grid)
+            if cmd == "gamma":
+                out[eid] = smp.optimal_gamma(iu, ell, rho=args.rho, grid_n=args.grid)
             else:
-                res = smp.optimal_rho(iu, ell, gamma=args.gamma, grid_n=args.grid)
-            out[eid] = res.to_json()
-        feas = {e: r for e, r in out.items() if r["feasible"]}
+                out[eid] = smp.optimal_rho(iu, ell, gamma=args.gamma, grid_n=args.grid)
         agg = None
-        if len(feas) == len(out) and out:
-            key = args.sampling_cmd
-            vals = {e: r[key] for e, r in out.items()}
-            agg = min(vals.values()) if key == "gamma" else max(vals.values())
+        if out and all(r.feasible for r in out.values()):
+            vals = [getattr(r, cmd) for r in out.values()]
+            agg = min(vals) if cmd == "gamma" else max(vals)
         _emit(args, {"edges": out, "aggregate": agg})
         return 0
     # gaps
     gaps = smp.gap_analysis(sset)
-    payload = {"edges": {e: eg.to_json() for e, eg in sorted(gaps.items())}}
+    payload = {"edges": gaps}
     if args.gamma is not None and args.rho is not None:
         ok, issues = smp.necessary_check(gaps, args.gamma, args.rho)
         payload["necessary_check"] = {"gamma": args.gamma, "rho": args.rho,
@@ -134,39 +132,30 @@ def _cmd_bound(args) -> int:
     cmd = args.bound_cmd
     if cmd == "thm21":
         out = bnd.spectral_bound(args.gamma, args.rho, getattr(args, "lam"))
-        _emit(args, out.to_json())
-        return 0
-    if cmd == "thm26":
+    elif cmd == "thm26":
         out = bnd.h_bound(args.gamma, h=getattr(args, "h"))
-        _emit(args, out.to_json())
-        return 0
-    if cmd == "cor72":
+    elif cmd == "cor72":
         g, _, _ = _load(args)
         out = bnd.standard_range(metrics(g), args.k, args.gamma, args.rho)
-        _emit(args, out.to_json())
-        return 0
-    if cmd == "observability":
+    elif cmd == "observability":
         out = bnd.observability_constant(
             args.gamma, args.rho, args.horizon, c1=args.c1, c2=args.c2,
             c3=args.c3, k1=args.k1, k2=args.k2, k3=args.k3, k4=args.k4,
             defaults_used=not args.custom_constants)
-        _emit(args, out.to_json())
-        return 0
-    if cmd == "torsion":
+    elif cmd == "torsion":
         g, _, _ = _load(args)
         sol = solve_torsion(g, args.dirichlet)
         out = bnd.torsion_profile(g, sol, rho=args.rho, gamma=args.gamma)
-        _emit(args, out.to_json())
-        return 0
-    # trace
-    g, y, sset = _load(args)
-    pairs = eigenvalues_up_to(g, y, args.lambda_max)
-    parts = ([m.part for m in masses([p.function for p in pairs], sset.region())]
-             if sset is not None else [1.0] * len(pairs))
-    out = bnd.heat_trace_bound([(p.lam, m) for p, m in zip(pairs, parts)],
-                               gamma=args.gamma, rho=args.rho, t=args.t,
-                               total_length=sum(g.edge_lengths.values()))
-    _emit(args, out.to_json())
+    else:  # trace
+        g, y, sset = _load(args)
+        pairs = eigenvalues_up_to(g, y, args.lambda_max)
+        parts = ([m.part for m in masses([p.function for p in pairs], sset.region())]
+                 if sset is not None else [1.0] * len(pairs))
+        out = bnd.heat_trace_bound([(p.lam, m) for p, m in zip(pairs, parts)],
+                                   gamma=args.gamma, rho=args.rho, t=args.t,
+                                   total_length=sum(g.edge_lengths.values()),
+                                   edges=len(g.edges))
+    _emit(args, out)
     return 0
 
 
@@ -183,7 +172,7 @@ def _cmd_verify(args) -> int:
         coeffs = [complex(c) for c in json.loads(args.coeffs)]
         out = vfy.kovrijkine_check(coeffs, _parse_intervals(args.e_set),
                                    grid_n=args.grid)
-        _emit(args, out.to_json())
+        _emit(args, out)
         return 0 if out.passed else 2
     if cmd == "local":
         terms = [(complex(t[0], t[1]), int(t[2]), float(t[3]))
@@ -191,7 +180,7 @@ def _cmd_verify(args) -> int:
         out = vfy.local_estimate_check(terms, args.ell,
                                        _parse_intervals(args.s_set),
                                        grid_n=args.grid)
-        _emit(args, out.to_json())
+        _emit(args, out)
         return 0 if out.passed else 2
     if cmd == "optimality":
         out = vfy.optimality_example(args.ell, getattr(args, "lam"), args.gamma)
@@ -218,13 +207,13 @@ def _cmd_verify(args) -> int:
         params = _certify(g, sset, args.grid)
         out = vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
                                         modes=args.modes, params=params)
-        _emit(args, out.to_json())
+        _emit(args, out)
         return 0
     if cmd == "classify":
         _, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
         out = vfy.classify_edges(f, bnd.BernsteinProfile.power_law(lam),
                                  m_max=args.m_max)
-        _emit(args, out.to_json())
+        _emit(args, out)
         return 0
     # ratio / derivative
     chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
@@ -234,7 +223,7 @@ def _cmd_verify(args) -> int:
     else:
         out = vfy.compare_derivative(f, sset.region(), params, lam=lam)
     payload = {"seed": args.seed, "modes": len(chosen), "lam": lam,
-               **out.to_json()}
+               **rep.sanitize(out)}
     _emit(args, payload)
     return 0 if (out.passed or out.vacuous) else 2
 
@@ -244,7 +233,7 @@ def _cmd_audit(args) -> int:
     if args.format == "csv":
         text = rep.csv_dumps(res.rows, rep.AUDIT_COLUMNS)
     else:
-        text = rep.json_dumps(res.to_json())
+        text = rep.json_dumps(res)
     rep.emit(text, args.out)
     if res.violations:
         print(f"AUDIT VIOLATIONS: {res.violations} of {res.trials} trials",

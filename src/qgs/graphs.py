@@ -302,10 +302,9 @@ def _orthonormalize(rows: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray
 class BoundarySubspace:
     """Orthonormal basis (rows) of a closed subspace of the boundary space."""
 
-    __slots__ = ("graph", "basis", "kind")
+    __slots__ = ("graph", "basis")
 
-    def __init__(self, graph: MetricGraph, basis: np.ndarray, kind: str | None = None,
-                 check: bool = True):
+    def __init__(self, graph: MetricGraph, basis: np.ndarray, check: bool = True):
         basis = np.atleast_2d(np.asarray(basis, dtype=complex))
         if basis.size == 0:
             basis = basis.reshape(0, graph.n_boundary)
@@ -319,7 +318,6 @@ class BoundarySubspace:
                 raise ValueError("basis is not orthonormal to 1e-12")
         self.graph = graph
         self.basis = basis
-        self.kind = kind
 
     @property
     def dim(self) -> int:
@@ -419,8 +417,7 @@ def vertex_conditions_subspace(g: MetricGraph, default: str = "standard",
                 row[idx] = brow
                 rows.append(row)
     basis = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
-    kind = "standard" if (default == "standard" and not overrides) else None
-    return BoundarySubspace(g, basis, kind=kind, check=False)
+    return BoundarySubspace(g, basis, check=False)
 
 
 def standard_subspace(g: MetricGraph) -> BoundarySubspace:
@@ -465,8 +462,7 @@ def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
         theta = g.edge(eid).flux
         if theta != 0.0:
             basis[:, offset + j] *= complex(math.cos(theta), -math.sin(theta))
-    return BoundarySubspace(g, basis, kind=y.kind if all(e.flux == 0.0 for e in g.edges) else None,
-                            check=False)
+    return BoundarySubspace(g, basis, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Deterministic JSON and CSV emission for reports.
 
 JSON uses sorted keys and shortest round-trip floats, so identical inputs
-produce byte-identical files; non-finite floats become null.  CSV renders
-floats with 17 significant digits (round-trip safe) in a fixed column order.
+produce byte-identical files; non-finite floats become null.  A report's JSON
+is its fields: a dataclass is encoded as the dict of its fields, unless it
+defines a `to_json` wire form of its own.  CSV renders floats with 17
+significant digits (round-trip safe) in a fixed column order.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 from typing import Iterable, Mapping, Sequence
 
 
 def sanitize(obj):
-    """Coerce numpy scalars to native types and non-finite floats to None."""
+    """Coerce numpy scalars to native types and non-finite floats to None;
+    encode objects by their `to_json` method, or dataclasses by their fields."""
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -30,6 +34,10 @@ def sanitize(obj):
         return {k: sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [sanitize(v) for v in obj]
+    if hasattr(obj, "to_json"):
+        return sanitize(obj.to_json())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

@@ -144,19 +144,12 @@ class SamplingParams:
     cover: Cover
     densities: dict[str, list[float]]
 
-    def to_json(self) -> dict:
-        return {"gamma": self.gamma, "rho": self.rho, "cover": self.cover.to_json(),
-                "densities": {e: list(d) for e, d in sorted(self.densities.items())}}
-
 
 @dataclass
 class CoverViolation:
     gamma: float
     rho: float
     issues: list[str]
-
-    def to_json(self) -> dict:
-        return {"gamma": self.gamma, "rho": self.rho, "issues": list(self.issues)}
 
 
 def _check_edge_cover(eid: str, omega: IntervalUnion, bps, ell: float,
@@ -231,10 +224,6 @@ class EdgeGaps:
     left: float
     right: float          # infinite edges report the worst tail gap here
     max_interior: float
-
-    def to_json(self) -> dict:
-        return {"left": self.left, "right": self.right,
-                "max_interior": self.max_interior}
 
 
 def gap_analysis(omega: SamplingSet) -> dict[str, EdgeGaps]:
@@ -339,11 +328,6 @@ class GammaResult:
     feasible: bool
     gap_witness: str | None = None
 
-    def to_json(self) -> dict:
-        return {"gamma": self.gamma, "feasible": self.feasible,
-                "breakpoints": list(self.breakpoints) if self.breakpoints else None,
-                "gap_witness": self.gap_witness}
-
 
 @dataclass
 class RhoResult:
@@ -351,11 +335,6 @@ class RhoResult:
     breakpoints: tuple[float, ...] | None
     feasible: bool
     global_density: float
-
-    def to_json(self) -> dict:
-        return {"rho": self.rho, "feasible": self.feasible,
-                "breakpoints": list(self.breakpoints) if self.breakpoints else None,
-                "global_density": self.global_density}
 
 
 def _achieved(omega: IntervalUnion, bps: list[float]) -> tuple[float, float]:

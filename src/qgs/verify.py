@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (BernsteinProfile, BoundReport, h_bound, observability_constant,
+from .bounds import (BernsteinProfile, BoundReport, observability_constant,
                      spectral_bound)
 from .graphs import (BoundarySubspace, MetricGraph, build_graph,
                      standard_subspace, vertex_conditions_subspace)
@@ -42,12 +42,6 @@ class RatioReport:
     passed: bool
     vacuous: bool = False
     extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "observed": self.observed,
-                "bound": self.bound.to_json(), "margin": self.margin,
-                "passed": self.passed, "vacuous": self.vacuous,
-                "extras": dict(self.extras)}
 
 
 def _region_of(omega) -> dict[str, IntervalUnion]:
@@ -79,15 +73,6 @@ def _passes(observed: float, bound: BoundReport) -> bool:
     return observed - bound.value > -PASS_REL_TOL * observed
 
 
-def _resolve_bound(params: SamplingParams, lam: float | None,
-                   profile: BernsteinProfile | None) -> BoundReport:
-    if (lam is None) == (profile is None):
-        raise ValueError("give exactly one of lam, profile")
-    if lam is not None:
-        return spectral_bound(params.gamma, params.rho, lam)
-    return h_bound(params.gamma, h=profile.h_series(params.rho))
-
-
 def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
                    ) -> tuple[RatioReport | None, RatioReport]:
     """The mass report (None for the zero function) and the derivative report
@@ -114,11 +99,11 @@ def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
     return rep, der
 
 
-def compare(f: GraphFunction, omega, params: SamplingParams,
-            lam: float | None = None,
-            profile: BernsteinProfile | None = None) -> RatioReport:
-    """Observed mass ratio against the sampling-inequality constant."""
-    rep = _ratio_reports(f, omega, _resolve_bound(params, lam, profile))[0]
+def compare(f: GraphFunction, omega, params: SamplingParams, lam: float
+            ) -> RatioReport:
+    """Observed mass ratio against the sampling-inequality constant for
+    spectral subspaces up to energy lam."""
+    rep = _ratio_reports(f, omega, spectral_bound(params.gamma, params.rho, lam))[0]
     if rep is None:
         raise ValueError("mass ratio undefined for the zero function")
     return rep
@@ -134,12 +119,11 @@ def derivative_ratio(f: GraphFunction, omega) -> float | None:
     return _bounded_ratio(m.part, m.whole) if m.whole > 0.0 else None
 
 
-def compare_derivative(f: GraphFunction, omega, params: SamplingParams,
-                       lam: float | None = None,
-                       profile: BernsteinProfile | None = None) -> RatioReport:
+def compare_derivative(f: GraphFunction, omega, params: SamplingParams, lam: float
+                       ) -> RatioReport:
     """Derivative-mass ratio against the same constant, plus the combined
     first-order-norm ratio it implies."""
-    return _ratio_reports(f, omega, _resolve_bound(params, lam, profile))[1]
+    return _ratio_reports(f, omega, spectral_bound(params.gamma, params.rho, lam))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +147,6 @@ class EdgeClassification:
     bad_mass: float
     total_mass: float
     closure_complete: bool
-
-    def to_json(self) -> dict:
-        return {"good": dict(self.good), "m_max": self.m_max,
-                "good_mass": self.good_mass, "bad_mass": self.bad_mass,
-                "total_mass": self.total_mass,
-                "closure_complete": self.closure_complete}
 
 
 def classify_edges(f: GraphFunction, profile: BernsteinProfile,
@@ -254,10 +232,6 @@ class CheckReport:
     lhs: float
     rhs: float
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "lhs": self.lhs,
-                "rhs": self.rhs, "details": dict(self.details)}
 
 
 def _poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -360,12 +334,6 @@ class ObservabilityNumeric:
     modes: int
     horizon: float
 
-    def to_json(self) -> dict:
-        return {"observable": self.observable,
-                "numeric_c_squared": self.numeric_c_squared,
-                "formula_c_squared": self.formula_c_squared,
-                "modes": self.modes, "horizon": self.horizon}
-
 
 def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: float,
                           modes: int, params: SamplingParams | None = None,
@@ -464,11 +432,6 @@ class AuditResult:
     seed: int
     lam_max: float
     pool: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials,
-                "lam_max": self.lam_max, "violations": self.violations,
-                "pool": list(self.pool), "rows": self.rows}
 
 
 def audit_pool(rng: np.random.Generator, lam_max: float):
@@ -575,7 +538,8 @@ def _trial_sample(pool, seed: int, index: int):
 
 def _audit_trial(pool, seed: int, index: int, classify: bool) -> dict:
     entry, params, sset, chosen, f, lam = _trial_sample(pool, seed, index)
-    rep, der = _ratio_reports(f, sset.region(), _resolve_bound(params, lam, None))
+    rep, der = _ratio_reports(f, sset.region(),
+                              spectral_bound(params.gamma, params.rho, lam))
     row = {
         "trial": index, "graph": entry["name"], "gamma": params.gamma,
         "rho": params.rho, "lam": lam, "modes": len(chosen),

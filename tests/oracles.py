@@ -15,8 +15,10 @@ eigenfunction harvest as the reference for the one-pass harvest of
 `qgs.spectral.eigenvalues_up_to`, the incidence-system torsion solve as
 the reference for the secular one of `qgs.spectral.solve_torsion`, the root
 search with one eig per wavenumber and midpoint splits as the reference for
-the stacked one, and the graph transformations only the tests use (flux
-removal, subdivision with its coordinate map) live here too.
+the stacked one, the graph transformations only the tests use (flux
+removal, subdivision with its coordinate map) live here too, and so do the
+hand-written field-by-field JSON encoders of the report classes, the
+reference for the one encoder of `qgs.report`.
 """
 
 from __future__ import annotations
@@ -1067,3 +1069,115 @@ def subdivide(g: MetricGraph, max_len: float) -> tuple[MetricGraph, CoordinateMa
         cmap_pieces[e.id] = pieces
     sub = MetricGraph(vertices, new_edges)
     return sub, CoordinateMap(source=g, target=sub, pieces=cmap_pieces)
+
+
+# ---------------------------------------------------------------------------
+# hand-written report encoders: each report's JSON written out field by
+# field, as the report classes once did, the reference for the generic
+# dataclass rule of `qgs.report.sanitize`; a nested report goes through
+# oracle_json too
+
+
+def _bound_report_json(self) -> dict:
+    return {"formula": self.formula, "value": self.value,
+            "log_value": self.log_value, "inputs": dict(self.inputs),
+            "underflow": self.underflow, "notes": list(self.notes)}
+
+
+def _standard_range_json(self) -> dict:
+    return {"lower_length": oracle_json(self.lower_length),
+            "upper": oracle_json(self.upper),
+            "lower_diameter": oracle_json(self.lower_diameter)}
+
+
+def _trace_report_json(self) -> dict:
+    return {"bound": self.bound, "log_bound": self.log_bound,
+            "exact_partial": self.exact_partial, "tail_bound": self.tail_bound,
+            "inputs": dict(self.inputs), "notes": list(self.notes)}
+
+
+def _observability_report_json(self) -> dict:
+    return {"c_squared": oracle_json(self.c_squared),
+            "envelope": oracle_json(self.envelope), "d0": self.d0, "d1": self.d1}
+
+
+def _torsion_profile_report_json(self) -> dict:
+    return {"profile": self.profile.to_json(), "h": self.h,
+            "h_prime": self.h_prime, "bound": oracle_json(self.bound),
+            "norms": dict(self.norms)}
+
+
+def _sampling_params_json(self) -> dict:
+    return {"gamma": self.gamma, "rho": self.rho, "cover": self.cover.to_json(),
+            "densities": {e: list(d) for e, d in sorted(self.densities.items())}}
+
+
+def _cover_violation_json(self) -> dict:
+    return {"gamma": self.gamma, "rho": self.rho, "issues": list(self.issues)}
+
+
+def _edge_gaps_json(self) -> dict:
+    return {"left": self.left, "right": self.right,
+            "max_interior": self.max_interior}
+
+
+def _gamma_result_json(self) -> dict:
+    return {"gamma": self.gamma, "feasible": self.feasible,
+            "breakpoints": list(self.breakpoints) if self.breakpoints else None,
+            "gap_witness": self.gap_witness}
+
+
+def _rho_result_json(self) -> dict:
+    return {"rho": self.rho, "feasible": self.feasible,
+            "breakpoints": list(self.breakpoints) if self.breakpoints else None,
+            "global_density": self.global_density}
+
+
+def _ratio_report_json(self) -> dict:
+    return {"kind": self.kind, "observed": self.observed,
+            "bound": oracle_json(self.bound), "margin": self.margin,
+            "passed": self.passed, "vacuous": self.vacuous,
+            "extras": dict(self.extras)}
+
+
+def _edge_classification_json(self) -> dict:
+    return {"good": dict(self.good), "m_max": self.m_max,
+            "good_mass": self.good_mass, "bad_mass": self.bad_mass,
+            "total_mass": self.total_mass,
+            "closure_complete": self.closure_complete}
+
+
+def _check_report_json(self) -> dict:
+    return {"name": self.name, "passed": self.passed, "lhs": self.lhs,
+            "rhs": self.rhs, "details": dict(self.details)}
+
+
+def _observability_numeric_json(self) -> dict:
+    return {"observable": self.observable,
+            "numeric_c_squared": self.numeric_c_squared,
+            "formula_c_squared": self.formula_c_squared,
+            "modes": self.modes, "horizon": self.horizon}
+
+
+def _audit_result_json(self) -> dict:
+    return {"seed": self.seed, "trials": self.trials,
+            "lam_max": self.lam_max, "violations": self.violations,
+            "pool": list(self.pool), "rows": self.rows}
+
+
+ORACLE_ENCODERS = {
+    "BoundReport": _bound_report_json, "StandardRange": _standard_range_json,
+    "TraceReport": _trace_report_json, "ObservabilityReport": _observability_report_json,
+    "TorsionProfileReport": _torsion_profile_report_json,
+    "SamplingParams": _sampling_params_json, "CoverViolation": _cover_violation_json,
+    "EdgeGaps": _edge_gaps_json, "GammaResult": _gamma_result_json,
+    "RhoResult": _rho_result_json, "RatioReport": _ratio_report_json,
+    "EdgeClassification": _edge_classification_json, "CheckReport": _check_report_json,
+    "ObservabilityNumeric": _observability_numeric_json,
+    "AuditResult": _audit_result_json,
+}
+
+
+def oracle_json(obj) -> dict:
+    """The hand-written JSON of a report object, by its class name."""
+    return ORACLE_ENCODERS[type(obj).__name__](obj)

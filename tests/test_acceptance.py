@@ -222,7 +222,7 @@ def test_criterion_9_trace_bound():
     ok = True
     for t in (0.5, 1.0, 2.0):
         rep = heat_trace_bound(masses, gamma=1.0, rho=0.02, t=t,
-                               total_length=math.pi)
+                               total_length=math.pi, edges=1)
         exact = sum(math.exp(-n * n * t) for n in range(3000))
         ok = ok and abs(rep.exact_partial - exact) < 1e-10
         ok = ok and rep.bound >= exact and rep.tail_bound >= 0.0

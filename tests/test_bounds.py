@@ -7,8 +7,8 @@ import pytest
 from qgs.bounds import (BernsteinProfile, h_bound, heat_trace_bound,
                         observability_constant, spectral_bound, standard_range,
                         torsion_profile)
-from qgs.graphs import build_graph, metrics
-from qgs.spectral import solve_torsion
+from qgs.graphs import build_graph, metrics, vertex_conditions_subspace
+from qgs.spectral import eigenvalues_up_to, solve_torsion
 
 
 def decimal_log_bound(gamma, h, digits=50):
@@ -118,7 +118,7 @@ class TestTrace:
         masses = [(float(n * n), 1.0) for n in range(11)]
         for t in (0.5, 1.0, 2.0):
             rep = heat_trace_bound(masses, gamma=1.0, rho=0.02, t=t,
-                                   total_length=math.pi)
+                                   total_length=math.pi, edges=1)
             exact = sum(math.exp(-n * n * t) for n in range(2000))
             assert rep.exact_partial == pytest.approx(exact, abs=1e-10)
             assert rep.bound >= exact
@@ -128,7 +128,7 @@ class TestTrace:
         # rho -> 0: bound tends to 48^5/12 times the mass-weighted heat sum
         masses = [(float(n * n), 1.0) for n in range(11)]
         rep = heat_trace_bound(masses, gamma=1.0, rho=1e-9, t=1.0,
-                               total_length=math.pi)
+                               total_length=math.pi, edges=1)
         exact = sum(math.exp(-n * n) for n in range(11))
         assert rep.bound == pytest.approx(48.0 ** 5 / 12.0 * exact, rel=1e-6)
 
@@ -136,17 +136,50 @@ class TestTrace:
         masses = [(0.0, 1.0), (1.0, 1.0)]
         with pytest.raises(ValueError, match="peak"):
             heat_trace_bound(masses, gamma=0.5, rho=1.0, t=0.1,
-                             total_length=math.pi)
+                             total_length=math.pi, edges=1)
 
     def test_tail_covers_early_truncation(self):
         # only lambda <= 16 supplied: the rigorous tail must still dominate
         # the full trace
         masses = [(float(n * n), 1.0) for n in range(5)]
         rep = heat_trace_bound(masses, gamma=1.0, rho=0.01, t=1.0,
-                               total_length=math.pi)
+                               total_length=math.pi, edges=1)
         exact = sum(math.exp(-n * n) for n in range(2000))
         assert rep.bound >= 48.0 ** 5 / 12.0 * exact
         assert rep.tail_bound > 0.0
+
+    @pytest.mark.parametrize("graph, condition", [
+        ("star", "neumann"), ("star", "anti-kirchhoff"), ("star", "dirichlet"),
+        ("k4", "standard"), ("k4", "anti-kirchhoff"), ("k4", "neumann")])
+    def test_tail_dominates_the_remainder_under_every_condition(self, graph,
+                                                                condition):
+        # the remainder past the cutoff, at mass 1, summed over a spectrum up
+        # to lambda = 6000 (the terms beyond it are below exp(-800))
+        if graph == "star":
+            g = build_graph(["c", "w0", "w1", "w2", "w3"],
+                            [(f"e{i}", "c", f"w{i}", ell)
+                             for i, ell in enumerate((0.6, 0.8, 1.1, 1.3))])
+        else:
+            ends = ("ab", "bc", "cd", "da", "ac", "bd")
+            lengths = (0.83, 1.07, 0.91, 1.19, 0.77, 1.02)
+            g = build_graph(list("abcd"), [(f"e{i}", a, b, ell) for i, ((a, b), ell)
+                                           in enumerate(zip(ends, lengths))])
+        spectrum = [p.lam for p in eigenvalues_up_to(
+            g, vertex_conditions_subspace(g, condition), 6000.0)]
+        log_pref = -math.log(12.0) + 5.0 * math.log(48.0)
+        for t, rho, cutoff in ((1.0, 0.02, 20.0), (0.5, 0.05, 150.0),
+                               (0.2, 0.02, 150.0)):
+            head = [(lam, 1.0) for lam in spectrum if lam <= cutoff]
+            rep = heat_trace_bound(head, gamma=1.0, rho=rho, t=t,
+                                   total_length=sum(g.edge_lengths.values()),
+                                   edges=len(g.edges))
+            c = 40.0 * rho / math.log(2.0) * math.log(48.0)
+            rest = [-lam * t + c * math.sqrt(lam) for lam in spectrum[len(head):]]
+            top = max(rest)
+            log_rest = top + math.log(sum(math.exp(v - top) for v in rest))
+            assert math.log(rep.tail_bound) >= log_pref + log_rest
+            assert rep.inputs["edges"] == len(g.edges)
+            assert rep.inputs["zero_modes"] == sum(lam == 0.0 for lam, _ in head)
 
 
 class TestObservability:

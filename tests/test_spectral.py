@@ -801,6 +801,16 @@ class TestRootSearch:
             self.assert_same_roots(*HARVEST_CASES["k33-standard"])
         [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
         assert record.diagnostics["eig_calls"] <= 30
+        # the same bracket built by hand: its midpoint counts 2, and the next
+        # midpoint is that point again, so the bracket ends there instead of
+        # running to the round cap
+        g, y, _ = HARVEST_CASES["k33-standard"]
+        phases = _Eigenphases(g, y)
+        a, b = phases.points([1.5707963267948966, 1.570796326794897])
+        [mid] = phases.points([0.5 * (a.k + b.k)])
+        assert (phases.count(a, b), phases.count(a, mid)) == (4, 2)
+        assert phases.roots([(a, b, 4)]) == [(1.5707963267948968, 4)]
+        assert phases.stats["eig_calls"] <= 3
 
 
 class TestFirstCell:
