@@ -18,7 +18,7 @@ from .sampling import (Cover, SamplingParams, SamplingSet, gap_analysis,
 from .spectral import (EigenPair, TorsionSolution, eigenvalues_up_to,
                        secular_matrix, solve_torsion, spectral_sample)
 from .verify import (audit, boundary_trace_check, classify_edges, compare,
-                     compare_derivative, derivative_ratio, kovrijkine_check,
+                     compare_derivative, kovrijkine_check,
                      lasso_counterexample, local_estimate_check, mass_ratio,
                      observability_numeric, optimality_example)
 

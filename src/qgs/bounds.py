@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import GraphMetrics
+from .polytrig import masses
 
 LOG2 = math.log(2.0)
 UNDERFLOW_LOG = -700.0
@@ -32,12 +33,10 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
 
-def _report(formula: str, log_value: float, inputs: dict,
-            notes: tuple[str, ...] = ()) -> BoundReport:
+def _report(formula: str, log_value: float, inputs: dict) -> BoundReport:
     under = log_value < UNDERFLOW_LOG
     return BoundReport(formula=formula, value=0.0 if under else math.exp(log_value),
-                       log_value=log_value, inputs=inputs, underflow=under,
-                       notes=notes)
+                       log_value=log_value, inputs=inputs, underflow=under)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,6 @@ class BernsteinProfile:
             return self.lam ** m
         return self.coeffs[m] if m < len(self.coeffs) else 0.0
 
-    __call__ = value
-
     def h_series(self, rho: float) -> float:
         """sum_m sqrt(C(m)) (10 rho)^m / m!; closed form exp(10 rho sqrt(lam))
         for power laws, an exact finite sum otherwise."""
@@ -84,19 +81,13 @@ class BernsteinProfile:
         return sum(math.sqrt(c) * (SERIES_RADIUS * rho) ** m / math.factorial(m)
                    for m, c in enumerate(self.coeffs))
 
-    def log_h(self, rho: float) -> float:
-        if self.kind == "power":
-            return SERIES_RADIUS * rho * math.sqrt(self.lam)
-        return math.log(self.h_series(rho))
-
     def to_json(self) -> dict:
         if self.kind == "power":
             return {"kind": "power", "lam": self.lam}
         return {"kind": "finite", "coeffs": list(self.coeffs)}
 
 
-def h_bound(gamma: float, h: float | None = None, log_h: float | None = None,
-            notes: tuple[str, ...] = ()) -> BoundReport:
+def h_bound(gamma: float, h: float | None = None, log_h: float | None = None) -> BoundReport:
     """Sampling-inequality constant 12 (gamma/48)^(4 log2(h) + 5) from the
     series budget h >= 1 (formula id thm26); log-space throughout."""
     if not (0.0 < gamma <= 1.0):
@@ -113,11 +104,10 @@ def h_bound(gamma: float, h: float | None = None, log_h: float | None = None,
     log_c = math.log(BASE_CONSTANT) + expo * math.log(gamma / DENOMINATOR)
     return _report("thm26", log_c,
                    {"gamma": gamma, "h": math.exp(log_h) if log_h < 700 else None,
-                    "log_h": log_h, "exponent": expo}, notes)
+                    "log_h": log_h, "exponent": expo})
 
 
-def spectral_bound(gamma: float, rho: float, lam: float,
-                   notes: tuple[str, ...] = ()) -> BoundReport:
+def spectral_bound(gamma: float, rho: float, lam: float) -> BoundReport:
     """Constant 12 (gamma/48)^(40 rho sqrt(lam)/log 2 + 5) for spectral
     subspaces up to energy lam (formula id thm21); identical to h_bound with
     h = exp(10 rho sqrt(lam)), asserted on every call."""
@@ -132,7 +122,7 @@ def spectral_bound(gamma: float, rho: float, lam: float,
     if abs(log_c - via_h.log_value) > 1e-12 * max(1.0, abs(log_c)):
         raise AssertionError("direct and h-route exponents disagree")
     return _report("thm21", log_c,
-                   {"gamma": gamma, "rho": rho, "lam": lam, "exponent": expo}, notes)
+                   {"gamma": gamma, "rho": rho, "lam": lam, "exponent": expo})
 
 
 @dataclass
@@ -142,14 +132,11 @@ class StandardRange:
     lower_diameter: BoundReport
 
 
-def standard_range(m, k: int, gamma: float, rho: float) -> StandardRange:
+def standard_range(m: GraphMetrics, k: int, gamma: float, rho: float) -> StandardRange:
     """Two-sided range for the constant covering combinations of the k lowest
     standard-Laplacian eigenfunctions, from the eigenvalue bracketing by total
     length, cycle count and leaf count, plus the diameter-based lower bound
-    (formula id cor72).  Accepts a graph or its precomputed metrics."""
-    if not isinstance(m, GraphMetrics):
-        from .graphs import metrics as graph_metrics
-        m = graph_metrics(m)
+    (formula id cor72), from the graph's metrics."""
     if k < 2:
         raise ValueError("the eigenvalue bracketing is stated for k >= 2")
     if not (0.0 < gamma <= 1.0):
@@ -288,19 +275,26 @@ class ObservabilityReport:
     d1: float
 
 
+# the C and K constants of the observability shape, flagged when all are kept
+OBSERVABILITY_DEFAULTS = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "k1": 1.0, "k2": 5.0,
+                          "k3": 1.0, "k4": 48.0}
+_D = OBSERVABILITY_DEFAULTS
+
+
 def observability_constant(gamma: float, rho: float, horizon: float,
-                           c1: float = 1.0, c2: float = 1.0, c3: float = 1.0,
-                           k1: float = 1.0, k2: float = 5.0, k3: float = 1.0,
-                           k4: float = 48.0,
-                           defaults_used: bool = True) -> ObservabilityReport:
+                           c1: float = _D["c1"], c2: float = _D["c2"], c3: float = _D["c3"],
+                           k1: float = _D["k1"], k2: float = _D["k2"], k3: float = _D["k3"],
+                           k4: float = _D["k4"]) -> ObservabilityReport:
     """Explicit observability-constant shape (C1 d0 / T)(2 d0 + 1)^C2
     exp(C3 d1^2 / T) with d0 = (48/gamma)^5/12, d1 = (40 rho/log 2) log(48/gamma)
     (formula id observability), plus the envelope (K1 gamma^-K2 / T)
     exp(K3 rho^2 log^2(K4/gamma) / T).  The C and K constants are universal but
-    not pinned down here; callers inject them, defaults are flagged."""
+    not pinned down here; callers inject them, and the reports carry a note
+    when all seven equal OBSERVABILITY_DEFAULTS."""
+    constants = {"c1": c1, "c2": c2, "c3": c3, "k1": k1, "k2": k2, "k3": k3, "k4": k4}
     if horizon <= 0.0:
         raise ValueError("time horizon must be positive")
-    if min(c1, c2, c3, k1, k2, k3, k4) <= 0.0:
+    if min(constants.values()) <= 0.0:
         raise ValueError("constants must be positive")
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -309,7 +303,7 @@ def observability_constant(gamma: float, rho: float, horizon: float,
     log_d0 = -math.log(BASE_CONSTANT) + 5.0 * math.log(DENOMINATOR / gamma)
     d0 = math.exp(log_d0)
     d1 = (4.0 * SERIES_RADIUS * rho / LOG2) * math.log(DENOMINATOR / gamma)
-    notes = ("non-paper default constants",) if defaults_used else ()
+    notes = ("non-paper default constants",) if constants == OBSERVABILITY_DEFAULTS else ()
     log_c = (math.log(c1) + log_d0 - math.log(horizon)
              + c2 * math.log1p(2.0 * d0) + c3 * d1 * d1 / horizon)
     main = BoundReport(formula="observability", value=math.exp(log_c) if log_c < 700
@@ -346,8 +340,6 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
     torsion function, its exact series budget h, the geometry-only majorant
     h' = 1 + 10 rho sqrt(|G|/T) + 50 rho^2 |G|/T, and the resulting sampling
     bound evaluated at h' (formula id torsion)."""
-    from .polytrig import masses
-
     total = sum(graph.edge_lengths.values())
     if not math.isfinite(total):
         raise ValueError("torsion profile needs a compact graph")

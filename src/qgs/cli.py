@@ -33,13 +33,9 @@ def _vertices(value: str) -> list[str]:
     return [v for v in value.split(",") if v]
 
 
-def _load(args, need_set=False):
+def _load(args):
     g, y = load_graph(args.graph)
-    sset = None
-    if need_set or getattr(args, "set", None):
-        if not getattr(args, "set", None):
-            raise ValueError("a sampling-set file is required (--set)")
-        sset = smp.SamplingSet.load(g, args.set)
+    sset = smp.SamplingSet.load(g, args.set) if getattr(args, "set", None) else None
     return g, y, sset
 
 
@@ -52,23 +48,6 @@ def _random_sample(g, y, lam_max, modes, seed):
     if not pairs:
         raise ValueError(f"no eigenvalues at or below {lam_max}")
     return vfy.random_combination(np.random.default_rng(seed), pairs, modes)
-
-
-def _certify(g, sset, grid_n):
-    """Per-edge optimal gamma at the smallest workable rho, aggregated."""
-    gammas, rhos = {}, {}
-    covers = {}
-    for eid, iu in sset.finite.items():
-        found = smp.certified_params(iu, g.edge_lengths[eid], grid_n)
-        if found is None:
-            raise ValueError(f"edge {eid!r}: set cannot be certified")
-        gammas[eid], rhos[eid], covers[eid] = found
-    gamma, rho = smp.graph_params(gammas, rhos)
-    params = smp.verify_cover(sset, smp.Cover(breakpoints=covers), gamma=gamma,
-                              rho=rho)
-    if not isinstance(params, smp.SamplingParams):
-        raise ValueError(f"certification failed: {params.issues}")
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +73,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_sampling(args) -> int:
-    g, _, sset = _load(args, need_set=True)
+    g, _, sset = _load(args)
     if args.sampling_cmd == "verify":
         with open(args.cover, "r", encoding="utf-8") as fh:
             cover = smp.Cover.from_dict(json.load(fh))
@@ -139,9 +118,8 @@ def _cmd_bound(args) -> int:
         out = bnd.standard_range(metrics(g), args.k, args.gamma, args.rho)
     elif cmd == "observability":
         out = bnd.observability_constant(
-            args.gamma, args.rho, args.horizon, c1=args.c1, c2=args.c2,
-            c3=args.c3, k1=args.k1, k2=args.k2, k3=args.k3, k4=args.k4,
-            defaults_used=not args.custom_constants)
+            args.gamma, args.rho, args.horizon,
+            **{name: getattr(args, name) for name in bnd.OBSERVABILITY_DEFAULTS})
     elif cmd == "torsion":
         g, _, _ = _load(args)
         sol = solve_torsion(g, args.dirichlet)
@@ -202,9 +180,9 @@ def _cmd_verify(args) -> int:
                      "worst_slack": min(r.rhs - r.lhs for r in reports)})
         return 0 if ok else 2
 
-    g, y, sset = _load(args, need_set=cmd in ("ratio", "derivative", "observability"))
+    g, y, sset = _load(args)
     if cmd == "observability":
-        params = _certify(g, sset, args.grid)
+        params = smp.certify(sset, args.grid)
         out = vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
                                         modes=args.modes, params=params)
         _emit(args, out)
@@ -217,7 +195,7 @@ def _cmd_verify(args) -> int:
         return 0
     # ratio / derivative
     chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
-    params = _certify(g, sset, args.grid)
+    params = smp.certify(sset, args.grid)
     if cmd == "ratio":
         out = vfy.compare(f, sset.region(), params, lam=lam)
     else:
@@ -324,11 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, required=True)
     s.add_argument("--rho", type=_positive, required=True)
     s.add_argument("--horizon", "-T", type=_positive, required=True)
-    for name, dflt in (("c1", 1.0), ("c2", 1.0), ("c3", 1.0), ("k1", 1.0),
-                       ("k2", 5.0), ("k3", 1.0), ("k4", 48.0)):
+    for name, dflt in bnd.OBSERVABILITY_DEFAULTS.items():
         s.add_argument(f"--{name}", type=float, default=dflt)
-    s.add_argument("--custom-constants", action="store_true",
-                   help="mark the C/K constants as deliberately chosen")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_bound)
     s = bsub.add_parser("torsion")
@@ -410,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, AssertionError) as exc:
+    except (ValueError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

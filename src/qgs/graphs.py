@@ -21,8 +21,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .polytrig import GraphFunction
-
 ORTHO_TOL = 1e-12        # orthonormality validation tolerance
 RANK_TOL = 1e-10         # Gram-Schmidt rank tolerance for user bases
 
@@ -136,39 +134,14 @@ class MetricGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def boundary_map(self, values_at_0: Mapping[str, complex],
-                     values_at_len: Mapping[str, complex], sign: int) -> np.ndarray:
-        """Assemble a boundary vector (sign*g(0)) ⊕ (g(len)); sign is ±1."""
-        vec = np.zeros(self.n_boundary, dtype=complex)
-        for i, (eid, end) in enumerate(self.boundary_coords):
-            if end == 0:
-                vec[i] = sign * values_at_0.get(eid, 0.0)
-            else:
-                vec[i] = values_at_len.get(eid, 0.0)
-        return vec
 
-    def trace_plus(self, f: GraphFunction) -> np.ndarray:
-        at0 = {eid: f.evaluate(eid, 0.0) for eid in self.edge_ids}
-        atl = {eid: f.evaluate(eid, self.edge_lengths[eid]) for eid in self.internal_ids}
-        return self.boundary_map(at0, atl, +1)
-
-    def trace_minus(self, f: GraphFunction) -> np.ndarray:
-        at0 = {eid: f.evaluate(eid, 0.0) for eid in self.edge_ids}
-        atl = {eid: f.evaluate(eid, self.edge_lengths[eid]) for eid in self.internal_ids}
-        return self.boundary_map(at0, atl, -1)
-
-
-def build_graph(vertices: Iterable[str], edges: Iterable[Edge | tuple]) -> MetricGraph:
-    """Build and validate a graph; edges may be Edge objects or
-    (id, source, target, length[, flux]) tuples with target None for rays."""
+def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
+    """Build and validate a graph from (id, source, target, length[, flux])
+    tuples, with target None for rays."""
     es = []
-    for e in edges:
-        if isinstance(e, Edge):
-            es.append(e)
-        else:
-            eid, src, tgt, ell, *rest = e
-            es.append(Edge(str(eid), str(src), None if tgt is None else str(tgt),
-                           float(ell), float(rest[0]) if rest else 0.0))
+    for eid, src, tgt, ell, *rest in edges:
+        es.append(Edge(str(eid), str(src), None if tgt is None else str(tgt),
+                       float(ell), float(rest[0]) if rest else 0.0))
     return MetricGraph(vertices, es)
 
 
@@ -181,7 +154,6 @@ class GraphMetrics:
     total_length: float
     betti: int
     diameter: float | None
-    min_edge: float
     degree1_count: int
     connected: bool
 
@@ -264,7 +236,6 @@ def metrics(g: MetricGraph) -> GraphMetrics:
         total_length=total,
         betti=betti,
         diameter=diam,
-        min_edge=min((e.length for e in g.edges), default=math.inf),
         degree1_count=sum(1 for v in g.vertices if g.degree(v) == 1),
         connected=connected,
     )
@@ -274,7 +245,7 @@ def metrics(g: MetricGraph) -> GraphMetrics:
 # boundary subspaces
 
 
-def _orthonormalize(rows: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+def _orthonormalize(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Modified Gram-Schmidt with one re-orthogonalisation pass; returns the
     orthonormal rows and the number of dropped (near-dependent) inputs."""
     out: list[np.ndarray] = []
@@ -289,7 +260,7 @@ def _orthonormalize(rows: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray
             for u in out:
                 w = w - np.vdot(u, w) * u
         nrm = np.linalg.norm(w)
-        if nrm <= tol * scale:
+        if nrm <= RANK_TOL * scale:
             dropped += 1
             continue
         out.append(w / nrm)

@@ -265,6 +265,14 @@ class GraphFunction:
     def derivative(self, order: int = 1) -> "GraphFunction":
         return differentiate(self, order)
 
+    def boundary_trace(self, sign: int) -> np.ndarray:
+        """The boundary vector (sign * f(e, 0)) ⊕ f(e, len) in the graph's
+        boundary coordinates; sign is +1 (plus-trace) or -1 (minus-trace)."""
+        g = self.graph
+        return np.array([sign * self.evaluate(eid, 0.0) if end == 0
+                         else self.evaluate(eid, g.edge_lengths[eid])
+                         for eid, end in g.boundary_coords], dtype=complex)
+
     def __add__(self, other: "GraphFunction") -> "GraphFunction":
         if other.graph is not self.graph:
             raise ValueError("functions live on different graphs")

@@ -414,15 +414,25 @@ def certified_params(omega: IntervalUnion, ell: float, grid_n: int = 200
     return (gamma, res_r.rho, res_r.breakpoints) if gamma > 10.0 * _EQ_SLACK else None
 
 
-def graph_params(per_edge_gamma: Mapping[str, float],
-                 per_edge_rho: Mapping[str, float]) -> tuple[float, float]:
-    """Aggregate per-edge parameters: the graph-level set is sampling at
-    (min over edges of gamma, max over edges of rho)."""
-    if set(per_edge_gamma) != set(per_edge_rho):
-        raise ValueError("edge key mismatch")
-    if not per_edge_gamma:
+def certify(sset: SamplingSet, grid_n: int = 200) -> SamplingParams:
+    """The certificate the verify commands use: every finite edge's
+    certified_params (each edge's union carries its edge length), checked by
+    verify_cover at (min over edges of gamma, max over edges of rho), at which
+    the graph-level set is sampling.  ValueError when an edge cannot be
+    certified, when there is none, or when the aggregate fails."""
+    found = {}
+    for eid, iu in sset.finite.items():
+        found[eid] = certified_params(iu, iu.length, grid_n)
+        if found[eid] is None:
+            raise ValueError(f"edge {eid!r}: set cannot be certified")
+    if not found:
         raise ValueError("no edges")
-    return min(per_edge_gamma.values()), max(per_edge_rho.values())
+    gammas, rhos, covers = zip(*found.values())
+    params = verify_cover(sset, Cover(breakpoints=dict(zip(found, covers))),
+                          gamma=min(gammas), rho=max(rhos))
+    if not isinstance(params, SamplingParams):
+        raise ValueError(f"certification failed: {params.issues}")
+    return params
 
 
 # ---------------------------------------------------------------------------

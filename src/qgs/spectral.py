@@ -32,6 +32,7 @@ TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled t
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 _SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
+MAX_SOLVE_ENTRIES = 2 ** 22  # cap on (eigenphase count bound) * (2E)^2 per solve
 _TWO_PI = 2.0 * math.pi
 
 _log = logging.getLogger("qgs.spectral")
@@ -361,9 +362,16 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
         raise ValueError("eigenvalue solve requires at least one edge")
     if lam_max <= 0.0:
         raise ValueError("lam_max must be positive")
+    # at most C = |G| k / pi + 2E roots: the cell stack holds at most pi C + 2
+    # and the harvest stack C + 1 matrices of (2E)^2 entries
+    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
+    ne = len(g.edges)
+    entries = (sum(g.edge_lengths.values()) * k_hi / math.pi + 2 * ne) * (2 * ne) ** 2
+    if not entries <= MAX_SOLVE_ENTRIES:
+        raise ValueError(f"eigenvalue solve too large: about {entries:.3g} matrix entries "
+                         f"up to lambda = {lam_max:g}, above the cap of {MAX_SOLVE_ENTRIES}")
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
     phases = _Eigenphases(g, y_eff)
-    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     n_cells = max(1, math.ceil(k_hi * phases.ell_max))
     ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
     # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
@@ -382,7 +390,6 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     # Below k = 1 the sin columns vanish like k (the cos/sin ansatz degenerates
     # toward the affine one) and would drive sigma_min to zero near k = 0, so
     # they are divided by k
-    ne = len(g.edges)
     ks = np.array([0.0] + [k for k, _ in merged])
     mats = _secular_stack(g, y_eff, ks)
     low = (ks > 0.0) & (ks < 1.0)
@@ -419,8 +426,8 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
 def boundary_residual(g: MetricGraph, y: BoundarySubspace, f: GraphFunction) -> float:
     """Distance of (plus-trace, minus-trace of i f') from (Y, Y-perp)."""
     fp = f.derivative()
-    plus = g.trace_plus(f)
-    minus = 1.0j * g.trace_minus(fp)
+    plus = f.boundary_trace(+1)
+    minus = 1.0j * fp.boundary_trace(-1)
     return y.residual(plus) + y.perp().residual(minus)
 
 

@@ -44,12 +44,6 @@ class RatioReport:
     extras: dict = field(default_factory=dict)
 
 
-def _region_of(omega) -> dict[str, IntervalUnion]:
-    if isinstance(omega, SamplingSet):
-        return omega.region()
-    return dict(omega)
-
-
 def _bounded_ratio(part: float, total: float) -> float:
     ratio = part / total
     if ratio > 1.0 + 1e-12:
@@ -59,7 +53,7 @@ def _bounded_ratio(part: float, total: float) -> float:
 
 def mass_ratio(f: GraphFunction, omega) -> float:
     """||chi_omega f||^2 / ||f||^2, both sides by exact quadrature."""
-    m = masses([f], _region_of(omega))[0]
+    m = masses([f], omega)[0]
     if m.whole <= 0.0:
         raise ValueError("mass ratio undefined for the zero function")
     return _bounded_ratio(m.part, m.whole)
@@ -78,7 +72,7 @@ def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
     """The mass report (None for the zero function) and the derivative report
     of f on omega against the bound, with all four masses from one masses
     call over f and f'."""
-    m, mp = masses([f, f.derivative()], _region_of(omega))
+    m, mp = masses([f, f.derivative()], omega)
     rep = None
     if m.whole > 0.0:
         observed = _bounded_ratio(m.part, m.whole)
@@ -107,16 +101,6 @@ def compare(f: GraphFunction, omega, params: SamplingParams, lam: float
     if rep is None:
         raise ValueError("mass ratio undefined for the zero function")
     return rep
-
-
-def derivative_ratio(f: GraphFunction, omega) -> float | None:
-    """Mass ratio of f'; None when f' vanishes identically (the derivative
-    inequality is vacuous for locally constant functions)."""
-    fp = f.derivative()
-    if fp.is_zero():
-        return None
-    m = masses([fp], _region_of(omega))[0]
-    return _bounded_ratio(m.part, m.whole) if m.whole > 0.0 else None
 
 
 def compare_derivative(f: GraphFunction, omega, params: SamplingParams, lam: float
@@ -347,19 +331,15 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
     if modes < 1:
         raise ValueError("need at least one mode")
     if pairs is None:
-        total = sum(g.edge_lengths.values())
-        lam_max = max(4.0, ((modes + 3) * math.pi / total) ** 2)
-        for _ in range(8):
-            pairs = eigenvalues_up_to(g, y, lam_max)
-            if len(pairs) >= modes:
-                break
-            lam_max *= 2.0
+        # the eigenphase count puts at least |G| k / pi - 2E eigenvalues in
+        # (0, k^2], so this one solve holds the modes
+        k = math.pi * (modes + 2 * len(g.edges)) / sum(g.edge_lengths.values())
+        pairs = eigenvalues_up_to(g, y, k * k)
     if len(pairs) < modes:
         raise ValueError(f"could not compute {modes} modes")
     pairs = pairs[:modes]
-    region = _region_of(omega) if omega is not None else None
     lam = np.array([p.lam for p in pairs])
-    mass = gram([p.function for p in pairs], region)
+    mass = gram([p.function for p in pairs], omega)
     s = lam[:, None] + lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(s > 1e-14, -np.expm1(-s * horizon) / np.where(s > 1e-14, s, 1.0),
@@ -386,7 +366,7 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
 
 def boundary_trace_check(f: GraphFunction, g: MetricGraph) -> CheckReport:
     """Endpoint-value mass against 2 coth(min edge) times the first-order norm."""
-    vec = g.trace_plus(f)
+    vec = f.boundary_trace(+1)
     lhs = float(np.vdot(vec, vec).real)
     min_edge = min(g.edge_lengths.values())
     m, mp = masses([f, f.derivative()])

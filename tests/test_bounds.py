@@ -181,6 +181,43 @@ class TestTrace:
             assert rep.inputs["edges"] == len(g.edges)
             assert rep.inputs["zero_modes"] == sum(lam == 0.0 for lam, _ in head)
 
+    def test_floor_needs_its_2e_slack(self):
+        # a Dirichlet centre with Neumann leaves of one length l splits into
+        # E Dirichlet-Neumann intervals, k = (n + 1/2) pi / l each: the i-th
+        # eigenvalue's count i exceeds |G| sqrt(lambda_i) / pi by up to E / 2,
+        # so the floor pi (i - z) / |G| fails and pi (i - z - 2E) / |G| holds
+        edges, ell = 6, 1.0
+        g = build_graph(["c", *(f"w{i}" for i in range(edges))],
+                        [(f"e{i}", "c", f"w{i}", ell) for i in range(edges)])
+        y = vertex_conditions_subspace(g, "neumann", {"c": "dirichlet"})
+        lams = [p.lam for p in eigenvalues_up_to(g, y, 100.0)]
+        total = edges * ell
+        assert len(lams) == 3 * edges
+        excess = max(i - total * math.sqrt(lam) / math.pi for i, lam in enumerate(lams, 1))
+        assert excess == pytest.approx(edges / 2, abs=1e-9)
+        assert 0.0 < excess <= 2 * edges
+        # the documented tail, at mass 1: (j - n - 1) terms at the cutoff, then
+        # the geometric series of the floors from the first index j above it
+        t, rho = 1.0, 0.02
+        rep = heat_trace_bound([(lam, 1.0) for lam in lams], gamma=1.0, rho=rho, t=t,
+                               total_length=total, edges=edges)
+        assert rep.inputs["zero_modes"] == 0
+        c = 40.0 * rho / math.log(2.0) * math.log(48.0)
+        n, cut = len(lams), lams[-1]
+
+        def floor(i):
+            return math.pi * (i - 2 * edges) / total
+
+        j = n + 1
+        while floor(j) <= math.sqrt(cut):
+            j += 1
+        ratio = math.exp(math.pi / total * (c - t * (2.0 * floor(j) + math.pi / total)))
+        tail = 48.0 ** 5 / 12.0 * (
+            (j - n - 1) * math.exp(-cut * t + c * math.sqrt(cut))
+            + math.exp(-floor(j) ** 2 * t + c * floor(j)) / (1.0 - ratio))
+        assert j > n + 1
+        assert rep.tail_bound == pytest.approx(tail, rel=1e-12)
+
 
 class TestObservability:
     def test_d0_value(self):
@@ -208,7 +245,7 @@ class TestObservability:
     def test_default_marker(self):
         rep = observability_constant(0.5, 0.5, 1.0)
         assert any("default" in n for n in rep.c_squared.notes)
-        rep2 = observability_constant(0.5, 0.5, 1.0, defaults_used=False)
+        rep2 = observability_constant(0.5, 0.5, 1.0, k4=50.0)
         assert not rep2.c_squared.notes
 
 

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgs.cli import main
@@ -52,6 +52,17 @@ class TestSpectrum:
         assert data["count"] == 11
         lams = [e["lambda"] for e in data["eigenvalues"]]
         assert lams == pytest.approx([n * n for n in range(11)], abs=1e-8)
+
+    def test_oversize_solve_refused(self, capsys, tmp_path):
+        # 1e12 wavelengths fit in this interval below lambda = 1: refused
+        # before any matrix is allocated
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b"],
+            "edges": [{"id": "e", "from": "a", "to": "b", "length": 1e12}]}))
+        code, out, err = run(capsys, "spectrum", "--graph", str(path), "--lambda-max", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: eigenvalue solve too large") and err.count("\n") == 1
 
     def test_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -142,6 +153,14 @@ class TestBound:
         data = json.loads(out)
         assert data["d0"] == pytest.approx((48.0 / 0.5) ** 5 / 12.0, rel=1e-12)
         assert data["c_squared"]["formula"] == "observability"
+        assert data["c_squared"]["notes"] == ["non-paper default constants"]
+
+    def test_observability_constants_drop_the_note(self, capsys):
+        code, out, _ = run(capsys, "bound", "observability", "--gamma", "0.5",
+                           "--rho", "0.5", "--horizon", "1.0", "--c1", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["c_squared"]["notes"] == data["envelope"]["notes"] == []
 
     def test_torsion_bound(self, capsys, interval_file):
         code, out, _ = run(capsys, "bound", "torsion", "--graph", interval_file,
@@ -373,3 +392,24 @@ def test_arbitrary_json_input_never_tracebacks(graph, sset, cover, verify):
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
     else:
         assert err == "" and (code == 0 or (verify and json.loads(out)["ok"] is False))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(graph={"vertices": ["a", "b"],
+                "edges": [{"id": "e", "from": "a", "to": "b", "length": 1e308}]})
+@given(graph=_GRAPH)
+def test_arbitrary_graph_spectrum_never_tracebacks(graph):
+    # whatever JSON the graph file holds, however long its edges, `spectrum`
+    # answers or refuses with exit 1 and one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(graph, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", "--graph", path, "--lambda-max", "10"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""

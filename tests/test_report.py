@@ -5,7 +5,7 @@ import pytest
 from qgs import report
 from qgs.bounds import (BernsteinProfile, h_bound, heat_trace_bound, observability_constant,
                         spectral_bound, standard_range, torsion_profile)
-from qgs.graphs import build_graph, standard_subspace
+from qgs.graphs import build_graph, metrics, standard_subspace
 from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, whole_edge
 from qgs.sampling import (Cover, SamplingSet, gap_analysis, optimal_gamma, optimal_rho,
                           verify_cover)
@@ -46,7 +46,7 @@ def _reports():
     return {
         "bound": h_bound(0.5, h=3.0),
         "bound-underflow": spectral_bound(0.1, 2.0, 400.0),
-        "standard-range": standard_range(STAR, 3, 0.3, 0.5),
+        "standard-range": standard_range(metrics(STAR), 3, 0.3, 0.5),
         "trace": heat_trace_bound(neumann, gamma=1.0, rho=0.02, t=1.0,
                                   total_length=math.pi, edges=1),
         "trace-inf": heat_trace_bound(neumann, gamma=1e-60, rho=1e-3, t=1.0,

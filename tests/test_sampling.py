@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qgs.graphs import build_graph
 from qgs.polytrig import IntervalUnion
 from qgs.sampling import (Cover, CoverViolation, GammaResult, PeriodicTail,
-                          SamplingParams, SamplingSet, _candidates, gap_analysis,
-                          graph_params, necessary_check, optimal_gamma,
+                          SamplingParams, SamplingSet, _candidates, certified_params,
+                          certify, gap_analysis, necessary_check, optimal_gamma,
                           optimal_rho, periodic_params, periodic_uniform_gamma,
                           svc_set, verify_cover)
 
@@ -365,8 +365,21 @@ class TestPeriodic:
 
 class TestGraphAggregation:
     def test_min_max_rule(self):
-        gamma, rho = graph_params({"a": 0.5, "b": 0.25}, {"a": 0.3, "b": 0.6})
-        assert gamma == 0.25 and rho == 0.6
+        sset = SamplingSet(finite={
+            "a": IntervalUnion([(0.1, 0.3), (0.6, 0.8)], length=1.0),
+            "b": IntervalUnion([(0.0, 0.2), (1.0, 1.1), (1.5, 1.6)], length=2.0)})
+        found = {eid: certified_params(iu, iu.length) for eid, iu in sset.finite.items()}
+        params = certify(sset)
+        assert params.gamma == min(gamma for gamma, _, _ in found.values())
+        assert params.rho <= max(rho for _, rho, _ in found.values())
+        assert params.cover.breakpoints == {eid: bps for eid, (_, _, bps) in found.items()}
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="no edges"):
+            certify(SamplingSet())
+        with pytest.raises(ValueError, match="edge 'b': set cannot be certified"):
+            certify(SamplingSet(finite={"a": IntervalUnion([(0.0, 0.5)], length=1.0),
+                                        "b": IntervalUnion([], length=1.0)}))
 
 
 class TestJsonRoundTrip:

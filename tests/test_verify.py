@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ import scipy.linalg
 from qgs import verify
 from qgs.bounds import BernsteinProfile, BoundReport
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
-                        full_subspace, zero_subspace)
+                        full_subspace, vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq,
                           whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from qgs.spectral import eigenvalues_up_to, spectral_sample
 from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
-                        compare_derivative, derivative_ratio, kovrijkine_check,
+                        compare_derivative, kovrijkine_check,
                         lasso_counterexample, local_estimate_check, mass_ratio,
                         max_generalized_eig, observability_numeric,
                         optimality_example)
@@ -89,15 +90,15 @@ class TestDerivativeRatio:
         g = interval(math.pi)
         f = sin_fn(g, 1.0)
         omega = {"e": IntervalUnion([(0.0, math.pi / 2)], length=math.pi)}
-        assert derivative_ratio(f, omega) == pytest.approx(0.5, rel=1e-12)
+        rep = compare_derivative(f, omega, half_params(math.pi), lam=1.0)
+        assert rep.observed == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_vacuous(self):
         g = interval(1.0)
         one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
-        assert derivative_ratio(one, {"e": whole_edge(1.0)}) is None
         rep = compare_derivative(one, {"e": whole_edge(1.0)}, half_params(1.0),
                                  lam=0.0)
-        assert rep.vacuous and rep.passed
+        assert rep.vacuous and rep.passed and math.isnan(rep.observed)
 
     def test_w12_ratio_reported(self):
         g = interval(math.pi)
@@ -291,6 +292,30 @@ class TestObservabilityNumeric:
                                     modes=1)
         assert rep.observable
         assert rep.numeric_c_squared == pytest.approx(1.0 / 0.7, rel=1e-10)
+
+    def test_one_solve_holds_the_modes(self, caplog, monkeypatch):
+        # an all-Dirichlet star of near-equal edges has no eigenvalue below
+        # (pi / 1.07)^2; the solve sized by the eigenphase count holds the
+        # four lowest all the same
+        g = build_graph(["c", *(f"w{i}" for i in range(8))],
+                        [(f"e{i}", "c", f"w{i}", 1.0 + 0.01 * i) for i in range(8)])
+        y = vertex_conditions_subspace(g, "dirichlet")
+        solved = []
+
+        def solve(*args):
+            solved.append(eigenvalues_up_to(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(verify, "eigenvalues_up_to", solve)
+        omega = {eid: whole_edge(ell) for eid, ell in g.edge_lengths.items()}
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            rep = observability_numeric(g, y, omega, horizon=0.5, modes=4)
+        assert rep.observable
+        assert len([r for r in caplog.records if r.name == "qgs.spectral"]) == 1
+        direct = [p.lam for p in eigenvalues_up_to(g, y, 50.0)[:4]]
+        assert [p.lam for p in solved[0][:4]] == pytest.approx(direct, rel=1e-12)
+        assert direct == pytest.approx([(math.pi / (1.07 - 0.01 * i)) ** 2 for i in range(4)],
+                                       rel=1e-12)
 
     def test_monotone_in_horizon(self):
         g = interval(math.pi)
