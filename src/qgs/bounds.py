@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .graphs import GraphMetrics
 from .polytrig import masses
+from .spectral import count_bound, wavenumber_range
 
 LOG2 = math.log(2.0)
 UNDERFLOW_LOG = -700.0
@@ -240,8 +241,8 @@ def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
     zero_modes = sum(1 for lam, _ in eigen_masses if lam == 0.0)
     step = math.pi / total_length
     s_cut = math.sqrt(lam_cut)
-    j = max(n + 1, math.floor(zero_modes + 2 * edges + s_cut / step) + 1)
-    floor_j = step * (j - zero_modes - 2 * edges)
+    j = max(n + 1, math.floor(zero_modes + count_bound(total_length, edges, s_cut)) + 1)
+    floor_j = wavenumber_range(total_length, edges, j - zero_modes)[0]
     # the log-ratio of consecutive floor terms is largest at j, negative there
     dec = step * (c_lin - t * (2.0 * floor_j + step))
     tail_logs = [-floor_j * floor_j * t + c_lin * floor_j - math.log(-math.expm1(dec))]
@@ -278,20 +279,20 @@ class ObservabilityReport:
 # the C and K constants of the observability shape, flagged when all are kept
 OBSERVABILITY_DEFAULTS = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "k1": 1.0, "k2": 5.0,
                           "k3": 1.0, "k4": 48.0}
-_D = OBSERVABILITY_DEFAULTS
 
 
 def observability_constant(gamma: float, rho: float, horizon: float,
-                           c1: float = _D["c1"], c2: float = _D["c2"], c3: float = _D["c3"],
-                           k1: float = _D["k1"], k2: float = _D["k2"], k3: float = _D["k3"],
-                           k4: float = _D["k4"]) -> ObservabilityReport:
+                           **overrides: float) -> ObservabilityReport:
     """Explicit observability-constant shape (C1 d0 / T)(2 d0 + 1)^C2
     exp(C3 d1^2 / T) with d0 = (48/gamma)^5/12, d1 = (40 rho/log 2) log(48/gamma)
     (formula id observability), plus the envelope (K1 gamma^-K2 / T)
     exp(K3 rho^2 log^2(K4/gamma) / T).  The C and K constants are universal but
-    not pinned down here; callers inject them, and the reports carry a note
-    when all seven equal OBSERVABILITY_DEFAULTS."""
-    constants = {"c1": c1, "c2": c2, "c3": c3, "k1": k1, "k2": k2, "k3": k3, "k4": k4}
+    not pinned down here; callers override them by name, and the reports
+    carry a note when all seven equal OBSERVABILITY_DEFAULTS."""
+    if unknown := overrides.keys() - OBSERVABILITY_DEFAULTS.keys():
+        raise TypeError(f"unknown constants {sorted(unknown)}")
+    constants = {**OBSERVABILITY_DEFAULTS, **overrides}
+    c1, c2, c3, k1, k2, k3, k4 = constants.values()
     if horizon <= 0.0:
         raise ValueError("time horizon must be positive")
     if min(constants.values()) <= 0.0:

@@ -35,7 +35,7 @@ def _vertices(value: str) -> list[str]:
 
 def _load(args):
     g, y = load_graph(args.graph)
-    sset = smp.SamplingSet.load(g, args.set) if getattr(args, "set", None) else None
+    sset = smp.SamplingSet.load(g, args.set) if getattr(args, "set", None) is not None else None
     return g, y, sset
 
 
@@ -57,18 +57,15 @@ def _random_sample(g, y, lam_max, modes, seed):
 def _cmd_spectrum(args) -> int:
     g, y, _ = _load(args)
     pairs = eigenvalues_up_to(g, y, args.lambda_max)
-    _emit(args, {"count": len(pairs), "lambda_max": args.lambda_max,
-                 "eigenvalues": pairs})
+    _emit(args, {"count": len(pairs), "lambda_max": args.lambda_max, "eigenvalues": pairs})
     return 0
 
 
 def _cmd_torsion(args) -> int:
     g, _, _ = _load(args)
-    dirichlet = args.dirichlet
-    sol = solve_torsion(g, dirichlet)
-    payload = {"rigidity": sol.rigidity, "dirichlet": list(sol.dirichlet),
-               **sol.function.to_json()}
-    _emit(args, payload)
+    sol = solve_torsion(g, args.dirichlet)
+    _emit(args, {"rigidity": sol.rigidity, "dirichlet": list(sol.dirichlet),
+                 **sol.function.to_json()})
     return 0
 
 
@@ -110,9 +107,9 @@ def _cmd_sampling(args) -> int:
 def _cmd_bound(args) -> int:
     cmd = args.bound_cmd
     if cmd == "thm21":
-        out = bnd.spectral_bound(args.gamma, args.rho, getattr(args, "lam"))
+        out = bnd.spectral_bound(args.gamma, args.rho, args.lam)
     elif cmd == "thm26":
-        out = bnd.h_bound(args.gamma, h=getattr(args, "h"))
+        out = bnd.h_bound(args.gamma, h=args.h)
     elif cmd == "cor72":
         g, _, _ = _load(args)
         out = bnd.standard_range(metrics(g), args.k, args.gamma, args.rho)
@@ -161,8 +158,7 @@ def _cmd_verify(args) -> int:
         _emit(args, out)
         return 0 if out.passed else 2
     if cmd == "optimality":
-        out = vfy.optimality_example(args.ell, getattr(args, "lam"), args.gamma)
-        _emit(args, out)
+        _emit(args, vfy.optimality_example(args.ell, args.lam, args.gamma))
         return 0
     if cmd == "trace-ineq":
         rng = np.random.default_rng(args.seed)
@@ -183,15 +179,13 @@ def _cmd_verify(args) -> int:
     g, y, sset = _load(args)
     if cmd == "observability":
         params = smp.certify(sset, args.grid)
-        out = vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
-                                        modes=args.modes, params=params)
-        _emit(args, out)
+        _emit(args, vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
+                                              modes=args.modes, params=params))
         return 0
     if cmd == "classify":
         _, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
-        out = vfy.classify_edges(f, bnd.BernsteinProfile.power_law(lam),
-                                 m_max=args.m_max)
-        _emit(args, out)
+        _emit(args, vfy.classify_edges(f, bnd.BernsteinProfile.power_law(lam),
+                                       m_max=args.m_max))
         return 0
     # ratio / derivative
     chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
@@ -200,9 +194,7 @@ def _cmd_verify(args) -> int:
         out = vfy.compare(f, sset.region(), params, lam=lam)
     else:
         out = vfy.compare_derivative(f, sset.region(), params, lam=lam)
-    payload = {"seed": args.seed, "modes": len(chosen), "lam": lam,
-               **rep.sanitize(out)}
-    _emit(args, payload)
+    _emit(args, {"seed": args.seed, "modes": len(chosen), "lam": lam, **rep.sanitize(out)})
     return 0 if (out.passed or out.vacuous) else 2
 
 
@@ -233,11 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral-inequality constants on compact metric graphs.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, graph=True, out=True):
-        if graph:
-            sp.add_argument("--graph", required=True, help="graph JSON file")
-        if out:
-            sp.add_argument("--out", help="write the report here (default stdout)")
+    def add_common(sp):
+        sp.add_argument("--graph", required=True, help="graph JSON file")
+        sp.add_argument("--out", help="write the report here (default stdout)")
 
     sp = sub.add_parser("spectrum", help="eigenvalues and eigenfunctions")
     add_common(sp)

@@ -138,11 +138,9 @@ class MetricGraph:
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
     """Build and validate a graph from (id, source, target, length[, flux])
     tuples, with target None for rays."""
-    es = []
-    for eid, src, tgt, ell, *rest in edges:
-        es.append(Edge(str(eid), str(src), None if tgt is None else str(tgt),
-                       float(ell), float(rest[0]) if rest else 0.0))
-    return MetricGraph(vertices, es)
+    return MetricGraph(vertices, [Edge(str(eid), str(src), None if tgt is None else str(tgt),
+                                       float(ell), float(rest[0]) if rest else 0.0)
+                                  for eid, src, tgt, ell, *rest in edges])
 
 
 # ---------------------------------------------------------------------------

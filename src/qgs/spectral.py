@@ -32,7 +32,7 @@ TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled t
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 _SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
-MAX_SOLVE_ENTRIES = 2 ** 22  # cap on (eigenphase count bound) * (2E)^2 per solve
+MAX_SOLVE_ENTRIES = 2 ** 22  # cap on the (2E)^2 entries of a solve's cell or root stack
 _TWO_PI = 2.0 * math.pi
 
 _log = logging.getLogger("qgs.spectral")
@@ -336,6 +336,24 @@ def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+def count_bound(total_length: float, edges: int, k: float) -> float:
+    """The eigenphase count: under every boundary subspace and flux at most
+    |G| k / pi + 2E eigenvalues lie in (0, k^2], and at least |G| k / pi - 2E."""
+    return total_length * k / math.pi + 2 * edges
+
+
+def wavenumber_range(total_length: float, edges: int, n: int) -> tuple[float, float]:
+    """Its inverse: the n-th positive eigenvalue has its square root in
+    [pi (n - 2E) / |G|, pi (n + 2E) / |G|]."""
+    return math.pi / total_length * (n - 2 * edges), math.pi / total_length * (n + 2 * edges)
+
+
+def _refuse_oversize(entries: float, lam_max: float) -> None:
+    if not entries <= MAX_SOLVE_ENTRIES:
+        raise ValueError(f"eigenvalue solve too large: about {entries:.3g} matrix entries "
+                         f"up to lambda = {lam_max:g}, above the cap of {MAX_SOLVE_ENTRIES}")
+
+
 def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
@@ -362,22 +380,20 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
         raise ValueError("eigenvalue solve requires at least one edge")
     if lam_max <= 0.0:
         raise ValueError("lam_max must be positive")
-    # at most C = |G| k / pi + 2E roots: the cell stack holds at most pi C + 2
-    # and the harvest stack C + 1 matrices of (2E)^2 entries
     k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     ne = len(g.edges)
-    entries = (sum(g.edge_lengths.values()) * k_hi / math.pi + 2 * ne) * (2 * ne) ** 2
-    if not entries <= MAX_SOLVE_ENTRIES:
-        raise ValueError(f"eigenvalue solve too large: about {entries:.3g} matrix entries "
-                         f"up to lambda = {lam_max:g}, above the cap of {MAX_SOLVE_ENTRIES}")
+    # the cell stack holds ceil(k ell_max) + 1 matrices, the root search and
+    # the harvest about one per root; inf and nan are refused too
+    _refuse_oversize((k_hi * max(g.edge_lengths.values()) + 2) * (2 * ne) ** 2, lam_max)
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
     phases = _Eigenphases(g, y_eff)
     n_cells = max(1, math.ceil(k_hi * phases.ell_max))
     ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
     # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
     ends[0].phases[ends[0].phases > _TWO_PI - _SNAP] = 0.0
-    roots = phases.roots([(a, b, m) for a, b in zip(ends, ends[1:])
-                          if (m := phases.count(a, b))])
+    brackets = [(a, b, m) for a, b in zip(ends, ends[1:]) if (m := phases.count(a, b))]
+    _refuse_oversize((sum(m for *_, m in brackets) + 1) * (2 * ne) ** 2, lam_max)
+    roots = phases.roots(brackets)
 
     # a degenerate root that roundoff split across a cell edge is one root
     merged: list[list] = []  # [wavenumber, multiplicity]

@@ -22,7 +22,8 @@ from .graphs import (BoundarySubspace, MetricGraph, build_graph,
 from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
                        gram, masses, norm_sq, sup_on_disk_neighborhood, whole_edge)
 from .sampling import Cover, SamplingParams, SamplingSet, verify_cover
-from .spectral import EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample
+from .spectral import (EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample,
+                       wavenumber_range)
 
 PASS_REL_TOL = 1e-12      # strict ">" of the theorems at floating-point scale
 DEFAULT_M_MAX = 40        # derivative orders checked per edge
@@ -331,9 +332,9 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
     if modes < 1:
         raise ValueError("need at least one mode")
     if pairs is None:
-        # the eigenphase count puts at least |G| k / pi - 2E eigenvalues in
-        # (0, k^2], so this one solve holds the modes
-        k = math.pi * (modes + 2 * len(g.edges)) / sum(g.edge_lengths.values())
+        # by the eigenphase count the modes-th positive eigenvalue lies at
+        # or below k^2, so this one solve holds the modes
+        k = wavenumber_range(sum(g.edge_lengths.values()), len(g.edges), modes)[1]
         pairs = eigenvalues_up_to(g, y, k * k)
     if len(pairs) < modes:
         raise ValueError(f"could not compute {modes} modes")
@@ -352,9 +353,8 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
                                     formula_c_squared=None, modes=modes,
                                     horizon=horizon)
     top = max_generalized_eig(lhs, rhs)
-    formula = None
-    if params is not None:
-        formula = observability_constant(params.gamma, params.rho, horizon).c_squared.value
+    formula = (None if params is None
+               else observability_constant(params.gamma, params.rho, horizon).c_squared.value)
     return ObservabilityNumeric(observable=True, numeric_c_squared=top,
                                 formula_c_squared=formula, modes=modes,
                                 horizon=horizon)

@@ -248,6 +248,10 @@ class TestObservability:
         rep2 = observability_constant(0.5, 0.5, 1.0, k4=50.0)
         assert not rep2.c_squared.notes
 
+    def test_unknown_constant_refused(self):
+        with pytest.raises(TypeError, match="c4"):
+            observability_constant(0.5, 0.5, 1.0, c4=1.0)
+
 
 class TestBernsteinProfile:
     def test_power_law_budget(self):

@@ -258,6 +258,20 @@ class TestVerify:
         assert data["observable"] is True
         assert data["numeric_c_squared"] > 0.0
 
+    def test_observability_on_seventy_edges(self, capsys, tmp_path):
+        # the solve sized by the eigenphase count holds 141 roots of 140 x 140
+        # matrices, under the size cap
+        graph, sset = tmp_path / "star.json", tmp_path / "set.json"
+        graph.write_text(json.dumps({
+            "vertices": ["c", *(f"w{i}" for i in range(70))],
+            "edges": [{"id": f"e{i}", "from": "c", "to": f"w{i}", "length": 1.0}
+                      for i in range(70)]}))
+        sset.write_text(json.dumps({"edges": {f"e{i}": [[0.0, 0.5]] for i in range(70)}}))
+        code, out, _ = run(capsys, "verify", "observability", "--graph", str(graph),
+                           "--set", str(sset), "--horizon", "0.5", "--modes", "4")
+        assert code == 0
+        assert json.loads(out)["observable"] is True
+
     def test_trace_ineq(self, capsys, interval_file):
         code, out, _ = run(capsys, "verify", "trace-ineq", "--graph",
                            interval_file, "--trials", "20", "--seed", "3")
@@ -297,10 +311,11 @@ _RAY_SET = {"external": {"r": {"period": 1.0, "body": [[0.0, 0.5]]}}}
      None, None),
     (dict(_INTERVAL, conditions={"subspace": {"basis": [[1]]}}), None, None),
     (_INTERVAL, [[0.0, 0.5]], None),
+    (_INTERVAL, "", None),
     (_RAY, {"external": {"r": {"body": [[0.0, 0.5]]}}}, None),
     (_RAY, _RAY_SET, {"external": {"r": {"body": [0.0, 1.0]}}}),
 ], ids=["graph-list", "edges-int", "length-null", "basis-of-ints", "set-list",
-        "set-without-period", "cover-without-head"])
+        "set-name-empty", "set-without-period", "cover-without-head"])
 def test_malformed_input_is_one_error_line(capsys, tmp_path, graph, sset, cover):
     files = {}
     for name, data in (("graph", graph), ("set", sset), ("cover", cover)):
@@ -315,7 +330,8 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, graph, sset, cover)
     else:
         argv = ["spectrum"]
     argv += ["--graph", str(files["graph"])]
-    argv += ["--set", str(files["set"])] if sset is not None else []
+    # an empty set is an empty file name
+    argv += ["--set", "" if sset == "" else str(files["set"])] if sset is not None else []
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -119,6 +119,15 @@ class TestStarSpectrum:
                       + [((n + 0.5) * math.pi) ** 2 for n in (0, 1)] * 2)
         assert lam_list(pairs) == pytest.approx(want, abs=1e-8)
 
+    def test_hundred_edges_below_the_size_cap(self):
+        # the size cap counts the matrices a solve holds: a few cells and
+        # one per root (101 here, of 200 x 200)
+        g = build_graph(["c", *(f"w{i}" for i in range(100))],
+                        [(f"e{i}", "c", f"w{i}", 1.0) for i in range(100)])
+        pairs = eigenvalues_up_to(g, standard_subspace(g), 10.0)
+        want = [0.0] + [(math.pi / 2) ** 2] * 99 + [math.pi ** 2]
+        assert lam_list(pairs) == pytest.approx(want, abs=1e-8)
+
     def test_against_fine_scan(self):
         g = three_star(1.0)
         y = standard_subspace(g)
