@@ -63,14 +63,6 @@ def csv_dumps(rows: Iterable[Mapping], columns: Sequence[str]) -> str:
     return buf.getvalue()
 
 
-def emit(text: str, path: str | None) -> None:
-    if path is None:
-        print(text, end="")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 AUDIT_COLUMNS = ("trial", "graph", "gamma", "rho", "lam", "modes",
                  "mass_observed", "bound", "mass_margin", "mass_passed",
                  "deriv_observed", "deriv_margin", "deriv_passed",

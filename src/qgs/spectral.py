@@ -33,6 +33,7 @@ TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 _SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
 MAX_SOLVE_ENTRIES = 2 ** 22  # cap on the (2E)^2 entries of a solve's cell or root stack
+_MAX_ROUNDS = 200        # root-search rounds: a split tree ~50 deep and 100 Newton rounds
 _TWO_PI = 2.0 * math.pi
 
 _log = logging.getLogger("qgs.spectral")
@@ -235,9 +236,9 @@ class _Eigenphases:
         A step is accepted without another eig when it is tiny or its
         estimated error is at most 1e-13 max(1, k); a midpoint that is an end
         or the current point cannot narrow the bracket and ends it there.
-        200 rounds outlast a split tree about 50 deep and 100 Newton rounds."""
+        A bracket still live after _MAX_ROUNDS rounds is a ValueError."""
         out, live = [], [(a, b, m, b, True) for a, b, m in brackets]
-        for _ in range(200):
+        for _ in range(_MAX_ROUNDS):
             split = [br for br in live if br[2] > 1 and br[1].k - br[0].k >= CLUSTER_GAP]
             self.stats["bisections"] += len(split)
             guesses = [self._predicted_split(a, b, m) if predict else []
@@ -284,7 +285,9 @@ class _Eigenphases:
             for (a, b, m, _, predict), p in zip(moving, new[used:]):
                 c = self.count(a, p)
                 live.append((p if c == 0 else a, p if c == m else b, m, p, predict))
-        return out + [(p.k, m) for _, _, m, p, _ in live]
+        a, b, m, _, _ = live[0]
+        raise ValueError(f"eigenvalue search did not converge in {_MAX_ROUNDS} rounds: "
+                         f"{m} root(s) left in lambda ({a.k ** 2!r}, {b.k ** 2!r}]")
 
     def _newton_steps(self, ps: list[_Point], lo: np.ndarray, hi: np.ndarray,
                       m: int) -> tuple[np.ndarray, np.ndarray]:

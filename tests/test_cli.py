@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgs.cli import main
+from qgs.cli import build_parser, main
 from qgs.graphs import load_graph
 from qgs.sampling import (Cover, SamplingParams, SamplingSet, certified_params, optimal_gamma,
                           optimal_rho, verify_cover)
@@ -296,6 +297,138 @@ class TestAudit:
         header = out.read_text().splitlines()[0]
         assert header.startswith("trial,graph,gamma,rho,lam")
         assert len(out.read_text().splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--gamma", "nan", "--rho", "0.5"],
+    ["bound", "thm26", "--gamma", "1", "--h", "nan"],
+    ["bound", "thm21", "--gamma", "0.5", "--rho", "inf", "--lambda", "10"],
+    ["bound", "thm21", "--gamma", "0.5", "--rho", "nan", "--lambda", "10"],
+], ids=["gaps-gamma-nan", "thm26-h-nan", "thm21-rho-inf", "thm21-rho-nan"])
+def test_non_finite_flag_refused(capsys, interval_file, set_file, argv):
+    code, out, err = run(capsys, *(a.format(graph=interval_file, set=set_file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "thm21", "--gamma", "0.5"],
+    ["bound", "thm21", "--gamma", "x", "--rho", "0.5", "--lambda", "10"],
+    ["bound"],
+], ids=["missing-flag", "bad-value", "missing-subcommand"])
+def test_usage_error_is_one_input_error_line(capsys, argv):
+    # exit 2 is kept for an observed violation
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "thm21", "--help"])
+    assert exc.value.code == 0 and "--lambda" in capsys.readouterr().out
+
+
+def _leaves(parser, path=()):
+    """(command, parser) of every leaf command under `parser`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def _flag(action) -> str:
+    """An option as `--name[/-alias][:dest][!][=default]`: `:dest` when the
+    dest is not the option's own, `!` when it is required."""
+    text = "/".join(action.option_strings)
+    if action.dest != action.option_strings[0].lstrip("-").replace("-", "_"):
+        text += f":{action.dest}"
+    if action.required:
+        text += "!"
+    if action.default is not None:
+        text += f"={action.default!r}"
+    return text
+
+
+# every leaf command's options, defaults and required flags
+_SURFACE = {
+    "spectrum": ["--graph!", "--lambda-max=100.0", "--out"],
+    "torsion": ["--dirichlet!", "--graph!", "--out"],
+    "sampling verify": ["--cover!", "--gamma!", "--graph!", "--out", "--rho!", "--set!"],
+    "sampling gamma": ["--graph!", "--grid=200", "--out", "--rho!", "--set!"],
+    "sampling rho": ["--gamma!", "--graph!", "--grid=200", "--out", "--set!"],
+    "sampling gaps": ["--gamma", "--graph!", "--out", "--rho", "--set!"],
+    "bound thm21": ["--gamma!", "--lambda:lam!", "--out", "--rho!"],
+    "bound thm26": ["--gamma!", "--h!", "--out"],
+    "bound cor72": ["--gamma!", "--graph!", "--k!", "--out", "--rho!"],
+    "bound trace": ["--gamma!", "--graph!", "--lambda-max=100.0", "--out", "--rho!", "--set",
+                    "--t!"],
+    "bound observability": ["--c1=1.0", "--c2=1.0", "--c3=1.0", "--gamma!", "--horizon/-T!",
+                            "--k1=1.0", "--k2=5.0", "--k3=1.0", "--k4=48.0", "--out", "--rho!"],
+    "bound torsion": ["--dirichlet!", "--gamma!", "--graph!", "--out", "--rho!"],
+    "verify ratio": ["--graph!", "--grid=200", "--lambda-max=100.0", "--modes=5", "--out",
+                     "--seed=20245", "--set!"],
+    "verify derivative": ["--graph!", "--grid=200", "--lambda-max=100.0", "--modes=5", "--out",
+                          "--seed=20245", "--set!"],
+    "verify classify": ["--graph!", "--lambda-max=100.0", "--m-max=40", "--modes=5", "--out",
+                        "--seed=20245"],
+    "verify kovrijkine": ["--coeffs!", "--e-set!", "--grid=2000", "--out"],
+    "verify local": ["--ell!", "--grid=4096", "--out", "--s-set!", "--terms!"],
+    "verify optimality": ["--ell!", "--gamma!", "--lambda:lam!", "--out"],
+    "verify observability": ["--graph!", "--grid=200", "--horizon/-T!", "--modes=4", "--out",
+                             "--set!"],
+    "verify trace-ineq": ["--graph!", "--out", "--seed=20245", "--trials=100"],
+    "verify lasso": ["--out"],
+    "audit": ["--format='json'", "--lambda-max=200.0", "--out", "--seed=20245", "--trials=10000"],
+}
+
+# a quick run of every leaf command
+_LEAF_ARGV = {
+    "spectrum": "--graph {graph} --lambda-max 30",
+    "torsion": "--graph {graph} --dirichlet a",
+    "sampling verify": "--graph {graph} --set {set} --cover {cover} --gamma 0.4 --rho 1.6",
+    "sampling gamma": "--graph {graph} --set {set} --rho 1.6",
+    "sampling rho": "--graph {graph} --set {set} --gamma 0.4",
+    "sampling gaps": "--graph {graph} --set {set} --gamma 0.4 --rho 0.2",
+    "bound thm21": "--gamma 0.5 --rho 0.5 --lambda 10",
+    "bound thm26": "--gamma 1 --h 1",
+    "bound cor72": "--graph {graph} --k 2 --gamma 1 --rho 1.5",
+    "bound trace": "--graph {graph} --set {set} --gamma 1 --rho 0.02 --t 1 --lambda-max 100",
+    "bound observability": "--gamma 0.5 --rho 0.5 -T 1 --c1 2",
+    "bound torsion": "--graph {graph} --dirichlet a --rho 1.5 --gamma 0.5",
+    "verify ratio": "--graph {graph} --set {set} --lambda-max 50 --modes 3 --seed 5",
+    "verify derivative": "--graph {graph} --set {set} --lambda-max 50 --modes 3 --seed 5",
+    "verify classify": "--graph {graph} --lambda-max 50",
+    "verify kovrijkine": "--coeffs [1,0.5] --e-set [[0,0.4]]",
+    "verify local": "--terms [[1,0,0,2]] --ell 1 --s-set [[0.2,0.9]]",
+    "verify optimality": "--ell 1 --lambda 158 --gamma 0.3",
+    "verify observability": "--graph {graph} --set {set} --horizon 0.5 --modes 3",
+    "verify trace-ineq": "--graph {graph} --trials 5 --seed 3",
+    "verify lasso": "",
+    "audit": "--trials 5 --seed 3 --lambda-max 30 --format csv",
+}
+
+
+def test_cli_surface():
+    # no flag is added, removed, renamed or re-defaulted
+    leaves = {name: sorted(_flag(a) for a in parser._actions if a.dest != "help")
+              for name, parser in _leaves(build_parser())}
+    assert leaves == _SURFACE and set(_LEAF_ARGV) == set(_SURFACE)
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))
+def test_out_file_holds_the_printed_report(capsys, tmp_path, interval_file, set_file, leaf):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"edges": {"e": [0.0, math.pi / 2, math.pi]}}))
+    argv = [*leaf.split(), *(a.format(graph=interval_file, set=set_file, cover=cover)
+                             for a in _LEAF_ARGV[leaf].split())]
+    code, printed, err = run(capsys, *argv)
+    assert printed and err == ""
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_bytes() == printed.encode("utf-8")
 
 
 _INTERVAL = {"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qgs import spectral
 from qgs.cli import main
 from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         gauge_transform, standard_subspace, subspace_from_basis,
@@ -485,6 +486,14 @@ class TestDefensive:
         g = build_graph(["a"], [])
         with pytest.raises(ValueError, match="at least one edge"):
             eigenvalues_up_to(g, standard_subspace(g), 10.0)
+
+    def test_unconverged_root_search_raises(self, monkeypatch):
+        # a bracket still live when the rounds run out is a failure, not an
+        # eigenvalue
+        monkeypatch.setattr(spectral, "_MAX_ROUNDS", 1)
+        g = three_star()
+        with pytest.raises(ValueError, match="did not converge in 1 rounds"):
+            eigenvalues_up_to(g, standard_subspace(g), 100.0)
 
 
 def _equilateral(shape):
