@@ -32,15 +32,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _number(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+
+
 def _finite(value: str) -> float:
-    x = float(value)
+    x = _number(value)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError("must be finite")
     return x
 
 
 def _positive(value: str) -> float:
-    x = float(value)
+    x = _number(value)
     if not 0.0 < x < math.inf:
         raise argparse.ArgumentTypeError("must be positive and finite")
     return x

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -262,12 +263,23 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 # optimisers
 
 
+def _rho_free(omega: IntervalUnion, ell: float, grid_n: int
+              ) -> tuple[list[float], np.ndarray]:
+    """The points 0, ell and the set's endpoints; and the candidates that do
+    not depend on rho: those points and the grid, sorted, unique, in [0, ell]."""
+    ends = [x + 0.0 for x in (0.0, ell, *omega.endpoints())]  # -0.0 -> 0.0
+    pts = np.unique(np.concatenate((ends, ell * np.arange(1, grid_n) / grid_n)))
+    return ends, pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
+
+
+def _shifted(ends: list[float], rho: float, ell: float) -> list[float]:
+    """The points ends -/+ rho inside (0, ell), sorted and unique."""
+    return sorted({x for e in ends for x in (e - rho, e + rho) if 0.0 < x < ell})
+
+
 def _candidates(omega: IntervalUnion, ell: float, rho: float, grid_n: int) -> np.ndarray:
-    base = np.array([0.0, ell, *omega.endpoints()]) + 0.0  # -0.0 -> 0.0
-    shifted = np.concatenate((base - rho, base + rho))
-    pts = np.unique(np.concatenate((base, shifted[(shifted > 0.0) & (shifted < ell)],
-                                    ell * np.arange(1, grid_n) / grid_n)))
-    return pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
+    ends, base = _rho_free(omega, ell, grid_n)
+    return np.union1d(base, _shifted(ends, rho, ell))
 
 
 def _window_starts(ts: np.ndarray, rho: float, ell: float) -> list[int]:
@@ -283,14 +295,79 @@ def _window_starts(ts: np.ndarray, rho: float, ell: float) -> list[int]:
 
 def _maxmin_density(ts: np.ndarray, pref: np.ndarray, lo: list[int]) -> float:
     """Exact max over candidate-aligned covers of the least window density
-    (-inf if none reaches ell): best[i] = max_j min(best[j], dens(j, i))."""
-    best = np.full(ts.size, -np.inf)
+    (-inf if none reaches ell): best[i] = max_j min(best[j], dens(j, i)).
+    The densities of a block of rows come from one array expression, the
+    same float per entry as row by row; the recurrence then runs row by row."""
+    n = ts.size
+    best = np.full(n, -np.inf)
     best[0] = np.inf
-    for i in range(1, ts.size):
-        if lo[i] < i:
-            dens = (pref[i] - pref[lo[i]:i]) / (ts[i] - ts[lo[i]:i])
-            best[i] = np.minimum(best[lo[i]:i], dens).max()
+    maximum, minimum = np.maximum.reduce, np.minimum
+    a = 1
+    while a < n:
+        c = lo[a]
+        # at most 64 rows and about 2**15 densities: on wide windows a larger
+        # block falls out of cache and is slower than row by row
+        b = min(n, a + max(1, min(64, 32768 // (a - c + 1))))
+        with np.errstate(divide="ignore", invalid="ignore"):  # j >= i: unused
+            dens = (pref[a:b, None] - pref[c:b]) / (ts[a:b, None] - ts[c:b])
+        for i, row, j in zip(range(a, b), dens, lo[a:b]):
+            if j < i:
+                window = row[j - c:i - c]
+                best[i] = maximum(minimum(best[j:i], window, out=window))
+        a = b
     return float(best[-1])
+
+
+def _reach(t: list[float], q: list[float], slack_w: float, slack_m: float) -> bool:
+    """Forward pass of the cover DP over the candidates t, with q = pref -
+    gamma*t: [t[j], t[i]] is a window iff t[i] - t[j] <= slack_w, and dense
+    enough iff q[j] <= q[i] + slack_m.  Sets q = inf at the unreached
+    candidates, in place; True iff ell is reached."""
+    inf = math.inf
+    live = deque([0])  # the reached candidates of the window, in increasing q
+    popleft, pop, append = live.popleft, live.pop, live.append
+    j, q_min = 0, q[0]  # the window's start; q at live[0]
+    for i in range(1, len(t)):
+        ti = t[i]
+        if ti - t[j] > slack_w:  # the window moved: drop what it left behind
+            j += 1
+            while ti - t[j] > slack_w:
+                j += 1
+            while live[0] < j:
+                popleft()
+                if not live:  # no window beyond this one holds a reached point
+                    return False
+            q_min = q[live[0]]
+        qi = q[i]
+        if q_min <= qi + slack_m:
+            if q_min >= qi:  # i undercuts every reached point of the window
+                live.clear()
+                q_min = qi
+            else:
+                while q[live[-1]] >= qi:  # stops above live[0], whose q < qi
+                    pop()
+            append(i)
+        else:
+            q[i] = inf
+    return q[-1] != inf
+
+
+def _walk(t: list[float], q: list[float], slack_w: float, slack_m: float
+          ) -> list[float]:
+    """Breakpoints of the cover a successful _reach found: from ell back to 0,
+    each step goes to the earliest dense-enough reached point of its window
+    (the longest step)."""
+    i = len(t) - 1
+    path = [t[i]]
+    while i > 0:
+        ti, bound = t[i], q[i] + slack_m
+        j = i - 1
+        while j >= 0 and ti - t[j] <= slack_w:
+            if q[j] <= bound:
+                i = j
+            j -= 1
+        path.append(t[i])
+    return path[::-1]
 
 
 def _cover_dp(ts: np.ndarray, pref: np.ndarray, rho: float, gamma: float,
@@ -299,26 +376,9 @@ def _cover_dp(ts: np.ndarray, pref: np.ndarray, rho: float, gamma: float,
     intervals of length <= rho and relative measure >= gamma?  Returns the
     breakpoints of one such cover (preferring long steps), or None."""
     slack_m = _EQ_SLACK * max(1.0, ell)
-    lo = _window_starts(ts, rho, ell)
-    # [ts[j], ts[i]] is dense enough iff q[j] <= q[i] + slack_m; `live` keeps the
-    # reached points of the window in increasing q; q = inf marks unreached ones
-    q = (pref - gamma * ts).tolist()
-    live = deque([0])
-    for i in range(1, len(q)):
-        while live and live[0] < lo[i]:
-            live.popleft()
-        if live and q[live[0]] <= q[i] + slack_m:
-            while live and q[live[-1]] >= q[i]:
-                live.pop()
-            live.append(i)
-        else:
-            q[i] = math.inf
-    if q[-1] == math.inf:
-        return None
-    path = [len(q) - 1]
-    while (i := path[-1]) > 0:  # earliest feasible predecessor: longest step
-        path.append(next(j for j in range(lo[i], i) if q[j] <= q[i] + slack_m))
-    return ts[path[::-1]].tolist()
+    slack_w = rho + slack_m
+    t, q = ts.tolist(), (pref - gamma * ts).tolist()
+    return _walk(t, q, slack_w, slack_m) if _reach(t, q, slack_w, slack_m) else None
 
 
 @dataclass
@@ -380,17 +440,29 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
     if global_density + _EQ_SLACK < gamma:
         return RhoResult(rho=math.inf, breakpoints=None, feasible=False,
                          global_density=global_density)
+    # each step adds to the rho-free candidates only the points shifted by
+    # its rho; the last feasible step's DP state yields the cover at the end
+    ends, base = _rho_free(omega, ell, grid_n)
+    t_base = base.tolist()
+    in_base = set(t_base)
+    q_base = (omega.prefix_measures(base) - gamma * base).tolist()
+    slack_m = _EQ_SLACK * max(1.0, ell)
     lo, hi = 0.0, ell
-    best = [0.0, ell]
+    last = None
     while hi - lo > RHO_TOL_REL * ell:
         mid = 0.5 * (lo + hi)
-        ts = _candidates(omega, ell, mid, grid_n)
-        bps = _cover_dp(ts, omega.prefix_measures(ts), mid, gamma, ell)
-        if bps is None:
-            lo = mid
-        else:
+        pts = [x for x in _shifted(ends, mid, ell) if x not in in_base]
+        t, q = t_base[:], q_base[:]
+        for x, p in zip(pts[::-1], omega.prefix_measures(pts)[::-1].tolist()):
+            at = bisect_left(t_base, x)
+            t.insert(at, x)
+            q.insert(at, p - gamma * x)
+        if _reach(t, q, mid + slack_m, slack_m):
             hi = mid
-            best = bps
+            last = (t, q, mid + slack_m)
+        else:
+            lo = mid
+    best = _walk(*last, slack_m) if last else [0.0, ell]
     _, rho_star = _achieved(omega, best)
     return RhoResult(rho=rho_star, breakpoints=tuple(best), feasible=True,
                      global_density=global_density)

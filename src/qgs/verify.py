@@ -170,9 +170,10 @@ def classify_edges(f: GraphFunction, profile: BernsteinProfile,
             except np.linalg.LinAlgError:
                 gains.append(math.inf)
         else:
-            fn = GraphFunction(g, {eid: list(terms)})
-            per_edge[eid] = np.array([d.whole for d in masses([fn.derivative(k)
-                                                               for k in orders])])
+            ds = [GraphFunction(g, {eid: list(terms)})]
+            for _ in orders[1:]:  # order by order: one derivative step each
+                ds.append(ds[-1].derivative())
+            per_edge[eid] = np.array([d.whole for d in masses(ds)])
             gains.append(0.0 if all(t.freq == 0.0 for t in terms) else math.inf)
 
     # the function itself must obey its profile before edges are judged by it

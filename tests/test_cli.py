@@ -102,6 +102,22 @@ class TestSampling:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("bps, issue", [
+        ([0.5, math.pi], "e: breakpoints must run from 0 to "),
+        ([0.0, 1.5, 1.0, math.pi], "e: breakpoints not increasing at 1.5"),
+        ([0.0, 1.0, math.pi], f"e: interval [1.0, {math.pi}] longer than rho=1.6"),
+    ], ids=["ends", "order", "width"])
+    def test_verify_refuses_a_bad_cover(self, capsys, tmp_path, interval_file, set_file,
+                                        bps, issue):
+        cover = tmp_path / "cover.json"
+        cover.write_text(json.dumps({"edges": {"e": bps}}))
+        code, out, _ = run(capsys, "sampling", "verify", "--graph", interval_file,
+                           "--set", set_file, "--cover", str(cover),
+                           "--gamma", "0.1", "--rho", "1.6")
+        data = json.loads(out)
+        assert code == 1 and data["ok"] is False
+        assert any(i.startswith(issue) for i in data["issues"])
+
     def test_gamma(self, capsys, interval_file, set_file):
         code, out, _ = run(capsys, "sampling", "gamma", "--graph", interval_file,
                            "--set", set_file, "--rho", "1.6")
@@ -321,6 +337,14 @@ def test_usage_error_is_one_input_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--rho"])
+def test_non_numeric_flag_names_its_value(capsys, flag):
+    values = {"--gamma": "0.5", "--rho": "0.5", "--lambda": "10", flag: "x"}
+    code, out, err = run(capsys, "bound", "thm21", *(a for kv in values.items() for a in kv))
+    assert code == 1 and out == ""
+    assert err == f"error: argument {flag}: not a number: 'x'\n"
 
 
 def test_help_exits_zero(capsys):

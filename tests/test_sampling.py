@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgs import sampling
 from qgs.graphs import build_graph
 from qgs.polytrig import IntervalUnion
 from qgs.sampling import (Cover, CoverViolation, GammaResult, PeriodicTail,
@@ -343,6 +344,58 @@ class TestReferenceKernels:
             else:
                 assert want <= 10.0 * 1e-12
         assert checked >= 30
+
+
+def grid_aligned_corpus(seed=5, count=40):
+    """(union, ell, gamma, grid_n) with every endpoint on the grid ell*i/grid_n,
+    so that points shifted by the bisection's dyadic rho land on grid points
+    and on other shifted points."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for c in range(count):
+        ell, grid_n = (1.0, 8) if c % 2 else (float(rng.uniform(0.5, 3.0)), 200)
+        ticks = np.unique(rng.integers(0, grid_n + 1, size=2 * int(rng.integers(1, 5))))
+        ivs = [(ell * a / grid_n, ell * b / grid_n) for a, b in zip(ticks[::2], ticks[1::2])]
+        if ivs:
+            cases.append((IntervalUnion(ivs, length=ell), ell,
+                          1e-6 if c % 3 else float(rng.uniform(0.02, 1.0)), grid_n))
+    return cases
+
+
+class TestRhoSearchSteps:
+    """optimal_rho merges each step's shifted points into one rho-free base:
+    every step must run its DP on exactly the candidates, and the q = pref -
+    gamma*t, that building them anew at its rho gives."""
+
+    def test_each_step_sees_the_candidates_of_its_rho(self, monkeypatch):
+        steps = []
+        reach = sampling._reach
+
+        def spy(t, q, slack_w, slack_m):
+            steps.append((list(t), list(q)))
+            steps[-1] += (reach(t, q, slack_w, slack_m),)
+            return steps[-1][-1]
+
+        monkeypatch.setattr(sampling, "_reach", spy)
+        corpus = [(iu, ell, gamma, n) for iu, ell, _, gamma, n in reference_corpus(count=40)]
+        shared = 0  # steps where a shifted point is a base point or another shift
+        for iu, ell, gamma, grid_n in corpus + grid_aligned_corpus():
+            steps.clear()
+            res = optimal_rho(iu, ell, gamma, grid_n)
+            base = loop_candidates(iu, ell, 0.0, grid_n).size
+            lo, hi = 0.0, ell
+            for t, q, feasible in steps:
+                mid = 0.5 * (lo + hi)
+                ts = loop_candidates(iu, ell, mid, grid_n)
+                assert t == ts.tolist()
+                assert q == (iu.prefix_measures(ts) - gamma * ts).tolist()
+                shifted = [x for e in (0.0, ell, *iu.endpoints())
+                           for x in (e - mid, e + mid) if 0.0 < x < ell]
+                shared += len(shifted) > ts.size - base
+                lo, hi = (lo, mid) if feasible else (mid, hi)
+            assert bool(steps) == res.feasible
+            assert hi - lo <= sampling.RHO_TOL_REL * ell or not res.feasible
+        assert shared > 100
 
 
 class TestPeriodic:

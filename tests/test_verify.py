@@ -9,7 +9,7 @@ from qgs import verify
 from qgs.bounds import BernsteinProfile, BoundReport
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq,
+from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, masses, norm_sq,
                           whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from qgs.spectral import eigenvalues_up_to, spectral_sample
@@ -186,6 +186,42 @@ class TestClassifyEdges:
                 assert rep.good[eid] == want_good
             assert rep.bad_mass < 0.5 * rep.total_mass
             assert rep.total_mass < 2.0 * rep.good_mass
+
+    def test_polynomial_edges_match_the_direct_derivatives(self, monkeypatch):
+        # a power-1 term sends an edge down the derivative-chain branch; e1 is
+        # the K4 lambda = 0 eigenfunction's edge, whose 4.17e-16 x term beside
+        # 0.383 survives pruning, and e2 mixes x*exp(+-3ix) with exp(+-3ix)
+        g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.3)])
+        f = GraphFunction(g, {
+            "e1": [PolyTrigTerm(0.383, 0, 0.0), PolyTrigTerm(4.17e-16, 1, 0.0)],
+            "e2": [PolyTrigTerm(0.05, 1, 3.0), PolyTrigTerm(0.05, 1, -3.0),
+                   PolyTrigTerm(0.5, 0, 3.0), PolyTrigTerm(0.5, 0, -3.0)]})
+        profile, m_max = BernsteinProfile.power_law(9.5), 40
+        seen = []  # the per-order masses classify_edges computes, per edge
+
+        def spy(fns):
+            out = masses(fns)
+            if len(fns) == m_max + 1:
+                seen.append(np.array([m.whole for m in out]))
+            return out
+
+        monkeypatch.setattr(verify, "masses", spy)
+        rep = classify_edges(f, profile, m_max=m_max)
+        monkeypatch.undo()
+        assert len(seen) == 2
+        total = masses([f])[0].whole
+        good_mass = 0.0
+        for eid, got in zip(f.terms, seen):
+            fe = GraphFunction(g, {eid: list(f.terms[eid])})
+            want = np.array([m.whole for m in masses([fe.derivative(k)
+                                                      for k in range(m_max + 1)])])
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            want_good = all(want[m] <= 2.0 ** (m + 1) * profile.value(m) * want[0]
+                            * (1.0 + 1e-9) + 1e-14 * total for m in range(1, m_max + 1))
+            assert rep.good[eid] == want_good
+            good_mass += want[0] if want_good else 0.0
+        assert rep.good_mass == good_mass
 
 
 class TestKovrijkine:
