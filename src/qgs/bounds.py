@@ -1,10 +1,11 @@
 """Explicit constants of the sampling inequalities, heat-trace and
-observability estimates, and Bernstein profiles.
+observability estimates, and the torsion function's Bernstein profile.
 
 All constant arithmetic runs in natural-log space; a report carries both the
 log value and the linear value, with an underflow flag once the linear value
-drops below exp(-700).  The two bound routes (directly from (rho, lambda), or
-through the series budget h) are asserted against each other on every call.
+drops below exp(-700), and inf once it passes exp(700).  The two bound routes
+(directly from (rho, lambda), or through the series budget h) are asserted
+against each other on every call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .spectral import count_bound, wavenumber_range
 
 LOG2 = math.log(2.0)
 UNDERFLOW_LOG = -700.0
+OVERFLOW_LOG = 700.0
 BASE_CONSTANT = 12.0        # prefactor of the sampling bounds
 DENOMINATOR = 48.0          # gamma is compared against this scale
 SERIES_RADIUS = 10.0        # the (10*rho)^m / m! budget series
@@ -34,57 +36,47 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
 
-def _report(formula: str, log_value: float, inputs: dict) -> BoundReport:
+def _capped_exp(log_value: float) -> float:
+    """exp(log_value) below exp(700) and inf above: a constant past the float
+    range saturates instead of raising."""
+    return math.exp(log_value) if log_value < OVERFLOW_LOG else math.inf
+
+
+def _report(formula: str, log_value: float, inputs: dict,
+            notes: tuple[str, ...] = ()) -> BoundReport:
     under = log_value < UNDERFLOW_LOG
-    return BoundReport(formula=formula, value=0.0 if under else math.exp(log_value),
-                       log_value=log_value, inputs=inputs, underflow=under)
+    return BoundReport(formula=formula, value=0.0 if under else _capped_exp(log_value),
+                       log_value=log_value, inputs=inputs, underflow=under, notes=notes)
 
 
 @dataclass(frozen=True)
 class BernsteinProfile:
-    """Derivative-growth budget: C(m) bounds ||f^(m)||^2 / ||f||^2.
+    """Finite derivative-growth budget of an edgewise polynomial such as the
+    torsion function: C(m) bounds ||f^(m)||^2 / ||f||^2 and vanishes beyond
+    the listed coefficients."""
 
-    Either a power law lam**m (spectral subspaces up to energy lam) or a
-    finite list of coefficients that vanish beyond the list (edgewise
-    polynomials such as the torsion function)."""
-
-    kind: str
-    lam: float = 0.0
     coeffs: tuple[float, ...] = ()
-
-    @classmethod
-    def power_law(cls, lam: float) -> "BernsteinProfile":
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        return cls(kind="power", lam=float(lam))
 
     @classmethod
     def finite(cls, coeffs: Iterable[float]) -> "BernsteinProfile":
         cs = tuple(float(c) for c in coeffs)
         if any(c < 0.0 for c in cs):
             raise ValueError("profile values must be nonnegative")
-        return cls(kind="finite", coeffs=cs)
+        return cls(coeffs=cs)
 
     def value(self, m: int) -> float:
         if m < 0:
             raise ValueError("derivative order must be nonnegative")
-        if self.kind == "power":
-            return self.lam ** m
         return self.coeffs[m] if m < len(self.coeffs) else 0.0
 
     def h_series(self, rho: float) -> float:
-        """sum_m sqrt(C(m)) (10 rho)^m / m!; closed form exp(10 rho sqrt(lam))
-        for power laws, an exact finite sum otherwise."""
+        """The exact finite sum sum_m sqrt(C(m)) (10 rho)^m / m!."""
         if rho <= 0.0:
             raise ValueError("rho must be positive")
-        if self.kind == "power":
-            return math.exp(SERIES_RADIUS * rho * math.sqrt(self.lam))
         return sum(math.sqrt(c) * (SERIES_RADIUS * rho) ** m / math.factorial(m)
                    for m, c in enumerate(self.coeffs))
 
     def to_json(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "lam": self.lam}
         return {"kind": "finite", "coeffs": list(self.coeffs)}
 
 
@@ -104,7 +96,7 @@ def h_bound(gamma: float, h: float | None = None, log_h: float | None = None) ->
     expo = 4.0 * log_h / LOG2 + 5.0
     log_c = math.log(BASE_CONSTANT) + expo * math.log(gamma / DENOMINATOR)
     return _report("thm26", log_c,
-                   {"gamma": gamma, "h": math.exp(log_h) if log_h < 700 else None,
+                   {"gamma": gamma, "h": _capped_exp(log_h),
                     "log_h": log_h, "exponent": expo})
 
 
@@ -253,10 +245,10 @@ def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
     log_bound = log_pref + _logsumexp([log_main, log_tail])
     exact_partial = sum(math.exp(-lam * t) for lam, _ in eigen_masses)
     return TraceReport(
-        bound=math.exp(log_bound) if log_bound < 700 else math.inf,
+        bound=_capped_exp(log_bound),
         log_bound=log_bound,
         exact_partial=exact_partial,
-        tail_bound=math.exp(log_pref + log_tail),
+        tail_bound=_capped_exp(log_pref + log_tail),
         inputs={"gamma": gamma, "rho": rho, "t": t, "lambda_cut": lam_cut,
                 "total_length": total_length, "terms": n, "edges": edges,
                 "zero_modes": zero_modes},
@@ -302,24 +294,19 @@ def observability_constant(gamma: float, rho: float, horizon: float,
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     log_d0 = -math.log(BASE_CONSTANT) + 5.0 * math.log(DENOMINATOR / gamma)
-    d0 = math.exp(log_d0)
+    d0 = _capped_exp(log_d0)
     d1 = (4.0 * SERIES_RADIUS * rho / LOG2) * math.log(DENOMINATOR / gamma)
     notes = ("non-paper default constants",) if constants == OBSERVABILITY_DEFAULTS else ()
     log_c = (math.log(c1) + log_d0 - math.log(horizon)
              + c2 * math.log1p(2.0 * d0) + c3 * d1 * d1 / horizon)
-    main = BoundReport(formula="observability", value=math.exp(log_c) if log_c < 700
-                       else math.inf, log_value=log_c,
-                       inputs={"gamma": gamma, "rho": rho, "T": horizon,
-                               "c1": c1, "c2": c2, "c3": c3},
-                       notes=notes)
+    main = _report("observability", log_c,
+                   {"gamma": gamma, "rho": rho, "T": horizon, "c1": c1, "c2": c2, "c3": c3},
+                   notes)
     log_env = (math.log(k1) - k2 * math.log(gamma) - math.log(horizon)
                + k3 * rho * rho * math.log(k4 / gamma) ** 2 / horizon)
-    env = BoundReport(formula="observability-envelope",
-                      value=math.exp(log_env) if log_env < 700 else math.inf,
-                      log_value=log_env,
-                      inputs={"gamma": gamma, "rho": rho, "T": horizon,
-                              "k1": k1, "k2": k2, "k3": k3, "k4": k4},
-                      notes=notes)
+    env = _report("observability-envelope", log_env,
+                  {"gamma": gamma, "rho": rho, "T": horizon,
+                   "k1": k1, "k2": k2, "k3": k3, "k4": k4}, notes)
     return ObservabilityReport(c_squared=main, envelope=env, d0=d0, d1=d1)
 
 
@@ -356,9 +343,12 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
     if not n1 <= cb1 * n0 * (1.0 + 1e-12):
         raise AssertionError("first-derivative budget violated")
     profile = BernsteinProfile.finite((1.0, cb1, cb2))
-    h = profile.h_series(rho)
-    h_prime = (1.0 + SERIES_RADIUS * rho * math.sqrt(cb1)
-               + 0.5 * (SERIES_RADIUS * rho) ** 2 * cb1)
+    try:
+        h = profile.h_series(rho)
+        h_prime = (1.0 + SERIES_RADIUS * rho * math.sqrt(cb1)
+                   + 0.5 * (SERIES_RADIUS * rho) ** 2 * cb1)
+    except OverflowError:  # (10 rho)^2 past the float range, in both
+        h = h_prime = math.inf
     if h > h_prime * (1.0 + 1e-12):
         raise AssertionError("exact budget exceeds its majorant")
     bound = h_bound(gamma, h=h_prime)

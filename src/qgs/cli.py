@@ -22,7 +22,7 @@ from . import bounds as bnd
 from . import report as rep
 from . import sampling as smp
 from . import verify as vfy
-from .graphs import load_graph, metrics
+from .graphs import load_graph, malformed, metrics, read_json
 from .polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, masses
 from .spectral import eigenvalues_up_to, solve_torsion
 
@@ -84,8 +84,7 @@ def _torsion(args):
 
 def _sampling_verify(args):
     _, _, sset = _graph_and_set(args)
-    with open(args.cover, "r", encoding="utf-8") as fh:
-        cover = smp.Cover.from_dict(json.load(fh))
+    cover = smp.Cover.from_dict(read_json(args.cover))
     res = smp.verify_cover(sset, cover, gamma=args.gamma, rho=args.rho)
     ok = isinstance(res, smp.SamplingParams)
     return {"ok": ok, **rep.sanitize(res)}, 0 if ok else 1
@@ -180,19 +179,24 @@ def _verify_derivative(args):
 def _verify_classify(args):
     g, y = load_graph(args.graph)
     _, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
-    return vfy.classify_edges(f, bnd.BernsteinProfile.power_law(lam), m_max=args.m_max), 0
+    return vfy.classify_edges(f, lam), 0
 
 
 def _verify_kovrijkine(args):
-    coeffs = [complex(c) for c in json.loads(args.coeffs)]
-    out = vfy.kovrijkine_check(coeffs, IntervalUnion(json.loads(args.e_set)), grid_n=args.grid)
+    with malformed("--coeffs"):
+        coeffs = [complex(c) for c in json.loads(args.coeffs)]
+    with malformed("--e-set"):
+        e_set = IntervalUnion(json.loads(args.e_set))
+    out = vfy.kovrijkine_check(coeffs, e_set, grid_n=args.grid)
     return out, 0 if out.passed else 2
 
 
 def _verify_local(args):
-    terms = [(complex(t[0], t[1]), int(t[2]), float(t[3])) for t in json.loads(args.terms)]
-    out = vfy.local_estimate_check(terms, args.ell, IntervalUnion(json.loads(args.s_set)),
-                                   grid_n=args.grid)
+    with malformed("--terms"):
+        terms = [(complex(t[0], t[1]), int(t[2]), float(t[3])) for t in json.loads(args.terms)]
+    with malformed("--s-set"):
+        s_set = IntervalUnion(json.loads(args.s_set))
+    out = vfy.local_estimate_check(terms, args.ell, s_set, grid_n=args.grid)
     return out, 0 if out.passed else 2
 
 
@@ -303,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verify_cmd", required=True)
     leaf(vsub, "ratio", _verify_ratio, graph, sset, lam_max, modes, seed, grid)
     leaf(vsub, "derivative", _verify_derivative, graph, sset, lam_max, modes, seed, grid)
-    s = leaf(vsub, "classify", _verify_classify, graph, lam_max, modes, seed)
-    s.add_argument("--m-max", dest="m_max", type=int, default=vfy.DEFAULT_M_MAX)
+    leaf(vsub, "classify", _verify_classify, graph, lam_max, modes, seed)
     s = leaf(vsub, "kovrijkine", _verify_kovrijkine)
     s.add_argument("--coeffs", required=True, help='JSON list, e.g. "[1, 0.5]"')
     s.add_argument("--e-set", dest="e_set", required=True,

@@ -441,14 +441,23 @@ def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
 @contextmanager
 def malformed(what: str):
     """Report a JSON description of the wrong shape, which Python meets as a
-    KeyError, TypeError or AttributeError, as a ValueError naming what was
-    read."""
+    KeyError, IndexError, TypeError, AttributeError or OverflowError (an
+    infinite count), as a ValueError naming what was read."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{what} missing field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (IndexError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in the file at `path`, or a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
 def graph_from_dict(data: Mapping) -> tuple[MetricGraph, BoundarySubspace]:
@@ -483,9 +492,4 @@ def graph_from_dict(data: Mapping) -> tuple[MetricGraph, BoundarySubspace]:
 
 
 def load_graph(path) -> tuple[MetricGraph, BoundarySubspace]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(path))

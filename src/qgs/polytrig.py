@@ -512,7 +512,7 @@ def sup_on_disk_neighborhood(terms: Iterable[PolyTrigTerm], ell: float,
 
     F is entire, so the sup is attained on the stadium boundary; we sample it
     and pad with a global Lipschitz bound, hence the result is always >= the
-    true supremum (possibly loose, never low).
+    true supremum (possibly loose, never low; inf past the float range).
     """
     terms = canonical_terms(terms)
     if not terms:
@@ -532,18 +532,23 @@ def sup_on_disk_neighborhood(terms: Iterable[PolyTrigTerm], ell: float,
         R * np.exp(1j * phi_l),
         ell + R * np.exp(1j * phi_r),
     ])
-    vals = np.zeros(zs.size, dtype=complex)
-    for c, p, w in terms:
-        vals += c * zs ** p * np.exp(1j * w * zs)
-    peak = float(np.abs(vals).max())
     # Lipschitz padding: |F'| <= sum |c| (p r^(p-1) + |w| r^p) e^{|w| R} on the hull
     r_max = math.hypot(ell + R, R)
     lip = 0.0
-    for c, p, w in terms:
-        grow = math.exp(abs(w) * R)
-        lip += abs(c) * (p * r_max ** max(p - 1, 0) + abs(w) * r_max ** p) * grow
+    try:
+        for c, p, w in terms:
+            grow = math.exp(abs(w) * R)
+            lip += abs(c) * (p * r_max ** max(p - 1, 0) + abs(w) * r_max ** p) * grow
+    except OverflowError:  # a growth factor past the float range
+        return math.inf
+    vals = np.zeros(zs.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, p, w in terms:
+            vals += c * zs ** p * np.exp(1j * w * zs)
+    peak = float(np.abs(vals).max())
     spacing = max(ell / max(n_side - 1, 1), math.pi * R / max(n_cap - 1, 1))
-    return peak + 0.5 * lip * spacing
+    sup = peak + 0.5 * lip * spacing
+    return math.inf if math.isnan(sup) else sup
 
 
 def cosine_power_terms(alpha: int, freq: float) -> tuple[PolyTrigTerm, ...]:

@@ -11,7 +11,6 @@ one-sided bounds, since any reported cover verifies exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from collections import deque
@@ -21,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import MetricGraph, malformed
+from .graphs import MetricGraph, malformed, read_json
 from .polytrig import IntervalUnion
 
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
@@ -93,13 +92,7 @@ class SamplingSet:
 
     @classmethod
     def load(cls, g: MetricGraph, path) -> "SamplingSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
-                                 f"column {exc.colno}") from exc
-        return cls.from_dict(g, data)
+        return cls.from_dict(g, read_json(path))
 
     def to_json(self) -> dict:
         out: dict = {"edges": {e: iu.to_json() for e, iu in sorted(self.finite.items())}}

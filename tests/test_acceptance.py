@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qgs.bounds import BernsteinProfile, h_bound, heat_trace_bound, spectral_bound
+from qgs.bounds import h_bound, heat_trace_bound, spectral_bound
 from qgs.graphs import (build_graph, dual_subspace, full_subspace, metrics,
                         standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
@@ -164,7 +164,7 @@ def test_criterion_6_bernstein_machinery(big_audit):
         chosen = [pairs[i] for i in sorted(take)]
         f = spectral_sample(chosen, rng.normal(size=3) + 1j * rng.normal(size=3))
         lam = max(p.lam for p in chosen)
-        rep = classify_edges(f, BernsteinProfile.power_law(lam), m_max=40)
+        rep = classify_edges(f, lam)
         match = True
         for eid, terms in f.terms.items():
             fe = GraphFunction(g, {eid: list(terms)})

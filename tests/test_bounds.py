@@ -71,6 +71,20 @@ class TestSpectralBound:
         via = h_bound(0.5, log_h=5.0 * math.pi)
         assert direct.log_value == pytest.approx(via.log_value, rel=1e-12)
 
+    def test_power_law_series_budget(self):
+        # the series budget sum_m sqrt(lam^m) (10 rho)^m / m!, summed, is the
+        # exp(10 rho sqrt(lam)) that spectral_bound takes in closed form
+        lam, rho, gamma = 7.3, 0.42, 0.3
+        series = sum(math.sqrt(lam ** m) * (10 * rho) ** m / math.factorial(m)
+                     for m in range(60))
+        via = h_bound(gamma, h=series)
+        assert spectral_bound(gamma, rho, lam).log_value == pytest.approx(via.log_value,
+                                                                         rel=1e-12)
+
+    def test_power_law_series_budget_at_zero_energy(self):
+        # at lam = 0 only the m = 0 term is left: h = 1
+        assert spectral_bound(0.3, 1.0, 0.0).log_value == h_bound(0.3, h=1.0).log_value
+
     def test_monotonicity(self):
         base = spectral_bound(0.5, 0.5, 10.0)
         assert spectral_bound(0.6, 0.5, 10.0).log_value > base.log_value
@@ -254,17 +268,6 @@ class TestObservability:
 
 
 class TestBernsteinProfile:
-    def test_power_law_budget(self):
-        lam, rho = 7.3, 0.42
-        p = BernsteinProfile.power_law(lam)
-        closed = p.h_series(rho)
-        series = sum(math.sqrt(lam ** m) * (10 * rho) ** m / math.factorial(m)
-                     for m in range(60))
-        assert closed == pytest.approx(series, rel=1e-12)
-
-    def test_power_law_zero(self):
-        assert BernsteinProfile.power_law(0.0).h_series(1.0) == 1.0
-
     def test_finite_profile(self):
         p = BernsteinProfile.finite((1.0, 4.0, 9.0))
         assert p.value(1) == 4.0 and p.value(7) == 0.0

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -396,8 +397,7 @@ _SURFACE = {
                      "--seed=20245", "--set!"],
     "verify derivative": ["--graph!", "--grid=200", "--lambda-max=100.0", "--modes=5", "--out",
                           "--seed=20245", "--set!"],
-    "verify classify": ["--graph!", "--lambda-max=100.0", "--m-max=40", "--modes=5", "--out",
-                        "--seed=20245"],
+    "verify classify": ["--graph!", "--lambda-max=100.0", "--modes=5", "--out", "--seed=20245"],
     "verify kovrijkine": ["--coeffs!", "--e-set!", "--grid=2000", "--out"],
     "verify local": ["--ell!", "--grid=4096", "--out", "--s-set!", "--terms!"],
     "verify optimality": ["--ell!", "--gamma!", "--lambda:lam!", "--out"],
@@ -494,6 +494,53 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, graph, sset, cover)
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "kovrijkine", "--coeffs", "[[1]]", "--e-set", "[[0,0.4]]"],
+    ["verify", "kovrijkine", "--coeffs", "3", "--e-set", "[[0,0.4]]"],
+    ["verify", "kovrijkine", "--coeffs", "[1]", "--e-set", "5"],
+    ["verify", "kovrijkine", "--coeffs", "[1]", "--e-set", "[1,2]"],
+    ["verify", "local", "--terms", "[[1,0,0]]", "--ell", "1", "--s-set", "[[0.2,0.9]]"],
+    ["verify", "local", "--terms", '[["a",0,0,1]]', "--ell", "1", "--s-set", "[[0.2,0.9]]"],
+], ids=["coeffs-nested", "coeffs-number", "e-set-number", "e-set-flat", "terms-short",
+        "terms-string"])
+def test_malformed_inline_flag_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed --") and err.count("\n") == 1
+
+
+def test_cover_that_is_not_json_names_the_file(capsys, tmp_path, interval_file, set_file):
+    cover = tmp_path / "cover.json"
+    cover.write_text("{\n")
+    code, out, err = run(capsys, "sampling", "verify", "--graph", interval_file, "--set",
+                         set_file, "--cover", str(cover), "--gamma", "0.1", "--rho", "1")
+    assert (code, out, err) == (1, "", f"error: {cover}: invalid JSON at line 2, column 1\n")
+
+
+@pytest.mark.parametrize("argv, key", [
+    ("bound observability --gamma 1e-300 --rho 0.5 -T 1", "c_squared"),
+    ("bound trace --graph {graph} --gamma 1e-300 --rho 1e-6 --t 1", "tail_bound"),
+    ("bound torsion --graph {graph} --dirichlet a --rho 1e300 --gamma 0.5", "h_prime"),
+    ("verify kovrijkine --coeffs [1,1e100] --e-set [[0,0.4]]", "rhs"),
+    ("verify local --terms [[1,0,0,200]] --ell 1 --s-set [[0.2,0.9]]", "details"),
+], ids=["observability", "trace", "torsion", "kovrijkine", "local"])
+def test_constants_past_the_float_range_saturate(capsys, interval_file, argv, key):
+    # a constant past exp(700) is inf, printed as null, instead of an
+    # OverflowError; no numpy warning is printed on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv.format(graph=interval_file).split())
+    assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+    report = json.loads(out)
+    value = report[key]
+    if key == "c_squared":
+        value = value["value"]
+    elif key == "details":  # the sup bound, and with it M, is inf: the lemma is vacuous
+        value = value["M"]
+        assert report["passed"] is True
+    assert value is None
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
@@ -582,6 +629,54 @@ def test_arbitrary_graph_spectrum_never_tracebacks(graph):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["spectrum", "--graph", path, "--lambda-max", "10"])
     out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+
+
+# well-formed number lists, pairs and quadruples half of the time, so the
+# checks run
+_NUMBER = st.floats(-3.0, 3.0) | st.integers(-1, 3) | _LEAF
+_GOOD_COEFFS = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5)
+_GOOD_PAIRS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+                       min_size=1, max_size=3)
+_GOOD_TERMS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                                 st.integers(0, 2), st.floats(-300.0, 300.0)),
+                       min_size=1, max_size=3)
+_COEFFS = _GOOD_COEFFS | _GOOD_COEFFS | st.lists(_NUMBER, max_size=5) | _JSON
+_PAIRS = _GOOD_PAIRS | _GOOD_PAIRS | st.lists(
+    st.lists(st.floats(-0.5, 1.5) | _LEAF, min_size=2, max_size=2) | _JSON, max_size=3) | _JSON
+_TERMS = _GOOD_TERMS | _GOOD_TERMS | st.lists(
+    st.lists(_NUMBER, min_size=4, max_size=4) | _JSON, max_size=3) | _JSON
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+# once a traceback (an empty --coeffs, int(inf) in --terms), a violation
+# reported for non-finite input (exit 2), and numpy overflow warnings
+@example(coeffs=[], terms=[], pairs=[[0.0, 0.5]], local=False)
+@example(coeffs=[math.inf, 3, 3], terms=[], pairs=[[0.0, 0.5]], local=False)
+@example(coeffs=[], terms=[[0.85, 2, math.inf, True]], pairs=[[0.0, 0.5]], local=True)
+@example(coeffs=[], terms=[[3, -3, 0, math.inf]], pairs=[[0.1, 0.5]], local=True)
+@example(coeffs=[], terms=[[1e308, 0.47, True, True]], pairs=[], local=True)
+@given(coeffs=_COEFFS, terms=_TERMS, pairs=_PAIRS, local=st.booleans())
+def test_arbitrary_inline_json_never_tracebacks(coeffs, terms, pairs, local):
+    # whatever JSON --coeffs and --e-set (kovrijkine) or --terms and --s-set
+    # (local) hold, the check answers, or refuses with exit 1 and one error
+    # line; exit 2 would be a proved inequality observed violated
+    if local:
+        argv = ["verify", "local", "--terms", json.dumps(terms), "--ell", "1",
+                "--s-set", json.dumps(pairs)]
+    else:
+        argv = ["verify", "kovrijkine", "--coeffs", json.dumps(coeffs),
+                "--e-set", json.dumps(pairs)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
     if code == 1:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
     else:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,3 +453,16 @@ class TestSupBound:
         got = sup_on_disk_neighborhood([PolyTrigTerm(1.0, 0, k)], ell, 4.0, samples=32768)
         true = math.exp(4.0 * k * ell)
         assert true <= got <= 1.01 * true
+
+    @pytest.mark.parametrize("terms", [[PolyTrigTerm(1.0, 0, 200.0)],
+                                       [PolyTrigTerm(1e300, 2, 170.0)],
+                                       [PolyTrigTerm(1e300, 0, 170.0),
+                                        PolyTrigTerm(-1e300, 0, -170.0)]],
+                             ids=["growth", "coefficient", "opposite"])
+    def test_past_the_float_range_is_inf(self, terms):
+        # e^{|w| R} or the sampled values leave the float range: the bound is
+        # inf, never nan (max(1, nan) would read as 1), and numpy stays quiet
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sup_on_disk_neighborhood(terms, 1.0, 4.0)
+        assert got == math.inf and caught == []

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qgs import report
-from qgs.bounds import (BernsteinProfile, h_bound, heat_trace_bound, observability_constant,
+from qgs.bounds import (h_bound, heat_trace_bound, observability_constant,
                         spectral_bound, standard_range, torsion_profile)
 from qgs.graphs import build_graph, metrics, standard_subspace
 from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, whole_edge
@@ -63,7 +63,7 @@ def _reports():
         "ratio": compare(cos, sset.region(), params, lam=math.pi ** 2),
         "ratio-derivative": compare_derivative(cos, sset.region(), params, lam=math.pi ** 2),
         "ratio-vacuous": compare_derivative(one, {"e": whole_edge(1.0)}, params, lam=0.0),
-        "classification": classify_edges(cos, BernsteinProfile.power_law(math.pi ** 2)),
+        "classification": classify_edges(cos, math.pi ** 2),
         "kovrijkine": kovrijkine_check([1.0, 0.5, 0.25], IntervalUnion([(0.0, 0.5)])),
         "local": local_estimate_check([(1.0, 0, 3.0)], 1.5, IntervalUnion([(0.2, 0.9)])),
         "boundary-trace": boundary_trace_check(cos, g),

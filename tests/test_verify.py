@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from qgs import verify
-from qgs.bounds import BernsteinProfile, BoundReport
+from qgs.bounds import BoundReport
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, masses, norm_sq,
@@ -142,7 +142,7 @@ class TestClassifyEdges:
     def test_single_mode_good(self):
         g = interval(math.pi)
         f = cos_fn(g, 3.0)
-        rep = classify_edges(f, BernsteinProfile.power_law(9.0))
+        rep = classify_edges(f, 9.0)
         assert rep.good == {"e": True}
         assert rep.closure_complete
         assert rep.bad_mass == 0.0
@@ -150,14 +150,14 @@ class TestClassifyEdges:
     def test_constant_good_for_any_profile(self):
         g = interval(1.0)
         one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
-        rep = classify_edges(one, BernsteinProfile.power_law(5.0))
+        rep = classify_edges(one, 5.0)
         assert rep.good == {"e": True}
 
     def test_profile_violation_detected(self):
         g = interval(math.pi)
         f = cos_fn(g, 3.0)
         with pytest.raises(ValueError, match="profile violated"):
-            classify_edges(f, BernsteinProfile.power_law(1.0))
+            classify_edges(f, 1.0)
 
     def test_concentrated_derivative_matches_bruteforce(self):
         # functions on two edges, derivative mass piled on one of them
@@ -171,8 +171,7 @@ class TestClassifyEdges:
             chosen = [pairs[i] for i in sorted(take)]
             f = spectral_sample(chosen, rng.normal(size=3) + 1j * rng.normal(size=3))
             lam = max(p.lam for p in chosen)
-            prof = BernsteinProfile.power_law(lam)
-            rep = classify_edges(f, prof, m_max=40)
+            rep = classify_edges(f, lam)
             # independent per-order quadrature oracle
             for eid, terms in f.terms.items():
                 fe = GraphFunction(g, {eid: list(terms)})
@@ -196,7 +195,7 @@ class TestClassifyEdges:
             "e1": [PolyTrigTerm(0.383, 0, 0.0), PolyTrigTerm(4.17e-16, 1, 0.0)],
             "e2": [PolyTrigTerm(0.05, 1, 3.0), PolyTrigTerm(0.05, 1, -3.0),
                    PolyTrigTerm(0.5, 0, 3.0), PolyTrigTerm(0.5, 0, -3.0)]})
-        profile, m_max = BernsteinProfile.power_law(9.5), 40
+        lam, m_max = 9.5, verify.M_MAX
         seen = []  # the per-order masses classify_edges computes, per edge
 
         def spy(fns):
@@ -206,7 +205,7 @@ class TestClassifyEdges:
             return out
 
         monkeypatch.setattr(verify, "masses", spy)
-        rep = classify_edges(f, profile, m_max=m_max)
+        rep = classify_edges(f, lam)
         monkeypatch.undo()
         assert len(seen) == 2
         total = masses([f])[0].whole
@@ -217,7 +216,7 @@ class TestClassifyEdges:
                                                       for k in range(m_max + 1)])])
             assert got[0] == want[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-            want_good = all(want[m] <= 2.0 ** (m + 1) * profile.value(m) * want[0]
+            want_good = all(want[m] <= 2.0 ** (m + 1) * lam ** m * want[0]
                             * (1.0 + 1e-9) + 1e-14 * total for m in range(1, m_max + 1))
             assert rep.good[eid] == want_good
             good_mass += want[0] if want_good else 0.0
@@ -488,8 +487,7 @@ class TestAudit:
             entry, params, sset, chosen, f, lam = verify._trial_sample(pool, seed, row["trial"])
             rep = compare(f, sset.region(), params, lam=lam)
             der = compare_derivative(f, sset.region(), params, lam=lam)
-            cls = classify_edges(GraphFunction(f.graph, f.terms),
-                                 BernsteinProfile.power_law(lam))
+            cls = classify_edges(GraphFunction(f.graph, f.terms), lam)
             want = {
                 "trial": row["trial"], "graph": entry["name"], "gamma": params.gamma,
                 "rho": params.rho, "lam": lam, "modes": len(chosen),
