@@ -213,7 +213,8 @@ def heat_trace_bound(eigen_masses: Sequence[tuple[float, float]], gamma: float,
         raise ValueError("need at least one eigenpair")
     lam_cut = max(lam for lam, _ in eigen_masses)
     c_lin = (4.0 * SERIES_RADIUS * rho / LOG2) * math.log(DENOMINATOR / gamma)
-    peak = (c_lin / (2.0 * t)) ** 2
+    half_peak = c_lin / (2.0 * t)  # a peak past exp(700) is inf, as in _capped_exp
+    peak = half_peak ** 2 if half_peak < math.exp(0.5 * OVERFLOW_LOG) else math.inf
     if lam_cut < peak:
         raise ValueError(
             f"lambda cutoff {lam_cut} below the exponent peak {peak}: the tail "

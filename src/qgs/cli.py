@@ -94,7 +94,7 @@ def _optimal_per_edge(args, optimise, attr, best, **fixed):
     """Each finite edge's `optimise` result at the fixed parameter, and the
     `best` of their `attr` when every edge is feasible."""
     g, _, sset = _graph_and_set(args)
-    out = {eid: optimise(iu, g.edge_lengths[eid], grid_n=args.grid, **fixed)
+    out = {eid: optimise(iu, g.edge_lengths[eid], **fixed)
            for eid, iu in sorted(sset.finite.items())}
     agg = None
     if out and all(r.feasible for r in out.values()):
@@ -162,7 +162,7 @@ def _compare(args, compare):
     the set, by `compare`; exit 2 on a violation."""
     g, y, sset = _graph_and_set(args)
     chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
-    params = smp.certify(sset, args.grid)
+    params = smp.certify(sset)
     out = compare(f, sset.region(), params, lam=lam)
     report = {"seed": args.seed, "modes": len(chosen), "lam": lam, **rep.sanitize(out)}
     return report, 0 if (out.passed or out.vacuous) else 2
@@ -187,7 +187,7 @@ def _verify_kovrijkine(args):
         coeffs = [complex(c) for c in json.loads(args.coeffs)]
     with malformed("--e-set"):
         e_set = IntervalUnion(json.loads(args.e_set))
-    out = vfy.kovrijkine_check(coeffs, e_set, grid_n=args.grid)
+    out = vfy.kovrijkine_check(coeffs, e_set)
     return out, 0 if out.passed else 2
 
 
@@ -196,7 +196,7 @@ def _verify_local(args):
         terms = [(complex(t[0], t[1]), int(t[2]), float(t[3])) for t in json.loads(args.terms)]
     with malformed("--s-set"):
         s_set = IntervalUnion(json.loads(args.s_set))
-    out = vfy.local_estimate_check(terms, args.ell, s_set, grid_n=args.grid)
+    out = vfy.local_estimate_check(terms, args.ell, s_set)
     return out, 0 if out.passed else 2
 
 
@@ -206,7 +206,7 @@ def _verify_optimality(args):
 
 def _verify_observability(args):
     g, y, sset = _graph_and_set(args)
-    params = smp.certify(sset, args.grid)
+    params = smp.certify(sset)
     return vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
                                      modes=args.modes, params=params), 0
 
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     lam_max = parent("--lambda-max", dest="lambda_max", type=_positive, default=100.0)
     modes = parent("--modes", type=int, default=5)
     seed = parent("--seed", type=int, default=vfy.DEFAULT_SEED)
-    grid = parent("--grid", type=int, default=200)
 
     def leaf(group, name, handler, *parents, **kwargs):
         s = group.add_parser(name, parents=[*parents, out], **kwargs)
@@ -281,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sampling_cmd", required=True)
     s = leaf(ssub, "verify", _sampling_verify, graph, sset, gamma, rho)
     s.add_argument("--cover", required=True, help="cover JSON file")
-    leaf(ssub, "gamma", _sampling_gamma, graph, sset, rho, grid)
-    leaf(ssub, "rho", _sampling_rho, graph, sset, gamma, grid)
+    leaf(ssub, "gamma", _sampling_gamma, graph, sset, rho)
+    leaf(ssub, "rho", _sampling_rho, graph, sset, gamma)
     s = leaf(ssub, "gaps", _sampling_gaps, graph, sset)
     s.add_argument("--gamma", type=_finite)
     s.add_argument("--rho", type=_positive)
@@ -305,21 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     vsub = sub.add_parser("verify", help="certification checks").add_subparsers(
         dest="verify_cmd", required=True)
-    leaf(vsub, "ratio", _verify_ratio, graph, sset, lam_max, modes, seed, grid)
-    leaf(vsub, "derivative", _verify_derivative, graph, sset, lam_max, modes, seed, grid)
+    leaf(vsub, "ratio", _verify_ratio, graph, sset, lam_max, modes, seed)
+    leaf(vsub, "derivative", _verify_derivative, graph, sset, lam_max, modes, seed)
     leaf(vsub, "classify", _verify_classify, graph, lam_max, modes, seed)
     s = leaf(vsub, "kovrijkine", _verify_kovrijkine)
     s.add_argument("--coeffs", required=True, help='JSON list, e.g. "[1, 0.5]"')
     s.add_argument("--e-set", dest="e_set", required=True,
                    help='JSON intervals in [0,1], e.g. "[[0, 0.5]]"')
-    s.add_argument("--grid", type=int, default=2000)
     s = leaf(vsub, "local", _verify_local, ell)
     s.add_argument("--terms", required=True, help='JSON list of [re, im, power, freq] terms')
     s.add_argument("--s-set", dest="s_set", required=True)
-    s.add_argument("--grid", type=int, default=4096)
     s = leaf(vsub, "optimality", _verify_optimality, ell, gamma)
     s.add_argument("--lambda", dest="lam", type=_positive, required=True)
-    s = leaf(vsub, "observability", _verify_observability, graph, sset, horizon, grid)
+    s = leaf(vsub, "observability", _verify_observability, graph, sset, horizon)
     s.add_argument("--modes", type=int, default=4)
     s = leaf(vsub, "trace-ineq", _verify_trace_ineq, graph, seed)
     s.add_argument("--trials", type=int, default=100)

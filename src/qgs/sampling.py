@@ -36,14 +36,14 @@ class PeriodicTail:
     body: IntervalUnion
 
     def __post_init__(self):
-        if not (self.period > 0.0):
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
         if self.body.length > self.period * (1 + 1e-12):
             raise ValueError("body must live inside one period")
 
     @property
     def head_span(self) -> float:
-        return self.head.intervals[-1][1] if self.head.intervals else 0.0
+        return float(self.head.ends[-1]) if self.head else 0.0
 
     def unroll(self, periods: int = 2) -> IntervalUnion:
         """Head plus the first few periods, as a finite union."""
@@ -257,17 +257,18 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 
 
 def _rho_free(omega: IntervalUnion, ell: float, grid_n: int
-              ) -> tuple[list[float], np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray]:
     """The points 0, ell and the set's endpoints; and the candidates that do
     not depend on rho: those points and the grid, sorted, unique, in [0, ell]."""
-    ends = [x + 0.0 for x in (0.0, ell, *omega.endpoints())]  # -0.0 -> 0.0
+    ends = np.concatenate(([0.0, ell], omega.starts, omega.ends)) + 0.0  # -0.0 -> 0.0
     pts = np.unique(np.concatenate((ends, ell * np.arange(1, grid_n) / grid_n)))
     return ends, pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
 
 
-def _shifted(ends: list[float], rho: float, ell: float) -> list[float]:
+def _shifted(ends: np.ndarray, rho: float, ell: float) -> np.ndarray:
     """The points ends -/+ rho inside (0, ell), sorted and unique."""
-    return sorted({x for e in ends for x in (e - rho, e + rho) if 0.0 < x < ell})
+    pts = np.concatenate((ends - rho, ends + rho))
+    return np.unique(pts[(0.0 < pts) & (pts < ell)])
 
 
 def _candidates(omega: IntervalUnion, ell: float, rho: float, grid_n: int) -> np.ndarray:
@@ -444,7 +445,7 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
     last = None
     while hi - lo > RHO_TOL_REL * ell:
         mid = 0.5 * (lo + hi)
-        pts = [x for x in _shifted(ends, mid, ell) if x not in in_base]
+        pts = [x for x in _shifted(ends, mid, ell).tolist() if x not in in_base]
         t, q = t_base[:], q_base[:]
         for x, p in zip(pts[::-1], omega.prefix_measures(pts)[::-1].tolist()):
             at = bisect_left(t_base, x)
@@ -461,7 +462,7 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
                      global_density=global_density)
 
 
-def certified_params(omega: IntervalUnion, ell: float, grid_n: int = 200
+def certified_params(omega: IntervalUnion, ell: float
                      ) -> tuple[float, float, tuple[float, ...]] | None:
     """(gamma, rho, cover breakpoints) at the smallest workable rho, the one
     optimal_rho finds for gamma = 1e-6, or None if the edge cannot be
@@ -469,17 +470,17 @@ def certified_params(omega: IntervalUnion, ell: float, grid_n: int = 200
     the candidates at rho, which optimal_rho's cover (built at the rho of a
     bisection step) need not be; where it finds no cover, that cover
     certifies at its achieved gamma, under the same measure-zero rule."""
-    res_r = optimal_rho(omega, ell, gamma=1e-6, grid_n=grid_n)
+    res_r = optimal_rho(omega, ell, gamma=1e-6)
     if not res_r.feasible:
         return None
-    res_g = optimal_gamma(omega, ell, rho=res_r.rho, grid_n=grid_n)
+    res_g = optimal_gamma(omega, ell, rho=res_r.rho)
     if res_g.feasible:
         return res_g.gamma, res_r.rho, res_g.breakpoints
     gamma = _achieved(omega, list(res_r.breakpoints))[0]
     return (gamma, res_r.rho, res_r.breakpoints) if gamma > 10.0 * _EQ_SLACK else None
 
 
-def certify(sset: SamplingSet, grid_n: int = 200) -> SamplingParams:
+def certify(sset: SamplingSet) -> SamplingParams:
     """The certificate the verify commands use: every finite edge's
     certified_params (each edge's union carries its edge length), checked by
     verify_cover at (min over edges of gamma, max over edges of rho), at which
@@ -487,7 +488,7 @@ def certify(sset: SamplingSet, grid_n: int = 200) -> SamplingParams:
     certified, when there is none, or when the aggregate fails."""
     found = {}
     for eid, iu in sset.finite.items():
-        found[eid] = certified_params(iu, iu.length, grid_n)
+        found[eid] = certified_params(iu, iu.length)
         if found[eid] is None:
             raise ValueError(f"edge {eid!r}: set cannot be certified")
     if not found:

@@ -236,7 +236,7 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
     meas = e_set.measure
     if meas <= 0.0:
         raise ValueError("E must have positive measure")
-    if e_set.intervals[-1][1] > 1.0:
+    if e_set.ends[-1] > 1.0:
         raise ValueError("E must lie in [0, 1]")
     deriv_unit = sum(j * abs(c) for j, c in enumerate(coeffs))
     deriv_disk = sum(j * abs(c) * 4.0 ** (j - 1) for j, c in enumerate(coeffs) if j)

@@ -18,7 +18,9 @@ search with one eig per wavenumber and midpoint splits as the reference for
 the stacked one, the graph transformations only the tests use (flux
 removal, subdivision with its coordinate map) live here too, and so do the
 hand-written field-by-field JSON encoders of the report classes, the
-reference for the one encoder of `qgs.report`.
+reference for the one encoder of `qgs.report`.  The n × m clip-matrix sum
+over every interval is the reference for the sorted-search prefix measures
+of `qgs.polytrig.IntervalUnion`, and exact rationals bound both.
 """
 
 from __future__ import annotations
@@ -354,6 +356,31 @@ def torsion_fd(g, dirichlet, h=1e-4):
 
 
 # ---------------------------------------------------------------------------
+# prefix measures: the clip matrix and exact rationals
+
+
+def clip_prefix_measures(omega: IntervalUnion, points) -> np.ndarray:
+    """|omega ∩ [0, t]| for each t as the sum of every interval's clipped
+    length: an n × m matrix summed along its rows (numpy's pairwise sum), the
+    reference `IntervalUnion.prefix_measures` replaced."""
+    pts = np.asarray(points, dtype=float)
+    if not omega.intervals:
+        return np.zeros_like(pts)
+    a = np.array([iv[0] for iv in omega.intervals])
+    b = np.array([iv[1] for iv in omega.intervals])
+    return (np.clip(pts[:, None], a[None, :], b[None, :]) - a[None, :]).sum(axis=1)
+
+
+def exact_prefix_measures(omega: IntervalUnion, points) -> list[Fraction]:
+    """|omega ∩ [0, t]| for each t, exactly, in rationals."""
+    ivs = [(Fraction(a), Fraction(b)) for a, b in omega.intervals]
+    out = []
+    for t in map(Fraction, points):
+        out.append(sum((min(t, b) - a for a, b in ivs if t > a), Fraction(0)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sampling optimisers: the loop versions
 
 _EQ_SLACK = 1e-12
@@ -363,7 +390,7 @@ _RHO_TOL_REL = 1e-9
 
 def loop_candidates(omega, ell, rho, grid_n):
     pts = {0.0, ell}
-    pts.update(omega.endpoints())
+    pts.update(x for iv in omega.intervals for x in iv)
     for x in list(pts):
         for y in (x - rho, x + rho):
             if 0.0 < y < ell:

@@ -246,13 +246,6 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    @pytest.mark.parametrize("grid", ["0", "1"])
-    def test_kovrijkine_grid_too_small(self, capsys, grid):
-        code, out, err = run(capsys, "verify", "kovrijkine", "--coeffs", "[1, 2]",
-                             "--e-set", "[[0, 0.5]]", "--grid", grid)
-        assert code == 1 and out == ""
-        assert "grid_n must be at least 2" in err
-
     def test_local(self, capsys):
         code, out, _ = run(capsys, "verify", "local", "--terms",
                            "[[1.0, 0.0, 0, 2.0]]", "--ell", "1.0",
@@ -332,7 +325,8 @@ def test_non_finite_flag_refused(capsys, interval_file, set_file, argv):
     ["bound", "thm21", "--gamma", "0.5"],
     ["bound", "thm21", "--gamma", "x", "--rho", "0.5", "--lambda", "10"],
     ["bound"],
-], ids=["missing-flag", "bad-value", "missing-subcommand"])
+    ["sampling", "gamma", "--graph", "g.json", "--set", "s.json", "--rho", "0.5", "--grid", "5"],
+], ids=["missing-flag", "bad-value", "missing-subcommand", "removed-grid"])
 def test_usage_error_is_one_input_error_line(capsys, argv):
     # exit 2 is kept for an observed violation
     code, out, err = run(capsys, *argv)
@@ -382,8 +376,8 @@ _SURFACE = {
     "spectrum": ["--graph!", "--lambda-max=100.0", "--out"],
     "torsion": ["--dirichlet!", "--graph!", "--out"],
     "sampling verify": ["--cover!", "--gamma!", "--graph!", "--out", "--rho!", "--set!"],
-    "sampling gamma": ["--graph!", "--grid=200", "--out", "--rho!", "--set!"],
-    "sampling rho": ["--gamma!", "--graph!", "--grid=200", "--out", "--set!"],
+    "sampling gamma": ["--graph!", "--out", "--rho!", "--set!"],
+    "sampling rho": ["--gamma!", "--graph!", "--out", "--set!"],
     "sampling gaps": ["--gamma", "--graph!", "--out", "--rho", "--set!"],
     "bound thm21": ["--gamma!", "--lambda:lam!", "--out", "--rho!"],
     "bound thm26": ["--gamma!", "--h!", "--out"],
@@ -393,16 +387,15 @@ _SURFACE = {
     "bound observability": ["--c1=1.0", "--c2=1.0", "--c3=1.0", "--gamma!", "--horizon/-T!",
                             "--k1=1.0", "--k2=5.0", "--k3=1.0", "--k4=48.0", "--out", "--rho!"],
     "bound torsion": ["--dirichlet!", "--gamma!", "--graph!", "--out", "--rho!"],
-    "verify ratio": ["--graph!", "--grid=200", "--lambda-max=100.0", "--modes=5", "--out",
-                     "--seed=20245", "--set!"],
-    "verify derivative": ["--graph!", "--grid=200", "--lambda-max=100.0", "--modes=5", "--out",
+    "verify ratio": ["--graph!", "--lambda-max=100.0", "--modes=5", "--out", "--seed=20245",
+                     "--set!"],
+    "verify derivative": ["--graph!", "--lambda-max=100.0", "--modes=5", "--out",
                           "--seed=20245", "--set!"],
     "verify classify": ["--graph!", "--lambda-max=100.0", "--modes=5", "--out", "--seed=20245"],
-    "verify kovrijkine": ["--coeffs!", "--e-set!", "--grid=2000", "--out"],
-    "verify local": ["--ell!", "--grid=4096", "--out", "--s-set!", "--terms!"],
+    "verify kovrijkine": ["--coeffs!", "--e-set!", "--out"],
+    "verify local": ["--ell!", "--out", "--s-set!", "--terms!"],
     "verify optimality": ["--ell!", "--gamma!", "--lambda:lam!", "--out"],
-    "verify observability": ["--graph!", "--grid=200", "--horizon/-T!", "--modes=4", "--out",
-                             "--set!"],
+    "verify observability": ["--graph!", "--horizon/-T!", "--modes=4", "--out", "--set!"],
     "verify trace-ineq": ["--graph!", "--out", "--seed=20245", "--trials=100"],
     "verify lasso": ["--out"],
     "audit": ["--format='json'", "--lambda-max=200.0", "--out", "--seed=20245", "--trials=10000"],
@@ -470,9 +463,10 @@ _RAY_SET = {"external": {"r": {"period": 1.0, "body": [[0.0, 0.5]]}}}
     (_INTERVAL, [[0.0, 0.5]], None),
     (_INTERVAL, "", None),
     (_RAY, {"external": {"r": {"body": [[0.0, 0.5]]}}}, None),
+    (_RAY, {"external": {"r": {"period": "inf", "body": [[0.0, 0.5]]}}}, None),
     (_RAY, _RAY_SET, {"external": {"r": {"body": [0.0, 1.0]}}}),
 ], ids=["graph-list", "edges-int", "length-null", "basis-of-ints", "set-list",
-        "set-name-empty", "set-without-period", "cover-without-head"])
+        "set-name-empty", "set-without-period", "set-period-inf", "cover-without-head"])
 def test_malformed_input_is_one_error_line(capsys, tmp_path, graph, sset, cover):
     files = {}
     for name, data in (("graph", graph), ("set", sset), ("cover", cover)):
@@ -507,6 +501,28 @@ def test_malformed_inline_flag_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: malformed --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form", ["s-set", "set-file"])
+def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_file, form):
+    # once dropped as an empty interval: S (or the edge's set) lost it, exit 0
+    if form == "s-set":
+        argv = ["verify", "local", "--terms", "[[1,0,0,3]]", "--ell", "1",
+                "--s-set", "[[0.1, NaN]]"]
+    else:
+        sset = tmp_path / "set.json"
+        sset.write_text('{"edges": {"e": [[0.1, NaN]]}}')  # Python's JSON reader takes NaN
+        argv = ["sampling", "gaps", "--graph", interval_file, "--set", str(sset)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: interval ends must be finite\n")
+
+
+def test_trace_peak_past_the_float_range_is_refused(capsys, interval_file):
+    # (c / 2t)**2 once raised OverflowError; the saturated peak is inf
+    code, out, err = run(capsys, "bound", "trace", "--graph", interval_file, "--gamma", "0.5",
+                         "--rho", "1e160", "--t", "1")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: lambda cutoff ") and "below the exponent peak inf" in err
 
 
 def test_cover_that_is_not_json_names_the_file(capsys, tmp_path, interval_file, set_file):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, _gauss_nor
                           term_gram, whole_edge)
 from qgs.spectral import solve_torsion
 
-from oracles import (adaptive_simpson, eval_terms, integral_pairs_simpson,
-                     loop_integrate_powexp, loop_norm_sq)
+from oracles import (adaptive_simpson, clip_prefix_measures, eval_terms, exact_prefix_measures,
+                     integral_pairs_simpson, loop_integrate_powexp, loop_norm_sq)
 
 # w*d values on both sides of the series/closed-form switch at 1/2 and at the
 # extremes of both branches
@@ -36,6 +37,28 @@ def cos_fn(graph, k, eid="e", amp=1.0):
 def sin_fn(graph, k, eid="e", amp=1.0):
     return GraphFunction(graph, {eid: [PolyTrigTerm(-0.5j * amp, 0, k),
                                        PolyTrigTerm(0.5j * amp, 0, -k)]})
+
+
+# an irrational scale: uniform doubles on [0, 2) are multiples of 2**-52,
+# whose sums are exact, so a bound on their rounding would test nothing
+_SCALE = math.pi * math.sqrt(2.0)
+
+
+def _summation_bound(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2**-53: the relative error of a sum of n
+    nonnegative terms, each one rounded subtraction, added in any order."""
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+@st.composite
+def _scaled_union_and_points(draw):
+    ends = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=60, unique=True)))
+    iu = IntervalUnion([(_SCALE * a, _SCALE * b) for a, b in zip(ends[::2], ends[1::2])],
+                       length=_SCALE)
+    pts = [_SCALE * t for t in draw(st.lists(st.floats(-0.1, 1.1), max_size=20))]
+    mids = 0.5 * (iu.starts + iu.ends)
+    return iu, np.concatenate((pts, iu.starts, iu.ends, mids))
 
 
 class TestIntervalUnion:
@@ -65,6 +88,53 @@ class TestIntervalUnion:
         pts = np.array([0.0, 0.125, 0.3, 0.75, 1.0])
         np.testing.assert_allclose(iu.prefix_measures(pts),
                                    [0.0, 0.125, 0.25, 0.5, 0.75], atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_end_rejected(self, bad):
+        # a NaN pair once fell out as empty (b > a is false)
+        for pair in ((0.1, bad), (bad, 0.9)):
+            with pytest.raises(ValueError, match="interval ends must be finite"):
+                IntervalUnion([(0.0, 0.05), pair], length=1.0)
+
+    def test_arrays(self):
+        iu = IntervalUnion([(0.5, 0.75), (0.0, 0.25), (0.25, 0.375)], length=1.0)
+        assert iu.starts.tolist() == [0.0, 0.5] and iu.ends.tolist() == [0.375, 0.75]
+        assert iu.cum.tolist() == [0.0, 0.375, 0.625] and iu.measure == 0.625
+        with pytest.raises(ValueError):  # read-only: the union does not change
+            iu.cum[0] = 1.0
+        empty = IntervalUnion([], length=1.0)
+        assert (empty.starts.size, empty.ends.size, empty.cum.tolist()) == (0, 0, [0.0])
+        assert type(empty.measure) is float and empty.measure == 0.0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=_scaled_union_and_points())
+    def test_prefix_measures_against_the_clip_sum_and_rationals(self, case):
+        # below 8 intervals the clip sum (numpy's pairwise sum) is sequential,
+        # so F is the same float; at every size both lie within the a-priori
+        # summation bound of the exact value
+        iu, pts = case
+        got, ref = iu.prefix_measures(pts), clip_prefix_measures(iu, pts)
+        if len(iu) < 8:
+            assert got.tobytes() == ref.tobytes()
+        bound = _summation_bound(len(iu))
+        for g, r, x in zip(got.tolist(), ref.tolist(), exact_prefix_measures(iu, pts)):
+            assert abs(Fraction(g) - x) <= bound * x and abs(Fraction(r) - x) <= bound * x
+
+    def test_prefix_measure_rounding_is_seen(self):
+        # the bound above has teeth: on these unions both routes round
+        rng = np.random.default_rng(8)
+        inexact = [0, 0]
+        for _ in range(60):
+            n = int(rng.integers(8, 40))
+            ends = np.sort(rng.uniform(0.0, 1.0, 2 * n)) * _SCALE
+            iu = IntervalUnion(zip(ends[::2], ends[1::2]), length=_SCALE)
+            pts = rng.uniform(0.0, _SCALE, 20)
+            exact = exact_prefix_measures(iu, pts)
+            for k, vals in enumerate((iu.prefix_measures(pts), clip_prefix_measures(iu, pts))):
+                errs = [abs(Fraction(v) - x) for v, x in zip(vals.tolist(), exact)]
+                assert all(e <= _summation_bound(len(iu)) * x for e, x in zip(errs, exact))
+                inexact[k] += sum(e > 0 for e in errs)
+        assert min(inexact) > 100
 
 
 class TestDifferentiate:

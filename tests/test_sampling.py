@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,41 @@ class TestSvcConstruction:
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="depth"):
             svc_set(21)
+
+
+class TestFatCantorSearches:
+    """The cover searches on the depth-8 and depth-10 fat Cantor sets, whose
+    1 024 intervals are the largest union here, pinned to the float."""
+
+    @pytest.mark.parametrize("depth, gamma", [(8, 0.4461805555555556),
+                                              (10, 0.4448784722222222)])
+    def test_optimal_gamma(self, depth, gamma):
+        res = optimal_gamma(svc_set(depth)[0], 1.0, 9 / 32)
+        assert (res.gamma, res.breakpoints) == (gamma, (0.0, 0.21875, 0.5, 0.78125, 1.0))
+
+    @pytest.mark.parametrize("depth, rho, bps", [
+        (8, 0.1259918212890625, (0.0, 0.1220245361328125, 0.248016357421875,
+                                 0.3740081787109375, 0.5, 0.6259918212890625, 0.748046875,
+                                 0.8740081787109375, 1.0)),
+        (10, 0.12525582313537598, (0.0, 0.12423253059387207, 0.24948835372924805,
+                                   0.374744176864624, 0.5, 0.625255823135376,
+                                   0.7495179176330566, 0.874744176864624, 1.0)),
+    ], ids=["depth-8", "depth-10"])
+    def test_optimal_rho(self, depth, rho, bps):
+        res = optimal_rho(svc_set(depth)[0], 1.0, 1e-6)
+        assert (res.rho, res.breakpoints) == (rho, bps)
+
+    def test_optimal_gamma_peak_memory(self):
+        # the prefix measures of 4 865 candidates over 1 024 intervals once
+        # took an 80 MB clip matrix
+        iu, _ = svc_set(10)
+        tracemalloc.start()
+        try:
+            optimal_gamma(iu, 1.0, 9 / 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestVerifyCover:
@@ -389,7 +425,7 @@ class TestRhoSearchSteps:
                 ts = loop_candidates(iu, ell, mid, grid_n)
                 assert t == ts.tolist()
                 assert q == (iu.prefix_measures(ts) - gamma * ts).tolist()
-                shifted = [x for e in (0.0, ell, *iu.endpoints())
+                shifted = [x for e in (0.0, ell, *iu.starts, *iu.ends)
                            for x in (e - mid, e + mid) if 0.0 < x < ell]
                 shared += len(shifted) > ts.size - base
                 lo, hi = (lo, mid) if feasible else (mid, hi)

@@ -237,6 +237,11 @@ class TestKovrijkine:
         with pytest.raises(ValueError):
             kovrijkine_check([0.5], IntervalUnion([(0.0, 1.0)], length=1.0))
 
+    @pytest.mark.parametrize("grid_n", [0, 1])
+    def test_grid_too_small(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be at least 2"):
+            kovrijkine_check([1.0, 2.0], IntervalUnion([(0.0, 0.5)]), grid_n=grid_n)
+
     def test_random_polynomials(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
