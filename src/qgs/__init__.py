@@ -1,9 +1,8 @@
 """Eigenpairs, sampling-set certification and explicit spectral-inequality
 constants on compact metric graphs."""
 
-from .bounds import (BernsteinProfile, BoundReport, h_bound, heat_trace_bound,
-                     observability_constant, spectral_bound, standard_range,
-                     torsion_profile)
+from .bounds import (BoundReport, h_bound, heat_trace_bound, observability_constant,
+                     spectral_bound, standard_range, torsion_profile)
 from .graphs import (BoundarySubspace, Edge, MetricGraph, build_graph,
                      diameter, dual_subspace, gauge_transform, graph_from_dict,
                      load_graph, metrics, standard_subspace,

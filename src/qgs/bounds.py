@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import GraphMetrics
 from .polytrig import masses
@@ -47,37 +47,6 @@ def _report(formula: str, log_value: float, inputs: dict,
     under = log_value < UNDERFLOW_LOG
     return BoundReport(formula=formula, value=0.0 if under else _capped_exp(log_value),
                        log_value=log_value, inputs=inputs, underflow=under, notes=notes)
-
-
-@dataclass(frozen=True)
-class BernsteinProfile:
-    """Finite derivative-growth budget of an edgewise polynomial such as the
-    torsion function: C(m) bounds ||f^(m)||^2 / ||f||^2 and vanishes beyond
-    the listed coefficients."""
-
-    coeffs: tuple[float, ...] = ()
-
-    @classmethod
-    def finite(cls, coeffs: Iterable[float]) -> "BernsteinProfile":
-        cs = tuple(float(c) for c in coeffs)
-        if any(c < 0.0 for c in cs):
-            raise ValueError("profile values must be nonnegative")
-        return cls(coeffs=cs)
-
-    def value(self, m: int) -> float:
-        if m < 0:
-            raise ValueError("derivative order must be nonnegative")
-        return self.coeffs[m] if m < len(self.coeffs) else 0.0
-
-    def h_series(self, rho: float) -> float:
-        """The exact finite sum sum_m sqrt(C(m)) (10 rho)^m / m!."""
-        if rho <= 0.0:
-            raise ValueError("rho must be positive")
-        return sum(math.sqrt(c) * (SERIES_RADIUS * rho) ** m / math.factorial(m)
-                   for m, c in enumerate(self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"kind": "finite", "coeffs": list(self.coeffs)}
 
 
 def h_bound(gamma: float, h: float | None = None, log_h: float | None = None) -> BoundReport:
@@ -317,7 +286,7 @@ def observability_constant(gamma: float, rho: float, horizon: float,
 
 @dataclass
 class TorsionProfileReport:
-    profile: BernsteinProfile
+    profile: dict
     h: float
     h_prime: float
     bound: BoundReport
@@ -329,6 +298,8 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
     torsion function, its exact series budget h, the geometry-only majorant
     h' = 1 + 10 rho sqrt(|G|/T) + 50 rho^2 |G|/T, and the resulting sampling
     bound evaluated at h' (formula id torsion)."""
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
     total = sum(graph.edge_lengths.values())
     if not math.isfinite(total):
         raise ValueError("torsion profile needs a compact graph")
@@ -343,9 +314,10 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
         raise AssertionError("Cauchy-Schwarz ordering of the profile failed")
     if not n1 <= cb1 * n0 * (1.0 + 1e-12):
         raise AssertionError("first-derivative budget violated")
-    profile = BernsteinProfile.finite((1.0, cb1, cb2))
-    try:
-        h = profile.h_series(rho)
+    coeffs = (1.0, cb1, cb2)
+    try:  # the exact finite sum sum_m sqrt(C(m)) (10 rho)^m / m!
+        h = sum(math.sqrt(c) * (SERIES_RADIUS * rho) ** m / math.factorial(m)
+                for m, c in enumerate(coeffs))
         h_prime = (1.0 + SERIES_RADIUS * rho * math.sqrt(cb1)
                    + 0.5 * (SERIES_RADIUS * rho) ** 2 * cb1)
     except OverflowError:  # (10 rho)^2 past the float range, in both
@@ -355,6 +327,7 @@ def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileR
     bound = h_bound(gamma, h=h_prime)
     bound.formula = "torsion"
     bound.inputs.update({"rho": rho, "total_length": total, "rigidity": rigidity})
-    return TorsionProfileReport(profile=profile, h=h, h_prime=h_prime, bound=bound,
+    return TorsionProfileReport(profile={"kind": "finite", "coeffs": list(coeffs)}, h=h,
+                                h_prime=h_prime, bound=bound,
                                 norms={"u": n0, "du": n1, "d2u": n2,
                                        "rigidity": rigidity, "total_length": total})

@@ -53,6 +53,16 @@ def _positive(value: str) -> float:
     return x
 
 
+def _count(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return n
+
+
 def _vertices(value: str) -> list[str]:
     return [v for v in value.split(",") if v]
 
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     dirichlet = parent("--dirichlet", type=_vertices, required=True,
                        help="comma-separated vertex ids")
     lam_max = parent("--lambda-max", dest="lambda_max", type=_positive, default=100.0)
-    modes = parent("--modes", type=int, default=5)
+    modes = parent("--modes", type=_count, default=5)
     seed = parent("--seed", type=int, default=vfy.DEFAULT_SEED)
 
     def leaf(group, name, handler, *parents, **kwargs):
@@ -317,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = leaf(vsub, "optimality", _verify_optimality, ell, gamma)
     s.add_argument("--lambda", dest="lam", type=_positive, required=True)
     s = leaf(vsub, "observability", _verify_observability, graph, sset, horizon)
-    s.add_argument("--modes", type=int, default=4)
+    s.add_argument("--modes", type=_count, default=4)
     s = leaf(vsub, "trace-ineq", _verify_trace_ineq, graph, seed)
-    s.add_argument("--trials", type=int, default=100)
+    s.add_argument("--trials", type=_count, default=100)
     leaf(vsub, "lasso", _verify_lasso)
 
     s = leaf(sub, "audit", _audit, seed, help="randomized inequality campaign")
-    s.add_argument("--trials", type=int, default=10000)
+    s.add_argument("--trials", type=_count, default=10000)
     s.add_argument("--lambda-max", dest="lambda_max", type=_positive, default=200.0)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     return p

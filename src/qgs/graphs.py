@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 ORTHO_TOL = 1e-12        # orthonormality validation tolerance
-RANK_TOL = 1e-10         # Gram-Schmidt rank tolerance for user bases
+RANK_TOL = 1e-10         # SVD rank tolerance, relative to the largest singular value
 
 CONDITION_NAMES = ("standard", "dirichlet", "neumann", "anti-kirchhoff")
 
@@ -243,29 +243,13 @@ def metrics(g: MetricGraph) -> GraphMetrics:
 # boundary subspaces
 
 
-def _orthonormalize(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Modified Gram-Schmidt with one re-orthogonalisation pass; returns the
-    orthonormal rows and the number of dropped (near-dependent) inputs."""
-    out: list[np.ndarray] = []
-    dropped = 0
-    for v in rows:
-        w = np.array(v, dtype=complex)
-        scale = np.linalg.norm(w)
-        if scale == 0.0:
-            dropped += 1
-            continue
-        for _ in range(2):
-            for u in out:
-                w = w - np.vdot(u, w) * u
-        nrm = np.linalg.norm(w)
-        if nrm <= RANK_TOL * scale:
-            dropped += 1
-            continue
-        out.append(w / nrm)
-    if not out:
-        n = rows.shape[1] if rows.ndim == 2 else 0
-        return np.zeros((0, n), dtype=complex), dropped
-    return np.array(out), dropped
+def _span_and_perp(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows for the span of rows and for its orthogonal
+    complement, from one SVD: the rank counts the singular values above
+    RANK_TOL times the largest."""
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0)))
+    return vh[:rank], vh[rank:]
 
 
 class BoundarySubspace:
@@ -273,7 +257,7 @@ class BoundarySubspace:
 
     __slots__ = ("graph", "basis")
 
-    def __init__(self, graph: MetricGraph, basis: np.ndarray, check: bool = True):
+    def __init__(self, graph: MetricGraph, basis: np.ndarray):
         basis = np.atleast_2d(np.asarray(basis, dtype=complex))
         if basis.size == 0:
             basis = basis.reshape(0, graph.n_boundary)
@@ -281,10 +265,9 @@ class BoundarySubspace:
             raise ValueError(f"basis vectors must have length {graph.n_boundary}")
         if basis.shape[0] > graph.n_boundary:
             raise ValueError("more basis vectors than boundary dimensions")
-        if check and basis.shape[0]:
-            gram = basis @ basis.conj().T
-            if np.max(np.abs(gram - np.eye(basis.shape[0]))) > ORTHO_TOL:
-                raise ValueError("basis is not orthonormal to 1e-12")
+        gram = basis @ basis.conj().T
+        if not (np.abs(gram - np.eye(basis.shape[0])) <= ORTHO_TOL).all():
+            raise ValueError("basis is not orthonormal to 1e-12")
         self.graph = graph
         self.basis = basis
 
@@ -297,14 +280,7 @@ class BoundarySubspace:
         return self.graph.n_boundary
 
     def perp(self) -> "BoundarySubspace":
-        n = self.ambient_dim
-        if self.dim == 0:
-            return BoundarySubspace(self.graph, np.eye(n, dtype=complex), check=False)
-        if self.dim == n:
-            return BoundarySubspace(self.graph, np.zeros((0, n), dtype=complex), check=False)
-        # trailing right-singular rows are orthonormal to the row space
-        _, _, vh = np.linalg.svd(self.basis)
-        return BoundarySubspace(self.graph, vh[self.dim:], check=False)
+        return BoundarySubspace(self.graph, _span_and_perp(self.basis)[1])
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         if self.dim == 0:
@@ -330,11 +306,11 @@ class BoundarySubspace:
 
 
 def full_subspace(g: MetricGraph) -> BoundarySubspace:
-    return BoundarySubspace(g, np.eye(g.n_boundary, dtype=complex), check=False)
+    return BoundarySubspace(g, np.eye(g.n_boundary, dtype=complex))
 
 
 def zero_subspace(g: MetricGraph) -> BoundarySubspace:
-    return BoundarySubspace(g, np.zeros((0, g.n_boundary), dtype=complex), check=False)
+    return BoundarySubspace(g, np.zeros((0, g.n_boundary), dtype=complex))
 
 
 def vertex_conditions_subspace(g: MetricGraph, default: str = "standard",
@@ -375,18 +351,14 @@ def vertex_conditions_subspace(g: MetricGraph, default: str = "standard",
             row[idx] = 1.0
             rows.append(row / math.sqrt(len(idx)))
         else:  # anti-kirchhoff: block complement of the signed indicator
-            signed = np.zeros(len(idx), dtype=complex)
-            for j, i in enumerate(idx):
-                signed[j] = -1.0 if g.boundary_coords[i][1] == 0 else 1.0
-            signed /= np.linalg.norm(signed)
-            block = np.eye(len(idx), dtype=complex) - np.outer(signed, signed.conj())
-            blk_rows, _ = _orthonormalize(block)
-            for brow in blk_rows:
+            signed = np.array([[-1.0 if g.boundary_coords[i][1] == 0 else 1.0 for i in idx]],
+                              dtype=complex)
+            for brow in _span_and_perp(signed)[1]:
                 row = np.zeros(n, dtype=complex)
                 row[idx] = brow
                 rows.append(row)
     basis = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
-    return BoundarySubspace(g, basis, check=False)
+    return BoundarySubspace(g, basis)
 
 
 def standard_subspace(g: MetricGraph) -> BoundarySubspace:
@@ -395,15 +367,20 @@ def standard_subspace(g: MetricGraph) -> BoundarySubspace:
 
 
 def subspace_from_basis(g: MetricGraph, raw_rows: Sequence[Sequence[complex]]) -> BoundarySubspace:
-    """Orthonormalise a user-supplied spanning set (rank tolerance 1e-10)."""
+    """Orthonormalise a user-supplied spanning set: its nonzero rows are scaled
+    to unit norm, so the rank (tolerance RANK_TOL) depends neither on their
+    order nor on their scales."""
     arr = np.array([[complex(z) for z in row] for row in raw_rows], dtype=complex)
     if arr.size == 0:
         return zero_subspace(g)
-    basis, dropped = _orthonormalize(arr)
-    if dropped:
-        warnings.warn(f"user basis reduced: dropped {dropped} near-dependent vector(s)",
-                      stacklevel=2)
-    return BoundarySubspace(g, basis, check=False)
+    if not np.isfinite(arr).all():
+        raise ValueError("basis entries must be finite")
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    basis = _span_and_perp(arr / np.where(norms > 0.0, norms, 1.0))[0]
+    if len(basis) < len(arr):
+        warnings.warn(f"user basis reduced: dropped {len(arr) - len(basis)} "
+                      "near-dependent vector(s)", stacklevel=2)
+    return BoundarySubspace(g, basis)
 
 
 def _sign_flip(g: MetricGraph, basis: np.ndarray) -> np.ndarray:
@@ -417,7 +394,7 @@ def dual_subspace(y: BoundarySubspace) -> BoundarySubspace:
     negate the (e, 0) block of the orthogonal complement.  Involutive on
     subspaces (the basis may differ)."""
     perp = y.perp()
-    return BoundarySubspace(y.graph, _sign_flip(y.graph, perp.basis), check=False)
+    return BoundarySubspace(y.graph, _sign_flip(y.graph, perp.basis))
 
 
 def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
@@ -431,7 +408,7 @@ def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:
         theta = g.edge(eid).flux
         if theta != 0.0:
             basis[:, offset + j] *= complex(math.cos(theta), -math.sin(theta))
-    return BoundarySubspace(g, basis, check=False)
+    return BoundarySubspace(g, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,9 @@ def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
     |c conj(c') I| over every term pair and window), so a mass below
     _RESOLVED_REL of that scale (f tiny on the region next to its
     coefficients) is integrated again by _gauss_norm_sq, which is positive
-    and accurate relative to |f| itself.  A function keeps its whole-graph
-    Mass, so asking for that again integrates nothing."""
+    and accurate down to the rounding floor of evaluating f (stated there).
+    A function keeps its whole-graph Mass, so asking for that again
+    integrates nothing."""
     if not fns:
         return []
     graph = fns[0].graph
@@ -486,7 +487,12 @@ def _gauss_norm_sq(f: GraphFunction, reg) -> float:
     z**(p_s+p_t) exp(1j*(u_s - u_t)*z) on the line, |g| <= M = (sum |c|
     (hi + L)**p exp(|u| L))**2 within L of a piece, and Cauchy's estimate in
     the Gauss error term bounds a piece's error by L M (n!)**4 / ((2n+1)
-    ((2n)!)**2) <= 2 L M 16**-n; n puts that below 1e-40 L (sum |c|)**2."""
+    ((2n)!)**2) <= 2 L M 16**-n; n puts that below 1e-40 L (sum |c|)**2.
+
+    That bound is for exact arithmetic.  Evaluating f at a node in floats
+    errs by about d = (terms + 4) eps sum |c x**p| (eps the machine epsilon),
+    so |f|**2 errs by d (2 |f| + d) and the result by about |W| d (2 sup_W |f|
+    + d) over the windows W: a floor far above 1e-40 when f is tiny on W."""
     total = 0.0
     for eid, terms in f.terms.items():
         c, p, w = np.array(terms, dtype=complex).T

@@ -25,6 +25,7 @@ from .polytrig import IntervalUnion
 
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
 _EQ_SLACK = 1e-12        # comparison slack for exact-measure boundary cases
+_GAP_PERIODS = 3         # periods of a ray's body unrolled for its gaps
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class PeriodicTail:
     def head_span(self) -> float:
         return float(self.head.ends[-1]) if self.head else 0.0
 
-    def unroll(self, periods: int = 2) -> IntervalUnion:
+    def unroll(self, periods: int) -> IntervalUnion:
         """Head plus the first few periods, as a finite union."""
         w = self.head_span
         parts = list(self.head.intervals)
@@ -87,7 +88,11 @@ class SamplingSet:
                     period = float(spec["period"])
                     head = IntervalUnion(spec.get("head", []))
                     body = IntervalUnion(spec["body"], length=period)
-                external[eid] = PeriodicTail(head=head, period=period, body=body)
+                tail = PeriodicTail(head=head, period=period, body=body)
+                if not math.isfinite(tail.head_span + _GAP_PERIODS * period):
+                    raise ValueError(f"external set entry {eid!r}: period {period!r} unrolls "
+                                     "past the float range")
+                external[eid] = tail
         return cls(finite, external)
 
     @classmethod
@@ -227,7 +232,7 @@ def gap_analysis(omega: SamplingSet) -> dict[str, EdgeGaps]:
         out[eid] = EdgeGaps(left=left, right=right,
                             max_interior=max(interior, default=0.0))
     for eid, tail in omega.external.items():
-        left, interior, _ = tail.unroll(3).gaps()
+        left, interior, _ = tail.unroll(_GAP_PERIODS).gaps()
         out[eid] = EdgeGaps(left=left, right=0.0,
                             max_interior=max(interior, default=0.0))
     return out
@@ -238,6 +243,8 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
     """Necessary condition from the maximal admissible gaps: endpoint gaps at
     most (1-gamma)*rho, interior gaps at most 2*(1-gamma)*rho.  Failure proves
     the set is not (gamma, rho)-sampling."""
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
     issues = []
     end_cap = (1.0 - gamma) * rho
     mid_cap = 2.0 * end_cap

@@ -25,6 +25,7 @@ from .spectral import (EigenPair, boundary_residual, eigenvalues_up_to, spectral
                        wavenumber_range)
 
 PASS_REL_TOL = 1e-12      # strict ">" of the theorems at floating-point scale
+EPS = 2.0 ** -52          # double-precision machine epsilon
 M_MAX = 40                # derivative orders checked per edge
 DEFAULT_SEED = 20240 + 5
 
@@ -153,7 +154,7 @@ def classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
     total = mass.whole
 
     orders = np.arange(M_MAX + 1)
-    caps = np.array([float(lam) ** m for m in orders])  # C(m) = lam^m
+    caps = np.array([float(lam) ** m for m in range(M_MAX + 1)])  # C(m) = lam^m
     per_edge: dict[str, np.ndarray] = {}
     gains: list[float] = []
     for eid, terms in f.terms.items():
@@ -290,7 +291,10 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
 def optimality_example(ell: float, lam: float, gamma: float) -> dict:
     """Concentrated cosine-power profile: its observed ratio on the matched
     two-window control set sits between the proved lower constant and the
-    explicit decaying upper envelope, pinning the sharpness of the exponent."""
+    explicit decaying upper envelope, pinning the sharpness of the exponent.
+    Where the ratio's stated rounding error reaches the envelope or the ratio
+    itself, double precision cannot decide the sandwich: a ValueError says
+    so, where a decided sandwich that fails raises AssertionError."""
     if not (0.0 < gamma <= 4.0 / math.pi ** 2):
         raise ValueError("gamma must lie in (0, 4/pi^2]")
     alpha = math.floor(ell * math.sqrt(lam) / (2.0 * math.pi))
@@ -301,10 +305,22 @@ def optimality_example(ell: float, lam: float, gamma: float) -> dict:
     omega = {"e": IntervalUnion([
         (ell / 4.0 * (1.0 - gamma), ell / 4.0 * (1.0 + gamma)),
         (ell / 4.0 * (3.0 - gamma), ell / 4.0 * (3.0 + gamma))], length=ell)}
-    ratio = mass_ratio(f, omega)
+    m = masses([f], omega)[0]
+    ratio = _bounded_ratio(m.part, m.whole)
     upper = 0.2 * (math.pi ** 2 * gamma / 4.0) ** (ell * math.sqrt(lam) / math.pi - 1.0)
     lower = spectral_bound(gamma, ell / 2.0, lam)
-    if not (lower.value < ratio <= upper * (1.0 + 1e-12)):
+    # the ratio's stated error: the part's rounding floor |Omega| d (2 sup|f| + d)
+    # (polytrig._gauss_norm_sq) over the whole mass, with sum |c| = 1 and the
+    # sup over the windows sin(pi gamma / 2)^alpha
+    delta = (len(f.terms["e"]) + 4) * EPS
+    sup = math.sin(0.5 * math.pi * gamma) ** alpha
+    err = gamma * ell * delta * (2.0 * sup + delta) / m.whole
+    if not (err < upper and err < ratio):
+        raise ValueError(f"optimality sandwich undecidable in double precision: the ratio "
+                         f"{ratio} carries an error up to {err}, against the envelope {upper}")
+    above = (math.log(ratio - err) > lower.log_value if lower.underflow
+             else lower.value < ratio - err)
+    if not (above and ratio <= upper * (1.0 + 1e-12)):
         raise AssertionError(f"optimality sandwich failed: {lower.value} < "
                              f"{ratio} <= {upper} is false")
     return {"alpha": alpha, "ratio": ratio, "upper": upper,

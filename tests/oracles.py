@@ -1129,7 +1129,7 @@ def _observability_report_json(self) -> dict:
 
 
 def _torsion_profile_report_json(self) -> dict:
-    return {"profile": self.profile.to_json(), "h": self.h,
+    return {"profile": dict(self.profile), "h": self.h,
             "h_prime": self.h_prime, "bound": oracle_json(self.bound),
             "norms": dict(self.norms)}
 

@@ -4,9 +4,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from qgs.bounds import (BernsteinProfile, h_bound, heat_trace_bound,
-                        observability_constant, spectral_bound, standard_range,
-                        torsion_profile)
+from qgs.bounds import (h_bound, heat_trace_bound, observability_constant,
+                        spectral_bound, standard_range, torsion_profile)
 from qgs.graphs import build_graph, metrics, vertex_conditions_subspace
 from qgs.spectral import eigenvalues_up_to, solve_torsion
 
@@ -267,14 +266,6 @@ class TestObservability:
             observability_constant(0.5, 0.5, 1.0, c4=1.0)
 
 
-class TestBernsteinProfile:
-    def test_finite_profile(self):
-        p = BernsteinProfile.finite((1.0, 4.0, 9.0))
-        assert p.value(1) == 4.0 and p.value(7) == 0.0
-        rho = 0.1
-        assert p.h_series(rho) == pytest.approx(1 + 2 * 1.0 + 3 * 0.5, rel=1e-12)
-
-
 class TestTorsionProfile:
     def test_one_dirichlet_end(self):
         ell = 1.0
@@ -311,6 +302,21 @@ class TestTorsionProfile:
         sol = solve_torsion(g, ["w1", "w3"])
         rep = torsion_profile(g, sol, rho=0.4, gamma=0.3)
         # Bernstein inequality for m = 0, 1, 2 holds with the exact norms
-        assert rep.norms["du"] <= rep.profile.value(1) * rep.norms["u"] * (1 + 1e-12)
-        assert rep.norms["d2u"] == pytest.approx(rep.profile.value(2) * rep.norms["u"],
-                                                 rel=1e-10)
+        coeffs = rep.profile["coeffs"]
+        assert rep.norms["du"] <= coeffs[1] * rep.norms["u"] * (1 + 1e-12)
+        assert rep.norms["d2u"] == pytest.approx(coeffs[2] * rep.norms["u"], rel=1e-10)
+
+    def test_h_is_the_finite_series_of_the_profile(self):
+        g = build_graph(["c", "w1", "w2", "w3"],
+                        [("e1", "c", "w1", 1.0), ("e2", "c", "w2", 1.3),
+                         ("e3", "c", "w3", 0.7)])
+        sol = solve_torsion(g, ["w1", "w3"])
+        for rho in (0.05, 0.4, 3.0):
+            rep = torsion_profile(g, sol, rho=rho, gamma=0.3)
+            assert rep.profile["kind"] == "finite" and rep.profile["coeffs"][0] == 1.0
+            series = sum(math.sqrt(c) * (10.0 * rho) ** m / math.factorial(m)
+                         for m, c in enumerate(rep.profile["coeffs"]))
+            assert rep.h == series
+            assert rep.h <= rep.h_prime * (1 + 1e-12)
+        with pytest.raises(ValueError, match="rho"):
+            torsion_profile(g, sol, rho=0.0, gamma=0.3)

@@ -517,6 +517,34 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
     assert (code, out, err) == (1, "", "error: interval ends must be finite\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sampling", "gaps", "--graph", "{ray}", "--set", "{huge}"], "'r': period 1e+308"),
+    (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "0"], "--trials"),
+    (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "-3"], "--trials"),
+    (["verify", "ratio", "--graph", "{graph}", "--set", "{set}", "--modes", "-2"], "--modes"),
+    (["verify", "observability", "--graph", "{graph}", "--set", "{set}", "-T", "1",
+      "--modes", "0"], "--modes"),
+    (["audit", "--trials", "0"], "--trials"),
+    (["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--gamma", "3", "--rho", "1"],
+     "gamma must lie in (0, 1]"),
+    (["verify", "optimality", "--ell", "1", "--lambda", "37000", "--gamma", "1e-10"],
+     "undecidable in double precision"),
+], ids=["huge-period", "trials-0", "trials-negative", "modes-negative", "modes-0",
+        "audit-trials-0", "gaps-gamma-3", "optimality-undecidable"])
+def test_refusal_names_its_input(capsys, tmp_path, interval_file, set_file, argv, named):
+    # once a traceback-free but nameless message (an empty min(), negative
+    # dimensions, a non-finite interval end), an exit 0 at gamma = 3, or a
+    # certification failure where double precision cannot decide
+    ray = tmp_path / "ray.json"
+    ray.write_text('{"vertices": ["v"], "edges": [{"id": "r", "from": "v", "length": "inf"}]}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"external": {"r": {"period": "1e308", "body": [[0.0, 0.5]]}}}')
+    code, out, err = run(capsys, *(a.format(graph=interval_file, set=set_file, ray=ray,
+                                            huge=huge) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_trace_peak_past_the_float_range_is_refused(capsys, interval_file):
     # (c / 2t)**2 once raised OverflowError; the saturated peak is inf
     code, out, err = run(capsys, "bound", "trace", "--graph", interval_file, "--gamma", "0.5",

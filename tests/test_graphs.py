@@ -1,8 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
                         _vertex_distances, build_graph, diameter, dual_subspace,
@@ -226,9 +229,99 @@ class TestSubspaces:
         assert y.dim == 1
 
     def test_orthonormality_validated(self):
-        g = interval()
-        with pytest.raises(ValueError, match="orthonormal"):
-            BoundarySubspace(g, np.array([[1.0, 1.0]]))
+        # every basis is checked: the constructor has no flag to skip it
+        for basis in ([[1.0, 1.0]], [[1.0 + 1e-11, 0.0]], [[1.0, 0.0], [1.0, 1e-6]],
+                      [[math.nan, 0.0]]):
+            with pytest.raises(ValueError, match="orthonormal"):
+                BoundarySubspace(interval(), np.array(basis))
+
+    def test_perp_is_the_direct_svd_bit_for_bit(self):
+        # complements keep the bits of the SVD call they always came from
+        k4 = build_graph("abcd", [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.1),
+                                  ("e3", "c", "d", 0.9), ("e4", "d", "a", 1.2),
+                                  ("e5", "a", "c", 0.8), ("e6", "b", "d", 1.3)])
+        for g in (interval(), three_star(), lasso(), k4):
+            n = g.n_boundary
+            for y in (standard_subspace(g), vertex_conditions_subspace(g, "neumann"),
+                      vertex_conditions_subspace(g, "standard", {g.vertices[0]: "dirichlet"}),
+                      zero_subspace(g), full_subspace(g)):
+                if y.dim == 0:
+                    want = np.eye(n, dtype=complex)
+                elif y.dim == n:
+                    want = np.zeros((0, n), dtype=complex)
+                else:
+                    want = np.linalg.svd(y.basis)[2][y.dim:]
+                got = y.perp().basis
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_independent_rows_far_apart_in_scale_are_kept(self):
+        rng = np.random.default_rng(5)
+        g = lasso()
+        a, b = rng.normal(size=(2, g.n_boundary)) + 1j * rng.normal(size=(2, g.n_boundary))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = subspace_from_basis(g, [1e-6 * a, 1e6 * b])
+        assert y.dim == 2
+
+    def test_raw_basis_entries_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            subspace_from_basis(interval(), [[1.0, math.inf]])
+
+
+def _raw_rows(rng, n, r, k, eta):
+    """k rows of rank r in C^n, each scaled by 10^u with u uniform in [-6, 6];
+    with eta > 0 one more row: a combination of them plus a perturbation of
+    relative size eta in a random direction."""
+    base = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    rows = (rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))) @ base
+    if eta > 0.0 and r:
+        near = (rng.normal(size=r) + 1j * rng.normal(size=r)) @ base
+        kick = rng.normal(size=n) + 1j * rng.normal(size=n)
+        near += eta * np.linalg.norm(near) * kick / np.linalg.norm(kick)
+        rows = np.vstack([rows, near])
+    return rows * 10.0 ** rng.uniform(-6.0, 6.0, size=(len(rows), 1))
+
+
+def _reduced(g, rows):
+    """subspace_from_basis on rows, and whether it warned of a reduction."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = subspace_from_basis(g, rows)
+    return y, any("reduced" in str(w.message) for w in caught)
+
+
+class TestRawBasisFuzz:
+    """A raw basis's rank depends neither on the order nor on the scales of
+    its rows, also with a near-dependent row (relative 3e-10, next to the
+    1e-10 rank tolerance) that a rank decided row by row keeps or drops by
+    its position."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), data=st.data(),
+           eta=st.sampled_from([0.0, 1e-12, 3e-10]))
+    def test_rank_and_complement(self, seed, n, data, eta):
+        rng = np.random.default_rng(seed)
+        r = data.draw(st.integers(0, n), label="rank")
+        k = data.draw(st.integers(max(r, 1), r + 4), label="rows")
+        g = build_graph(["c"], [(f"r{i}", "c", None, math.inf) for i in range(n)])  # C^n
+        rows = _raw_rows(rng, n, r, k, eta)
+        y, warned = _reduced(g, rows)
+        if eta == 3e-10:
+            assert r <= y.dim <= min(r + 1, n)
+        else:
+            assert y.dim == r
+        assert warned == (y.dim < len(rows))
+        for other in (rows[rng.permutation(len(rows))],
+                      rows * 10.0 ** rng.uniform(-6.0, 6.0, size=(len(rows), 1))):
+            assert _reduced(g, other)[0].dim == y.dim
+        assert np.abs(y.basis @ y.basis.conj().T - np.eye(y.dim)).max(initial=0.0) <= 1e-12
+        perp = y.perp()
+        assert perp.dim + y.dim == n
+        assert np.abs(perp.basis @ y.basis.conj().T).max(initial=0.0) <= 1e-12
+        for row in rows[:k]:
+            if np.linalg.norm(row) > 0.0:
+                assert y.residual(row / np.linalg.norm(row)) <= 1e-9
+        assert dual_subspace(dual_subspace(y)).equals(y, tol=1e-10)
 
 
 class TestSubdivide:

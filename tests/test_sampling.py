@@ -154,6 +154,21 @@ class TestGaps:
             ok, issues = necessary_check(gaps, gamma, 0.125)
             assert not ok and issues
 
+    def test_necessary_check_refuses_gamma_outside_the_unit_interval(self):
+        gaps = gap_analysis(single_edge_set(IntervalUnion([(0.0, 1.0)], length=1.0)))
+        for gamma in (0.0, -0.5, 1.0 + 1e-12, 3.0):
+            with pytest.raises(ValueError, match="gamma"):
+                necessary_check(gaps, gamma, 1.0)
+
+    def test_huge_period_refused_with_its_edge(self):
+        # three periods are unrolled for the gaps: 3e300 is a float, 3e308 not
+        g = build_graph(["v"], [("r", "v", None, math.inf)])
+        tail = {"period": 1e300, "body": [[0.0, 5e299]]}
+        gaps = gap_analysis(SamplingSet.from_dict(g, {"external": {"r": tail}}))
+        assert gaps["r"].max_interior == 5e299
+        with pytest.raises(ValueError, match="'r': period 1e.308"):
+            SamplingSet.from_dict(g, {"external": {"r": {**tail, "period": 1e308}}})
+
     def test_centered_window_endpoint_gaps(self):
         ell = 2.0
         iu = IntervalUnion([(ell / 4, 3 * ell / 4)], length=ell)

@@ -412,6 +412,22 @@ class TestCompleteness:
         assert lam_list(raw) == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert lam_list(raw) == pytest.approx(lam_list(std), rel=1e-9, abs=1e-9)
 
+    def test_raw_basis_row_order_keeps_the_spectrum(self):
+        # the third row is a combination of the first two up to 3e-10
+        # relative, next to the 1e-10 rank tolerance: a rank decided row by row
+        # depends on where that row stands (6 or 7 eigenvalues below 100)
+        g = build_graph(["v", "w"], [("loop", "v", "v", 1.3), ("tail", "v", "w", 0.8)])
+        rows = np.array([
+            [45.79620096442079, 158.20990458634284, -10.951872486888252, -22.06957333312951],
+            [0.16212255296628225, 4.296361686636023, 3.6712578315718747, -1.5641559555800832],
+            [49.13233208689614, 766.0360962855679, 580.3608862583369, -260.8433196656076]])
+        with pytest.warns(UserWarning, match="reduced"):
+            a = eigenvalues_up_to(g, subspace_from_basis(g, rows), 100.0)
+        with pytest.warns(UserWarning, match="reduced"):
+            b = eigenvalues_up_to(g, subspace_from_basis(g, rows[::-1]), 100.0)
+        assert len(a) == len(b) == 6
+        assert lam_list(a) == pytest.approx(lam_list(b), rel=1e-12, abs=1e-12)
+
     def test_k4_mixed_conditions(self):
         g = build_graph("abcd", [("e1", "a", "b", 0.977027), ("e2", "b", "c", 1.038758),
                                  ("e3", "c", "d", 0.969668), ("e4", "d", "a", 0.974166),

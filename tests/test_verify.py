@@ -9,8 +9,8 @@ from qgs import verify
 from qgs.bounds import BoundReport
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, masses, norm_sq,
-                          whole_edge)
+from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
+                          masses, norm_sq, whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from qgs.spectral import eigenvalues_up_to, spectral_sample
 from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
@@ -301,6 +301,37 @@ class TestOptimality:
         with pytest.raises(ValueError, match="energy too small"):
             optimality_example(1.0, 1.0, 0.1)
 
+    def test_undecidable_points_are_refused_not_failed(self):
+        # 20 of these 30 points once raised "optimality sandwich failed": the
+        # Gauss part there is rounding noise, far above the exact value
+        decided = 0
+        for lam in (158.0, 2000.0, 5000.0, 10000.0, 20000.0, 37000.0):
+            for gamma in (0.3, 1e-2, 1e-4, 1e-6, 1e-10):
+                try:
+                    out = optimality_example(1.0, lam, gamma)
+                except ValueError as exc:
+                    assert "undecidable in double precision" in str(exc)
+                    continue
+                decided += 1
+                assert out["lower"] <= out["ratio"] <= out["upper"]
+        assert decided == 10
+
+    def test_gauss_part_stays_within_its_stated_floor(self):
+        # the exact part is at most |W| sup_W |f|^2, so the computed one may
+        # exceed that by the stated rounding floor |W| d (2 sup + d) only
+        for lam, gamma in ((2000.0, 1e-4), (5000.0, 1e-2), (37000.0, 1e-6)):
+            alpha = math.floor(math.sqrt(lam) / (2.0 * math.pi))
+            g = build_graph(["a", "b"], [("e", "a", "b", 1.0)])
+            f = GraphFunction(g, {"e": list(cosine_power_terms(alpha, 2.0 * math.pi))})
+            w = IntervalUnion([(0.25 * (1 - gamma), 0.25 * (1 + gamma)),
+                               (0.25 * (3 - gamma), 0.25 * (3 + gamma))], length=1.0)
+            part = norm_sq(f, {"e": w})
+            sup = math.sin(0.5 * math.pi * gamma) ** alpha
+            d = (alpha + 5) * 2.0 ** -52
+            assert 0.0 <= part <= gamma * sup ** 2 + gamma * d * (2.0 * sup + d)
+            # the exact-arithmetic bound 1e-40 |W| (sum |c|)^2 alone misses it
+            assert part - gamma * sup ** 2 > 1e-40 * gamma
+
 
 class TestMaxGeneralizedEig:
     def test_matches_scipy_on_hermitian_definite_pairs(self):
@@ -480,6 +511,19 @@ class TestAudit:
         assert res.violations == 0
         assert all(r["classified_ok"] for r in res.rows)
         assert all(r["bad_mass_fraction"] < 0.5 for r in res.rows)
+
+    def test_classify_rows_are_pinned(self):
+        # the Bernstein caps lam^m are Python float powers, where they were
+        # numpy-scalar powers; their last bits moved, the rows did not
+        import hashlib
+        from qgs.report import csv_dumps
+        digest = hashlib.sha256()
+        for seed in (20245, 711, 3):
+            rows = audit(trials=500, seed=seed, classify=True).rows
+            digest.update(csv_dumps(rows, ("trial", "bad_mass_fraction", "classified_ok",
+                                           "closure_complete")).encode())
+        assert digest.hexdigest() == ("c19757257b3e98ccdf8b7cb7677ebe31"
+                                      "69acb487dfd1448221d7744b2f2626d0")
 
     def test_shared_mass_pass_matches_the_public_calls(self):
         # a trial takes all its masses from one pass, which f keeps for
