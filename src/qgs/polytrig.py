@@ -8,10 +8,10 @@ restriction.  Pairwise products reach p = 4, whose integrals are closed
 form: `integrate_powexp` integrates all windows of an edge in one numpy call
 (2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a fixed-length
 series near wd = 0, for p >= 1).  Every L2 mass goes through it: `masses`
-gives the whole-graph and region masses of many functions with one call per
-edge (`norm_sq` is one of them), `gram`, `term_gram` and `inner_product` the
-cross terms.  A norm too small for the closed form to resolve from rounding
-is integrated again by a positive Gauss rule with an explicit error bound.
+gives those of many functions and their derivatives in one call (`norm_sq`
+is one of them), `gram`, `term_gram` and `inner_product` the cross terms.
+A norm too small for the closed form to resolve from rounding is
+integrated again by a positive Gauss rule with an explicit error bound.
 """
 
 from __future__ import annotations
@@ -394,27 +394,32 @@ def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
 
 
 class Mass(NamedTuple):
-    """||f||^2 on the whole graph, ||f||^2 on the region (the whole graph
-    again without one) and, per edge, the whole-edge term Gram of f's terms."""
+    """||f||^2 on the whole graph and on the region (the whole graph again
+    without one), the same of f', and f's edge arrays: row i is edges[i], its
+    first sizes[i] keys f's, then padding (0, 0); gram[i] is their Gram."""
 
     whole: float
     part: float
-    edge_grams: dict[str, np.ndarray]
+    d_whole: float
+    d_part: float
+    edges: tuple[str, ...]
+    sizes: np.ndarray
+    coeffs: np.ndarray
+    freqs: np.ndarray
+    gram: np.ndarray
 
 
 def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
-    """The Mass of each function in fns, with one kernel call per edge over
-    [0, l] and the region's windows: the term pairs of each distinct (power,
-    freq) basis on the edge, concatenated.  Each function's sums run over a
-    contiguous copy of its own block, so a mass is the same float whatever
-    else is in fns.  The imaginary residue is asserted to be noise; the
-    closed form cancels down to about 1e-16 of its gross scale (the sum of
-    |c conj(c') I| over every term pair and window), so a mass below
-    _RESOLVED_REL of that scale (f tiny on the region next to its
-    coefficients) is integrated again by _gauss_norm_sq, which is positive
-    and accurate down to the rounding floor of evaluating f (stated there).
-    A function keeps its whole-graph Mass, so asking for that again
-    integrates nothing."""
+    """The Mass of each function in fns from one kernel call over a
+    (functions, edges, keys, keys, 1 + windows) array: each function's own
+    term keys (power, freq) per edge (no union basis), padded with zero
+    coefficients, by [0, l] and the region's windows, padded with empty ones.
+    f' = sum (c i w x**p + c p x**(p - 1)) exp(iwx) needs only the keys
+    (p - 1, w) more.  A mass is an array sum of c conj(c') I, its imaginary
+    residue asserted to be noise; one below _RESOLVED_REL of its gross scale
+    (the sum of |c conj(c') I|, the closed form's cancellation floor being
+    about 1e-16 of it) is integrated again by _gauss_norm_sq, f' built only
+    then.  A function keeps its whole-graph Mass."""
     if not fns:
         return []
     graph = fns[0].graph
@@ -422,57 +427,55 @@ def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
         raise ValueError("functions live on different graphs")
     if region is None and all(f._mass is not None for f in fns):
         return [f._mass for f in fns]
-    reg = _coerce_region(fns[0], region)
-    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (eid, basis) -> whole, part
-    for eid in graph.edge_ids:
-        bases = list(dict.fromkeys(tuple(t[1:] for t in f.terms[eid])
-                                   for f in fns if eid in f.terms))
-        if not bases:
-            continue
-        a, b = _edge_windows(fns[0], None, eid)
-        if reg is not None:
-            ra, rb = _edge_windows(fns[0], reg, eid)
-            a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
-        pw = [np.array(basis).T for basis in bases]
-        powers = np.concatenate([np.add.outer(p, p).ravel() for p, _ in pw])
-        freqs = np.concatenate([np.subtract.outer(w, w).ravel() for _, w in pw])
-        vals = integrate_powexp(powers[:, None], freqs[:, None], a, b)
-        start = 0
-        for basis in bases:
-            n = len(basis)
-            block = vals[start:start + n * n].reshape(n, n, a.size)
-            blocks[eid, basis] = block[..., :1].copy(), block[..., 1:].copy()
-            start += n * n
+    reg = _coerce_region(fns[0], region) or {}
+    edges = tuple(dict.fromkeys(e for f in fns for e in f.terms))
+    windows = [[(0.0, graph.edge_lengths[e]), *(reg[e].intervals if e in reg else ())]
+               for e in edges]
+    if not all(math.isfinite(ws[0][1]) for ws in windows):
+        raise ValueError("whole-graph quadrature on a non-compact graph")
+    blocks = [f.terms.get(e, ()) for f in fns for e in edges]
+    if any(t.power for b in blocks for t in b):  # zero terms at the keys (p - 1, w) of f'
+        blocks = [b + tuple(PolyTrigTerm(0j, p - 1, w) for _, p, w in b
+                            if p and (p - 1, w) not in {t[1:] for t in b}) for b in blocks]
+    n, k = len(fns), max(map(len, blocks), default=0)
+    sizes = np.array(list(map(len, blocks)), dtype=int).reshape(n, len(edges))
+    slot = np.arange(k) < sizes[..., None]
+    cpw = np.zeros((3, *slot.shape), dtype=complex)
+    cpw[:, slot] = np.array([x for b in blocks for t in b for x in t],
+                            dtype=complex).reshape(-1, 3).T
+    c, p, w = cpw[0], cpw[1].real.astype(int), cpw[2].real
+    d = c * 1j * w
+    if p.any():  # + p c at (p - 1, w): key j one power above key i
+        above = (p[..., None, :] == p[..., None] + 1) & (w[..., None, :] == w[..., None])
+        d = d + ((above & slot[..., None]) * (p * c)[..., None, :]).sum(axis=-1)
+    a, b = np.zeros((2, len(edges), max(map(len, windows), default=1)))
+    for i, ws in enumerate(windows):
+        a[i, :len(ws)], b[i, :len(ws)] = zip(*ws)
+    ints = integrate_powexp((p[..., None] + p[..., None, :])[..., None],
+                            (w[..., None] - w[..., None, :])[..., None],
+                            a[:, None, None], b[:, None, None])
+    cd = np.stack((c, d), axis=1)  # (functions, f and f', edges, keys)
+    pair = cd[..., None] * cd.conj()[..., None, :]
+    sums = [[x.reshape(n, 2, -1).sum(axis=-1).tolist() for x in (v, np.abs(v))]
+            for v in (pair * ints[:, None, ..., 0], pair[..., None] * ints[:, None, ..., 1:])]
     out = []
-    for f in fns:
-        per_edge = {eid: (np.array([t.coeff for t in ts]), *blocks[eid, tuple(t[1:] for t in ts)])
-                    for eid, ts in f.terms.items()}
-        whole = _settle(f, None, [(c, ints) for c, ints, _ in per_edge.values()])
-        part = whole if reg is None else _settle(f, reg, [(c, ints)
-                                                          for c, _, ints in per_edge.values()])
-        grams = {eid: ints[..., 0] for eid, (_, ints, _) in per_edge.items()}
-        f._mass = Mass(whole, whole, grams)
-        out.append(Mass(whole, part, grams))
+    for i, f in enumerate(fns):
+        whole, d_whole = (_settle(f, None, o, sums[0][0][i][o], sums[0][1][i][o]) for o in (0, 1))
+        arrays = (edges, sizes[i], c[i], w[i], ints[i, ..., 0])
+        f._mass = Mass(whole, whole, d_whole, d_whole, *arrays)
+        part, d_part = ((whole, d_whole) if region is None else
+                        (_settle(f, reg, o, sums[1][0][i][o], sums[1][1][i][o]) for o in (0, 1)))
+        out.append(Mass(whole, part, d_whole, d_part, *arrays))
     return out
 
 
-def _settle(f: GraphFunction, reg, blocks) -> float:
-    """∫ |f|^2 from the coefficients c and term integrals I of each edge: the
-    sum of c conj(c') I over every term pair and window, checked and, if
-    unresolved, integrated again (see masses)."""
-    total, gross = 0j, 0.0
-    for c, ints in blocks:
-        if ints.shape[-1]:
-            vals = np.multiply.outer(c, c.conj())[..., None] * ints
-            total += vals.sum()
-            gross += float(np.abs(vals).sum())
-    val = complex(total)
-    re, im = val.real, val.imag
-    if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
+def _settle(f: GraphFunction, reg, order: int, val: complex, gross: float) -> float:
+    """∫ |f^(order)|^2 over the windows from its sum of c conj(c') I and the
+    gross scale, checked and, if unresolved, integrated again (see masses)."""
+    if abs(val.imag) > 1e-10 * max(val.real, 0.0) + 1e-12 * gross + 1e-300:
         raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
-    if re <= _RESOLVED_REL * gross:
-        return _gauss_norm_sq(f, reg)
-    return re
+    return (_gauss_norm_sq(differentiate(f, order), reg) if val.real <= _RESOLVED_REL * gross
+            else val.real)
 
 
 def norm_sq(f: GraphFunction, region=None) -> float:

@@ -25,7 +25,6 @@ from .polytrig import IntervalUnion
 
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
 _EQ_SLACK = 1e-12        # comparison slack for exact-measure boundary cases
-_GAP_PERIODS = 3         # periods of a ray's body unrolled for its gaps
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,6 @@ class PeriodicTail:
     @property
     def head_span(self) -> float:
         return float(self.head.ends[-1]) if self.head else 0.0
-
-    def unroll(self, periods: int) -> IntervalUnion:
-        """Head plus the first few periods, as a finite union."""
-        w = self.head_span
-        parts = list(self.head.intervals)
-        for j in range(periods):
-            parts.extend((w + j * self.period + a, w + j * self.period + b)
-                         for a, b in self.body.intervals)
-        return IntervalUnion(parts, length=w + periods * self.period)
 
 
 class SamplingSet:
@@ -88,11 +78,7 @@ class SamplingSet:
                     period = float(spec["period"])
                     head = IntervalUnion(spec.get("head", []))
                     body = IntervalUnion(spec["body"], length=period)
-                tail = PeriodicTail(head=head, period=period, body=body)
-                if not math.isfinite(tail.head_span + _GAP_PERIODS * period):
-                    raise ValueError(f"external set entry {eid!r}: period {period!r} unrolls "
-                                     "past the float range")
-                external[eid] = tail
+                external[eid] = PeriodicTail(head=head, period=period, body=body)
         return cls(finite, external)
 
     @classmethod
@@ -226,14 +212,23 @@ class EdgeGaps:
 
 
 def gap_analysis(omega: SamplingSet) -> dict[str, EdgeGaps]:
+    """Endpoint and largest interior gaps per edge; a ray's are its head's,
+    the body's and the wrap p - b_last + a_first, which is at least the one
+    from the head to the body (a_first), so no period is unrolled."""
     out: dict[str, EdgeGaps] = {}
     for eid, iu in omega.finite.items():
         left, interior, right = iu.gaps()
         out[eid] = EdgeGaps(left=left, right=right,
                             max_interior=max(interior, default=0.0))
     for eid, tail in omega.external.items():
-        left, interior, _ = tail.unroll(_GAP_PERIODS).gaps()
-        out[eid] = EdgeGaps(left=left, right=0.0,
+        head, body = tail.head, tail.body
+        interior = head.gaps()[1]
+        if body:
+            first, last = float(body.starts[0]), float(body.ends[-1])
+            interior += body.gaps()[1] + [tail.period - last + first]
+        starts = [*head.starts[:1].tolist(), *body.starts[:1].tolist()]
+        out[eid] = EdgeGaps(left=starts[0] if starts else math.inf,
+                            right=0.0 if body else math.inf,  # no body: the tail is one gap
                             max_interior=max(interior, default=0.0))
     return out
 
@@ -264,18 +259,18 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 
 
 def _rho_free(omega: IntervalUnion, ell: float, grid_n: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The points 0, ell and the set's endpoints; and the candidates that do
-    not depend on rho: those points and the grid, sorted, unique, in [0, ell]."""
-    ends = np.concatenate(([0.0, ell], omega.starts, omega.ends)) + 0.0  # -0.0 -> 0.0
-    pts = np.unique(np.concatenate((ends, ell * np.arange(1, grid_n) / grid_n)))
-    return ends, pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
+              ) -> tuple[list[float], np.ndarray]:
+    """The points 0, ell and the set's endpoints, sorted and unique; and the
+    candidates that do not depend on rho: those points and the grid, sorted,
+    unique, in [0, ell]."""
+    ends = np.unique(np.concatenate(([0.0, ell], omega.starts, omega.ends)) + 0.0)  # -0.0 -> 0.0
+    pts = np.union1d(ends, ell * np.arange(1, grid_n) / grid_n)
+    return ends.tolist(), pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
 
 
-def _shifted(ends: np.ndarray, rho: float, ell: float) -> np.ndarray:
+def _shifted(ends: list[float], rho: float, ell: float) -> list[float]:
     """The points ends -/+ rho inside (0, ell), sorted and unique."""
-    pts = np.concatenate((ends - rho, ends + rho))
-    return np.unique(pts[(0.0 < pts) & (pts < ell)])
+    return sorted({x for e in ends for x in (e - rho, e + rho) if 0.0 < x < ell})
 
 
 def _candidates(omega: IntervalUnion, ell: float, rho: float, grid_n: int) -> np.ndarray:
@@ -452,7 +447,7 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
     last = None
     while hi - lo > RHO_TOL_REL * ell:
         mid = 0.5 * (lo + hi)
-        pts = [x for x in _shifted(ends, mid, ell).tolist() if x not in in_base]
+        pts = [x for x in _shifted(ends, mid, ell) if x not in in_base]
         t, q = t_base[:], q_base[:]
         for x, p in zip(pts[::-1], omega.prefix_measures(pts)[::-1].tolist()):
             at = bisect_left(t_base, x)

@@ -71,21 +71,21 @@ def _passes(observed: float, bound: BoundReport) -> bool:
 def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
                    ) -> tuple[RatioReport | None, RatioReport]:
     """The mass report (None for the zero function) and the derivative report
-    of f on omega against the bound, with all four masses from one masses
-    call over f and f'."""
-    m, mp = masses([f, f.derivative()], omega)
+    of f on omega against the bound, with all four masses (f's and f''s) from
+    one masses call."""
+    m = masses([f], omega)[0]
     rep = None
     if m.whole > 0.0:
         observed = _bounded_ratio(m.part, m.whole)
         rep = RatioReport(kind="mass", observed=observed, bound=bound,
                           margin=observed - bound.value,
                           passed=_passes(observed, bound))
-    if mp.whole <= 0.0:
+    if m.d_whole <= 0.0:
         der = RatioReport(kind="derivative", observed=math.nan, bound=bound,
                           margin=math.nan, passed=True, vacuous=True)
     else:
-        ratio = _bounded_ratio(mp.part, mp.whole)
-        w12 = (m.part + mp.part) / (m.whole + mp.whole)
+        ratio = _bounded_ratio(m.d_part, m.d_whole)
+        w12 = (m.part + m.d_part) / (m.whole + m.d_whole)
         der = RatioReport(kind="derivative", observed=ratio, bound=bound,
                           margin=ratio - bound.value,
                           passed=_passes(ratio, bound),
@@ -115,13 +115,14 @@ def compare_derivative(f: GraphFunction, omega, params: SamplingParams, lam: flo
 # good/bad edge classification
 
 
-def max_generalized_eig(a: np.ndarray, b: np.ndarray) -> float:
+def max_generalized_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest mu with a x = mu b x, for a Hermitian and b Hermitian positive
-    definite, by Cholesky reduction b = L L^H to L^-1 a L^-H.  Raises
-    np.linalg.LinAlgError when b is not positive definite."""
+    definite, by Cholesky reduction b = L L^H to L^-1 a L^-H; one per matrix
+    of a stack (a 0-d array for one pair).  Raises np.linalg.LinAlgError when
+    b, or a matrix of its stack, is not positive definite."""
     low = np.linalg.cholesky(b)
-    reduced = np.linalg.solve(low, np.linalg.solve(low, a).conj().T)
-    return float(np.linalg.eigvalsh(reduced)[-1])
+    reduced = np.linalg.solve(low, np.linalg.solve(low, a).conj().swapaxes(-1, -2))
+    return np.linalg.eigvalsh(reduced)[..., -1]
 
 
 @dataclass
@@ -140,67 +141,70 @@ def classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
     must then carry more than half the mass.
 
     The Bernstein estimate ||f^(m)||^2 <= lam^m ||f||^2 is asserted for f
-    itself first.  For pure exponential edge data the per-order norms come
-    from one Gram matrix per edge; if additionally lam > 0 and the one-step
-    derivative gain on every edge is at most 2*lam, the classification
-    extends to every order m (no truncation caveat).
+    itself first.  The per-order norms are one stacked product over f's kept
+    Mass arrays, and so are the one-step derivative gains; if lam > 0 and
+    every gain is at most 2*lam, the classification extends to every order m
+    (no truncation caveat).  Edges with x**p terms go order by order.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if f.is_zero():
         raise ValueError("cannot classify the zero function")
-    g = f.graph
     mass = masses([f])[0]  # kept by f when its ratios were just computed
     total = mass.whole
 
     orders = np.arange(M_MAX + 1)
     caps = np.array([float(lam) ** m for m in range(M_MAX + 1)])  # C(m) = lam^m
-    per_edge: dict[str, np.ndarray] = {}
-    gains: list[float] = []
-    for eid, terms in f.terms.items():
-        if all(t.power == 0 for t in terms):
-            coeff, _, freqs = np.array(terms, dtype=complex).T
-            # the modes' Gram, transposed: x^H (G^T) x is the norm
-            gram_t = mass.edge_grams[eid].T
-            iw = 1j * freqs.real
-            derivs = coeff * iw ** orders[:, None]  # row m: the modes of f_e^(m)
-            per_edge[eid] = np.real(np.sum((derivs.conj() @ gram_t) * derivs, axis=1))
-            # largest one-step derivative gain on the span of these modes
-            d = np.diag(iw)
+    w, gram = mass.freqs, mass.gram
+    # ||f_e^(m)||^2 = sum c_s conj(c_t) G_st (w_s w_t)^m: the phase i^m cancels
+    powers = np.cumprod(np.concatenate((np.ones_like(w)[:, None],
+                                        np.repeat(w[:, None], M_MAX, axis=1)), axis=1), axis=1)
+    form = np.real(mass.coeffs[..., None] * gram * mass.coeffs.conj()[:, None])
+    norms = np.sum((powers @ form) * powers, axis=-1)
+    # largest one-step derivative gain on the span of each edge's modes:
+    # padding keys, the identity in the Gram and 0 in a, add the eigenvalue 0
+    keys = np.arange(w.shape[1]) < mass.sizes[:, None]
+    b = np.where(keys[..., None] & keys[:, None], gram, np.eye(w.shape[1]))
+    a = w[..., None] * b * w[:, None]
+    try:
+        gains = max_generalized_eig(a, b)
+    except np.linalg.LinAlgError:  # one edge at a time: a Gram not positive definite keeps inf
+        gains = np.full(len(w), math.inf)
+        for i in range(len(w)):
             try:
-                gains.append(max_generalized_eig(d.conj().T @ gram_t @ d, gram_t))
+                gains[i] = max_generalized_eig(a[i], b[i])
             except np.linalg.LinAlgError:
-                gains.append(math.inf)
-        else:
-            ds = [GraphFunction(g, {eid: list(terms)})]
-            for _ in orders[1:]:  # order by order: one derivative step each
+                pass
+    for eid, terms in f.terms.items():
+        if any(t.power for t in terms):  # order by order: one derivative step each
+            ds = [GraphFunction._canonical(f.graph, {eid: terms})]
+            for _ in orders[1:]:
                 ds.append(ds[-1].derivative())
-            per_edge[eid] = np.array([d.whole for d in masses(ds)])
-            gains.append(0.0 if all(t.freq == 0.0 for t in terms) else math.inf)
+            i = mass.edges.index(eid)
+            norms[i] = [d.whole for d in masses(ds)]
+            gains[i] = 0.0 if all(t.freq == 0.0 for t in terms) else math.inf
 
     # the function itself must obey the estimate before edges are judged by it
-    lhs = sum(per_edge.values())
+    lhs = norms.sum(axis=0)
     over = np.flatnonzero(lhs[1:] > caps[1:] * total * (1.0 + 1e-9) + 1e-12 * total)
     if over.size:
         m = int(over[0]) + 1
         raise ValueError(f"profile violated at order {m}: "
                          f"||f^({m})||^2 = {lhs[m]} > C({m})||f||^2 = {caps[m] * total}")
 
-    good = {eid: bool(np.all(norms[1:] <= 2.0 ** (orders[1:] + 1) * caps[1:] * norms[0]
-                             * (1.0 + 1e-9) + 1e-14 * total))
-            for eid, norms in per_edge.items()}
-
-    closure = lam > 0.0 and all(gain <= 2.0 * lam * (1.0 + 1e-9) for gain in gains)
-    good_mass = sum(float(n[0]) for e, n in per_edge.items() if good[e])
-    bad_mass = sum(float(n[0]) for e, n in per_edge.items() if not good[e])
+    good = np.all(norms[:, 1:] <= 2.0 ** (orders[1:] + 1) * caps[1:] * norms[:, :1]
+                  * (1.0 + 1e-9) + 1e-14 * total, axis=1)
+    closure = lam > 0.0 and bool(np.all(gains <= 2.0 * lam * (1.0 + 1e-9)))
+    good_mass = float(norms[good, 0].sum())
+    bad_mass = float(norms[~good, 0].sum())
     # edges where f vanishes identically are good and carry no mass
     if bad_mass >= 0.5 * total:
         raise AssertionError("bad edges carry at least half the mass")
     if not total < 2.0 * good_mass:
         raise AssertionError("good-edge mass bound failed")
-    return EdgeClassification(good=good, m_max=M_MAX, good_mass=good_mass,
-                              bad_mass=bad_mass, total_mass=total,
-                              closure_complete=closure)
+    return EdgeClassification(good={e: bool(good[mass.edges.index(e)]) for e in f.terms},
+                              m_max=M_MAX, good_mass=good_mass, bad_mass=bad_mass,
+                              total_mass=total, closure_complete=closure)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,7 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
     terms = [PolyTrigTerm(complex(c), int(p), float(w)) for c, p, w in terms]
     f = GraphFunction(build_graph(["a", "b"], [("e", "a", "b", ell)]), {"e": terms})
     with np.errstate(over="ignore", invalid="ignore"):
-        full, lhs, _ = masses([f], {"e": s_set})[0]
+        full, lhs = masses([f], {"e": s_set})[0][:2]
     if not math.isfinite(full):
         raise ValueError("the function's mass is past the float range")
     if full <= 0.0:
@@ -372,7 +376,7 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
         return ObservabilityNumeric(observable=False, numeric_c_squared=math.inf,
                                     formula_c_squared=None, modes=modes,
                                     horizon=horizon)
-    top = max_generalized_eig(lhs, rhs)
+    top = float(max_generalized_eig(lhs, rhs))
     formula = (None if params is None
                else observability_constant(params.gamma, params.rho, horizon).c_squared.value)
     return ObservabilityNumeric(observable=True, numeric_c_squared=top,
@@ -389,8 +393,8 @@ def boundary_trace_check(f: GraphFunction, g: MetricGraph) -> CheckReport:
     vec = f.boundary_trace(+1)
     lhs = float(np.vdot(vec, vec).real)
     min_edge = min(g.edge_lengths.values())
-    m, mp = masses([f, f.derivative()])
-    rhs = 2.0 / math.tanh(min_edge) * (m.whole + mp.whole)
+    m = masses([f])[0]
+    rhs = 2.0 / math.tanh(min_edge) * (m.whole + m.d_whole)
     return CheckReport(name="boundary-trace", passed=lhs <= rhs * (1.0 + 1e-12),
                        lhs=lhs, rhs=rhs, details={"min_edge": min_edge})
 
@@ -490,9 +494,7 @@ def _random_certified_set(rng: np.random.Generator, g: MetricGraph
     breaks: dict[str, tuple[float, ...]] = {}
     for eid, ell in g.edge_lengths.items():
         n_windows = int(rng.integers(1, 5))
-        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, ell, size=n_windows - 1)),
-                               [ell]]) if n_windows > 1 else np.array([0.0, ell])
-        cuts = np.unique(cuts)
+        cuts = sorted({0.0, ell, *rng.uniform(0.0, ell, size=n_windows - 1).tolist()})
         parts = []
         for t0, t1 in zip(cuts, cuts[1:]):
             w = t1 - t0
@@ -506,7 +508,7 @@ def _random_certified_set(rng: np.random.Generator, g: MetricGraph
                 s2 = t0 + 0.5 * w + float(rng.uniform(0.0, 0.5 * w - half))
                 parts.extend([(s1, s1 + half), (s2, s2 + half)])
         finite[eid] = IntervalUnion(parts, length=ell)
-        breaks[eid] = tuple(float(c) for c in cuts)
+        breaks[eid] = tuple(cuts)
     sset = SamplingSet(finite=finite)
     cover = Cover(breakpoints=breaks)
     res = verify_cover(sset, cover, gamma=gamma_target * (1.0 - 1e-9),

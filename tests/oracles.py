@@ -10,8 +10,10 @@ feasibility DP) as the reference the vectorised kernels must reproduce
 decision for decision, and the quadrature kernel keeps its per-window loop
 version with a data-dependent series stop as the reference for the batched
 one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
-as the reference its masses must equal bit for bit, the per-root
-eigenfunction harvest as the reference for the one-pass harvest of
+as the reference its masses must match to a summation bound, and so are the
+per-edge masses and edge classification that read a dict of per-edge Grams
+(the flags must be equal) and the ray gaps read from three unrolled periods,
+the per-root eigenfunction harvest as the reference for the one-pass harvest of
 `qgs.spectral.eigenvalues_up_to`, the incidence-system torsion solve as
 the reference for the secular one of `qgs.spectral.solve_torsion`, the root
 search with one eig per wavenumber and midpoint splits as the reference for
@@ -29,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -39,9 +41,11 @@ from scipy.optimize import linprog
 
 from qgs.graphs import BoundarySubspace, Edge, MetricGraph, gauge_transform
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _edge_windows, _gauss_norm_sq, gram, term_gram)
+                          _coerce_region, _edge_windows, _gauss_norm_sq, gram, integrate_powexp,
+                          term_gram)
 from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
                           TorsionSolution, _Eigenphases)
+from qgs.verify import M_MAX, EdgeClassification
 
 
 def _simpson(fun, a, b, fa, fm, fb):
@@ -356,6 +360,30 @@ def torsion_fd(g, dirichlet, h=1e-4):
 
 
 # ---------------------------------------------------------------------------
+# ray gaps by unrolling: a verbatim copy of PeriodicTail.unroll (renamed, a
+# function of the tail) and of the ray branch of gap_analysis, which read the
+# gaps of the head plus three periods as one finite union; the reference the
+# direct head/body/wrap gaps must match to a few ulps where the unrolled
+# span is a float whose pieces do not round away
+
+
+def unroll(tail, periods: int) -> IntervalUnion:
+    """Head plus the first few periods, as a finite union."""
+    w = tail.head_span
+    parts = list(tail.head.intervals)
+    for j in range(periods):
+        parts.extend((w + j * tail.period + a, w + j * tail.period + b)
+                     for a, b in tail.body.intervals)
+    return IntervalUnion(parts, length=w + periods * tail.period)
+
+
+def unrolled_gaps(tail, periods: int = 3) -> tuple[float, float]:
+    """(left gap, largest interior gap) of the unrolled tail."""
+    left, interior, _ = unroll(tail, periods).gaps()
+    return left, max(interior, default=0.0)
+
+
+# ---------------------------------------------------------------------------
 # prefix measures: the clip matrix and exact rationals
 
 
@@ -593,7 +621,7 @@ def loop_integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: fl
 # ---------------------------------------------------------------------------
 # the per-function mass loop: a verbatim copy of the norm_sq that integrated
 # each function and region on its own, kept as the reference qgs.polytrig.masses
-# must reproduce bit for bit
+# must reproduce to the summation bounds of tests/test_polytrig.py
 
 
 def loop_norm_sq_gross(f: GraphFunction, region) -> tuple[complex, float]:
@@ -625,6 +653,168 @@ def loop_norm_sq(f: GraphFunction, region=None) -> float:
     if re <= _RESOLVED_REL * gross:
         return _gauss_norm_sq(f, _coerce_region(f, region))
     return re
+
+
+# ---------------------------------------------------------------------------
+# the per-edge masses and edge classification: verbatim copies of
+# qgs.polytrig.masses (one kernel call per edge over a union basis of the
+# functions' terms, f' a function of its own) and qgs.verify.classify_edges
+# (four LAPACK calls per edge on a dict of per-edge Grams) before both read
+# one (functions, edges, keys, keys, windows) array, renamed.  The Mass they
+# returned is EdgewiseMass here, and a function does not keep it (the
+# package's GraphFunction keeps the new Mass); the kept Mass was the same
+# floats, so no result moves.  The reference the one-call route must
+# reproduce to a summation bound, and its classification flags exactly.
+
+
+class EdgewiseMass(NamedTuple):
+    """||f||^2 on the whole graph, ||f||^2 on the region (the whole graph
+    again without one) and, per edge, the whole-edge term Gram of f's terms."""
+
+    whole: float
+    part: float
+    edge_grams: dict[str, np.ndarray]
+
+
+def edgewise_masses(fns: Sequence[GraphFunction], region=None) -> list[EdgewiseMass]:
+    """The Mass of each function in fns, with one kernel call per edge over
+    [0, l] and the region's windows: the term pairs of each distinct (power,
+    freq) basis on the edge, concatenated.  Each function's sums run over a
+    contiguous copy of its own block, so a mass is the same float whatever
+    else is in fns."""
+    if not fns:
+        return []
+    graph = fns[0].graph
+    if any(f.graph is not graph for f in fns):
+        raise ValueError("functions live on different graphs")
+    reg = _coerce_region(fns[0], region)
+    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (eid, basis) -> whole, part
+    for eid in graph.edge_ids:
+        bases = list(dict.fromkeys(tuple(t[1:] for t in f.terms[eid])
+                                   for f in fns if eid in f.terms))
+        if not bases:
+            continue
+        a, b = _edge_windows(fns[0], None, eid)
+        if reg is not None:
+            ra, rb = _edge_windows(fns[0], reg, eid)
+            a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
+        pw = [np.array(basis).T for basis in bases]
+        powers = np.concatenate([np.add.outer(p, p).ravel() for p, _ in pw])
+        freqs = np.concatenate([np.subtract.outer(w, w).ravel() for _, w in pw])
+        vals = integrate_powexp(powers[:, None], freqs[:, None], a, b)
+        start = 0
+        for basis in bases:
+            n = len(basis)
+            block = vals[start:start + n * n].reshape(n, n, a.size)
+            blocks[eid, basis] = block[..., :1].copy(), block[..., 1:].copy()
+            start += n * n
+    out = []
+    for f in fns:
+        per_edge = {eid: (np.array([t.coeff for t in ts]), *blocks[eid, tuple(t[1:] for t in ts)])
+                    for eid, ts in f.terms.items()}
+        whole = edgewise_settle(f, None, [(c, ints) for c, ints, _ in per_edge.values()])
+        part = whole if reg is None else edgewise_settle(
+            f, reg, [(c, ints) for c, _, ints in per_edge.values()])
+        grams = {eid: ints[..., 0] for eid, (_, ints, _) in per_edge.items()}
+        out.append(EdgewiseMass(whole, part, grams))
+    return out
+
+
+def edgewise_settle(f: GraphFunction, reg, blocks) -> float:
+    """∫ |f|^2 from the coefficients c and term integrals I of each edge: the
+    sum of c conj(c') I over every term pair and window, checked and, if
+    unresolved, integrated again (see masses)."""
+    total, gross = 0j, 0.0
+    for c, ints in blocks:
+        if ints.shape[-1]:
+            vals = np.multiply.outer(c, c.conj())[..., None] * ints
+            total += vals.sum()
+            gross += float(np.abs(vals).sum())
+    val = complex(total)
+    re, im = val.real, val.imag
+    if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
+        raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
+    if re <= _RESOLVED_REL * gross:
+        return _gauss_norm_sq(f, reg)
+    return re
+
+
+def edgewise_max_generalized_eig(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest mu with a x = mu b x, for a Hermitian and b Hermitian positive
+    definite, by Cholesky reduction b = L L^H to L^-1 a L^-H.  Raises
+    np.linalg.LinAlgError when b is not positive definite."""
+    low = np.linalg.cholesky(b)
+    reduced = np.linalg.solve(low, np.linalg.solve(low, a).conj().T)
+    return float(np.linalg.eigvalsh(reduced)[-1])
+
+
+def edgewise_classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
+    """Flag each edge good when ||f_e^(m)||^2 <= 2^(m+1) lam^m ||f_e||^2 for
+    m = 1..M_MAX, for f in the spectral subspace up to energy lam; good edges
+    must then carry more than half the mass.
+
+    The Bernstein estimate ||f^(m)||^2 <= lam^m ||f||^2 is asserted for f
+    itself first.  For pure exponential edge data the per-order norms come
+    from one Gram matrix per edge; if additionally lam > 0 and the one-step
+    derivative gain on every edge is at most 2*lam, the classification
+    extends to every order m (no truncation caveat).
+    """
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
+    if f.is_zero():
+        raise ValueError("cannot classify the zero function")
+    g = f.graph
+    mass = edgewise_masses([f])[0]
+    total = mass.whole
+
+    orders = np.arange(M_MAX + 1)
+    caps = np.array([float(lam) ** m for m in range(M_MAX + 1)])  # C(m) = lam^m
+    per_edge: dict[str, np.ndarray] = {}
+    gains: list[float] = []
+    for eid, terms in f.terms.items():
+        if all(t.power == 0 for t in terms):
+            coeff, _, freqs = np.array(terms, dtype=complex).T
+            # the modes' Gram, transposed: x^H (G^T) x is the norm
+            gram_t = mass.edge_grams[eid].T
+            iw = 1j * freqs.real
+            derivs = coeff * iw ** orders[:, None]  # row m: the modes of f_e^(m)
+            per_edge[eid] = np.real(np.sum((derivs.conj() @ gram_t) * derivs, axis=1))
+            # largest one-step derivative gain on the span of these modes
+            d = np.diag(iw)
+            try:
+                gains.append(edgewise_max_generalized_eig(d.conj().T @ gram_t @ d, gram_t))
+            except np.linalg.LinAlgError:
+                gains.append(math.inf)
+        else:
+            ds = [GraphFunction(g, {eid: list(terms)})]
+            for _ in orders[1:]:  # order by order: one derivative step each
+                ds.append(ds[-1].derivative())
+            per_edge[eid] = np.array([d.whole for d in edgewise_masses(ds)])
+            gains.append(0.0 if all(t.freq == 0.0 for t in terms) else math.inf)
+
+    # the function itself must obey the estimate before edges are judged by it
+    lhs = sum(per_edge.values())
+    over = np.flatnonzero(lhs[1:] > caps[1:] * total * (1.0 + 1e-9) + 1e-12 * total)
+    if over.size:
+        m = int(over[0]) + 1
+        raise ValueError(f"profile violated at order {m}: "
+                         f"||f^({m})||^2 = {lhs[m]} > C({m})||f||^2 = {caps[m] * total}")
+
+    good = {eid: bool(np.all(norms[1:] <= 2.0 ** (orders[1:] + 1) * caps[1:] * norms[0]
+                             * (1.0 + 1e-9) + 1e-14 * total))
+            for eid, norms in per_edge.items()}
+
+    closure = lam > 0.0 and all(gain <= 2.0 * lam * (1.0 + 1e-9) for gain in gains)
+    good_mass = sum(float(n[0]) for e, n in per_edge.items() if good[e])
+    bad_mass = sum(float(n[0]) for e, n in per_edge.items() if not good[e])
+    # edges where f vanishes identically are good and carry no mass
+    if bad_mass >= 0.5 * total:
+        raise AssertionError("bad edges carry at least half the mass")
+    if not total < 2.0 * good_mass:
+        raise AssertionError("good-edge mass bound failed")
+    return EdgeClassification(good=good, m_max=M_MAX, good_mass=good_mass,
+                              bad_mass=bad_mass, total_mass=total,
+                              closure_complete=closure)
 
 
 # ---------------------------------------------------------------------------

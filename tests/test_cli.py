@@ -518,7 +518,6 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["sampling", "gaps", "--graph", "{ray}", "--set", "{huge}"], "'r': period 1e+308"),
     (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "0"], "--trials"),
     (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "-3"], "--trials"),
     (["verify", "ratio", "--graph", "{graph}", "--set", "{set}", "--modes", "-2"], "--modes"),
@@ -529,20 +528,30 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
      "gamma must lie in (0, 1]"),
     (["verify", "optimality", "--ell", "1", "--lambda", "37000", "--gamma", "1e-10"],
      "undecidable in double precision"),
-], ids=["huge-period", "trials-0", "trials-negative", "modes-negative", "modes-0",
+], ids=["trials-0", "trials-negative", "modes-negative", "modes-0",
         "audit-trials-0", "gaps-gamma-3", "optimality-undecidable"])
-def test_refusal_names_its_input(capsys, tmp_path, interval_file, set_file, argv, named):
+def test_refusal_names_its_input(capsys, interval_file, set_file, argv, named):
     # once a traceback-free but nameless message (an empty min(), negative
-    # dimensions, a non-finite interval end), an exit 0 at gamma = 3, or a
-    # certification failure where double precision cannot decide
-    ray = tmp_path / "ray.json"
-    ray.write_text('{"vertices": ["v"], "edges": [{"id": "r", "from": "v", "length": "inf"}]}')
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"external": {"r": {"period": "1e308", "body": [[0.0, 0.5]]}}}')
-    code, out, err = run(capsys, *(a.format(graph=interval_file, set=set_file, ray=ray,
-                                            huge=huge) for a in argv))
+    # dimensions), an exit 0 at gamma = 3, or a certification failure where
+    # double precision cannot decide
+    code, out, err = run(capsys, *(a.format(graph=interval_file, set=set_file) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("period", ["1e17", "1e300", "1e308"])
+def test_huge_ray_period_gets_its_gaps(capsys, tmp_path, period):
+    # once max_interior 0.0 (the unrolled body rounded to empty pieces) or,
+    # at 1e308, a refusal (the unrolled span left the float range): the wrap
+    # gap p - 1/2 is reported, exit 0
+    ray = tmp_path / "ray.json"
+    ray.write_text('{"vertices": ["v"], "edges": [{"id": "r", "from": "v", "length": "inf"}]}')
+    sset = tmp_path / "set.json"
+    sset.write_text('{"external": {"r": {"period": %s, "body": [[0.0, 0.5]]}}}' % period)
+    code, out, err = run(capsys, "sampling", "gaps", "--graph", str(ray), "--set", str(sset))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["edges"]["r"] == {"left": 0.0, "max_interior": float(period) - 0.5,
+                                             "right": 0.0}
 
 
 def test_trace_peak_past_the_float_range_is_refused(capsys, interval_file):

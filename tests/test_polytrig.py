@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from qgs import verify
 from qgs.graphs import build_graph
-from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, _gauss_norm_sq,
-                          cosine_power_terms, differentiate, gram, inner_product,
-                          integrate_powexp, masses, norm_sq, sup_on_disk_neighborhood,
-                          term_gram, whole_edge)
+from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
+                          _coerce_region, _edge_windows, _gauss_norm_sq, cosine_power_terms,
+                          differentiate, gram, inner_product, integrate_powexp, masses,
+                          norm_sq, sup_on_disk_neighborhood, term_gram, whole_edge)
 from qgs.spectral import solve_torsion
 
 from oracles import (adaptive_simpson, clip_prefix_measures, eval_terms, exact_prefix_measures,
@@ -383,23 +383,74 @@ class TestQuadrature:
         assert abs(vals[0] - want) <= 1e-10
 
 
+_EPS = 2.0 ** -52
+
+
+def _products(f, region):
+    """The products c_s conj(c_t) I_st over every term pair and window of f
+    on the region (the whole graph without one), flat: the per-function
+    loop's, which masses sums in another order."""
+    reg = _coerce_region(f, region)
+    out = [np.empty(0, dtype=complex)]
+    for eid, terms in f.terms.items():
+        a, b = _edge_windows(f, reg, eid)
+        c, p, w = np.array(terms, dtype=complex).T
+        out.append((np.multiply.outer(c, c.conj())[..., None]
+                    * term_gram(p.real, w.real, a, b)).ravel())
+    return np.concatenate(out)
+
+
+def assert_summed(got, f, region, *others):
+    """got is ∫ |f|^2 over the region: within (N - 1) eps gross of math.fsum
+    of the N products and within 2 (N - 1) eps gross of the per-function loop
+    (loop_norm_sq) and of each of others, the a-priori bounds of two
+    summation orders; where the sum is unresolved, the Gauss rule's value
+    exactly."""
+    x = _products(f, region)
+    gross = float(np.abs(x).sum())
+    exact = math.fsum(x.real)
+    others = (loop_norm_sq(f, region), *others)
+    if exact <= _RESOLVED_REL * gross:
+        assert {got, *others} == {_gauss_norm_sq(f, _coerce_region(f, region))}
+        return
+    bound = (x.size - 1) * _EPS * gross
+    assert abs(got - exact) <= bound
+    assert all(abs(got - other) <= 2.0 * bound for other in others)
+
+
 class TestMasses:
-    """masses against the per-function loop it replaced: the same floats, with
-    ==, whatever else shares the kernel call."""
+    """masses against the per-function loop it replaced, to the summation
+    bounds of assert_summed, whatever else shares the kernel call; f' against
+    f.derivative() the same way; the kept edge arrays against term_gram
+    exactly."""
 
     @staticmethod
     def assert_matches_loop(fns, region):
         got = masses(fns, region)
         assert len(got) == len(fns)
         for f, m in zip(fns, got):
-            assert m.whole == loop_norm_sq(f)
-            assert m.part == loop_norm_sq(f, region)
-            assert list(m.edge_grams) == list(f.terms)
-            for eid, ts in f.terms.items():
-                _, p, w = np.array(ts, dtype=complex).T
-                ell = f.graph.edge_lengths[eid]
-                want = term_gram(p.real, w.real, 0.0, ell)[..., 0]
-                assert np.array_equal(m.edge_grams[eid], want)
+            fp = f.derivative()
+            mp = masses([fp], region)[0]  # f' as a function of its own
+            assert_summed(m.whole, f, None)
+            assert_summed(m.part, f, region)
+            assert_summed(m.d_whole, fp, None, mp.whole)
+            assert_summed(m.d_part, fp, region, mp.part)
+            assert set(f.terms) <= set(m.edges)
+            for i, eid in enumerate(m.edges):
+                # f's terms first, then zero terms at the (p - 1, w) f' needs
+                terms = f.terms.get(eid, ())
+                n, size = len(terms), m.sizes[i]
+                needs = {(p - 1, w) for _, p, w in terms if p} - {t[1:] for t in terms}
+                assert size == n + len(needs)
+                assert not (m.coeffs[i, n:].any() or m.freqs[i, size:].any())
+                if not n:
+                    continue
+                c, p, w = np.array(terms, dtype=complex).T
+                assert np.array_equal(m.coeffs[i, :n], c)
+                assert np.array_equal(m.freqs[i, :n], w.real)
+                assert sorted(m.freqs[i, n:size].tolist()) == sorted(w for _, w in needs)
+                want = term_gram(p.real, w.real, 0.0, f.graph.edge_lengths[eid])[..., 0]
+                assert np.array_equal(m.gram[i, :n, :n], want)
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -409,6 +460,7 @@ class TestMasses:
         for i in range(60):
             _, _, sset, _, f, _ = verify._trial_sample(pool, 5, i)
             fp = f.derivative()
+            self.assert_matches_loop([f], sset.region())
             self.assert_matches_loop([f, fp], sset.region())
             self.assert_matches_loop([fp.derivative(), fp, f], sset.region())
 
@@ -423,6 +475,16 @@ class TestMasses:
         self.assert_matches_loop([u, u.derivative(), u.derivative(2)], region)
         self.assert_matches_loop([u.derivative(2), u], region)
 
+    def test_affine_term_at_zero_frequency(self):
+        # a + b x beside a mode: f' has the constant b at a key f lacks
+        g = interval_graph(1.3)
+        f = GraphFunction(g, {"e": [PolyTrigTerm(0.4 - 0.2j, 0, 0.0), PolyTrigTerm(1.5, 1, 0.0),
+                                    PolyTrigTerm(0.3j, 0, 2.5)]})
+        g_only = GraphFunction(g, {"e": [PolyTrigTerm(1.5, 1, 0.0)]})
+        region = {"e": IntervalUnion([(0.2, 0.5), (0.9, 1.2)], length=1.3)}
+        self.assert_matches_loop([f, g_only], region)
+        self.assert_matches_loop([g_only], None)
+
     def test_region_with_an_empty_edge(self):
         g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.5)])
         f = GraphFunction(g, {"e1": [PolyTrigTerm(1.0, 0, 3.0), PolyTrigTerm(0.5j, 0, -3.0)],
@@ -432,7 +494,8 @@ class TestMasses:
                        {"e2": IntervalUnion([(0.2, 0.9)], length=1.5)},
                        {"e1": IntervalUnion([], length=1.0)}):
             self.assert_matches_loop([f, f.derivative()], region)
-        assert masses([f], {"e1": IntervalUnion([], length=1.0)})[0].part == 0.0
+        m = masses([f], {"e1": IntervalUnion([], length=1.0)})[0]
+        assert m.part == m.d_part == 0.0
 
     def test_edge_without_terms(self):
         g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.5)])
@@ -442,25 +505,44 @@ class TestMasses:
                   "e2": IntervalUnion([(0.0, 1.5)], length=1.5)}
         self.assert_matches_loop([f, h, GraphFunction.zero(g)], region)
         zero = masses([GraphFunction.zero(g)], region)[0]
-        assert (zero.whole, zero.part, zero.edge_grams) == (0.0, 0.0, {})
+        assert zero[:5] == (0.0, 0.0, 0.0, 0.0, ())
 
     def test_region_none_is_the_whole_graph(self):
         g = interval_graph(1.3)
         f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 1, 4.0), PolyTrigTerm(0.5j, 0, -2.0)]})
         self.assert_matches_loop([f, f.derivative()], None)
         m = masses([f])[0]
-        assert m.whole == m.part == norm_sq(f) == loop_norm_sq(f)
+        assert m.whole == m.part == norm_sq(f)
+        assert m.d_whole == m.d_part
+        assert_summed(m.whole, f, None)
 
     def test_whole_mass_is_kept(self, monkeypatch):
         import qgs.polytrig as polytrig
         g = interval_graph(1.3)
         f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 1, 4.0), PolyTrigTerm(0.5j, 0, -2.0)]})
         first = masses([f, f.derivative()], {"e": IntervalUnion([(0.2, 0.7)], length=1.3)})[0]
-        want = loop_norm_sq(f)
+        assert_summed(first.whole, f, None)
         monkeypatch.setattr(polytrig, "integrate_powexp", None)  # no kernel call below
         kept = masses([f])[0]
-        assert kept.whole == kept.part == first.whole == norm_sq(f) == want
-        assert kept.edge_grams is first.edge_grams
+        assert kept.whole == kept.part == first.whole == norm_sq(f)
+        assert kept.d_whole == kept.d_part == first.d_whole
+        assert kept.gram is first.gram
+
+    def test_one_kernel_call_per_masses_call(self, pool, monkeypatch):
+        import qgs.polytrig as polytrig
+        calls = []
+        kernel = polytrig.integrate_powexp
+        monkeypatch.setattr(polytrig, "integrate_powexp",
+                            lambda *args: calls.append(1) or kernel(*args))
+        for i in range(20):
+            _, _, sset, _, f, _ = verify._trial_sample(pool, 5, i)
+            for fns, region in (([f], sset.region()), ([f, f.derivative()], None),
+                                ([GraphFunction.zero(f.graph)], None)):
+                calls.clear()
+                masses([GraphFunction._canonical(h.graph, h.terms) for h in fns], region)
+                assert len(calls) == 1
+        calls.clear()
+        assert masses([]) == [] and not calls
 
     def test_gauss_fallback_case_of_criterion_7(self):
         # optimality_example(1, ((8.5) 2 pi)^2, 0.05): cos^8(2 pi x) on windows of
@@ -470,9 +552,12 @@ class TestMasses:
         omega = {"e": IntervalUnion([(0.25 * (1.0 - gamma), 0.25 * (1.0 + gamma)),
                                      (0.25 * (3.0 - gamma), 0.25 * (3.0 + gamma))], length=ell)}
         self.assert_matches_loop([f, f.derivative()], omega)
-        part = masses([f], omega)[0].part
-        assert part == _gauss_norm_sq(f, omega)
-        assert 0.0 < part < 1e-18
+        m = masses([f], omega)[0]
+        assert m.part == _gauss_norm_sq(f, omega)
+        assert 0.0 < m.part < 1e-18
+        # f' vanishes to seventh order there too: its mass is the Gauss rule's
+        assert m.d_part == _gauss_norm_sq(f.derivative(), omega)
+        assert 0.0 < m.d_part < 1e-14
 
     def test_empty_and_mixed_graphs(self):
         assert masses([]) == []

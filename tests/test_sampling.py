@@ -17,7 +17,7 @@ from qgs.sampling import (Cover, CoverViolation, GammaResult, PeriodicTail,
                           svc_set, verify_cover)
 
 from oracles import (bisection_optimal_gamma, bisection_optimal_rho,
-                     bottleneck_gamma, loop_candidates)
+                     bottleneck_gamma, loop_candidates, unrolled_gaps)
 
 
 def single_edge_set(iu):
@@ -160,14 +160,54 @@ class TestGaps:
             with pytest.raises(ValueError, match="gamma"):
                 necessary_check(gaps, gamma, 1.0)
 
-    def test_huge_period_refused_with_its_edge(self):
-        # three periods are unrolled for the gaps: 3e300 is a float, 3e308 not
+    @pytest.mark.parametrize("period", [1e17, 1e300, 1e308])
+    def test_huge_periods_keep_their_gaps(self, period):
+        # once the unrolled body rounded to empty pieces (max_interior 0.0 at
+        # 1e17 and 1e300) or left the float range (refused at 1e308): the wrap
+        # gap is the nearest float to p - 1/2, with or without a head
         g = build_graph(["v"], [("r", "v", None, math.inf)])
-        tail = {"period": 1e300, "body": [[0.0, 5e299]]}
-        gaps = gap_analysis(SamplingSet.from_dict(g, {"external": {"r": tail}}))
-        assert gaps["r"].max_interior == 5e299
-        with pytest.raises(ValueError, match="'r': period 1e.308"):
-            SamplingSet.from_dict(g, {"external": {"r": {**tail, "period": 1e308}}})
+        want = float(Fraction(period) - Fraction(1, 2))
+        for head in ([], [[0.0, 0.25]]):
+            tail = {"head": head, "period": period, "body": [[0.0, 0.5]]}
+            gaps = gap_analysis(SamplingSet.from_dict(g, {"external": {"r": tail}}))["r"]
+            assert (gaps.left, gaps.max_interior, gaps.right) == (0.0, want, 0.0)
+
+    def test_ray_gaps_match_the_unrolled_union(self):
+        # ordinary periods: the direct gaps are the three unrolled periods' to
+        # a few ulps of the unrolled span; the left gap is the same float
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            period = float(rng.uniform(0.5, 20.0))
+            cuts = np.sort(rng.uniform(0.0, period, size=2 * int(rng.integers(1, 4))))
+            body = IntervalUnion(cuts.reshape(-1, 2).tolist(), length=period)
+            head = IntervalUnion(np.sort(rng.uniform(0.0, 3.0, size=2 * int(rng.integers(0, 3))))
+                                 .reshape(-1, 2).tolist())
+            tail = PeriodicTail(head=head, period=period, body=body)
+            left, interior = unrolled_gaps(tail)
+            gaps = gap_analysis(SamplingSet(external={"r": tail}))["r"]
+            assert gaps.left == left
+            assert abs(gaps.max_interior - interior) <= 4 * math.ulp(tail.head_span + 3 * period)
+
+    def test_ray_gaps_of_an_empty_body_and_a_touching_body(self):
+        head = IntervalUnion([(0.5, 1.0), (1.5, 2.0)])
+        empty = PeriodicTail(head=head, period=1.0, body=IntervalUnion([], length=1.0))
+        # touching its period end: no wrap gap, only the one inside the body
+        touching = PeriodicTail(head=head, period=1.0,
+                                body=IntervalUnion([(0.0, 0.3), (0.6, 1.0)], length=1.0))
+        nothing = PeriodicTail(head=IntervalUnion([]), period=1.0,
+                               body=IntervalUnion([], length=1.0))
+        gaps = gap_analysis(SamplingSet(external={"a": empty, "b": touching, "c": nothing}))
+        assert (gaps["a"].left, gaps["a"].max_interior) == unrolled_gaps(empty) == (0.5, 0.5)
+        assert (gaps["b"].left, gaps["b"].max_interior) == unrolled_gaps(touching) == (0.5, 0.5)
+        assert gaps["b"].max_interior == 0.5  # the head's gap beats the body's 0.3
+        # no body: the tail past the head is one infinite gap (once 0.0, which
+        # let a head-only set pass the necessary check); no set at all: the
+        # whole ray is its left gap too
+        assert (gaps["a"].right, gaps["b"].right) == (math.inf, 0.0)
+        c = gaps["c"]
+        assert (c.left, c.max_interior, c.right) == (math.inf, 0.0, math.inf)
+        assert not necessary_check({"a": gaps["a"]}, 0.5, 1.0)[0]
+        assert necessary_check({"b": gaps["b"]}, 0.5, 1.0)[0]
 
     def test_centered_window_endpoint_gaps(self):
         ell = 2.0

@@ -19,7 +19,7 @@ from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
                         max_generalized_eig, observability_numeric,
                         optimality_example)
 
-from oracles import strip_fluxes
+from oracles import edgewise_classify_edges, strip_fluxes
 
 
 def interval(ell=math.pi):
@@ -221,6 +221,61 @@ class TestClassifyEdges:
             assert rep.good[eid] == want_good
             good_mass += want[0] if want_good else 0.0
         assert rep.good_mass == good_mass
+
+
+    def test_flags_match_the_edgewise_oracle(self):
+        # 2 000 audit functions: the stacked classification against the
+        # per-edge one it replaced; every flag equal, and each mass within
+        # (N + 1) eps gross of it, N the products c_s conj(c_t) G_st summed
+        eps = 2.0 ** -52
+        for seed, trials in ((20245, 1000), (1056759765, 1000)):
+            pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
+            for i in range(trials):
+                f, lam = verify._trial_sample(pool, seed, i)[4:]
+                got = classify_edges(f, lam)
+                want = edgewise_classify_edges(GraphFunction(f.graph, f.terms), lam)
+                assert (got.good, got.closure_complete) == (want.good, want.closure_complete)
+                m = masses([f])[0]
+                keys = np.arange(m.coeffs.shape[1]) < m.sizes[:, None]
+                absc = np.abs(m.coeffs)
+                gross = float((absc[..., None] * np.abs(m.gram) * absc[:, None]).sum())
+                bound = (int((keys[..., None] & keys[:, None]).sum()) + 1) * eps * gross
+                for name in ("good_mass", "bad_mass", "total_mass"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= bound, name
+
+    def test_non_positive_definite_gram_keeps_gain_inf(self, monkeypatch):
+        # audit trial 1652 of seed 1056759765: a K4 combination of five modes
+        # whose Grams on e5 and e6 fail Cholesky; the stack is split into one
+        # edge at a time, those two keep gain inf and the others a finite one
+        seed = 1056759765
+        pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
+        f, lam = verify._trial_sample(pool, seed, 1652)[4:]
+        top = verify.max_generalized_eig
+        seen = []
+
+        def spy(a, b):
+            try:
+                out = top(a, b)
+            except np.linalg.LinAlgError:
+                seen.append((a.ndim, math.inf))
+                raise
+            seen.append((a.ndim, float(np.max(out))))
+            return out
+
+        monkeypatch.setattr(verify, "max_generalized_eig", spy)
+        got = classify_edges(f, lam)
+        monkeypatch.undo()
+        m = masses([f])[0]
+        stack, *per_edge = seen
+        assert stack == (3, math.inf) and [nd for nd, _ in per_edge] == [2] * len(m.edges)
+        for (_, gain), eid in zip(per_edge, m.edges):
+            assert (gain == math.inf) == (eid in ("e5", "e6"))
+            if eid in ("e5", "e6"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(m.gram[m.edges.index(eid)])
+        want = edgewise_classify_edges(GraphFunction(f.graph, f.terms), lam)
+        assert got.good == want.good
+        assert got.closure_complete is want.closure_complete is False
 
 
 class TestKovrijkine:
@@ -513,17 +568,18 @@ class TestAudit:
         assert all(r["bad_mass_fraction"] < 0.5 for r in res.rows)
 
     def test_classify_rows_are_pinned(self):
-        # the Bernstein caps lam^m are Python float powers, where they were
-        # numpy-scalar powers; their last bits moved, the rows did not
+        # the flags of 1 500 classify=True rows, pinned; bad_mass_fraction moves
+        # in its last bits with the order of the mass sums and is checked
+        # against the edgewise oracle in TestClassifyEdges
         import hashlib
         from qgs.report import csv_dumps
         digest = hashlib.sha256()
         for seed in (20245, 711, 3):
             rows = audit(trials=500, seed=seed, classify=True).rows
-            digest.update(csv_dumps(rows, ("trial", "bad_mass_fraction", "classified_ok",
+            digest.update(csv_dumps(rows, ("trial", "classified_ok",
                                            "closure_complete")).encode())
-        assert digest.hexdigest() == ("c19757257b3e98ccdf8b7cb7677ebe31"
-                                      "69acb487dfd1448221d7744b2f2626d0")
+        assert digest.hexdigest() == ("4676920efa754ccac2d3e54930ce061d"
+                                      "d099b2c0440b7555d2d4c111493b8502")
 
     def test_shared_mass_pass_matches_the_public_calls(self):
         # a trial takes all its masses from one pass, which f keeps for
@@ -563,7 +619,9 @@ class TestAudit:
             assert isinstance(params, SamplingParams) and params.gamma > 0.0
             assert set(sset.finite) == set(pool[i % len(pool)]["graph"].edge_ids)
 
-    def test_one_kernel_call_per_edge_per_trial(self, monkeypatch):
+    def test_one_kernel_call_per_trial(self, monkeypatch):
+        # the four masses and the arrays classify_edges reads come from one
+        # masses call; only an edge with x**p terms takes a call of its own
         import qgs.polytrig as polytrig
         seed = 31
         pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
@@ -575,4 +633,4 @@ class TestAudit:
             f = verify._trial_sample(pool, seed, i)[4]
             calls.clear()
             verify._audit_trial(pool, seed, i, classify=True)
-            assert len(calls) == len(f.terms)
+            assert len(calls) == 1 + sum(any(t.power for t in ts) for ts in f.terms.values())
