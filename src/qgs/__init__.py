@@ -16,9 +16,8 @@ from .sampling import (Cover, SamplingParams, SamplingSet, gap_analysis,
                        verify_cover)
 from .spectral import (EigenPair, TorsionSolution, eigenvalues_up_to,
                        secular_matrix, solve_torsion, spectral_sample)
-from .verify import (audit, boundary_trace_check, classify_edges, compare,
-                     compare_derivative, kovrijkine_check,
+from .verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
                      lasso_counterexample, local_estimate_check, mass_ratio,
-                     observability_numeric, optimality_example)
+                     observability_numeric, optimality_example, ratio_reports)
 
 __version__ = "0.1.0"

@@ -91,15 +91,6 @@ class MetricGraph:
     def is_compact(self) -> bool:
         return not self.external_ids
 
-    def degree(self, v: str) -> int:
-        d = 0
-        for e in self.edges:
-            if e.source == v:
-                d += 1
-            if e.target == v:
-                d += 1
-        return d
-
     def vertex_coords(self, v: str) -> list[int]:
         """Boundary coordinate indices whose endpoint is glued at vertex v."""
         idx = []
@@ -110,29 +101,6 @@ class MetricGraph:
             elif end == 1 and e.target == v:
                 idx.append(i)
         return idx
-
-    def components(self) -> list[set[str]]:
-        parent = {v: v for v in self.vertices}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges:
-            if e.target is not None:
-                ra, rb = find(e.source), find(e.target)
-                if ra != rb:
-                    parent[ra] = rb
-        comps: dict[str, set[str]] = {}
-        for v in self.vertices:
-            comps.setdefault(find(v), set()).add(v)
-        return list(comps.values())
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
@@ -214,29 +182,37 @@ def _edge_pair_max(e: Edge, f: Edge, dv: dict[str, dict[str, float]]) -> float:
     return float(dist.max())
 
 
-def diameter(g: MetricGraph) -> float:
-    if not g.is_compact:
-        raise ValueError("diameter undefined on a non-compact graph")
-    if not g.is_connected:
-        raise ValueError("diameter undefined on a disconnected graph")
-    dv = _vertex_distances(g)
-    return max((_edge_pair_max(e, f, dv) for i, e in enumerate(g.edges) for f in g.edges[i:]),
-               default=0.0)
-
-
 def metrics(g: MetricGraph) -> GraphMetrics:
-    total = sum(e.length for e in g.edges)
-    # rays are trees: count a virtual leaf per external edge in the Euler formula
-    betti = len(g.edges) - (len(g.vertices) + len(g.external_ids)) + len(g.components())
-    connected = g.is_connected
-    diam = diameter(g) if (connected and g.is_compact and g.edges) else None
+    """Total length, Betti number, diameter (None unless the graph is compact,
+    connected and has edges), leaf count and connectedness, all read from one
+    table of vertex distances."""
+    dv = _vertex_distances(g)
+    # a component is the set of vertices one vertex reaches: its row's finite entries
+    components = len({frozenset(w for w, d in row.items() if d < math.inf) for row in dv.values()})
+    connected = components <= 1
+    diam = None
+    if connected and g.is_compact and g.edges:
+        diam = max(_edge_pair_max(e, f, dv) for i, e in enumerate(g.edges) for f in g.edges[i:])
     return GraphMetrics(
-        total_length=total,
-        betti=betti,
+        total_length=sum(e.length for e in g.edges),
+        # rays are trees: count a virtual leaf per external edge in the Euler formula
+        betti=len(g.edges) - (len(g.vertices) + len(g.external_ids)) + components,
         diameter=diam,
-        degree1_count=sum(1 for v in g.vertices if g.degree(v) == 1),
+        # a vertex's boundary coordinates are its edge ends: a loop counts twice
+        degree1_count=sum(1 for v in g.vertices if len(g.vertex_coords(v)) == 1),
         connected=connected,
     )
+
+
+def diameter(g: MetricGraph) -> float:
+    """The largest distance between two points of a compact connected graph
+    (0.0 without edges)."""
+    if not g.is_compact:
+        raise ValueError("diameter undefined on a non-compact graph")
+    m = metrics(g)
+    if not m.connected:
+        raise ValueError("diameter undefined on a disconnected graph")
+    return m.diameter or 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +250,6 @@ class BoundarySubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.graph.n_boundary
 
     def perp(self) -> "BoundarySubspace":
         return BoundarySubspace(self.graph, _span_and_perp(self.basis)[1])
@@ -383,18 +355,13 @@ def subspace_from_basis(g: MetricGraph, raw_rows: Sequence[Sequence[complex]]) -
     return BoundarySubspace(g, basis)
 
 
-def _sign_flip(g: MetricGraph, basis: np.ndarray) -> np.ndarray:
-    out = np.array(basis, dtype=complex)
-    out[:, : len(g.edge_ids)] *= -1.0
-    return out
-
-
 def dual_subspace(y: BoundarySubspace) -> BoundarySubspace:
     """The subspace governing first derivatives of functions satisfying Y:
     negate the (e, 0) block of the orthogonal complement.  Involutive on
     subspaces (the basis may differ)."""
-    perp = y.perp()
-    return BoundarySubspace(y.graph, _sign_flip(y.graph, perp.basis))
+    basis = y.perp().basis
+    basis[:, : len(y.graph.edge_ids)] *= -1.0
+    return BoundarySubspace(y.graph, basis)
 
 
 def gauge_transform(y: BoundarySubspace, g: MetricGraph) -> BoundarySubspace:

@@ -68,8 +68,8 @@ def _passes(observed: float, bound: BoundReport) -> bool:
     return observed - bound.value > -PASS_REL_TOL * observed
 
 
-def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
-                   ) -> tuple[RatioReport | None, RatioReport]:
+def ratio_reports(f: GraphFunction, omega, bound: BoundReport
+                  ) -> tuple[RatioReport | None, RatioReport]:
     """The mass report (None for the zero function) and the derivative report
     of f on omega against the bound, with all four masses (f's and f''s) from
     one masses call."""
@@ -92,23 +92,6 @@ def _ratio_reports(f: GraphFunction, omega, bound: BoundReport
                           extras={"w12_ratio": w12,
                                   "w12_passed": _passes(w12, bound)})
     return rep, der
-
-
-def compare(f: GraphFunction, omega, params: SamplingParams, lam: float
-            ) -> RatioReport:
-    """Observed mass ratio against the sampling-inequality constant for
-    spectral subspaces up to energy lam."""
-    rep = _ratio_reports(f, omega, spectral_bound(params.gamma, params.rho, lam))[0]
-    if rep is None:
-        raise ValueError("mass ratio undefined for the zero function")
-    return rep
-
-
-def compare_derivative(f: GraphFunction, omega, params: SamplingParams, lam: float
-                       ) -> RatioReport:
-    """Derivative-mass ratio against the same constant, plus the combined
-    first-order-norm ratio it implies."""
-    return _ratio_reports(f, omega, spectral_bound(params.gamma, params.rho, lam))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +203,6 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z, dtype=complex)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")  # past the float range: see below
 def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckReport:
     """Check sup_[0,1] |phi| <= (12/|E|)^(2 log2 M) sup_E |phi| for a
@@ -245,17 +221,16 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
         raise ValueError("E must lie in [0, 1]")
     deriv_unit = sum(j * abs(c) for j, c in enumerate(coeffs))
     deriv_disk = sum(j * abs(c) * 4.0 ** (j - 1) for j, c in enumerate(coeffs) if j)
+    polyval = np.polynomial.polynomial.polyval  # Horner; numpy loads it on first use
 
     for n in (grid_n, 8 * grid_n, 64 * grid_n):
         ts = np.linspace(0.0, 1.0, n)
-        sup_unit = float(np.abs(_poly_eval(coeffs, ts)).max()) \
-            + 0.5 * deriv_unit / (n - 1)
+        sup_unit = float(np.abs(polyval(ts, coeffs)).max()) + 0.5 * deriv_unit / (n - 1)
         pts = np.concatenate([np.linspace(a, b, max(2, int(n * (b - a)) + 2))
                               for a, b in e_set.intervals])
-        sup_e = float(np.abs(_poly_eval(coeffs, pts)).max())
+        sup_e = float(np.abs(polyval(pts, coeffs)).max())
         zs = 4.0 * np.exp(2j * math.pi * np.linspace(0.0, 1.0, n, endpoint=False))
-        m_phi = float(np.abs(_poly_eval(coeffs, zs)).max()) \
-            + 0.5 * deriv_disk * (8.0 * math.pi / n)
+        m_phi = float(np.abs(polyval(zs, coeffs)).max()) + 0.5 * deriv_disk * (8.0 * math.pi / n)
         m_phi = max(m_phi, 1.0)
         if not math.isfinite(sup_unit) or math.isnan(sup_e + m_phi):
             raise ValueError("phi is past the float range")
@@ -540,8 +515,8 @@ def _trial_sample(pool, seed: int, index: int):
 
 def _audit_trial(pool, seed: int, index: int, classify: bool) -> dict:
     entry, params, sset, chosen, f, lam = _trial_sample(pool, seed, index)
-    rep, der = _ratio_reports(f, sset.region(),
-                              spectral_bound(params.gamma, params.rho, lam))
+    rep, der = ratio_reports(f, sset.region(),
+                             spectral_bound(params.gamma, params.rho, lam))
     row = {
         "trial": index, "graph": entry["name"], "gamma": params.gamma,
         "rho": params.rho, "lam": lam, "modes": len(chosen),

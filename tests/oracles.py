@@ -1,28 +1,31 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the closed-form paths of the package:
-adaptive Simpson quadrature for integrals, dense point clouds, a verbatim
-copy of the old max-min LPs per edge pair and a rational-arithmetic edge-pair
-maximum for the graph diameter, a fine determinant-style scan for eigenvalues
-and a second-order finite-difference solve for the torsion function.  The
-sampling optimisers keep their plain loop versions here (bisection over a loop
-feasibility DP) as the reference the vectorised kernels must reproduce
-decision for decision, and the quadrature kernel keeps its per-window loop
-version with a data-dependent series stop as the reference for the batched
-one.  The per-function mass loop that `qgs.polytrig.masses` replaced is kept
-as the reference its masses must match to a summation bound, and so are the
-per-edge masses and edge classification that read a dict of per-edge Grams
-(the flags must be equal) and the ray gaps read from three unrolled periods,
-the per-root eigenfunction harvest as the reference for the one-pass harvest of
-`qgs.spectral.eigenvalues_up_to`, the incidence-system torsion solve as
-the reference for the secular one of `qgs.spectral.solve_torsion`, the root
-search with one eig per wavenumber and midpoint splits as the reference for
-the stacked one, the graph transformations only the tests use (flux
-removal, subdivision with its coordinate map) live here too, and so do the
-hand-written field-by-field JSON encoders of the report classes, the
-reference for the one encoder of `qgs.report`.  The n × m clip-matrix sum
-over every interval is the reference for the sorted-search prefix measures
-of `qgs.polytrig.IntervalUnion`, and exact rationals bound both.
+adaptive Simpson quadrature for integrals, dense point clouds, a verbatim copy
+of the old max-min LPs per edge pair and a rational-arithmetic edge-pair
+maximum for the graph diameter, the union-find components and edge-end degrees
+the graph invariants once came from, a fine determinant-style scan for
+eigenvalues and a second-order finite-difference solve for the torsion
+function.  The sampling optimisers keep their plain loop versions here
+(bisection over a loop feasibility DP) as the reference the vectorised kernels
+must reproduce decision for decision, and the quadrature kernel keeps its
+per-window loop version with a data-dependent series stop as the reference for
+the batched one.  The per-function mass loop that `qgs.polytrig.masses`
+replaced is kept as the reference its masses must match to a summation bound,
+and so are the per-edge masses and edge classification that read a dict of
+per-edge Grams (the flags must be equal) and the ray gaps read from three
+unrolled periods, the per-root eigenfunction harvest as the reference for the
+one-pass harvest of `qgs.spectral.eigenvalues_up_to`, the incidence-system
+torsion solve as the reference for the secular one of
+`qgs.spectral.solve_torsion`, the root search with one eig per wavenumber and
+midpoint splits as the reference for the stacked one, the graph
+transformations only the tests use (flux removal, subdivision with its
+coordinate map) live here too, and so do the hand-written field-by-field JSON
+encoders of the report classes, the reference for the one encoder of
+`qgs.report`.  The n × m clip-matrix sum over every interval is the reference
+for the sorted-search prefix measures of `qgs.polytrig.IntervalUnion`, and
+exact rationals bound both.  The hand-written Horner loop is the reference for
+the numpy `polyval` that `qgs.verify.kovrijkine_check` evaluates with.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.optimize import linprog
 
-from qgs.graphs import BoundarySubspace, Edge, MetricGraph, gauge_transform
+from qgs.graphs import (BoundarySubspace, Edge, GraphMetrics, MetricGraph, _edge_pair_max,
+                        _vertex_distances, gauge_transform)
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
                           _coerce_region, _edge_windows, _gauss_norm_sq, gram, integrate_powexp,
                           term_gram)
@@ -195,6 +199,66 @@ def exact_edge_pair_max(g, e, f):
                 d = min(a * s + b * t + c for a, b, c in routes)
                 best = max(best, min(d, abs(s - t)) if same else d)
     return best
+
+
+# The graph invariants as qgs.graphs computed them before `metrics` read them
+# all from its distance table: the union-find components and the edge-end
+# degree of MetricGraph, kept verbatim (only renamed), and the metrics that
+# read them.
+def union_find_components(self) -> list[set[str]]:
+    parent = {v: v for v in self.vertices}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in self.edges:
+        if e.target is not None:
+            ra, rb = find(e.source), find(e.target)
+            if ra != rb:
+                parent[ra] = rb
+    comps: dict[str, set[str]] = {}
+    for v in self.vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
+
+
+def edge_end_degree(self, v: str) -> int:
+    d = 0
+    for e in self.edges:
+        if e.source == v:
+            d += 1
+        if e.target == v:
+            d += 1
+    return d
+
+
+def union_find_metrics(g: MetricGraph) -> GraphMetrics:
+    components = len(union_find_components(g))
+    connected = components <= 1
+    diam = None
+    if connected and g.is_compact and g.edges:
+        dv = _vertex_distances(g)
+        diam = max((_edge_pair_max(e, f, dv) for i, e in enumerate(g.edges) for f in g.edges[i:]),
+                   default=0.0)
+    return GraphMetrics(
+        total_length=sum(e.length for e in g.edges),
+        betti=len(g.edges) - (len(g.vertices) + len(g.external_ids)) + components,
+        diameter=diam,
+        degree1_count=sum(1 for v in g.vertices if edge_end_degree(g, v) == 1),
+        connected=connected,
+    )
+
+
+# The hand-written Horner loop that kovrijkine_check evaluated phi with before
+# numpy's polyval, kept verbatim (only renamed) as its reference.
+def horner_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(z, dtype=complex)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
 
 
 def sigma_min_scan(matrix_fun, k_lo, k_hi, step, accept=1e-7):

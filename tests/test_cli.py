@@ -154,6 +154,18 @@ class TestBound:
         data = json.loads(out)
         assert data["lower_length"]["log_value"] <= data["upper"]["log_value"]
 
+    def test_cor72_disconnected_refused(self, capsys, tmp_path):
+        # the range needs a connected graph: one error line with exit 1
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"id": "e1", "from": "a", "to": "b", "length": 1.0},
+                      {"id": "e2", "from": "c", "to": "d", "length": 1.3}],
+        }))
+        code, out, err = run(capsys, "bound", "cor72", "--graph", str(path),
+                             "--k", "3", "--gamma", "0.5", "--rho", "0.3")
+        assert (code, out, err) == (1, "", "error: the range needs a connected compact graph\n")
+
     def test_trace(self, capsys, interval_file):
         code, out, _ = run(capsys, "bound", "trace", "--graph", interval_file,
                            "--gamma", "1", "--rho", "0.02", "--t", "1",
@@ -208,6 +220,24 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["passed"] is True
+
+    def test_zero_function(self, capsys, monkeypatch, interval_file, set_file):
+        # the mass ratio of the zero function is refused; its derivative
+        # ratio is vacuous
+        import qgs.verify
+        from qgs.polytrig import GraphFunction
+        pick = qgs.verify.random_combination
+
+        def zero_combination(*args):
+            chosen, f, lam = pick(*args)
+            return chosen, GraphFunction.zero(f.graph), lam
+
+        monkeypatch.setattr(qgs.verify, "random_combination", zero_combination)
+        argv = ["--graph", interval_file, "--set", set_file, "--lambda-max", "50"]
+        code, out, err = run(capsys, "verify", "ratio", *argv)
+        assert (code, out, err) == (1, "", "error: mass ratio undefined for the zero function\n")
+        code, out, err = run(capsys, "verify", "derivative", *argv)
+        assert (code, err) == (0, "") and json.loads(out)["vacuous"] is True
 
     def test_set_certified_by_the_rho_cover(self, capsys, tmp_path):
         # certify seed 7107's lasso: on the tail, optimal_gamma at optimal_rho's
@@ -595,10 +625,12 @@ def test_constants_past_the_float_range_saturate(capsys, interval_file, argv, ke
 
 
 def test_import_loads_no_scipy():
+    # nor numpy.polynomial, which kovrijkine_check reaches at call time
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     code = ("import qgs.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert res.stdout.strip() == "[]"

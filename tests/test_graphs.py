@@ -14,7 +14,8 @@ from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
 
-from oracles import diameter_point_cloud, exact_edge_pair_max, lp_edge_pair_max, subdivide
+from oracles import (diameter_point_cloud, edge_end_degree, exact_edge_pair_max,
+                     lp_edge_pair_max, subdivide, union_find_metrics)
 
 
 def interval(ell=math.pi):
@@ -66,6 +67,29 @@ def diameter_corpus(seed, count):
         yield build_graph(vs, es)
 
 
+def invariants_corpus(seed, count):
+    """The empty graph, one isolated vertex, then seeded graphs on up to six
+    vertices with up to eight edges: rays, loops, parallel edges, isolated
+    vertices and disconnected parts all occur."""
+    rng = np.random.default_rng(seed)
+    yield MetricGraph([], [])
+    yield build_graph(["v"], [])
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        vs = [f"v{j}" for j in range(n)]
+        es = []
+        for j in range(int(rng.integers(0, 9))):
+            a = vs[int(rng.integers(n))]
+            if rng.random() < 0.15:
+                es.append((f"r{j}", a, None, math.inf))
+                continue
+            b = a if rng.random() < 0.15 else vs[int(rng.integers(n))]
+            halves = rng.random() < 0.5  # ties between routes, as in diameter_corpus
+            ell = int(rng.integers(1, 5)) / 2.0 if halves else float(rng.uniform(0.1, 3.0))
+            es.append((f"e{j}", a, b, ell))
+        yield build_graph(vs, es)
+
+
 def edge_pairs(g):
     return [(e, f) for i, e in enumerate(g.edges) for f in g.edges[i:]]
 
@@ -74,11 +98,11 @@ class TestBuild:
     def test_single_edge(self):
         g = interval(1.0)
         assert len(g.edges) == 1 and len(g.vertices) == 2
-        assert g.is_compact and g.is_connected
+        assert g.is_compact and metrics(g).connected
 
     def test_lasso_valid(self):
         g = lasso()
-        assert g.degree("v") == 3 and g.degree("w") == 1
+        assert len(g.vertex_coords("v")) == 3 and len(g.vertex_coords("w")) == 1
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):
@@ -162,6 +186,34 @@ class TestMetrics:
         g = MetricGraph(["a"], [Edge("loop", "a", "a", 1.0),
                                 Edge("ray", "a", None, math.inf)])
         assert metrics(g).betti == 1
+
+    def test_metrics_match_the_union_find_oracle(self):
+        # every field equal, the diameter bit for bit: the components now come
+        # from the distance table the diameter reads, the leaves from vertex_coords
+        seen = set()
+        for g in invariants_corpus(11, 600):
+            want = union_find_metrics(g)
+            assert metrics(g) == want
+            for v in g.vertices:
+                assert len(g.vertex_coords(v)) == edge_end_degree(g, v)
+            if not g.is_compact:
+                with pytest.raises(ValueError, match="non-compact"):
+                    diameter(g)
+            elif not want.connected:
+                with pytest.raises(ValueError, match="disconnected"):
+                    diameter(g)
+            else:
+                assert diameter(g) == (want.diameter if g.edges else 0.0)
+            ends = [frozenset((e.source, e.target)) for e in g.edges if e.is_finite]
+            seen.update(name for name, hit in (
+                ("empty", not g.vertices), ("ray", not g.is_compact),
+                ("loop", any(e.source == e.target for e in g.edges)),
+                ("parallel", len(set(ends)) < len(ends)),
+                ("isolated", any(not g.vertex_coords(v) for v in g.vertices)),
+                ("disconnected", not want.connected),
+                ("diameter", want.diameter is not None)) if hit)
+        assert seen == {"empty", "ray", "loop", "parallel", "isolated", "disconnected",
+                        "diameter"}
 
 
 class TestSubspaces:

@@ -10,9 +10,8 @@ from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, whole_edge
 from qgs.sampling import (Cover, SamplingSet, gap_analysis, optimal_gamma, optimal_rho,
                           verify_cover)
 from qgs.spectral import solve_torsion
-from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
-                        compare_derivative, kovrijkine_check, local_estimate_check,
-                        observability_numeric)
+from qgs.verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
+                        local_estimate_check, observability_numeric, ratio_reports)
 
 from oracles import ORACLE_ENCODERS, oracle_json
 
@@ -43,6 +42,8 @@ def _reports():
     one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
     neumann = [(float(n * n), 1.0) for n in range(11)]
     pi_interval = _interval(math.pi)
+    ratio, derivative = ratio_reports(cos, sset.region(),
+                                      spectral_bound(params.gamma, params.rho, math.pi ** 2))
     return {
         "bound": h_bound(0.5, h=3.0),
         "bound-underflow": spectral_bound(0.1, 2.0, 400.0),
@@ -60,9 +61,10 @@ def _reports():
         "gamma-infeasible": optimal_gamma(GAPPY, 1.0, rho=0.3),
         "rho": optimal_rho(sset.finite["e"], 1.0, gamma=0.3),
         "rho-infeasible": optimal_rho(GAPPY, 1.0, gamma=0.9),
-        "ratio": compare(cos, sset.region(), params, lam=math.pi ** 2),
-        "ratio-derivative": compare_derivative(cos, sset.region(), params, lam=math.pi ** 2),
-        "ratio-vacuous": compare_derivative(one, {"e": whole_edge(1.0)}, params, lam=0.0),
+        "ratio": ratio,
+        "ratio-derivative": derivative,
+        "ratio-vacuous": ratio_reports(one, {"e": whole_edge(1.0)},
+                                       spectral_bound(params.gamma, params.rho, 0.0))[1],
         "classification": classify_edges(cos, math.pi ** 2),
         "kovrijkine": kovrijkine_check([1.0, 0.5, 0.25], IntervalUnion([(0.0, 0.5)])),
         "local": local_estimate_check([(1.0, 0, 3.0)], 1.5, IntervalUnion([(0.2, 0.9)])),

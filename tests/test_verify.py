@@ -6,20 +6,19 @@ import pytest
 import scipy.linalg
 
 from qgs import verify
-from qgs.bounds import BoundReport
+from qgs.bounds import BoundReport, spectral_bound
 from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
                           masses, norm_sq, whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from qgs.spectral import eigenvalues_up_to, spectral_sample
-from qgs.verify import (audit, boundary_trace_check, classify_edges, compare,
-                        compare_derivative, kovrijkine_check,
+from qgs.verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
                         lasso_counterexample, local_estimate_check, mass_ratio,
                         max_generalized_eig, observability_numeric,
-                        optimality_example)
+                        optimality_example, ratio_reports)
 
-from oracles import edgewise_classify_edges, strip_fluxes
+from oracles import edgewise_classify_edges, horner_eval, strip_fluxes
 
 
 def interval(ell=math.pi):
@@ -34,12 +33,6 @@ def cos_fn(g, k, amp=1.0):
 def sin_fn(g, k, amp=1.0):
     return GraphFunction(g, {"e": [PolyTrigTerm(-0.5j * amp, 0, k),
                                    PolyTrigTerm(0.5j * amp, 0, -k)]})
-
-
-def half_params(ell):
-    return SamplingParams(gamma=0.5, rho=ell / 2.0,
-                          cover=Cover(breakpoints={"e": (0.0, ell / 2, ell)}),
-                          densities={"e": [1.0, 0.0]})
 
 
 class TestMassRatio:
@@ -66,7 +59,7 @@ class TestMassRatio:
         g = interval(math.pi)
         f = cos_fn(g, 2.0)
         omega = {"e": IntervalUnion([(0.0, math.pi / 2)], length=math.pi)}
-        rep = compare(f, omega, half_params(math.pi), lam=4.0)
+        rep = ratio_reports(f, omega, spectral_bound(0.5, math.pi / 2.0, 4.0))[0]
         assert rep.passed and rep.margin > 0.0
         assert 0.0 <= rep.observed <= 1.0
 
@@ -90,21 +83,20 @@ class TestDerivativeRatio:
         g = interval(math.pi)
         f = sin_fn(g, 1.0)
         omega = {"e": IntervalUnion([(0.0, math.pi / 2)], length=math.pi)}
-        rep = compare_derivative(f, omega, half_params(math.pi), lam=1.0)
+        rep = ratio_reports(f, omega, spectral_bound(0.5, math.pi / 2.0, 1.0))[1]
         assert rep.observed == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_vacuous(self):
         g = interval(1.0)
         one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
-        rep = compare_derivative(one, {"e": whole_edge(1.0)}, half_params(1.0),
-                                 lam=0.0)
+        rep = ratio_reports(one, {"e": whole_edge(1.0)}, spectral_bound(0.5, 0.5, 0.0))[1]
         assert rep.vacuous and rep.passed and math.isnan(rep.observed)
 
     def test_w12_ratio_reported(self):
         g = interval(math.pi)
         f = sin_fn(g, 3.0)
         omega = {"e": IntervalUnion([(0.2, 1.4), (2.0, 2.9)], length=math.pi)}
-        rep = compare_derivative(f, omega, half_params(math.pi), lam=9.0)
+        rep = ratio_reports(f, omega, spectral_bound(0.5, math.pi / 2.0, 9.0))[1]
         assert "w12_ratio" in rep.extras and rep.extras["w12_passed"]
 
 
@@ -130,11 +122,11 @@ class TestUnderflowedVerdicts:
         g = interval(math.pi)
         f = cos_fn(g, 3.0) + 0.3 * sin_fn(g, 2.0)
         omega = {"e": IntervalUnion([(0.2, 1.4), (2.0, 2.9)], length=math.pi)}
-        ref_mass, ref_der = verify._ratio_reports(f, omega, self.underflowed(-2000.0))
+        ref_mass, ref_der = ratio_reports(f, omega, self.underflowed(-2000.0))
         ratios = [ref_mass.observed, ref_der.observed, ref_der.extras["w12_ratio"]]
         for log_value, want in ((math.log(min(ratios)) - 1e-6, True),
                                 (math.log(max(ratios)) + 1e-6, False)):
-            mass, der = verify._ratio_reports(f, omega, self.underflowed(log_value))
+            mass, der = ratio_reports(f, omega, self.underflowed(log_value))
             assert [mass.passed, der.passed, der.extras["w12_passed"]] == [want] * 3
 
 
@@ -309,6 +301,21 @@ class TestKovrijkine:
             e_set = IntervalUnion([(a, a + width)], length=1.0)
             rep = kovrijkine_check(list(coeffs), e_set, grid_n=800)
             assert rep.passed
+
+    def test_polyval_is_the_horner_loop(self):
+        # numpy's polyval, which the check evaluates phi with, does the
+        # hand-written loop's operations: the same values at real points and
+        # on the circle of radius 4, overflow included
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0.0, 1.0, 301)
+        zs = 4.0 * np.exp(2j * math.pi * np.linspace(0.0, 1.0, 301, endpoint=False))
+        for i in range(2000):
+            deg = int(rng.integers(0, 15))
+            coeffs = (rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)) \
+                * 10.0 ** rng.uniform(-3.0, 3.0 if i % 10 else 300.0, size=deg + 1)
+            for pts in (ts, rng.uniform(0.0, 1.0, size=50), zs):
+                got = np.polynomial.polynomial.polyval(pts, coeffs)
+                assert np.array_equal(got, horner_eval(coeffs, pts), equal_nan=True)
 
 
 class TestLocalEstimate:
@@ -540,8 +547,8 @@ class TestLassoCounterexample:
                                    "tail": (0.0, 0.5, 1.0)})
         params = verify_cover(sset, cover, gamma=0.5, rho=0.5)
         assert isinstance(params, SamplingParams)
-        rep = compare(loop_mode.function, sset.region(), params,
-                      lam=loop_mode.lam)
+        rep = ratio_reports(loop_mode.function, sset.region(),
+                            spectral_bound(params.gamma, params.rho, loop_mode.lam))[0]
         assert rep.passed and rep.observed > 0.0
 
 
@@ -590,8 +597,8 @@ class TestAudit:
         pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
         for row in res.rows:
             entry, params, sset, chosen, f, lam = verify._trial_sample(pool, seed, row["trial"])
-            rep = compare(f, sset.region(), params, lam=lam)
-            der = compare_derivative(f, sset.region(), params, lam=lam)
+            rep, der = ratio_reports(GraphFunction(f.graph, f.terms), sset.region(),
+                                     spectral_bound(params.gamma, params.rho, lam))
             cls = classify_edges(GraphFunction(f.graph, f.terms), lam)
             want = {
                 "trial": row["trial"], "graph": entry["name"], "gamma": params.gamma,
