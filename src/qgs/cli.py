@@ -102,12 +102,13 @@ def _sampling_verify(args):
 
 def _optimal_per_edge(args, optimise, attr, best, **fixed):
     """Each finite edge's `optimise` result at the fixed parameter, and the
-    `best` of their `attr` when every edge is feasible."""
+    `best` of their `attr` when every edge is feasible and the set has no
+    ray entries (not optimised, so the finite edges' best is no bound)."""
     g, _, sset = _graph_and_set(args)
     out = {eid: optimise(iu, g.edge_lengths[eid], **fixed)
            for eid, iu in sorted(sset.finite.items())}
     agg = None
-    if out and all(r.feasible for r in out.values()):
+    if out and not sset.external and all(r.feasible for r in out.values()):
         agg = best(getattr(r, attr) for r in out.values())
     return {"edges": out, "aggregate": agg}, 0
 
@@ -121,10 +122,13 @@ def _sampling_rho(args):
 
 
 def _sampling_gaps(args):
+    if (args.gamma is None) != (args.rho is None):
+        missing = "--rho" if args.rho is None else "--gamma"
+        raise ValueError(f"argument {missing}: the necessary check needs both --gamma and --rho")
     _, _, sset = _graph_and_set(args)
     gaps = smp.gap_analysis(sset)
     report = {"edges": gaps}
-    if args.gamma is not None and args.rho is not None:
+    if args.gamma is not None:
         ok, issues = smp.necessary_check(gaps, args.gamma, args.rho)
         report["necessary_check"] = {"gamma": args.gamma, "rho": args.rho,
                                      "ok": ok, "issues": issues}

@@ -5,11 +5,12 @@ Functions on a metric graph are stored per edge as finite sums of terms
 eigenfunction of a free Laplacian realisation (p = 0), edgewise quadratics
 such as torsion functions (w = 0), and is closed under differentiation and
 restriction.  Pairwise products reach p = 4, whose integrals are closed
-form: `integrate_powexp` integrates all windows of an edge in one numpy call
-(2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a fixed-length
-series near wd = 0, for p >= 1).  Every L2 mass goes through it: `masses`
-gives those of many functions and their derivatives in one call (`norm_sq`
-is one of them), `gram`, `term_gram` and `inner_product` the cross terms.
+form: `integrate_powexp` integrates all windows of all edges in one numpy
+call (2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a
+fixed-length series near wd = 0, for p >= 1).  Every L2 integral goes
+through it once, over one layout of terms and windows (`_layout`): `masses`
+gives the masses of many functions and their derivatives (`norm_sq` is one
+of them), `gram` the cross terms (`inner_product` is one of them).
 A norm too small for the closed form to resolve from rounding is
 integrated again by a positive Gauss rule with an explicit error bound.
 """
@@ -321,11 +322,11 @@ def differentiate(f: GraphFunction, order: int = 1) -> GraphFunction:
     return GraphFunction(f.graph, terms)
 
 
-def _coerce_region(f: GraphFunction, region) -> dict[str, IntervalUnion] | None:
+def _coerce_region(graph, region) -> dict[str, IntervalUnion] | None:
     if region is None:
         return None
     out: dict[str, IntervalUnion] = {}
-    lengths = f.graph.edge_lengths
+    lengths = graph.edge_lengths
     for eid, iv in dict(region).items():
         if eid not in lengths:
             raise ValueError(f"region references unknown edge {eid!r}")
@@ -340,51 +341,61 @@ def _coerce_region(f: GraphFunction, region) -> dict[str, IntervalUnion] | None:
     return out
 
 
-def _edge_windows(f: GraphFunction, reg, eid: str) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right ends of the windows of edge eid: the whole edge without
-    a region."""
-    if reg is None:
-        ell = f.graph.edge_lengths[eid]
-        if not math.isfinite(ell):
-            raise ValueError("whole-graph quadrature on a non-compact graph")
-        return np.array([0.0]), np.array([ell])
-    iv = reg.get(eid)
-    return (iv.starts, iv.ends) if iv is not None else (np.empty(0), np.empty(0))
+def _layout(fns: Sequence[GraphFunction], region):
+    """What every L2 integral of fns reads: the edges that carry terms, the
+    coerced region, and each function's block per edge as (functions, edges,
+    keys) arrays slot, c, p, w: its terms, then zero terms at the keys
+    (p - 1, w) of f' = sum (c i w x**p + c p x**(p - 1)) exp(iwx), padded to
+    the widest block with (0, 0) outside slot; and per edge the window ends
+    a, b: [0, l] first, then the region's windows, padded with empty ones."""
+    graph = fns[0].graph
+    if any(f.graph is not graph for f in fns):
+        raise ValueError("functions live on different graphs")
+    reg = _coerce_region(graph, region)
+    edges = tuple(dict.fromkeys(e for f in fns for e in f.terms))
+    windows = [[(0.0, graph.edge_lengths[e]), *(reg[e].intervals if reg and e in reg else ())]
+               for e in edges]
+    blocks = [f.terms.get(e, ()) for f in fns for e in edges]
+    if any(t.power for b in blocks for t in b):
+        blocks = [b + tuple(PolyTrigTerm(0j, p - 1, w) for _, p, w in b
+                            if p and (p - 1, w) not in {t[1:] for t in b}) for b in blocks]
+    sizes = np.array(list(map(len, blocks)), dtype=int).reshape(len(fns), len(edges))
+    slot = np.arange(sizes.max(initial=0)) < sizes[..., None]
+    cpw = np.zeros((3, *slot.shape), dtype=complex)
+    cpw[:, slot] = np.array([x for b in blocks for t in b for x in t],
+                            dtype=complex).reshape(-1, 3).T
+    a, b = np.zeros((2, len(edges), max(map(len, windows), default=1)))
+    for i, ws in enumerate(windows):
+        a[i, :len(ws)], b[i, :len(ws)] = zip(*ws)
+    return edges, reg, slot, cpw[0], cpw[1].real.astype(int), cpw[2].real, a, b
 
 
-def term_gram(powers, freqs, a, b) -> np.ndarray:
-    """B[s, t, k] = ∫ x**(p_s + p_t) exp(1j*(w_s - w_t)*x) dx over the window
-    [a_k, b_k] (a, b scalars or arrays of ends): one kernel call."""
-    p = np.asarray(powers, dtype=int)
-    w = np.asarray(freqs, dtype=float)
-    return integrate_powexp(np.add.outer(p, p)[..., None], np.subtract.outer(w, w)[..., None],
-                            np.atleast_1d(a), np.atleast_1d(b))
+def _integrate(p, w, a, b) -> np.ndarray:
+    """I[..., s, t, k] = ∫ x**(p_s + p_t) exp(1j*(w_s - w_t)*x) over window k
+    of each edge: the one kernel call, refused where a window is unbounded."""
+    if not np.isfinite(b).all():
+        raise ValueError("whole-graph quadrature on a non-compact graph")
+    return integrate_powexp((p[..., None] + p[..., None, :])[..., None],
+                            (w[..., None] - w[..., None, :])[..., None],
+                            a[:, None, None], b[:, None, None])
 
 
 def gram(fns: Sequence[GraphFunction], region=None) -> np.ndarray:
     """G[i, j] = <fns[i], fns[j]> = ∫ fns[i] conj(fns[j]) over the region (the
-    whole graph without one).  Per edge, the terms of all the functions are
-    one basis whose term_gram B over every window is one kernel call, and G is
-    the sum over edges of C B C^H, C the coefficients on that basis:
+    whole graph without one): on each edge of _layout the functions' blocks
+    side by side on one key axis, one kernel call over the whole edge or the
+    region's windows, I_st their window sum, and G[i, j] the sum of c_s
+    conj(c_t) I_st over the edges and the keys s of block i, t of block j:
     Hermitian up to rounding."""
     n = len(fns)
-    out = np.zeros((n, n), dtype=complex)
     if not n:
-        return out
-    graph = fns[0].graph
-    if any(f.graph is not graph for f in fns):
-        raise ValueError("functions live on different graphs")
-    reg = _coerce_region(fns[0], region)
-    for eid in graph.edge_ids:
-        owner = [i for i, f in enumerate(fns) for _ in f.terms.get(eid, ())]
-        a, b = _edge_windows(fns[0], reg, eid)
-        if not (owner and a.size):
-            continue
-        c, p, w = np.array([t for f in fns for t in f.terms.get(eid, ())], dtype=complex).T
-        coeffs = np.zeros((n, len(owner)), dtype=complex)
-        coeffs[owner, np.arange(len(owner))] = c
-        out += coeffs @ term_gram(p.real, w.real, a, b).sum(axis=-1) @ coeffs.conj().T
-    return out
+        return np.zeros((0, 0), dtype=complex)
+    *_, c, p, w, a, b = _layout(fns, region)
+    e, k = c.shape[1:]
+    p, w = (x.transpose(1, 0, 2).reshape(e, n * k) for x in (p, w))
+    cols = slice(None, 1) if region is None else slice(1, None)
+    ints = _integrate(p, w, a[:, cols], b[:, cols]).sum(axis=-1).reshape(e, n, k, n, k)
+    return np.einsum("iek,eikjl,jel->ij", c, ints, c.conj())
 
 
 def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
@@ -410,54 +421,31 @@ class Mass(NamedTuple):
 
 
 def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
-    """The Mass of each function in fns from one kernel call over a
+    """The Mass of each function in fns from one kernel call over _layout's
     (functions, edges, keys, keys, 1 + windows) array: each function's own
-    term keys (power, freq) per edge (no union basis), padded with zero
-    coefficients, by [0, l] and the region's windows, padded with empty ones.
-    f' = sum (c i w x**p + c p x**(p - 1)) exp(iwx) needs only the keys
-    (p - 1, w) more.  A mass is an array sum of c conj(c') I, its imaginary
-    residue asserted to be noise; one below _RESOLVED_REL of its gross scale
-    (the sum of |c conj(c') I|, the closed form's cancellation floor being
-    about 1e-16 of it) is integrated again by _gauss_norm_sq, f' built only
-    then.  A function keeps its whole-graph Mass."""
+    term keys per edge (no union basis) by [0, l] and the region's windows.
+    f' has coefficients c i w at (p, w) and c p at (p - 1, w).  A mass is an
+    array sum of c conj(c') I, its imaginary residue asserted to be noise;
+    one below _RESOLVED_REL of its gross scale (the sum of |c conj(c') I|, the
+    closed form's cancellation floor being about 1e-16 of it) is integrated
+    again by _gauss_norm_sq, f' built only then.  A function keeps its
+    whole-graph Mass."""
     if not fns:
         return []
-    graph = fns[0].graph
-    if any(f.graph is not graph for f in fns):
-        raise ValueError("functions live on different graphs")
-    if region is None and all(f._mass is not None for f in fns):
+    if region is None and all(f._mass is not None and f.graph is fns[0].graph for f in fns):
         return [f._mass for f in fns]
-    reg = _coerce_region(fns[0], region) or {}
-    edges = tuple(dict.fromkeys(e for f in fns for e in f.terms))
-    windows = [[(0.0, graph.edge_lengths[e]), *(reg[e].intervals if e in reg else ())]
-               for e in edges]
-    if not all(math.isfinite(ws[0][1]) for ws in windows):
-        raise ValueError("whole-graph quadrature on a non-compact graph")
-    blocks = [f.terms.get(e, ()) for f in fns for e in edges]
-    if any(t.power for b in blocks for t in b):  # zero terms at the keys (p - 1, w) of f'
-        blocks = [b + tuple(PolyTrigTerm(0j, p - 1, w) for _, p, w in b
-                            if p and (p - 1, w) not in {t[1:] for t in b}) for b in blocks]
-    n, k = len(fns), max(map(len, blocks), default=0)
-    sizes = np.array(list(map(len, blocks)), dtype=int).reshape(n, len(edges))
-    slot = np.arange(k) < sizes[..., None]
-    cpw = np.zeros((3, *slot.shape), dtype=complex)
-    cpw[:, slot] = np.array([x for b in blocks for t in b for x in t],
-                            dtype=complex).reshape(-1, 3).T
-    c, p, w = cpw[0], cpw[1].real.astype(int), cpw[2].real
+    edges, reg, slot, c, p, w, a, b = _layout(fns, region)
+    n = len(fns)
     d = c * 1j * w
     if p.any():  # + p c at (p - 1, w): key j one power above key i
         above = (p[..., None, :] == p[..., None] + 1) & (w[..., None, :] == w[..., None])
         d = d + ((above & slot[..., None]) * (p * c)[..., None, :]).sum(axis=-1)
-    a, b = np.zeros((2, len(edges), max(map(len, windows), default=1)))
-    for i, ws in enumerate(windows):
-        a[i, :len(ws)], b[i, :len(ws)] = zip(*ws)
-    ints = integrate_powexp((p[..., None] + p[..., None, :])[..., None],
-                            (w[..., None] - w[..., None, :])[..., None],
-                            a[:, None, None], b[:, None, None])
+    ints = _integrate(p, w, a, b)
     cd = np.stack((c, d), axis=1)  # (functions, f and f', edges, keys)
     pair = cd[..., None] * cd.conj()[..., None, :]
     sums = [[x.reshape(n, 2, -1).sum(axis=-1).tolist() for x in (v, np.abs(v))]
             for v in (pair * ints[:, None, ..., 0], pair[..., None] * ints[:, None, ..., 1:])]
+    sizes = slot.sum(axis=-1)
     out = []
     for i, f in enumerate(fns):
         whole, d_whole = (_settle(f, None, o, sums[0][0][i][o], sums[0][1][i][o]) for o in (0, 1))
@@ -502,7 +490,9 @@ def _gauss_norm_sq(f: GraphFunction, reg) -> float:
         p, w = p.real, w.real
         u = np.abs(w - 0.5 * (w.max() + w.min()))
         log_tol = math.log(1e-40) + 2.0 * math.log(float(np.abs(c).sum()))
-        for lo, hi in zip(*(ends.tolist() for ends in _edge_windows(f, reg, eid))):
+        windows = (((0.0, f.graph.edge_lengths[eid]),) if reg is None
+                   else reg[eid].intervals if eid in reg else ())
+        for lo, hi in windows:
             pieces = 1 + int(u.max() * (hi - lo) / 8.0)
             length = (hi - lo) / pieces
             logs = np.log(np.abs(c)) + p * math.log(hi + length) + u * length

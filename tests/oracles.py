@@ -25,7 +25,9 @@ encoders of the report classes, the reference for the one encoder of
 `qgs.report`.  The n × m clip-matrix sum over every interval is the reference
 for the sorted-search prefix measures of `qgs.polytrig.IntervalUnion`, and
 exact rationals bound both.  The hand-written Horner loop is the reference for
-the numpy `polyval` that `qgs.verify.kovrijkine_check` evaluates with.
+the numpy `polyval` that `qgs.verify.kovrijkine_check` evaluates with.  The
+per-edge Gram that `qgs.polytrig.gram` replaced, with its window picker and
+term Gram, is the reference its one-call Gram must match to a summation bound.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from scipy.optimize import linprog
 from qgs.graphs import (BoundarySubspace, Edge, GraphMetrics, MetricGraph, _edge_pair_max,
                         _vertex_distances, gauge_transform)
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _edge_windows, _gauss_norm_sq, gram, integrate_powexp,
-                          term_gram)
+                          _coerce_region, _gauss_norm_sq, integrate_powexp)
 from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
                           TorsionSolution, _Eigenphases)
 from qgs.verify import M_MAX, EdgeClassification
@@ -683,6 +684,62 @@ def loop_integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: fl
 
 
 # ---------------------------------------------------------------------------
+# the per-edge Gram: verbatim copies of qgs.polytrig's window picker, term Gram
+# and Gram (one kernel call per edge over an "owner" basis of every function's
+# terms there) before the Gram became one kernel call over the layout of
+# qgs.polytrig.masses, renamed; _coerce_region now takes the graph.  The
+# reference gram must reproduce to a summation bound, and the term integrals
+# the package keeps in its Mass must equal exactly
+
+
+def edge_windows(f: GraphFunction, reg, eid: str) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the windows of edge eid: the whole edge without
+    a region."""
+    if reg is None:
+        ell = f.graph.edge_lengths[eid]
+        if not math.isfinite(ell):
+            raise ValueError("whole-graph quadrature on a non-compact graph")
+        return np.array([0.0]), np.array([ell])
+    iv = reg.get(eid)
+    return (iv.starts, iv.ends) if iv is not None else (np.empty(0), np.empty(0))
+
+
+def term_gram(powers, freqs, a, b) -> np.ndarray:
+    """B[s, t, k] = ∫ x**(p_s + p_t) exp(1j*(w_s - w_t)*x) dx over the window
+    [a_k, b_k] (a, b scalars or arrays of ends): one kernel call."""
+    p = np.asarray(powers, dtype=int)
+    w = np.asarray(freqs, dtype=float)
+    return integrate_powexp(np.add.outer(p, p)[..., None], np.subtract.outer(w, w)[..., None],
+                            np.atleast_1d(a), np.atleast_1d(b))
+
+
+def edgewise_gram(fns: Sequence[GraphFunction], region=None) -> np.ndarray:
+    """G[i, j] = <fns[i], fns[j]> = ∫ fns[i] conj(fns[j]) over the region (the
+    whole graph without one).  Per edge, the terms of all the functions are
+    one basis whose term_gram B over every window is one kernel call, and G is
+    the sum over edges of C B C^H, C the coefficients on that basis:
+    Hermitian up to rounding."""
+    n = len(fns)
+    out = np.zeros((n, n), dtype=complex)
+    if not n:
+        return out
+    graph = fns[0].graph
+    if any(f.graph is not graph for f in fns):
+        raise ValueError("functions live on different graphs")
+    reg = _coerce_region(graph, region)
+    for eid in graph.edge_ids:
+        owner = [i for i, f in enumerate(fns) for _ in f.terms.get(eid, ())]
+        a, b = edge_windows(fns[0], reg, eid)
+        if not (owner and a.size):
+            continue
+        c, p, w = np.array([t for f in fns for t in f.terms.get(eid, ())], dtype=complex).T
+        coeffs = np.zeros((n, len(owner)), dtype=complex)
+        coeffs[owner, np.arange(len(owner))] = c
+        out += coeffs @ term_gram(p.real, w.real, a, b).sum(axis=-1) @ coeffs.conj().T
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the per-function mass loop: a verbatim copy of the norm_sq that integrated
 # each function and region on its own, kept as the reference qgs.polytrig.masses
 # must reproduce to the summation bounds of tests/test_polytrig.py
@@ -691,10 +748,10 @@ def loop_integrate_powexp(powers: np.ndarray, freqs: np.ndarray, a: float, b: fl
 def loop_norm_sq_gross(f: GraphFunction, region) -> tuple[complex, float]:
     """∫ |f|^2 over the region, as a complex number, and its gross scale: the
     sum of |c conj(c') I| over every term pair and window."""
-    reg = _coerce_region(f, region)
+    reg = _coerce_region(f.graph, region)
     total, gross = 0j, 0.0
     for eid, terms in f.terms.items():
-        a, b = _edge_windows(f, reg, eid)
+        a, b = edge_windows(f, reg, eid)
         if a.size:
             c, p, w = np.array(terms, dtype=complex).T
             vals = np.multiply.outer(c, c.conj())[..., None] * term_gram(p.real, w.real, a, b)
@@ -715,7 +772,7 @@ def loop_norm_sq(f: GraphFunction, region=None) -> float:
     if abs(im) > 1e-10 * max(re, 0.0) + 1e-12 * gross + 1e-300:
         raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
     if re <= _RESOLVED_REL * gross:
-        return _gauss_norm_sq(f, _coerce_region(f, region))
+        return _gauss_norm_sq(f, _coerce_region(f.graph, region))
     return re
 
 
@@ -751,16 +808,16 @@ def edgewise_masses(fns: Sequence[GraphFunction], region=None) -> list[EdgewiseM
     graph = fns[0].graph
     if any(f.graph is not graph for f in fns):
         raise ValueError("functions live on different graphs")
-    reg = _coerce_region(fns[0], region)
+    reg = _coerce_region(graph, region)
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (eid, basis) -> whole, part
     for eid in graph.edge_ids:
         bases = list(dict.fromkeys(tuple(t[1:] for t in f.terms[eid])
                                    for f in fns if eid in f.terms))
         if not bases:
             continue
-        a, b = _edge_windows(fns[0], None, eid)
+        a, b = edge_windows(fns[0], None, eid)
         if reg is not None:
-            ra, rb = _edge_windows(fns[0], reg, eid)
+            ra, rb = edge_windows(fns[0], reg, eid)
             a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
         pw = [np.array(basis).T for basis in bases]
         powers = np.concatenate([np.add.outer(p, p).ravel() for p, _ in pw])
@@ -1025,7 +1082,7 @@ def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) 
         # L2-orthonormalise within the multiplicity cluster: with the L2 Gram
         # G = L L^H of the functions, the rows of L^-1 vecs (Gram-Schmidt in
         # closed form) give orthonormal ones
-        low = np.linalg.cholesky(gram([_coeffs_to_function(g, k, v) for v in vecs]))
+        low = np.linalg.cholesky(edgewise_gram([_coeffs_to_function(g, k, v) for v in vecs]))
         for v in np.linalg.solve(low, vecs):
             pairs.append(EigenPair(k=k, lam=k * k, function=_coeffs_to_function(g, k, v),
                                    residual=residual))

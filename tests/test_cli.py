@@ -126,6 +126,26 @@ class TestSampling:
         data = json.loads(out)
         assert data["aggregate"] is not None and 0.0 < data["aggregate"] <= 1.0
 
+    @pytest.mark.parametrize("argv", [["gamma", "--rho", "0.6"], ["rho", "--gamma", "0.3"]],
+                             ids=["gamma", "rho"])
+    def test_ray_entry_voids_the_aggregate(self, capsys, tmp_path, argv):
+        # once the finite edge's optimum (gamma 0.1667, rho 0.714) as the
+        # aggregate: on the ray, windows of length <= 0.6 hold at most 0.01
+        # in 0.495, so gamma <= 0.0202 there
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b", "v"], "edges": [
+            {"id": "e", "from": "a", "to": "b", "length": 1.0},
+            {"id": "r", "from": "v", "length": "inf"}]}))
+        sset = tmp_path / "set.json"
+        sset.write_text(json.dumps({"edges": {"e": [[0.0, 0.5]]}, "external": {
+            "r": {"period": 1.0, "body": [[0.0, 0.01]]}}}))
+        code, out, err = run(capsys, "sampling", argv[0], "--graph", str(graph),
+                             "--set", str(sset), *argv[1:])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["aggregate"] is None
+        assert set(data["edges"]) == {"e"} and data["edges"]["e"]["feasible"]
+
     def test_gaps(self, capsys, interval_file, set_file):
         code, out, _ = run(capsys, "sampling", "gaps", "--graph", interval_file,
                            "--set", set_file, "--gamma", "0.4", "--rho", "0.2")
@@ -556,14 +576,18 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
     (["audit", "--trials", "0"], "--trials"),
     (["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--gamma", "3", "--rho", "1"],
      "gamma must lie in (0, 1]"),
+    (["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--gamma", "0.5"], "--rho"),
+    (["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--rho", "0.5"], "--gamma"),
     (["verify", "optimality", "--ell", "1", "--lambda", "37000", "--gamma", "1e-10"],
      "undecidable in double precision"),
 ], ids=["trials-0", "trials-negative", "modes-negative", "modes-0",
-        "audit-trials-0", "gaps-gamma-3", "optimality-undecidable"])
+        "audit-trials-0", "gaps-gamma-3", "gaps-gamma-only", "gaps-rho-only",
+        "optimality-undecidable"])
 def test_refusal_names_its_input(capsys, interval_file, set_file, argv, named):
     # once a traceback-free but nameless message (an empty min(), negative
-    # dimensions), an exit 0 at gamma = 3, or a certification failure where
-    # double precision cannot decide
+    # dimensions), an exit 0 at gamma = 3 or with one of --gamma/--rho (the
+    # necessary check skipped without a word), or a certification failure
+    # where double precision cannot decide
     code, out, err = run(capsys, *(a.format(graph=interval_file, set=set_file) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err

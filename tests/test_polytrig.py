@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from qgs import verify
 from qgs.graphs import build_graph
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _edge_windows, _gauss_norm_sq, cosine_power_terms,
-                          differentiate, gram, inner_product, integrate_powexp, masses,
-                          norm_sq, sup_on_disk_neighborhood, term_gram, whole_edge)
+                          _coerce_region, _gauss_norm_sq, cosine_power_terms, differentiate,
+                          gram, inner_product, integrate_powexp, masses, norm_sq,
+                          sup_on_disk_neighborhood, whole_edge)
 from qgs.spectral import solve_torsion
 
-from oracles import (adaptive_simpson, clip_prefix_measures, eval_terms, exact_prefix_measures,
-                     integral_pairs_simpson, loop_integrate_powexp, loop_norm_sq)
+from oracles import (adaptive_simpson, clip_prefix_measures, edge_windows, edgewise_gram,
+                     eval_terms, exact_prefix_measures, integral_pairs_simpson,
+                     loop_integrate_powexp, loop_norm_sq, term_gram)
 
 # w*d values on both sides of the series/closed-form switch at 1/2 and at the
 # extremes of both branches
@@ -390,10 +391,10 @@ def _products(f, region):
     """The products c_s conj(c_t) I_st over every term pair and window of f
     on the region (the whole graph without one), flat: the per-function
     loop's, which masses sums in another order."""
-    reg = _coerce_region(f, region)
+    reg = _coerce_region(f.graph, region)
     out = [np.empty(0, dtype=complex)]
     for eid, terms in f.terms.items():
-        a, b = _edge_windows(f, reg, eid)
+        a, b = edge_windows(f, reg, eid)
         c, p, w = np.array(terms, dtype=complex).T
         out.append((np.multiply.outer(c, c.conj())[..., None]
                     * term_gram(p.real, w.real, a, b)).ravel())
@@ -411,7 +412,7 @@ def assert_summed(got, f, region, *others):
     exact = math.fsum(x.real)
     others = (loop_norm_sq(f, region), *others)
     if exact <= _RESOLVED_REL * gross:
-        assert {got, *others} == {_gauss_norm_sq(f, _coerce_region(f, region))}
+        assert {got, *others} == {_gauss_norm_sq(f, _coerce_region(f.graph, region))}
         return
     bound = (x.size - 1) * _EPS * gross
     assert abs(got - exact) <= bound
@@ -562,8 +563,121 @@ class TestMasses:
     def test_empty_and_mixed_graphs(self):
         assert masses([]) == []
         f = cos_fn(interval_graph(1.0), 2.0)
-        with pytest.raises(ValueError, match="different graphs"):
-            masses([f, cos_fn(interval_graph(1.0), 2.0)])
+        for fn in (masses, gram):
+            with pytest.raises(ValueError, match="different graphs"):
+                fn([f, cos_fn(interval_graph(1.0), 2.0)])
+
+
+def _gram_gross(fns, region):
+    """|G|[i, j]: the sum of |c_s| |c_t| |I_st| over every edge, window and
+    term pair s of fns[i], t of fns[j] (the per-edge Gram's basis, in abs)."""
+    graph, n = fns[0].graph, len(fns)
+    reg = _coerce_region(graph, region)
+    out = np.zeros((n, n))
+    for eid in graph.edge_ids:
+        owner = [i for i, f in enumerate(fns) for _ in f.terms.get(eid, ())]
+        a, b = edge_windows(fns[0], reg, eid)
+        if owner and a.size:
+            c, p, w = np.array([t for f in fns for t in f.terms.get(eid, ())], dtype=complex).T
+            coeffs = np.zeros((n, len(owner)))
+            coeffs[owner, np.arange(len(owner))] = np.abs(c)
+            out += coeffs @ np.abs(term_gram(p.real, w.real, a, b)).sum(axis=-1) @ coeffs.T
+    return out
+
+
+def assert_gram_matches_edgewise(fns, region):
+    """gram against the per-edge Gram it replaced, entry by entry, within
+    twice the a-priori bound of either: gamma_N of the gross sum, N the
+    longest window sum plus the longest key-pair and edge sum (every key of
+    the padded blocks) plus 6 for the two complex products (sqrt(2) gamma_2
+    each)."""
+    got, want = gram(fns, region), edgewise_gram(fns, region)
+    edges, windows, keys = len(fns[0].graph.edges), 1, 0
+    for f in fns:
+        keys = max([keys, *(2 * len(ts) for ts in f.terms.values())])  # f's terms and f''s keys
+    if region is not None:
+        windows = max([1, *(len(iv) for iv in _coerce_region(fns[0].graph, region).values())])
+    n = windows + edges * (len(fns) * keys) ** 2 + 6
+    bound = 2.0 * _summation_bound(n) * _gram_gross(fns, region)
+    assert got.shape == want.shape == (len(fns), len(fns))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def _random_function(rng, graph, eids):
+    return GraphFunction(graph, {
+        e: [PolyTrigTerm(complex(*rng.normal(size=2)), int(rng.integers(0, 3)),
+                         float(rng.choice([0.0, 1.5, -1.5, 4.0, float(rng.uniform(-20, 20))])))
+            for _ in range(int(rng.integers(1, 4)))]
+        for e in eids})
+
+
+class TestGram:
+    """gram, one kernel call over the layout of masses, against the per-edge
+    Gram it replaced (tests/oracles.py) to the summation bound of
+    assert_gram_matches_edgewise."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_edgewise_gram(self, seed):
+        rng = np.random.default_rng(seed)
+        n_edges = int(rng.integers(1, 7))
+        lengths = rng.uniform(0.3, 2.5, size=n_edges)
+        g = build_graph([f"v{i}" for i in range(n_edges + 1)],
+                        [(f"e{i}", f"v{i}", f"v{i + 1}", lengths[i]) for i in range(n_edges)])
+        eids = list(g.edge_ids)
+        # each function on a random subset of the edges (possibly none)
+        fns = [_random_function(rng, g, [e for e in eids if rng.random() < 0.7])
+               for _ in range(int(rng.integers(1, 7)))]
+        # a region on a subset of the edges, the first with 8 to 12 windows
+        chosen = [e for e in eids if rng.random() < 0.6] or eids[:1]
+        region = {}
+        for j, e in enumerate(chosen):
+            ell = g.edge_lengths[e]
+            cuts = np.sort(rng.uniform(0.0, ell, size=2 * (int(rng.integers(8, 13)) if j == 0
+                                                            else int(rng.integers(0, 4)))))
+            region[e] = IntervalUnion(cuts.reshape(-1, 2).tolist(), length=ell)
+        assert len(region[chosen[0]]) >= 8
+        for reg in (None, region):
+            assert_gram_matches_edgewise(fns, reg)
+
+    def test_one_kernel_call_per_gram_call(self, monkeypatch):
+        import qgs.polytrig as polytrig
+        calls = []
+        kernel = polytrig.integrate_powexp
+        monkeypatch.setattr(polytrig, "integrate_powexp",
+                            lambda *args: calls.append(1) or kernel(*args))
+        rng = np.random.default_rng(3)
+        g = build_graph(["a", "b", "c", "d"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.5),
+                                               ("e3", "b", "d", 0.7)])
+        fns = [_random_function(rng, g, eids) for eids in (["e1", "e2"], ["e2", "e3"], ["e3"])]
+        region = {"e1": IntervalUnion([(0.1, 0.4), (0.6, 0.9)], length=1.0),
+                  "e3": IntervalUnion([(0.0, 0.2)], length=0.7)}
+        for fs in (fns, fns[:1], [fns[0], GraphFunction.zero(g)]):
+            for reg in (None, region):
+                calls.clear()
+                gram(fs, reg)
+                assert len(calls) == 1
+                calls.clear()
+                inner_product(fs[0], fs[-1], reg)
+                assert len(calls) == 1
+        calls.clear()
+        assert gram([]).shape == (0, 0) and not calls
+
+    def test_interval_plus_ray(self):
+        # a region Gram on a graph with a ray integrates the region's windows
+        # only; the whole-graph Gram refuses, as the per-edge Gram did
+        g = build_graph(["a", "b"], [("e", "a", "b", 1.2), ("r", "b", None, math.inf)])
+        rng = np.random.default_rng(11)
+        fns = [_random_function(rng, g, eids) for eids in (["e", "r"], ["r"], ["e"])]
+        region = {"e": IntervalUnion([(0.1, 0.5), (0.7, 1.1)], length=1.2)}
+        assert_gram_matches_edgewise(fns, region)
+        assert gram(fns[1:2], region)[0, 0] == 0.0
+        for fn in (gram, edgewise_gram):
+            with pytest.raises(ValueError, match="^whole-graph quadrature on a non-compact graph$"):
+                fn(fns)
+            with pytest.raises(ValueError, match="^quadrature region on an infinite edge$"):
+                fn(fns, {"r": IntervalUnion([(0.0, 1.0)], length=1.0)})
+        with pytest.raises(ValueError, match="^whole-graph quadrature on a non-compact graph$"):
+            masses(fns, region)
 
 
 class TestParsevalStyle:
