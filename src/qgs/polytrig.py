@@ -54,6 +54,12 @@ def canonical_terms(terms: Iterable[PolyTrigTerm]) -> tuple[PolyTrigTerm, ...]:
             raise ValueError(f"term power {t.power} outside 0..{MAX_TERM_POWER}")
         key = (int(t.power), float(t.freq) + 0.0)  # +0.0 folds -0.0 into 0.0
         merged[key] = merged.get(key, 0j) + complex(t.coeff)
+    return _pruned(merged)
+
+
+def _pruned(merged: dict[tuple[int, float], complex]) -> tuple[PolyTrigTerm, ...]:
+    """The terms of coefficient sums by canonical key (power, freq): those at
+    least PRUNE_REL of the largest |sum|, sorted by key."""
     if not merged:
         return ()
     peak = max(abs(c) for c in merged.values())
@@ -97,7 +103,19 @@ class IntervalUnion:
         if merged and merged[-1][1] > length * (1.0 + 1e-12) + 1e-300:
             raise ValueError(f"interval extends beyond edge length {length}")
         # clamp fp spill at the domain ends
-        merged = [(min(max(a, 0.0), length), min(b, length)) for a, b in merged]
+        self._store([(min(max(a, 0.0), length), min(b, length)) for a, b in merged], length)
+
+    @classmethod
+    def _sorted(cls, parts: list[tuple[float, float]], length: float) -> "IntervalUnion":
+        """The union of float parts that are already sorted, nonempty,
+        separated by gaps and inside [0, length] but for a last end that spills
+        past length by rounding, which is clamped as the constructor does;
+        nothing else is checked."""
+        iu = cls.__new__(cls)
+        iu._store(parts and [*parts[:-1], (parts[-1][0], min(parts[-1][1], length))], length)
+        return iu
+
+    def _store(self, merged: list[tuple[float, float]], length: float):
         self.intervals: tuple[tuple[float, float], ...] = tuple(merged)
         self.length = length
         # one read-only buffer: the starts, the ends and the running sums
@@ -404,20 +422,24 @@ def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
     return complex(gram([f, g], region)[0, 1])
 
 
-class Mass(NamedTuple):
+class Mass:
     """||f||^2 on the whole graph and on the region (the whole graph again
     without one), the same of f', and f's edge arrays: row i is edges[i], its
-    first sizes[i] keys f's, then padding (0, 0); gram[i] is their Gram."""
+    first sizes[i] keys f's, then padding (0, 0); gram[i] is their Gram.
+    Indexing reads the fields in that order, as from a tuple."""
 
-    whole: float
-    part: float
-    d_whole: float
-    d_part: float
-    edges: tuple[str, ...]
-    sizes: np.ndarray
-    coeffs: np.ndarray
-    freqs: np.ndarray
-    gram: np.ndarray
+    __slots__ = ("whole", "part", "_d", "edges", "sizes", "coeffs", "freqs", "gram")
+
+    def __init__(self, whole: float, part: float, d: tuple[_Settled, _Settled], *arrays):
+        self.whole, self.part, self._d = whole, part, d
+        self.edges, self.sizes, self.coeffs, self.freqs, self.gram = arrays
+
+    d_whole = property(lambda self: self._d[0](), doc="f''s whole-graph mass")
+    d_part = property(lambda self: self._d[1](), doc="f''s mass on the region")
+
+    def __getitem__(self, i):
+        return (self.whole, self.part, self.d_whole, self.d_part, self.edges, self.sizes,
+                self.coeffs, self.freqs, self.gram)[i]
 
 
 def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
@@ -428,8 +450,8 @@ def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
     array sum of c conj(c') I, its imaginary residue asserted to be noise;
     one below _RESOLVED_REL of its gross scale (the sum of |c conj(c') I|, the
     closed form's cancellation floor being about 1e-16 of it) is integrated
-    again by _gauss_norm_sq, f' built only then.  A function keeps its
-    whole-graph Mass."""
+    again by _gauss_norm_sq: f's at once, f''s on its first read, f' built
+    only then.  A function keeps its whole-graph Mass."""
     if not fns:
         return []
     if region is None and all(f._mass is not None and f.graph is fns[0].graph for f in fns):
@@ -448,22 +470,38 @@ def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:
     sizes = slot.sum(axis=-1)
     out = []
     for i, f in enumerate(fns):
-        whole, d_whole = (_settle(f, None, o, sums[0][0][i][o], sums[0][1][i][o]) for o in (0, 1))
+        whole, d_whole = (_Settled(f, None, o, sums[0][0][i][o], sums[0][1][i][o])
+                          for o in (0, 1))
         arrays = (edges, sizes[i], c[i], w[i], ints[i, ..., 0])
-        f._mass = Mass(whole, whole, d_whole, d_whole, *arrays)
-        part, d_part = ((whole, d_whole) if region is None else
-                        (_settle(f, reg, o, sums[1][0][i][o], sums[1][1][i][o]) for o in (0, 1)))
-        out.append(Mass(whole, part, d_whole, d_part, *arrays))
+        whole = whole()
+        f._mass = Mass(whole, whole, (d_whole, d_whole), *arrays)
+        if region is None:
+            out.append(f._mass)
+            continue
+        part, d_part = (_Settled(f, reg, o, sums[1][0][i][o], sums[1][1][i][o]) for o in (0, 1))
+        out.append(Mass(whole, part(), (d_whole, d_part), *arrays))
     return out
 
 
-def _settle(f: GraphFunction, reg, order: int, val: complex, gross: float) -> float:
+class _Settled:
     """∫ |f^(order)|^2 over the windows from its sum of c conj(c') I and the
-    gross scale, checked and, if unresolved, integrated again (see masses)."""
-    if abs(val.imag) > 1e-10 * max(val.real, 0.0) + 1e-12 * gross + 1e-300:
-        raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
-    return (_gauss_norm_sq(differentiate(f, order), reg) if val.real <= _RESOLVED_REL * gross
-            else val.real)
+    gross scale, checked at once and, if unresolved, integrated again on the
+    first call (see masses)."""
+
+    __slots__ = ("f", "reg", "order", "value")
+
+    def __init__(self, f: GraphFunction, reg, order: int, val: complex, gross: float):
+        if abs(val.imag) > 1e-10 * max(val.real, 0.0) + 1e-12 * gross + 1e-300:
+            raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
+        # a copy of f, which keeps this through its Mass: no reference cycle
+        self.f = (GraphFunction._canonical(f.graph, f.terms) if val.real <= _RESOLVED_REL * gross
+                  else None)
+        self.reg, self.order, self.value = reg, order, val.real
+
+    def __call__(self) -> float:
+        if self.f is not None:
+            self.value, self.f = _gauss_norm_sq(differentiate(self.f, self.order), self.reg), None
+        return self.value
 
 
 def norm_sq(f: GraphFunction, region=None) -> float:

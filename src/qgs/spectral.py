@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import (BoundarySubspace, MetricGraph, gauge_transform,
                      vertex_conditions_subspace)
-from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm
+from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm, _pruned
 
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
@@ -458,15 +458,19 @@ def spectral_sample(pairs: list[EigenPair], coeffs) -> GraphFunction:
     if not pairs:
         raise ValueError("empty eigenpair list")
     graph = pairs[0].function.graph
-    merged: dict[str, list[PolyTrigTerm]] = {}
+    # the eigenfunctions' terms are canonical: their sums by key need only
+    # the pruning and sorting of canonical_terms
+    sums: dict[str, dict[tuple[int, float], complex]] = {}
     for c, p in zip(coeffs, pairs):
         if p.function.graph is not graph:
             raise ValueError("functions live on different graphs")
         z = complex(c)
         for e, ts in p.function.terms.items():
-            merged.setdefault(e, []).extend(PolyTrigTerm(t.coeff * z, t.power, t.freq)
-                                            for t in ts)
-    return GraphFunction(graph, merged)
+            acc = sums.setdefault(e, {})
+            for coeff, power, freq in ts:
+                acc[power, freq] = acc.get((power, freq), 0j) + coeff * z
+    return GraphFunction._canonical(graph, {e: ts for e, acc in sums.items()
+                                            if (ts := _pruned(acc))})
 
 
 def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:

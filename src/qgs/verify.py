@@ -27,6 +27,7 @@ from .spectral import (EigenPair, boundary_residual, eigenvalues_up_to, spectral
 PASS_REL_TOL = 1e-12      # strict ">" of the theorems at floating-point scale
 EPS = 2.0 ** -52          # double-precision machine epsilon
 M_MAX = 40                # derivative orders checked per edge
+_GROWTH = np.array([2.0 ** (m + 1) for m in range(1, M_MAX + 1)])  # 2^(m+1), m = 1..M_MAX
 DEFAULT_SEED = 20240 + 5
 
 
@@ -125,9 +126,13 @@ def classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
 
     The Bernstein estimate ||f^(m)||^2 <= lam^m ||f||^2 is asserted for f
     itself first.  The per-order norms are one stacked product over f's kept
-    Mass arrays, and so are the one-step derivative gains; if lam > 0 and
-    every gain is at most 2*lam, the classification extends to every order m
-    (no truncation caveat).  Edges with x**p terms go order by order.
+    Mass arrays.  If lam > 0 and every edge's one-step derivative gain is at
+    most c = 2 lam (1 + 1e-9), the classification extends to every order m
+    (no truncation caveat): with b an edge's modes' Gram and w their
+    frequencies, that holds exactly when b and c b - w b w are positive
+    definite, decided by one Cholesky factorisation of every edge's pair
+    stacked.  Edges with x**p terms go order by order; their gain is 0 when
+    every frequency is 0 and inf otherwise.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
@@ -136,36 +141,35 @@ def classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
     mass = masses([f])[0]  # kept by f when its ratios were just computed
     total = mass.whole
 
-    orders = np.arange(M_MAX + 1)
     caps = np.array([float(lam) ** m for m in range(M_MAX + 1)])  # C(m) = lam^m
     w, gram = mass.freqs, mass.gram
     # ||f_e^(m)||^2 = sum c_s conj(c_t) G_st (w_s w_t)^m: the phase i^m cancels
-    powers = np.cumprod(np.concatenate((np.ones_like(w)[:, None],
-                                        np.repeat(w[:, None], M_MAX, axis=1)), axis=1), axis=1)
+    powers = np.empty((len(w), M_MAX + 1, w.shape[1]))
+    powers[:, 0], powers[:, 1:] = 1.0, w[:, None]
+    np.cumprod(powers, axis=1, out=powers)
     form = np.real(mass.coeffs[..., None] * gram * mass.coeffs.conj()[:, None])
     norms = np.sum((powers @ form) * powers, axis=-1)
-    # largest one-step derivative gain on the span of each edge's modes:
-    # padding keys, the identity in the Gram and 0 in a, add the eigenvalue 0
-    keys = np.arange(w.shape[1]) < mass.sizes[:, None]
-    b = np.where(keys[..., None] & keys[:, None], gram, np.eye(w.shape[1]))
-    a = w[..., None] * b * w[:, None]
-    try:
-        gains = max_generalized_eig(a, b)
-    except np.linalg.LinAlgError:  # one edge at a time: a Gram not positive definite keeps inf
-        gains = np.full(len(w), math.inf)
-        for i in range(len(w)):
-            try:
-                gains[i] = max_generalized_eig(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
+    poly = np.zeros(len(w), dtype=bool)
+    closure = lam > 0.0
     for eid, terms in f.terms.items():
         if any(t.power for t in terms):  # order by order: one derivative step each
             ds = [GraphFunction._canonical(f.graph, {eid: terms})]
-            for _ in orders[1:]:
+            for _ in range(M_MAX):
                 ds.append(ds[-1].derivative())
             i = mass.edges.index(eid)
             norms[i] = [d.whole for d in masses(ds)]
-            gains[i] = 0.0 if all(t.freq == 0.0 for t in terms) else math.inf
+            poly[i] = True
+            closure = closure and all(t.freq == 0.0 for t in terms)
+    if closure:
+        # padding keys and x**p edges, whose frequencies are now all 0: the
+        # identity in b, so c b - w b w is c there
+        keys = (np.arange(w.shape[1]) < mass.sizes[:, None]) & ~poly[:, None]
+        b = np.where(keys[..., None] & keys[:, None], gram, np.eye(w.shape[1]))
+        c = 2.0 * lam * (1.0 + 1e-9)
+        try:
+            np.linalg.cholesky(np.concatenate((b, c * b - w[..., None] * b * w[:, None])))
+        except np.linalg.LinAlgError:
+            closure = False
 
     # the function itself must obey the estimate before edges are judged by it
     lhs = norms.sum(axis=0)
@@ -175,9 +179,8 @@ def classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
         raise ValueError(f"profile violated at order {m}: "
                          f"||f^({m})||^2 = {lhs[m]} > C({m})||f||^2 = {caps[m] * total}")
 
-    good = np.all(norms[:, 1:] <= 2.0 ** (orders[1:] + 1) * caps[1:] * norms[:, :1]
+    good = np.all(norms[:, 1:] <= _GROWTH * caps[1:] * norms[:, :1]
                   * (1.0 + 1e-9) + 1e-14 * total, axis=1)
-    closure = lam > 0.0 and bool(np.all(gains <= 2.0 * lam * (1.0 + 1e-9)))
     good_mass = float(norms[good, 0].sum())
     bad_mass = float(norms[~good, 0].sum())
     # edges where f vanishes identically are good and carry no mass
@@ -254,7 +257,8 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
     terms = [PolyTrigTerm(complex(c), int(p), float(w)) for c, p, w in terms]
     f = GraphFunction(build_graph(["a", "b"], [("e", "a", "b", ell)]), {"e": terms})
     with np.errstate(over="ignore", invalid="ignore"):
-        full, lhs = masses([f], {"e": s_set})[0][:2]
+        m = masses([f], {"e": s_set})[0]
+    full, lhs = m.whole, m.part
     if not math.isfinite(full):
         raise ValueError("the function's mass is past the float range")
     if full <= 0.0:
@@ -482,7 +486,7 @@ def _random_certified_set(rng: np.random.Generator, g: MetricGraph
                 s1 = t0 + float(rng.uniform(0.0, 0.5 * w - half))
                 s2 = t0 + 0.5 * w + float(rng.uniform(0.0, 0.5 * w - half))
                 parts.extend([(s1, s1 + half), (s2, s2 + half)])
-        finite[eid] = IntervalUnion(parts, length=ell)
+        finite[eid] = IntervalUnion._sorted(parts, ell)  # sorted and separated by the cuts
         breaks[eid] = tuple(cuts)
     sset = SamplingSet(finite=finite)
     cover = Cover(breakpoints=breaks)

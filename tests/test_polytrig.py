@@ -107,6 +107,38 @@ class TestIntervalUnion:
         assert (empty.starts.size, empty.ends.size, empty.cum.tolist()) == (0, 0, [0.0])
         assert type(empty.measure) is float and empty.measure == 0.0
 
+    def test_sorted_parts_build_the_public_union(self, monkeypatch):
+        # every cover-first set of 2 000 audit trials, and a last end one ulp
+        # past the length, which both clamp: the same intervals and the same
+        # starts, ends and cum bit for bit
+        def assert_same(got, parts, length):
+            want = IntervalUnion(parts, length=length)
+            assert (got.intervals, got.length) == (want.intervals, want.length)
+            for name in ("starts", "ends", "cum"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert not getattr(got, name).flags.writeable
+
+        built = IntervalUnion._sorted.__func__
+        seen = []
+
+        def spy(cls, parts, length):
+            seen.append((built(cls, parts, length), list(parts), length))
+            return seen[-1][0]
+
+        monkeypatch.setattr(IntervalUnion, "_sorted", classmethod(spy))
+        pool = verify.audit_pool(np.random.default_rng(1), 200.0)
+        for i in range(2000):
+            verify._trial_sample(pool, 1, i)
+        monkeypatch.undo()
+        assert len(seen) > 2000
+        for got, parts, length in seen:
+            assert_same(got, parts, length)
+        spill = [(0.1, 0.3), (0.5, math.nextafter(1.0, 2.0))]
+        got = IntervalUnion._sorted(spill, 1.0)
+        assert got.intervals[-1] == (0.5, 1.0) and spill[-1][1] > 1.0
+        assert_same(got, spill, 1.0)
+        assert_same(IntervalUnion._sorted([], 1.0), [], 1.0)
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(case=_scaled_union_and_points())
     def test_prefix_measures_against_the_clip_sum_and_rationals(self, case):

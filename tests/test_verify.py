@@ -12,7 +12,7 @@ from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
                           masses, norm_sq, whole_edge)
 from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
-from qgs.spectral import eigenvalues_up_to, spectral_sample
+from qgs.spectral import eigenvalues_up_to, solve_torsion, spectral_sample
 from qgs.verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
                         lasso_counterexample, local_estimate_check, mass_ratio,
                         max_generalized_eig, observability_numeric,
@@ -235,39 +235,53 @@ class TestClassifyEdges:
                 for name in ("good_mass", "bad_mass", "total_mass"):
                     assert abs(getattr(got, name) - getattr(want, name)) <= bound, name
 
-    def test_non_positive_definite_gram_keeps_gain_inf(self, monkeypatch):
+    def test_non_positive_definite_gram_keeps_gain_inf(self):
         # audit trial 1652 of seed 1056759765: a K4 combination of five modes
-        # whose Grams on e5 and e6 fail Cholesky; the stack is split into one
-        # edge at a time, those two keep gain inf and the others a finite one
+        # whose Grams on e5 and e6 fail Cholesky, so no gain bound holds
+        # there: closure is False, and the flags are the edgewise oracle's
         seed = 1056759765
         pool = verify.audit_pool(np.random.default_rng(seed), 200.0)
         f, lam = verify._trial_sample(pool, seed, 1652)[4:]
-        top = verify.max_generalized_eig
-        seen = []
-
-        def spy(a, b):
-            try:
-                out = top(a, b)
-            except np.linalg.LinAlgError:
-                seen.append((a.ndim, math.inf))
-                raise
-            seen.append((a.ndim, float(np.max(out))))
-            return out
-
-        monkeypatch.setattr(verify, "max_generalized_eig", spy)
         got = classify_edges(f, lam)
-        monkeypatch.undo()
         m = masses([f])[0]
-        stack, *per_edge = seen
-        assert stack == (3, math.inf) and [nd for nd, _ in per_edge] == [2] * len(m.edges)
-        for (_, gain), eid in zip(per_edge, m.edges):
-            assert (gain == math.inf) == (eid in ("e5", "e6"))
-            if eid in ("e5", "e6"):
-                with pytest.raises(np.linalg.LinAlgError):
-                    np.linalg.cholesky(m.gram[m.edges.index(eid)])
+        for eid in ("e5", "e6"):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(m.gram[m.edges.index(eid)])
         want = edgewise_classify_edges(GraphFunction(f.graph, f.terms), lam)
         assert got.good == want.good
         assert got.closure_complete is want.closure_complete is False
+
+    def test_polynomial_edge_beside_exponential_edges(self, monkeypatch):
+        # the torsion function's quadratic on a lasso's tail beside modes: the
+        # tail goes order by order (gain 0 at frequency 0 alone, inf beside a
+        # mode's exp(+-ikx)) while the loop joins the Cholesky stack; flags
+        # and closure are the edgewise oracle's, and no generalized
+        # eigenvalue is computed
+        monkeypatch.setattr(verify, "max_generalized_eig", None)
+        g = build_graph(["v", "w"], [("loop", "v", "v", 1.0), ("tail", "v", "w", 1.0)])
+        tail = GraphFunction(g, {"tail": solve_torsion(g, ["w"]).function.terms["tail"]})
+        k = 2.0 * math.pi  # sin(kx) on the loop alone
+        fns = [p.function for p in eigenvalues_up_to(g, standard_subspace(g), 100.0)]
+        fns.append(GraphFunction(g, {"loop": [PolyTrigTerm(-0.5j, 0, k),
+                                              PolyTrigTerm(0.5j, 0, -k)]}))
+        closures = set()
+        for phi in fns:
+            for scale in (0.1, 1.0, 10.0, 100.0):
+                f = phi + tail * scale
+                assert any(t.power for t in f.terms["tail"])
+                assert not any(t.power for t in f.terms["loop"])
+                for lam in (5.0, 15.0, 25.0, 45.0, 100.0):
+                    try:
+                        want = edgewise_classify_edges(f, lam)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="profile violated"):
+                            classify_edges(f, lam)
+                        continue
+                    got = classify_edges(f, lam)
+                    assert (got.good, got.closure_complete) == (want.good,
+                                                                want.closure_complete)
+                    closures.add(got.closure_complete)
+        assert closures == {True, False}
 
 
 class TestKovrijkine:
@@ -377,6 +391,26 @@ class TestOptimality:
                 decided += 1
                 assert out["lower"] <= out["ratio"] <= out["upper"]
         assert decided == 10
+
+    def test_derivative_masses_are_not_integrated_unread(self, monkeypatch):
+        # at lambda 20000 both the part of f and that of f' are below the
+        # closed form's floor; the example reads only f's, so the Gauss rule
+        # runs once, and f''s runs when, and only when, it is read
+        import qgs.polytrig as polytrig
+        gauss = polytrig._gauss_norm_sq
+        calls = []
+        monkeypatch.setattr(polytrig, "_gauss_norm_sq",
+                            lambda f, reg: calls.append(f) or gauss(f, reg))
+        optimality_example(1.0, 20000.0, 0.3)
+        assert len(calls) == 1
+        alpha = math.floor(math.sqrt(20000.0) / (2.0 * math.pi))
+        f = GraphFunction(interval(1.0), {"e": list(cosine_power_terms(alpha, 2.0 * math.pi))})
+        w = {"e": IntervalUnion([(0.175, 0.325), (0.675, 0.825)], length=1.0)}
+        calls.clear()
+        m = masses([f], w)[0]
+        assert len(calls) == 1
+        assert m.d_part == m.d_part == gauss(f.derivative(), w)
+        assert len(calls) == 2 and calls[1].terms == f.derivative().terms
 
     def test_gauss_part_stays_within_its_stated_floor(self):
         # the exact part is at most |W| sup_W |f|^2, so the computed one may
