@@ -293,18 +293,18 @@ class TorsionProfileReport:
     norms: dict
 
 
-def torsion_profile(graph, torsion, rho: float, gamma: float) -> TorsionProfileReport:
+def torsion_profile(torsion, rho: float, gamma: float) -> TorsionProfileReport:
     """Finite Bernstein profile (1, |G|/T, |G|/||u||^2, 0, ...) of the solved
-    torsion function, its exact series budget h, the geometry-only majorant
-    h' = 1 + 10 rho sqrt(|G|/T) + 50 rho^2 |G|/T, and the resulting sampling
-    bound evaluated at h' (formula id torsion)."""
+    torsion function u on its graph G, its exact series budget h, the
+    geometry-only majorant h' = 1 + 10 rho sqrt(|G|/T) + 50 rho^2 |G|/T, and
+    the resulting sampling bound evaluated at h' (formula id torsion)."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    total = sum(graph.edge_lengths.values())
-    if not math.isfinite(total):
-        raise ValueError("torsion profile needs a compact graph")
     rigidity = torsion.rigidity
     u = torsion.function
+    total = sum(u.graph.edge_lengths.values())
+    if not math.isfinite(total):
+        raise ValueError("torsion profile needs a compact graph")
     n0, n1, n2 = (m.whole for m in masses([u, u.derivative(), u.derivative(2)]))
     cb1 = total / rigidity
     cb2 = total / n0

@@ -168,7 +168,7 @@ def _bound_observability(args):
 def _bound_torsion(args):
     g, _ = load_graph(args.graph)
     sol = solve_torsion(g, args.dirichlet)
-    return bnd.torsion_profile(g, sol, rho=args.rho, gamma=args.gamma), 0
+    return bnd.torsion_profile(sol, rho=args.rho, gamma=args.gamma), 0
 
 
 def _compare(args, which):
@@ -239,7 +239,7 @@ def _verify_trace_ineq(args):
                                     float(rng.uniform(-8, 8)))
                        for _ in range(int(rng.integers(1, 4)))]
                  for eid in g.edge_ids}
-        reports.append(vfy.boundary_trace_check(GraphFunction(g, terms), g))
+        reports.append(vfy.boundary_trace_check(GraphFunction(g, terms)))
     ok = all(r.passed for r in reports)
     return {"trials": args.trials, "all_passed": ok,
             "worst_slack": min(r.rhs - r.lhs for r in reports)}, 0 if ok else 2

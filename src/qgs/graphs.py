@@ -254,16 +254,10 @@ class BoundarySubspace:
     def perp(self) -> "BoundarySubspace":
         return BoundarySubspace(self.graph, _span_and_perp(self.basis)[1])
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(vec, dtype=complex))
-        coeff = self.basis.conj() @ np.asarray(vec, dtype=complex)
-        return self.basis.T @ coeff
-
     def residual(self, vec: np.ndarray) -> float:
         """Distance from vec to the subspace."""
         v = np.asarray(vec, dtype=complex)
-        return float(np.linalg.norm(v - self.project(v)))
+        return float(np.linalg.norm(v - self.basis.T @ (self.basis.conj() @ v)))
 
     def equals(self, other: "BoundarySubspace", tol: float = 1e-10) -> bool:
         """Span equality via mutual projection residuals."""
@@ -272,9 +266,6 @@ class BoundarySubspace:
         r = max((other.residual(v) for v in self.basis), default=0.0)
         s = max((self.residual(v) for v in other.basis), default=0.0)
         return max(r, s) < tol
-
-    def to_json(self) -> dict:
-        return {"basis": [[{"re": z.real, "im": z.imag} for z in row] for row in self.basis]}
 
 
 def full_subspace(g: MetricGraph) -> BoundarySubspace:

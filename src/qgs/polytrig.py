@@ -165,9 +165,6 @@ class IntervalUnion:
         return (float(self.starts[0]), interior[interior > 0.0].tolist(),
                 self.length - float(self.ends[-1]))
 
-    def to_json(self) -> list[list[float]]:
-        return [[a, b] for a, b in self.intervals]
-
 
 def whole_edge(length: float) -> IntervalUnion:
     return IntervalUnion([(0.0, length)], length=length)
@@ -273,9 +270,6 @@ class GraphFunction:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def edge_terms(self, eid: str) -> tuple[PolyTrigTerm, ...]:
-        return self.terms.get(eid, ())
 
     def evaluate(self, eid: str, x: float) -> complex:
         val = 0j
@@ -425,8 +419,7 @@ def inner_product(f: GraphFunction, g: GraphFunction, region=None) -> complex:
 class Mass:
     """||f||^2 on the whole graph and on the region (the whole graph again
     without one), the same of f', and f's edge arrays: row i is edges[i], its
-    first sizes[i] keys f's, then padding (0, 0); gram[i] is their Gram.
-    Indexing reads the fields in that order, as from a tuple."""
+    first sizes[i] keys f's, then padding (0, 0); gram[i] is their Gram."""
 
     __slots__ = ("whole", "part", "_d", "edges", "sizes", "coeffs", "freqs", "gram")
 
@@ -436,10 +429,6 @@ class Mass:
 
     d_whole = property(lambda self: self._d[0](), doc="f''s whole-graph mass")
     d_part = property(lambda self: self._d[1](), doc="f''s mass on the region")
-
-    def __getitem__(self, i):
-        return (self.whole, self.part, self.d_whole, self.d_part, self.edges, self.sizes,
-                self.coeffs, self.freqs, self.gram)[i]
 
 
 def masses(fns: Sequence[GraphFunction], region=None) -> list[Mass]:

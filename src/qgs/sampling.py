@@ -85,14 +85,6 @@ class SamplingSet:
     def load(cls, g: MetricGraph, path) -> "SamplingSet":
         return cls.from_dict(g, read_json(path))
 
-    def to_json(self) -> dict:
-        out: dict = {"edges": {e: iu.to_json() for e, iu in sorted(self.finite.items())}}
-        if self.external:
-            out["external"] = {
-                e: {"head": t.head.to_json(), "period": t.period, "body": t.body.to_json()}
-                for e, t in sorted(self.external.items())}
-        return out
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -366,17 +358,6 @@ def _walk(t: list[float], q: list[float], slack_w: float, slack_m: float
     return path[::-1]
 
 
-def _cover_dp(ts: np.ndarray, pref: np.ndarray, rho: float, gamma: float,
-              ell: float) -> list[float] | None:
-    """Feasibility DP: can [0, ell] be covered by candidate-aligned adjacent
-    intervals of length <= rho and relative measure >= gamma?  Returns the
-    breakpoints of one such cover (preferring long steps), or None."""
-    slack_m = _EQ_SLACK * max(1.0, ell)
-    slack_w = rho + slack_m
-    t, q = ts.tolist(), (pref - gamma * ts).tolist()
-    return _walk(t, q, slack_w, slack_m) if _reach(t, q, slack_w, slack_m) else None
-
-
 @dataclass
 class GammaResult:
     gamma: float
@@ -414,7 +395,12 @@ def optimal_gamma(omega: IntervalUnion, ell: float, rho: float,
     ts = _candidates(omega, ell, rho, grid_n)
     pref = omega.prefix_measures(ts)
     gamma = _maxmin_density(ts, pref, _window_starts(ts, rho, ell))
-    bps = _cover_dp(ts, pref, rho, gamma, ell) if gamma > 0.0 else None
+    bps = None
+    if gamma > 0.0:  # the feasibility DP's cover at gamma, preferring long steps
+        slack_m = _EQ_SLACK * max(1.0, ell)
+        t, q = ts.tolist(), (pref - gamma * ts).tolist()
+        if _reach(t, q, rho + slack_m, slack_m):
+            bps = _walk(t, q, rho + slack_m, slack_m)
     gamma_star = _achieved(omega, bps)[0] if bps else 0.0
     if gamma_star <= 10.0 * _EQ_SLACK:
         # no cover, or only ones with a measure-zero window the slack let through

@@ -316,11 +316,18 @@ def optimality_example(ell: float, lam: float, gamma: float) -> dict:
 
 @dataclass
 class ObservabilityNumeric:
+    """The numeric constant against the formula's, and both as natural logs,
+    which still compare where the formula's value saturates to inf past
+    exp(700).  The formula side and both logs are None when the modes are not
+    observable or no certified (gamma, rho) was given."""
+
     observable: bool
     numeric_c_squared: float
     formula_c_squared: float | None
     modes: int
     horizon: float
+    numeric_log_c_squared: float | None = None
+    formula_log_c_squared: float | None = None
 
 
 def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: float,
@@ -356,22 +363,24 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
                                     formula_c_squared=None, modes=modes,
                                     horizon=horizon)
     top = float(max_generalized_eig(lhs, rhs))
-    formula = (None if params is None
-               else observability_constant(params.gamma, params.rho, horizon).c_squared.value)
-    return ObservabilityNumeric(observable=True, numeric_c_squared=top,
-                                formula_c_squared=formula, modes=modes,
-                                horizon=horizon)
+    out = ObservabilityNumeric(observable=True, numeric_c_squared=top,
+                               formula_c_squared=None, modes=modes, horizon=horizon)
+    if params is not None:
+        formula = observability_constant(params.gamma, params.rho, horizon).c_squared
+        out.formula_c_squared, out.formula_log_c_squared = formula.value, formula.log_value
+        out.numeric_log_c_squared = math.log(top)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # boundary trace and the loop counterexample
 
 
-def boundary_trace_check(f: GraphFunction, g: MetricGraph) -> CheckReport:
+def boundary_trace_check(f: GraphFunction) -> CheckReport:
     """Endpoint-value mass against 2 coth(min edge) times the first-order norm."""
     vec = f.boundary_trace(+1)
     lhs = float(np.vdot(vec, vec).real)
-    min_edge = min(g.edge_lengths.values())
+    min_edge = min(f.graph.edge_lengths.values())
     m = masses([f])[0]
     rhs = 2.0 / math.tanh(min_edge) * (m.whole + m.d_whole)
     return CheckReport(name="boundary-trace", passed=lhs <= rhs * (1.0 + 1e-12),

@@ -1494,7 +1494,9 @@ def _observability_numeric_json(self) -> dict:
     return {"observable": self.observable,
             "numeric_c_squared": self.numeric_c_squared,
             "formula_c_squared": self.formula_c_squared,
-            "modes": self.modes, "horizon": self.horizon}
+            "modes": self.modes, "horizon": self.horizon,
+            "numeric_log_c_squared": self.numeric_log_c_squared,
+            "formula_log_c_squared": self.formula_log_c_squared}
 
 
 def _audit_result_json(self) -> dict:

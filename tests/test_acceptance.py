@@ -107,8 +107,8 @@ def test_criterion_3_torsion_exactness():
         ok = ok and abs(two - ell ** 3 / 12.0) < 1e-12 * ell ** 3
     from qgs.bounds import torsion_profile
     g = interval(1.0)
-    rep1 = torsion_profile(g, solve_torsion(g, ["a"]), rho=0.5, gamma=0.5)
-    rep2 = torsion_profile(g, solve_torsion(g, ["a", "b"]), rho=0.5, gamma=0.5)
+    rep1 = torsion_profile(solve_torsion(g, ["a"]), rho=0.5, gamma=0.5)
+    rep2 = torsion_profile(solve_torsion(g, ["a", "b"]), rho=0.5, gamma=0.5)
     ok = ok and rep1.h_prime == pytest.approx(1.0 + 5.0 * math.sqrt(3.0) + 75.0 / 2.0,
                                               rel=1e-12) and rep1.h_prime < 48.0
     ok = ok and rep2.h_prime == pytest.approx(1.0 + 10.0 * math.sqrt(3.0) + 150.0,
@@ -265,7 +265,7 @@ def test_criterion_11_appendix_checks():
                                     float(rng.uniform(-9, 9)))
                        for _ in range(int(rng.integers(1, 4)))]
                  for eid in g.edge_ids}
-        ok = ok and boundary_trace_check(GraphFunction(g, terms), g).passed
+        ok = ok and boundary_trace_check(GraphFunction(g, terms)).passed
     for g in graphs:
         for _ in range(5):
             dim = int(rng.integers(1, g.n_boundary))

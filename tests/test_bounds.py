@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -37,6 +38,10 @@ class TestHBound:
             h_bound(0.0, h=1.0)
         with pytest.raises(ValueError):
             h_bound(0.5, h=0.5)
+        with pytest.raises(ValueError, match="one of h, log_h is required"):
+            h_bound(0.5)
+        with pytest.raises(ValueError, match="log_h must be nonnegative"):
+            h_bound(0.5, log_h=-1.0)
 
     def test_against_decimal_oracle(self):
         for gamma, h in [(0.5, 48.0), (0.9, 2.0), (0.1, 1e6), (1.0, 1.0)]:
@@ -51,6 +56,12 @@ class TestHBound:
 
 
 class TestSpectralBound:
+    def test_domain(self):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            spectral_bound(0.5, 0.0, 10.0)
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            spectral_bound(0.5, 0.5, -1.0)
+
     def test_lambda_zero_collapses(self):
         rep = spectral_bound(0.7, 0.3, 0.0)
         assert rep.value == pytest.approx(12.0 * (0.7 / 48.0) ** 5, rel=1e-12)
@@ -123,6 +134,19 @@ class TestStandardRange:
     def test_k_domain(self):
         with pytest.raises(ValueError):
             standard_range(metrics(interval(1.0)), k=1, gamma=0.5, rho=0.1)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            standard_range(metrics(interval(1.0)), k=2, gamma=0.0, rho=0.1)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            standard_range(metrics(interval(1.0)), k=2, gamma=0.5, rho=0.0)
+        from qgs.graphs import Edge, MetricGraph
+        ray = MetricGraph(["a"], [Edge("r", "a", None, math.inf)])
+        with pytest.raises(ValueError, match="the range needs a compact graph"):
+            standard_range(metrics(ray), k=2, gamma=0.5, rho=0.1)
+        # metrics of a connected compact graph always carry a diameter; a
+        # hand-built record without one is refused
+        no_diameter = dataclasses.replace(metrics(interval(1.0)), diameter=None)
+        with pytest.raises(ValueError, match="diameter unavailable"):
+            standard_range(no_diameter, k=2, gamma=0.5, rho=0.1)
 
 
 class TestTrace:
@@ -144,6 +168,17 @@ class TestTrace:
                                total_length=math.pi, edges=1)
         exact = sum(math.exp(-n * n) for n in range(11))
         assert rep.bound == pytest.approx(48.0 ** 5 / 12.0 * exact, rel=1e-6)
+
+    def test_domain(self):
+        masses = [(0.0, 1.0), (1.0, 1.0)]
+        for kwargs, message in (({"t": 0.0}, "t must be positive"),
+                                ({"gamma": 0.0}, r"gamma must lie in \(0, 1\]"),
+                                ({"rho": 0.0}, "rho must be positive")):
+            args = {"gamma": 0.5, "rho": 0.01, "t": 1.0, **kwargs}
+            with pytest.raises(ValueError, match=message):
+                heat_trace_bound(masses, total_length=math.pi, edges=1, **args)
+        with pytest.raises(ValueError, match="need at least one eigenpair"):
+            heat_trace_bound([], gamma=0.5, rho=0.01, t=1.0, total_length=math.pi, edges=1)
 
     def test_cutoff_below_peak_rejected(self):
         masses = [(0.0, 1.0), (1.0, 1.0)]
@@ -254,6 +289,10 @@ class TestObservability:
             observability_constant(0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             observability_constant(0.5, 0.5, 1.0, c1=-1.0)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            observability_constant(1.5, 0.5, 1.0)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            observability_constant(0.5, 0.0, 1.0)
 
     def test_default_marker(self):
         rep = observability_constant(0.5, 0.5, 1.0)
@@ -271,7 +310,7 @@ class TestTorsionProfile:
         ell = 1.0
         g = interval(ell)
         sol = solve_torsion(g, ["a"])
-        rep = torsion_profile(g, sol, rho=ell / 2.0, gamma=0.5)
+        rep = torsion_profile(sol, rho=ell / 2.0, gamma=0.5)
         want = 1.0 + 5.0 * math.sqrt(3.0) + 75.0 / 2.0
         assert rep.h_prime == pytest.approx(want, rel=1e-12)
         assert rep.h_prime < 48.0
@@ -281,7 +320,7 @@ class TestTorsionProfile:
         ell = 1.0
         g = interval(ell)
         sol = solve_torsion(g, ["a", "b"])
-        rep = torsion_profile(g, sol, rho=ell / 2.0, gamma=0.5)
+        rep = torsion_profile(sol, rho=ell / 2.0, gamma=0.5)
         want = 1.0 + 10.0 * math.sqrt(3.0) + 150.0
         assert rep.h_prime == pytest.approx(want, rel=1e-12)
         assert rep.h_prime < 169.0
@@ -291,7 +330,7 @@ class TestTorsionProfile:
         for ell in (0.5, 2.0, 7.0):
             g = interval(ell)
             sol = solve_torsion(g, ["a"])
-            rep = torsion_profile(g, sol, rho=ell / 2.0, gamma=0.5)
+            rep = torsion_profile(sol, rho=ell / 2.0, gamma=0.5)
             assert rep.h_prime == pytest.approx(1.0 + 5.0 * math.sqrt(3.0) + 37.5,
                                                 rel=1e-12)
 
@@ -300,7 +339,7 @@ class TestTorsionProfile:
                         [("e1", "c", "w1", 1.0), ("e2", "c", "w2", 1.3),
                          ("e3", "c", "w3", 0.7)])
         sol = solve_torsion(g, ["w1", "w3"])
-        rep = torsion_profile(g, sol, rho=0.4, gamma=0.3)
+        rep = torsion_profile(sol, rho=0.4, gamma=0.3)
         # Bernstein inequality for m = 0, 1, 2 holds with the exact norms
         coeffs = rep.profile["coeffs"]
         assert rep.norms["du"] <= coeffs[1] * rep.norms["u"] * (1 + 1e-12)
@@ -312,11 +351,24 @@ class TestTorsionProfile:
                          ("e3", "c", "w3", 0.7)])
         sol = solve_torsion(g, ["w1", "w3"])
         for rho in (0.05, 0.4, 3.0):
-            rep = torsion_profile(g, sol, rho=rho, gamma=0.3)
+            rep = torsion_profile(sol, rho=rho, gamma=0.3)
             assert rep.profile["kind"] == "finite" and rep.profile["coeffs"][0] == 1.0
             series = sum(math.sqrt(c) * (10.0 * rho) ** m / math.factorial(m)
                          for m, c in enumerate(rep.profile["coeffs"]))
             assert rep.h == series
             assert rep.h <= rep.h_prime * (1 + 1e-12)
         with pytest.raises(ValueError, match="rho"):
-            torsion_profile(g, sol, rho=0.0, gamma=0.3)
+            torsion_profile(sol, rho=0.0, gamma=0.3)
+
+    def test_graph_comes_from_the_function(self):
+        # |G| is the total length of the torsion function's own graph; a
+        # function on a ray graph is refused by that graph alone
+        from qgs.graphs import Edge, MetricGraph
+        from qgs.polytrig import GraphFunction
+        from qgs.spectral import TorsionSolution
+        ray = MetricGraph(["a"], [Edge("r", "a", None, math.inf)])
+        fake = TorsionSolution(GraphFunction.zero(ray), rigidity=1.0, dirichlet=("a",))
+        with pytest.raises(ValueError, match="torsion profile needs a compact graph"):
+            torsion_profile(fake, rho=0.5, gamma=0.5)
+        sol = solve_torsion(interval(2.0), ["a"])
+        assert torsion_profile(sol, rho=0.5, gamma=0.5).norms["total_length"] == 2.0

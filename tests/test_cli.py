@@ -319,6 +319,21 @@ class TestVerify:
         assert data["observable"] is True
         assert data["numeric_c_squared"] > 0.0
 
+    def test_observability_prints_both_logs(self, capsys, tmp_path):
+        # the half set certifies at gamma ~ 1e-6, where the formula's constant
+        # passes exp(700) and prints null: its log still gives that side
+        graph, sset = tmp_path / "interval.json", tmp_path / "half.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [
+            {"id": "e", "from": "a", "to": "b", "length": 1.0}]}))
+        sset.write_text(json.dumps({"edges": {"e": [[0.0, 0.5]]}}))
+        code, out, _ = run(capsys, "verify", "observability", "--graph", str(graph),
+                           "--set", str(sset), "--horizon", "0.5", "--modes", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["observable"] is True and data["formula_c_squared"] is None
+        assert data["formula_log_c_squared"] == pytest.approx(521034.9079190787, rel=1e-12)
+        assert data["numeric_log_c_squared"] == math.log(data["numeric_c_squared"])
+
     def test_observability_on_seventy_edges(self, capsys, tmp_path):
         # the solve sized by the eigenphase count holds 141 roots of 140 x 140
         # matrices, under the size cap
@@ -332,6 +347,16 @@ class TestVerify:
                            "--set", str(sset), "--horizon", "0.5", "--modes", "4")
         assert code == 0
         assert json.loads(out)["observable"] is True
+
+    def test_classify_without_eigenvalues_refused(self, capsys, tmp_path):
+        # a Dirichlet interval of length 1 has no eigenvalue below pi^2
+        graph = tmp_path / "dirichlet.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [
+            {"id": "e", "from": "a", "to": "b", "length": 1.0}],
+            "conditions": {"default": "dirichlet"}}))
+        code, out, err = run(capsys, "verify", "classify", "--graph", str(graph),
+                             "--lambda-max", "5")
+        assert (code, out, err) == (1, "", "error: no eigenvalues at or below 5.0\n")
 
     def test_trace_ineq(self, capsys, interval_file):
         code, out, _ = run(capsys, "verify", "trace-ineq", "--graph",
@@ -570,6 +595,8 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
 @pytest.mark.parametrize("argv, named", [
     (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "0"], "--trials"),
     (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "-3"], "--trials"),
+    (["verify", "trace-ineq", "--graph", "{graph}", "--trials", "abc"],
+     "--trials: not an integer: 'abc'"),
     (["verify", "ratio", "--graph", "{graph}", "--set", "{set}", "--modes", "-2"], "--modes"),
     (["verify", "observability", "--graph", "{graph}", "--set", "{set}", "-T", "1",
       "--modes", "0"], "--modes"),
@@ -580,7 +607,7 @@ def test_non_finite_interval_end_is_one_error_line(capsys, tmp_path, interval_fi
     (["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--rho", "0.5"], "--gamma"),
     (["verify", "optimality", "--ell", "1", "--lambda", "37000", "--gamma", "1e-10"],
      "undecidable in double precision"),
-], ids=["trials-0", "trials-negative", "modes-negative", "modes-0",
+], ids=["trials-0", "trials-negative", "trials-not-integer", "modes-negative", "modes-0",
         "audit-trials-0", "gaps-gamma-3", "gaps-gamma-only", "gaps-rho-only",
         "optimality-undecidable"])
 def test_refusal_names_its_input(capsys, interval_file, set_file, argv, named):

@@ -120,6 +120,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="terminal"):
             MetricGraph(["a", "b"], [Edge("r", "a", "b", math.inf)])
 
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate vertex ids"):
+            build_graph(["a", "b", "a"], [("e", "a", "b", 1.0)])
+        with pytest.raises(ValueError, match="duplicate edge id 'e'"):
+            build_graph(["a", "b"], [("e", "a", "b", 1.0), ("e", "b", "a", 2.0)])
+
 
 class TestMetrics:
     def test_interval(self):
@@ -287,6 +293,25 @@ class TestSubspaces:
             with pytest.raises(ValueError, match="orthonormal"):
                 BoundarySubspace(interval(), np.array(basis))
 
+    def test_basis_shape_validated(self):
+        with pytest.raises(ValueError, match="basis vectors must have length 2"):
+            BoundarySubspace(interval(), np.eye(3))
+        with pytest.raises(ValueError, match="more basis vectors than boundary dimensions"):
+            BoundarySubspace(interval(), np.ones((3, 2)))
+
+    def test_unknown_conditions_rejected(self):
+        g = interval()
+        with pytest.raises(ValueError, match="override for unknown vertex 'z'"):
+            vertex_conditions_subspace(g, overrides={"z": "dirichlet"})
+        with pytest.raises(ValueError, match="unknown vertex condition 'robin'"):
+            vertex_conditions_subspace(g, overrides={"a": "robin"})
+        with pytest.raises(ValueError, match="unknown vertex condition 'robin'"):
+            vertex_conditions_subspace(g, "robin")
+
+    def test_gauge_needs_the_same_boundary_layout(self):
+        with pytest.raises(ValueError, match="does not match the graph's boundary layout"):
+            gauge_transform(standard_subspace(three_star()), interval())
+
     def test_perp_is_the_direct_svd_bit_for_bit(self):
         # complements keep the bits of the SVD call they always came from
         k4 = build_graph("abcd", [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.1),
@@ -442,3 +467,6 @@ class TestIngestion:
     def test_missing_field_reported(self):
         with pytest.raises(ValueError, match="missing field"):
             graph_from_dict({"vertices": ["a"]})
+        with pytest.raises(ValueError, match="edge 0: bad length 'long'"):
+            graph_from_dict({"vertices": ["a", "b"],
+                             "edges": [{"from": "a", "to": "b", "length": "long"}]})

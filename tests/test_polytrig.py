@@ -190,6 +190,19 @@ class TestDifferentiate:
         f = GraphFunction(g, {"e": [PolyTrigTerm(2.0, 1, 1.5)]})
         assert norm_sq(differentiate(f, 0) - f) < 1e-28
 
+    def test_refusals(self):
+        g = interval_graph(1.0)
+        f = GraphFunction(g, {"e": [PolyTrigTerm(2.0, 1, 1.5)]})
+        with pytest.raises(ValueError, match="derivative order must be >= 0"):
+            differentiate(f, -1)
+        with pytest.raises(ValueError, match="functions live on different graphs"):
+            f + GraphFunction(interval_graph(1.0), {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
+        for power in (-1, 3):
+            with pytest.raises(ValueError, match=f"term power {power} outside 0..2"):
+                GraphFunction(g, {"e": [PolyTrigTerm(1.0, power, 0.0)]})
+        with pytest.raises(ValueError, match="unknown edge 'x'"):
+            GraphFunction(g, {"x": [PolyTrigTerm(1.0, 0, 0.0)]})
+
     def test_torsion_profile_norms(self):
         # u = ell*x - x^2/2 on [0, ell]: u'' = -1, so |u''|^2 integrates to ell
         ell = 2.7
@@ -384,6 +397,10 @@ class TestQuadrature:
         f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
         with pytest.raises(ValueError):
             norm_sq(f, {"e": [(0.5, 1.5)]})
+        with pytest.raises(ValueError, match=r"region outside \[0, 1.0\] on edge 'e'"):
+            norm_sq(f, {"e": IntervalUnion([(0.5, 1.5)], length=2.0)})
+        with pytest.raises(ValueError, match="region references unknown edge 'x'"):
+            norm_sq(f, {"x": IntervalUnion([(0.0, 0.5)], length=1.0)})
 
     def test_monotone_and_additive(self):
         g = interval_graph(2.0)
@@ -538,7 +555,8 @@ class TestMasses:
                   "e2": IntervalUnion([(0.0, 1.5)], length=1.5)}
         self.assert_matches_loop([f, h, GraphFunction.zero(g)], region)
         zero = masses([GraphFunction.zero(g)], region)[0]
-        assert zero[:5] == (0.0, 0.0, 0.0, 0.0, ())
+        assert (zero.whole, zero.part, zero.d_whole, zero.d_part, zero.edges) == (
+            0.0, 0.0, 0.0, 0.0, ())
 
     def test_region_none_is_the_whole_graph(self):
         g = interval_graph(1.3)
@@ -738,11 +756,20 @@ class TestCosinePower:
         for x in (0.1, 0.5, 1.3):
             assert abs(eval_terms(terms, x) - math.cos(3.0 * x) ** 7) < 1e-12
 
+    def test_alpha_range_refused(self):
+        for alpha in (-1, 31):
+            with pytest.raises(ValueError, match="alpha outside 0..30"):
+                cosine_power_terms(alpha, 3.0)
+
 
 class TestSupBound:
     def test_constant(self):
         assert sup_on_disk_neighborhood([PolyTrigTerm(1.0, 0, 0.0)], 1.0, 4.0) \
             == pytest.approx(1.0, rel=1e-12)
+
+    def test_radius_refused(self):
+        with pytest.raises(ValueError, match="radius factor must be positive"):
+            sup_on_disk_neighborhood([PolyTrigTerm(1.0, 0, 0.0)], 1.0, 0.0)
 
     def test_linear(self):
         # F(z) = z on (0,1)+D_4 peaks at z = 5

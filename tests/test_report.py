@@ -53,7 +53,7 @@ def _reports():
         "trace-inf": heat_trace_bound(neumann, gamma=1e-60, rho=1e-3, t=1.0,
                                       total_length=math.pi, edges=1),
         "observability": observability_constant(0.3, 0.5, 2.0),
-        "torsion-profile": torsion_profile(g, solve_torsion(g, ["a"]), rho=0.2, gamma=0.5),
+        "torsion-profile": torsion_profile(solve_torsion(g, ["a"]), rho=0.2, gamma=0.5),
         "sampling-params": params,
         "cover-violation": verify_cover(sset, cover, gamma=0.9, rho=0.6),
         "edge-gaps": gap_analysis(sset)["e"],
@@ -68,10 +68,11 @@ def _reports():
         "classification": classify_edges(cos, math.pi ** 2),
         "kovrijkine": kovrijkine_check([1.0, 0.5, 0.25], IntervalUnion([(0.0, 0.5)])),
         "local": local_estimate_check([(1.0, 0, 3.0)], 1.5, IntervalUnion([(0.2, 0.9)])),
-        "boundary-trace": boundary_trace_check(cos, g),
+        "boundary-trace": boundary_trace_check(cos),
         "observability-numeric": observability_numeric(
             pi_interval, standard_subspace(pi_interval),
-            {"e": IntervalUnion([(0.3, 1.1)], length=math.pi)}, horizon=1.0, modes=3),
+            {"e": IntervalUnion([(0.3, 1.1)], length=math.pi)}, horizon=1.0, modes=3,
+            params=params),
         "audit": audit(trials=4, lam_max=60.0),
     }
 

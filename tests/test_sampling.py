@@ -48,6 +48,8 @@ class TestSvcConstruction:
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="depth"):
             svc_set(21)
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            svc_set(-1)
 
 
 class TestFatCantorSearches:
@@ -86,6 +88,15 @@ class TestFatCantorSearches:
 
 
 class TestVerifyCover:
+    def test_domain(self):
+        sset = single_edge_set(IntervalUnion([(0.0, 1.0)], length=1.0))
+        cover = single_edge_cover([0.0, 1.0])
+        for gamma in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+                verify_cover(sset, cover, gamma=gamma, rho=1.0)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            verify_cover(sset, cover, gamma=0.5, rho=0.0)
+
     def test_svc_half_half(self):
         iu, _ = svc_set(6)
         res = verify_cover(single_edge_set(iu), single_edge_cover([0.0, 0.5, 1.0]),
@@ -226,6 +237,10 @@ class TestOptimalGamma:
         res = optimal_gamma(iu, 1.0, rho=0.3)
         assert res.feasible and res.gamma == pytest.approx(1.0, abs=1e-12)
 
+    def test_rho_must_be_positive(self):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            optimal_gamma(IntervalUnion([(0.0, 1.0)], length=1.0), 1.0, rho=0.0)
+
     @pytest.mark.parametrize("rho_frac", [0.55, 0.62, 0.75, 0.9])
     def test_half_interval_closed_form(self, rho_frac):
         ell = 1.0
@@ -261,7 +276,7 @@ class TestOptimalGamma:
 
     def test_matches_independent_maxmin_on_same_grid(self):
         # independent oracle: recursive max-min over the identical candidate set
-        from qgs.sampling import _candidates, _cover_dp  # noqa: PLC2701
+        from qgs.sampling import _EQ_SLACK, _candidates, _reach, _walk  # noqa: PLC2701
 
         rng = np.random.default_rng(17)
         for _ in range(12):
@@ -296,11 +311,12 @@ class TestOptimalGamma:
             best = None
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                bps = _cover_dp(ts, pref, rho, mid, 1.0)
-                if bps is None:
-                    hi = mid
+                # the feasibility DP at mid, called as optimal_gamma calls it (ell = 1)
+                t, q = ts.tolist(), (pref - mid * ts).tolist()
+                if _reach(t, q, rho + _EQ_SLACK, _EQ_SLACK):
+                    lo, best = mid, _walk(t, q, rho + _EQ_SLACK, _EQ_SLACK)
                 else:
-                    lo, best = mid, bps
+                    hi = mid
             got = min((pref[list(ts).index(b)] - pref[list(ts).index(a)]) / (b - a)
                       for a, b in zip(best, best[1:])) if best else 0.0
             assert got == pytest.approx(want, abs=1e-6)
@@ -322,6 +338,11 @@ class TestOptimalRho:
         iu = IntervalUnion([(0.0, 1.0)], length=1.0)
         res = optimal_rho(iu, 1.0, gamma=1.0)
         assert res.feasible and res.rho <= 1.0
+
+    def test_gamma_domain(self):
+        for gamma in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+                optimal_rho(IntervalUnion([(0.0, 1.0)], length=1.0), 1.0, gamma=gamma)
 
     def test_quarters_closed_form(self):
         ell = 1.0
@@ -505,6 +526,8 @@ class TestPeriodic:
             periodic_params(0.5, 0.4)
         with pytest.raises(ValueError):
             periodic_params(1.2, 1.0)
+        with pytest.raises(ValueError, match=r"density must lie in \(0, 1\)"):
+            periodic_uniform_gamma(1.0)
 
 
 class TestGraphAggregation:
@@ -533,7 +556,7 @@ class TestJsonRoundTrip:
         s = SamplingSet.from_dict(g, data)
         assert s.finite["e"].measure == pytest.approx(0.5)
         p = tmp_path / "set.json"
-        p.write_text(__import__("json").dumps(s.to_json()))
+        p.write_text(__import__("json").dumps(data))
         again = SamplingSet.load(g, p)
         assert again.finite["e"] == s.finite["e"]
 
@@ -548,6 +571,15 @@ class TestJsonRoundTrip:
         gaps = gap_analysis(s)
         assert gaps["r"].left == 0.0
         assert gaps["r"].max_interior == pytest.approx(0.5)
+
+    def test_misplaced_entries_refused(self):
+        from qgs.graphs import Edge, MetricGraph
+        g = MetricGraph(["v"], [Edge("r", "v", None, math.inf)])
+        with pytest.raises(ValueError, match="edge 'r' is infinite; use the external section"):
+            SamplingSet.from_dict(g, {"edges": {"r": [[0.0, 0.5]]}})
+        with pytest.raises(ValueError, match="body must live inside one period"):
+            PeriodicTail(head=IntervalUnion([]), period=1.0,
+                         body=IntervalUnion([(0.25, 1.5)]))
 
     def test_external_cover_verified(self):
         from qgs.graphs import Edge, MetricGraph

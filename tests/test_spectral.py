@@ -74,6 +74,8 @@ class TestSecularMatrix:
         g = MetricGraph(["a"], [Edge("r", "a", None, math.inf)])
         with pytest.raises(ValueError):
             secular_matrix(g, full_subspace(g), 1.0)
+        with pytest.raises(ValueError, match="wavenumber must be nonnegative"):
+            secular_matrix(interval(), full_subspace(interval()), -1.0)
 
 
 class TestIntervalSpectra:
@@ -219,6 +221,18 @@ class TestSpectralSample:
         f = spectral_sample(pairs, [0.0] * len(pairs))
         assert f.is_zero()
 
+    def test_refusals(self):
+        g = interval(math.pi)
+        pairs = eigenvalues_up_to(g, full_subspace(g), 10.0)
+        with pytest.raises(ValueError, match="one coefficient per eigenpair required"):
+            spectral_sample(pairs, [1.0])
+        with pytest.raises(ValueError, match="empty eigenpair list"):
+            spectral_sample([], [])
+        h = interval(math.pi)
+        other = eigenvalues_up_to(h, full_subspace(h), 10.0)
+        with pytest.raises(ValueError, match="functions live on different graphs"):
+            spectral_sample([pairs[0], other[1]], [1.0, 1.0])
+
     def test_norm_is_coefficient_norm(self):
         g = interval(math.pi)
         pairs = eigenvalues_up_to(g, full_subspace(g), 30.0)[:5]
@@ -263,7 +277,7 @@ class TestTorsion:
         sol = solve_torsion(g, ["w1", "w2", "w3"])
         d2 = sol.function.derivative(2)
         for eid in g.edge_ids:
-            terms = d2.edge_terms(eid)
+            terms = d2.terms.get(eid, ())
             assert len(terms) == 1 and terms[0].coeff == pytest.approx(-1.0)
 
     def test_star_against_finite_differences(self):
@@ -280,6 +294,12 @@ class TestTorsion:
     def test_empty_dirichlet_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             solve_torsion(interval(), [])
+        with pytest.raises(ValueError, match="unknown vertex 'z'"):
+            solve_torsion(interval(), ["a", "z"])
+        from qgs.graphs import Edge, MetricGraph
+        ray = MetricGraph(["a"], [Edge("r", "a", None, math.inf)])
+        with pytest.raises(ValueError, match="torsion solve requires a compact graph"):
+            solve_torsion(ray, ["a"])
 
     def test_edgeless_graph_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):
@@ -332,8 +352,8 @@ class TestTorsion:
             got, want = solve_torsion(g, dirichlet), loop_solve_torsion(g, dirichlet)
             scale = max(g.edge_lengths.values())
             for eid in g.edge_ids:
-                a = {t.power: t.coeff for t in got.function.edge_terms(eid)}
-                b = {t.power: t.coeff for t in want.function.edge_terms(eid)}
+                a = {t.power: t.coeff for t in got.function.terms.get(eid, ())}
+                b = {t.power: t.coeff for t in want.function.terms.get(eid, ())}
                 assert abs(a.get(2, 0.0) - b.get(2, 0.0)) == 0.0
                 assert abs(a.get(1, 0.0) - b.get(1, 0.0)) <= 1e-13 * scale
                 assert abs(a.get(0, 0.0) - b.get(0, 0.0)) <= 1e-13 * scale ** 2
@@ -589,8 +609,8 @@ class TestOnePassHarvest:
         for p, q in zip(new, old):
             big = max(abs(t.coeff) for ts in q.function.terms.values() for t in ts)
             for eid in g.edge_ids:
-                a = {t[1:]: t.coeff for t in p.function.edge_terms(eid)}
-                b = {t[1:]: t.coeff for t in q.function.edge_terms(eid)}
+                a = {t[1:]: t.coeff for t in p.function.terms.get(eid, ())}
+                b = {t[1:]: t.coeff for t in q.function.terms.get(eid, ())}
                 for key in a.keys() | b.keys():
                     assert abs(a.get(key, 0.0) - b.get(key, 0.0)) <= 1e-15 * big
 

@@ -11,7 +11,7 @@ from qgs.graphs import (build_graph, gauge_transform, standard_subspace,
                         full_subspace, vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
                           masses, norm_sq, whole_edge)
-from qgs.sampling import Cover, SamplingParams, SamplingSet, verify_cover
+from qgs.sampling import Cover, SamplingParams, SamplingSet, certify, verify_cover
 from qgs.spectral import eigenvalues_up_to, solve_torsion, spectral_sample
 from qgs.verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
                         lasso_counterexample, local_estimate_check, mass_ratio,
@@ -131,6 +131,13 @@ class TestUnderflowedVerdicts:
 
 
 class TestClassifyEdges:
+    def test_refusals(self):
+        g = interval(math.pi)
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            classify_edges(cos_fn(g, 3.0), -1.0)
+        with pytest.raises(ValueError, match="cannot classify the zero function"):
+            classify_edges(GraphFunction.zero(g), 9.0)
+
     def test_single_mode_good(self):
         g = interval(math.pi)
         f = cos_fn(g, 3.0)
@@ -297,6 +304,8 @@ class TestKovrijkine:
     def test_small_phi0_rejected(self):
         with pytest.raises(ValueError):
             kovrijkine_check([0.5], IntervalUnion([(0.0, 1.0)], length=1.0))
+        with pytest.raises(ValueError, match=r"E must lie in \[0, 1\]"):
+            kovrijkine_check([1.0], IntervalUnion([(0.5, 1.5)]))
 
     @pytest.mark.parametrize("grid_n", [0, 1])
     def test_grid_too_small(self, grid_n):
@@ -452,6 +461,19 @@ class TestMaxGeneralizedEig:
 
 
 class TestObservabilityNumeric:
+    def test_refusals(self):
+        g = interval(math.pi)
+        y = full_subspace(g)
+        omega = {"e": whole_edge(math.pi)}
+        with pytest.raises(ValueError, match="time horizon must be positive"):
+            observability_numeric(g, y, omega, horizon=0.0, modes=1)
+        with pytest.raises(ValueError, match="need at least one mode"):
+            observability_numeric(g, y, omega, horizon=1.0, modes=0)
+        pairs = eigenvalues_up_to(g, y, 2.0)
+        with pytest.raises(ValueError, match=f"could not compute {len(pairs) + 1} modes"):
+            observability_numeric(g, y, omega, horizon=1.0, modes=len(pairs) + 1,
+                                  pairs=pairs)
+
     def test_ground_state_whole_graph(self):
         g = interval(math.pi)
         y = full_subspace(g)
@@ -459,6 +481,9 @@ class TestObservabilityNumeric:
                                     modes=1)
         assert rep.observable
         assert rep.numeric_c_squared == pytest.approx(1.0 / 0.7, rel=1e-10)
+        # no certified (gamma, rho): no formula side and no logs
+        assert (rep.formula_c_squared, rep.formula_log_c_squared,
+                rep.numeric_log_c_squared) == (None, None, None)
 
     def test_one_solve_holds_the_modes(self, caplog, monkeypatch):
         # an all-Dirichlet star of near-equal edges has no eigenvalue below
@@ -522,23 +547,26 @@ class TestObservabilityNumeric:
         y = standard_subspace(g)
         pairs = eigenvalues_up_to(g, y, 4.0 * math.pi ** 2 + 1.0)
         omega = {"tail": whole_edge(1.0)}
+        params = certify(SamplingSet(finite=omega))
         rep = observability_numeric(g, y, omega, horizon=1.0, modes=len(pairs),
-                                    pairs=pairs)
+                                    params=params, pairs=pairs)
         assert not rep.observable
+        assert (rep.formula_c_squared, rep.formula_log_c_squared,
+                rep.numeric_log_c_squared) == (None, None, None)
 
 
 class TestBoundaryTrace:
     def test_constant(self):
         g = interval(1.0)
         one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
-        rep = boundary_trace_check(one, g)
+        rep = boundary_trace_check(one)
         assert rep.passed
         assert rep.lhs == pytest.approx(2.0, rel=1e-12)
         assert rep.rhs == pytest.approx(2.0 / math.tanh(1.0), rel=1e-12)
 
     def test_zero(self):
         g = interval(1.0)
-        rep = boundary_trace_check(GraphFunction.zero(g), g)
+        rep = boundary_trace_check(GraphFunction.zero(g))
         assert rep.passed and rep.lhs == 0.0
 
     def test_random_functions(self):
@@ -555,7 +583,7 @@ class TestBoundaryTrace:
                                         float(rng.uniform(-8, 8)))
                            for _ in range(int(rng.integers(1, 4)))]
                      for eid in g.edge_ids}
-            rep = boundary_trace_check(GraphFunction(g, terms), g)
+            rep = boundary_trace_check(GraphFunction(g, terms))
             assert rep.passed
 
 
@@ -596,6 +624,10 @@ class TestAudit:
             assert row["mass_passed"]
             assert row["deriv_vacuous"] or row["deriv_passed"]
             assert 0.0 <= row["mass_observed"] <= 1.0
+
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            audit(trials=0)
 
     def test_deterministic(self):
         a = audit(trials=40, seed=7, lam_max=60.0)
