@@ -3,9 +3,8 @@ observability estimates, and the torsion function's Bernstein profile.
 
 All constant arithmetic runs in natural-log space; a report carries both the
 log value and the linear value, with an underflow flag once the linear value
-drops below exp(-700), and inf once it passes exp(700).  The two bound routes
-(directly from (rho, lambda), or through the series budget h) are asserted
-against each other on every call.
+drops below exp(-700), and inf once it passes exp(700).  The spectral bound
+is the series-budget bound at h = exp(10 rho sqrt(lambda)), computed once.
 """
 
 from __future__ import annotations
@@ -71,20 +70,16 @@ def h_bound(gamma: float, h: float | None = None, log_h: float | None = None) ->
 
 def spectral_bound(gamma: float, rho: float, lam: float) -> BoundReport:
     """Constant 12 (gamma/48)^(40 rho sqrt(lam)/log 2 + 5) for spectral
-    subspaces up to energy lam (formula id thm21); identical to h_bound with
-    h = exp(10 rho sqrt(lam)), asserted on every call."""
+    subspaces up to energy lam (formula id thm21): h_bound with
+    h = exp(10 rho sqrt(lam)), relabelled."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    log_h = SERIES_RADIUS * rho * math.sqrt(lam)
-    via_h = h_bound(gamma, log_h=log_h)
-    expo = 4.0 * SERIES_RADIUS * rho * math.sqrt(lam) / LOG2 + 5.0
-    log_c = math.log(BASE_CONSTANT) + expo * math.log(gamma / DENOMINATOR)
-    if abs(log_c - via_h.log_value) > 1e-12 * max(1.0, abs(log_c)):
-        raise AssertionError("direct and h-route exponents disagree")
-    return _report("thm21", log_c,
-                   {"gamma": gamma, "rho": rho, "lam": lam, "exponent": expo})
+    via_h = h_bound(gamma, log_h=SERIES_RADIUS * rho * math.sqrt(lam))
+    return _report("thm21", via_h.log_value,
+                   {"gamma": gamma, "rho": rho, "lam": lam,
+                    "exponent": via_h.inputs["exponent"]})
 
 
 @dataclass

@@ -104,8 +104,8 @@ def _optimal_per_edge(args, optimise, attr, best, **fixed):
     """Each finite edge's `optimise` result at the fixed parameter, and the
     `best` of their `attr` when every edge is feasible and the set has no
     ray entries (not optimised, so the finite edges' best is no bound)."""
-    g, _, sset = _graph_and_set(args)
-    out = {eid: optimise(iu, g.edge_lengths[eid], **fixed)
+    _, _, sset = _graph_and_set(args)
+    out = {eid: optimise(iu, **fixed)
            for eid, iu in sorted(sset.finite.items())}
     agg = None
     if out and not sset.external and all(r.feasible for r in out.values()):
@@ -152,7 +152,7 @@ def _bound_trace(args):
     g, y = load_graph(args.graph)
     sset = smp.SamplingSet.load(g, args.set) if args.set is not None else None
     pairs = eigenvalues_up_to(g, y, args.lambda_max)
-    parts = ([m.part for m in masses([p.function for p in pairs], sset.region())]
+    parts = ([m.part for m in masses([p.function for p in pairs], sset.finite)]
              if sset is not None else [1.0] * len(pairs))
     return bnd.heat_trace_bound([(p.lam, m) for p, m in zip(pairs, parts)],
                                 gamma=args.gamma, rho=args.rho, t=args.t,
@@ -179,7 +179,7 @@ def _compare(args, which):
     chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
     params = smp.certify(sset)
     bound = bnd.spectral_bound(params.gamma, params.rho, lam)
-    out = vfy.ratio_reports(f, sset.region(), bound)[which]
+    out = vfy.ratio_reports(f, sset.finite, bound)[which]
     if out is None:
         raise ValueError("mass ratio undefined for the zero function")
     report = {"seed": args.seed, "modes": len(chosen), "lam": lam, **rep.sanitize(out)}
@@ -225,7 +225,7 @@ def _verify_optimality(args):
 def _verify_observability(args):
     g, y, sset = _graph_and_set(args)
     params = smp.certify(sset)
-    return vfy.observability_numeric(g, y, sset.region(), horizon=args.horizon,
+    return vfy.observability_numeric(g, y, sset.finite, horizon=args.horizon,
                                      modes=args.modes, params=params), 0
 
 

@@ -29,6 +29,7 @@ PRUNE_REL = 1e-15        # drop terms whose |coeff| is below this times the edge
 _SERIES_SWITCH = 0.5     # |w*d| below which the Taylor branch of the kernel is used
 _SERIES_TERMS = 8        # fixed length of that branch (see _exp_poly_base)
 _RESOLVED_REL = 1e-12    # norm_sq below this share of its gross scale is re-integrated
+SUP_SAMPLES = 4096       # boundary points of sup_on_disk_neighborhood's stadium
 
 # Pascal triangle up to the largest power a pairwise product can reach.
 _BINOM = np.array([[math.comb(p, q) if q <= p else 0 for q in range(5)] for p in range(5)],
@@ -534,7 +535,7 @@ def _gauss_norm_sq(f: GraphFunction, reg) -> float:
 
 
 def sup_on_disk_neighborhood(terms: Iterable[PolyTrigTerm], ell: float,
-                             radius_factor: float, samples: int = 4096) -> float:
+                             radius_factor: float) -> float:
     """Certified upper bound on sup |F(z)| over (0, ell) + D_{radius_factor*ell}.
 
     F is entire, so the sup is attained on the stadium boundary; we sample it
@@ -549,8 +550,8 @@ def sup_on_disk_neighborhood(terms: Iterable[PolyTrigTerm], ell: float,
         raise ValueError("radius factor must be positive")
     # boundary: bottom & top sides plus two half circles
     per = 2.0 * ell + 2.0 * math.pi * R
-    n_side = max(8, int(samples * ell / per))
-    n_cap = max(8, (samples - 2 * n_side) // 2)
+    n_side = max(8, int(SUP_SAMPLES * ell / per))
+    n_cap = max(8, (SUP_SAMPLES - 2 * n_side) // 2)
     xs = np.linspace(0.0, ell, n_side)
     phi_l = np.linspace(0.5 * math.pi, 1.5 * math.pi, n_cap)
     phi_r = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_cap)

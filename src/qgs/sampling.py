@@ -2,11 +2,12 @@
 
 A set is (gamma, rho)-sampling on an edge when the edge admits a cover by
 adjacent closed intervals of length at most rho, each meeting the set in
-relative measure at least gamma.  Finite edges carry finite interval unions;
-infinite edges carry a head union plus an eventually periodic body.  Over a
-candidate breakpoint grid, gamma comes from an exact max-min dynamic program
-and rho from bisection over the cover-feasibility program; both are certified
-one-sided bounds, since any reported cover verifies exactly.
+relative measure at least gamma.  Finite edges carry finite interval unions,
+each storing its edge length; infinite edges carry a head union plus an
+eventually periodic body.  Over a candidate breakpoint grid on a union's edge,
+gamma comes from an exact max-min dynamic program and rho from bisection over
+the cover-feasibility program; both are certified one-sided bounds, since any
+reported cover verifies exactly.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .graphs import MetricGraph, malformed, read_json
 from .polytrig import IntervalUnion
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
 _EQ_SLACK = 1e-12        # comparison slack for exact-measure boundary cases
@@ -54,10 +57,6 @@ class SamplingSet:
                  external: Mapping[str, PeriodicTail] | None = None):
         self.finite: dict[str, IntervalUnion] = dict(finite or {})
         self.external: dict[str, PeriodicTail] = dict(external or {})
-
-    def region(self) -> dict[str, IntervalUnion]:
-        """Finite-edge view, suitable for quadrature."""
-        return dict(self.finite)
 
     @classmethod
     def from_dict(cls, g: MetricGraph, data: Mapping) -> "SamplingSet":
@@ -250,11 +249,11 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 # optimisers
 
 
-def _rho_free(omega: IntervalUnion, ell: float, grid_n: int
-              ) -> tuple[list[float], np.ndarray]:
-    """The points 0, ell and the set's endpoints, sorted and unique; and the
-    candidates that do not depend on rho: those points and the grid, sorted,
-    unique, in [0, ell]."""
+def _rho_free(omega: IntervalUnion, grid_n: int) -> tuple[list[float], np.ndarray]:
+    """The points 0, ell = omega.length and the set's endpoints, sorted and
+    unique; and the candidates that do not depend on rho: those points and the
+    grid, sorted, unique, in [0, ell]."""
+    ell = omega.length
     ends = np.unique(np.concatenate(([0.0, ell], omega.starts, omega.ends)) + 0.0)  # -0.0 -> 0.0
     pts = np.union1d(ends, ell * np.arange(1, grid_n) / grid_n)
     return ends.tolist(), pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
@@ -265,9 +264,9 @@ def _shifted(ends: list[float], rho: float, ell: float) -> list[float]:
     return sorted({x for e in ends for x in (e - rho, e + rho) if 0.0 < x < ell})
 
 
-def _candidates(omega: IntervalUnion, ell: float, rho: float, grid_n: int) -> np.ndarray:
-    ends, base = _rho_free(omega, ell, grid_n)
-    return np.union1d(base, _shifted(ends, rho, ell))
+def _candidates(omega: IntervalUnion, rho: float, grid_n: int) -> np.ndarray:
+    ends, base = _rho_free(omega, grid_n)
+    return np.union1d(base, _shifted(ends, rho, omega.length))
 
 
 def _window_starts(ts: np.ndarray, rho: float, ell: float) -> list[int]:
@@ -380,19 +379,19 @@ def _achieved(omega: IntervalUnion, bps: list[float]) -> tuple[float, float]:
     return min(dens), max(widths)
 
 
-def optimal_gamma(omega: IntervalUnion, ell: float, rho: float,
-                  grid_n: int = 200) -> GammaResult:
-    """Largest certified gamma such that omega is (gamma, rho)-sampling on
-    [0, ell]: the exact max-min window density over candidate-aligned covers
-    (one forward DP), certified by the cover the feasibility DP builds at it.
-    A lower bound on the true optimum; exact when an optimal cover's
-    breakpoints lie in the candidate set."""
+def optimal_gamma(omega: IntervalUnion, rho: float, *, grid_n: int = 200) -> GammaResult:
+    """Largest certified gamma such that omega is (gamma, rho)-sampling on its
+    edge [0, omega.length]: the exact max-min window density over
+    candidate-aligned covers (one forward DP), certified by the cover the
+    feasibility DP builds at it.  A lower bound on the true optimum; exact
+    when an optimal cover's breakpoints lie in the candidate set."""
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
     if omega.measure <= 0.0:
         return GammaResult(gamma=0.0, breakpoints=None, feasible=False,
                            gap_witness="empty set")
-    ts = _candidates(omega, ell, rho, grid_n)
+    ell = omega.length
+    ts = _candidates(omega, rho, grid_n)
     pref = omega.prefix_measures(ts)
     gamma = _maxmin_density(ts, pref, _window_starts(ts, rho, ell))
     bps = None
@@ -412,19 +411,19 @@ def optimal_gamma(omega: IntervalUnion, ell: float, rho: float,
     return GammaResult(gamma=gamma_star, breakpoints=tuple(bps), feasible=True)
 
 
-def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
-                grid_n: int = 200) -> RhoResult:
-    """Smallest certified rho for the given gamma (an upper bound on the true
-    minimum), with its certificate cover."""
+def optimal_rho(omega: IntervalUnion, gamma: float, *, grid_n: int = 200) -> RhoResult:
+    """Smallest certified rho for the given gamma on the edge [0, omega.length]
+    (an upper bound on the true minimum), with its certificate cover."""
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
+    ell = omega.length
     global_density = omega.measure / ell if ell > 0 else 0.0
     if global_density + _EQ_SLACK < gamma:
         return RhoResult(rho=math.inf, breakpoints=None, feasible=False,
                          global_density=global_density)
     # each step adds to the rho-free candidates only the points shifted by
     # its rho; the last feasible step's DP state yields the cover at the end
-    ends, base = _rho_free(omega, ell, grid_n)
+    ends, base = _rho_free(omega, grid_n)
     t_base = base.tolist()
     in_base = set(t_base)
     q_base = (omega.prefix_measures(base) - gamma * base).tolist()
@@ -450,18 +449,18 @@ def optimal_rho(omega: IntervalUnion, ell: float, gamma: float,
                      global_density=global_density)
 
 
-def certified_params(omega: IntervalUnion, ell: float
-                     ) -> tuple[float, float, tuple[float, ...]] | None:
-    """(gamma, rho, cover breakpoints) at the smallest workable rho, the one
-    optimal_rho finds for gamma = 1e-6, or None if the edge cannot be
-    certified.  gamma is optimal_gamma's at that rho.  That DP is aligned to
-    the candidates at rho, which optimal_rho's cover (built at the rho of a
-    bisection step) need not be; where it finds no cover, that cover
-    certifies at its achieved gamma, under the same measure-zero rule."""
-    res_r = optimal_rho(omega, ell, gamma=1e-6)
+def certified_params(omega: IntervalUnion) -> tuple[float, float, tuple[float, ...]] | None:
+    """(gamma, rho, cover breakpoints) of omega on its edge [0, omega.length]
+    at the smallest workable rho, the one optimal_rho finds for gamma = 1e-6,
+    or None if the edge cannot be certified.  gamma is optimal_gamma's at that
+    rho.  That DP is aligned to the candidates at rho, which optimal_rho's
+    cover (built at the rho of a bisection step) need not be; where it finds
+    no cover, that cover certifies at its achieved gamma, under the same
+    measure-zero rule."""
+    res_r = optimal_rho(omega, gamma=1e-6)
     if not res_r.feasible:
         return None
-    res_g = optimal_gamma(omega, ell, rho=res_r.rho)
+    res_g = optimal_gamma(omega, rho=res_r.rho)
     if res_g.feasible:
         return res_g.gamma, res_r.rho, res_g.breakpoints
     gamma = _achieved(omega, list(res_r.breakpoints))[0]
@@ -476,7 +475,7 @@ def certify(sset: SamplingSet) -> SamplingParams:
     certified, when there is none, or when the aggregate fails."""
     found = {}
     for eid, iu in sset.finite.items():
-        found[eid] = certified_params(iu, iu.length)
+        found[eid] = certified_params(iu)
         if found[eid] is None:
             raise ValueError(f"edge {eid!r}: set cannot be certified")
     if not found:
@@ -521,6 +520,7 @@ def svc_set(depth: int) -> tuple[IntervalUnion, Fraction]:
         raise ValueError("depth must be nonnegative")
     if depth > 20:
         raise ValueError("depth too large for exact endpoint arithmetic")
+    from fractions import Fraction  # loaded here, so that import qgs does not load it
     intervals = [(Fraction(0), Fraction(1))]
     for step in range(1, depth + 1):
         remove = Fraction(1, 4 ** step)

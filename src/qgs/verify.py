@@ -29,6 +29,7 @@ EPS = 2.0 ** -52          # double-precision machine epsilon
 M_MAX = 40                # derivative orders checked per edge
 _GROWTH = np.array([2.0 ** (m + 1) for m in range(1, M_MAX + 1)])  # 2^(m+1), m = 1..M_MAX
 DEFAULT_SEED = 20240 + 5
+KOVRIJKINE_GRID = 2000    # first grid of kovrijkine_check, refined 8x and 64x
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +208,11 @@ class CheckReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # past the float range: see below
-def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckReport:
+def kovrijkine_check(coeffs, e_set: IntervalUnion) -> CheckReport:
     """Check sup_[0,1] |phi| <= (12/|E|)^(2 log2 M) sup_E |phi| for a
     polynomial phi with |phi(0)| >= 1; the left supremum and M are certified
     upper bounds, the right supremum a grid lower bound, so a pass is
     meaningful.  A failing grid is refined before being reported."""
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     coeffs = np.asarray([complex(c) for c in coeffs])
     if not coeffs.size or abs(coeffs[0]) < 1.0:  # the empty list is phi = 0
         raise ValueError("|phi(0)| must be at least 1")
@@ -226,7 +225,7 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
     deriv_disk = sum(j * abs(c) * 4.0 ** (j - 1) for j, c in enumerate(coeffs) if j)
     polyval = np.polynomial.polynomial.polyval  # Horner; numpy loads it on first use
 
-    for n in (grid_n, 8 * grid_n, 64 * grid_n):
+    for n in (KOVRIJKINE_GRID, 8 * KOVRIJKINE_GRID, 64 * KOVRIJKINE_GRID):
         ts = np.linspace(0.0, 1.0, n)
         sup_unit = float(np.abs(polyval(ts, coeffs)).max()) + 0.5 * deriv_unit / (n - 1)
         pts = np.concatenate([np.linspace(a, b, max(2, int(n * (b - a)) + 2))
@@ -248,8 +247,7 @@ def kovrijkine_check(coeffs, e_set: IntervalUnion, grid_n: int = 2000) -> CheckR
                                 "grid": n})
 
 
-def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
-                         grid_n: int = 4096) -> CheckReport:
+def local_estimate_check(terms, ell: float, s_set: IntervalUnion) -> CheckReport:
     """Single-edge estimate ||g||_{L2(S)}^2 >= 24 (|S|/(48 l))^(4 log2 M + 1)
     ||g||_{L2(0,l)}^2 with M a certified upper bound on the normalised sup of
     the analytic extension over the 4l-neighborhood; over-estimating M only
@@ -263,7 +261,7 @@ def local_estimate_check(terms, ell: float, s_set: IntervalUnion,
         raise ValueError("the function's mass is past the float range")
     if full <= 0.0:
         raise ValueError("function vanishes on the edge")
-    sup = sup_on_disk_neighborhood(terms, ell, 4.0, samples=grid_n)
+    sup = sup_on_disk_neighborhood(terms, ell, 4.0)
     m_big = max(1.0, math.sqrt(ell) * sup / math.sqrt(full))
     expo = 4.0 * math.log(m_big) / math.log(2.0) + 1.0
     rhs = 24.0 * (s_set.measure / (48.0 * ell)) ** expo * full
@@ -528,7 +526,7 @@ def _trial_sample(pool, seed: int, index: int):
 
 def _audit_trial(pool, seed: int, index: int, classify: bool) -> dict:
     entry, params, sset, chosen, f, lam = _trial_sample(pool, seed, index)
-    rep, der = ratio_reports(f, sset.region(),
+    rep, der = ratio_reports(f, sset.finite,
                              spectral_bound(params.gamma, params.rho, lam))
     row = {
         "trial": index, "graph": entry["name"], "gamma": params.gamma,

@@ -132,7 +132,7 @@ def test_criterion_4_sampling_catalogue():
             ok = ok and not good
     for rho_frac in (0.55, 0.65, 0.8, 0.95):
         iu2 = IntervalUnion([(0.0, 0.5)], length=1.0)
-        res = optimal_gamma(iu2, 1.0, rho=rho_frac)
+        res = optimal_gamma(iu2, rho=rho_frac)
         ok = ok and res.feasible \
             and abs(res.gamma - (1.0 - 0.5 / rho_frac)) < 1e-6
     elapsed = time.perf_counter() - t0
@@ -202,17 +202,18 @@ def test_criterion_8_constant_reproduction():
     rep = h_bound(1.0, h=1.0)
     ok = abs(rep.value - 12.0 / 48.0 ** 5) <= 1e-12 * rep.value
     rng = np.random.default_rng(808)
-    worst = 0.0
+    differ = 0
     for _ in range(1000):
         gamma = float(rng.uniform(0.01, 1.0))
         rho = float(rng.uniform(0.01, 2.0))
         lam = float(rng.uniform(0.0, 400.0))
-        direct = spectral_bound(gamma, rho, lam).log_value
-        via = h_bound(gamma, log_h=10.0 * rho * math.sqrt(lam)).log_value
-        worst = max(worst, abs(direct - via) / max(1.0, abs(direct)))
-    ok = ok and worst <= 1e-12
-    report(8, ok, f"12/48^5 reproduced; route identity worst dev {worst:.2e} "
-                  f"over 1000 points")
+        direct = spectral_bound(gamma, rho, lam)
+        via = h_bound(gamma, log_h=10.0 * rho * math.sqrt(lam))
+        differ += (direct.log_value, direct.inputs["exponent"]) != \
+            (via.log_value, via.inputs["exponent"])
+    ok = ok and differ == 0
+    report(8, ok, f"12/48^5 reproduced; the two routes differ at {differ} "
+                  f"of 1000 points")
 
 
 def test_criterion_9_trace_bound():

@@ -278,13 +278,12 @@ class TestVerify:
         g, _ = load_graph(str(graph))
         omega = SamplingSet.load(g, str(sset))
         tail = omega.finite["tail"]
-        res_r = optimal_rho(tail, 0.97472, gamma=1e-6)
-        assert not optimal_gamma(tail, 0.97472, rho=res_r.rho).feasible
-        gamma, rho, bps = certified_params(tail, 0.97472)
+        res_r = optimal_rho(tail, gamma=1e-6)
+        assert not optimal_gamma(tail, rho=res_r.rho).feasible
+        gamma, rho, bps = certified_params(tail)
         assert (rho, bps) == (res_r.rho, res_r.breakpoints)
         assert gamma == pytest.approx(5.99e-4, rel=1e-2)
-        found = {eid: certified_params(iu, g.edge_lengths[eid]) for eid, iu in
-                 omega.finite.items()}
+        found = {eid: certified_params(iu) for eid, iu in omega.finite.items()}
         params = verify_cover(omega, Cover(breakpoints={e: f[2] for e, f in found.items()}),
                               gamma=min(f[0] for f in found.values()),
                               rho=max(f[1] for f in found.values()))
@@ -676,12 +675,13 @@ def test_constants_past_the_float_range_saturate(capsys, interval_file, argv, ke
 
 
 def test_import_loads_no_scipy():
-    # nor numpy.polynomial, which kovrijkine_check reaches at call time
+    # nor numpy.polynomial, which kovrijkine_check reaches at call time, nor
+    # fractions and decimal, which svc_set reaches at call time
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     code = ("import qgs.cli, sys; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
-            "or m.startswith('numpy.polynomial')))")
+            "or m.startswith('numpy.polynomial') or m in ('fractions', 'decimal')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert res.stdout.strip() == "[]"

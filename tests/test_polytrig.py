@@ -510,9 +510,9 @@ class TestMasses:
         for i in range(60):
             _, _, sset, _, f, _ = verify._trial_sample(pool, 5, i)
             fp = f.derivative()
-            self.assert_matches_loop([f], sset.region())
-            self.assert_matches_loop([f, fp], sset.region())
-            self.assert_matches_loop([fp.derivative(), fp, f], sset.region())
+            self.assert_matches_loop([f], sset.finite)
+            self.assert_matches_loop([f, fp], sset.finite)
+            self.assert_matches_loop([fp.derivative(), fp, f], sset.finite)
 
     def test_torsion_function(self):
         g = build_graph(["c", "w1", "w2", "w3"],
@@ -587,7 +587,7 @@ class TestMasses:
                             lambda *args: calls.append(1) or kernel(*args))
         for i in range(20):
             _, _, sset, _, f, _ = verify._trial_sample(pool, 5, i)
-            for fns, region in (([f], sset.region()), ([f, f.derivative()], None),
+            for fns, region in (([f], sset.finite), ([f, f.derivative()], None),
                                 ([GraphFunction.zero(f.graph)], None)):
                 calls.clear()
                 masses([GraphFunction._canonical(h.graph, h.terms) for h in fns], region)
@@ -773,12 +773,12 @@ class TestSupBound:
 
     def test_linear(self):
         # F(z) = z on (0,1)+D_4 peaks at z = 5
-        got = sup_on_disk_neighborhood([PolyTrigTerm(1.0, 1, 0.0)], 1.0, 4.0, samples=8192)
+        got = sup_on_disk_neighborhood([PolyTrigTerm(1.0, 1, 0.0)], 1.0, 4.0)
         assert 5.0 <= got <= 5.05
 
     def test_plane_wave(self):
         k, ell = 2.0, 1.0
-        got = sup_on_disk_neighborhood([PolyTrigTerm(1.0, 0, k)], ell, 4.0, samples=32768)
+        got = sup_on_disk_neighborhood([PolyTrigTerm(1.0, 0, k)], ell, 4.0)
         true = math.exp(4.0 * k * ell)
         assert true <= got <= 1.01 * true
 

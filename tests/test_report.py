@@ -42,7 +42,7 @@ def _reports():
     one = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
     neumann = [(float(n * n), 1.0) for n in range(11)]
     pi_interval = _interval(math.pi)
-    ratio, derivative = ratio_reports(cos, sset.region(),
+    ratio, derivative = ratio_reports(cos, sset.finite,
                                       spectral_bound(params.gamma, params.rho, math.pi ** 2))
     return {
         "bound": h_bound(0.5, h=3.0),
@@ -57,10 +57,10 @@ def _reports():
         "sampling-params": params,
         "cover-violation": verify_cover(sset, cover, gamma=0.9, rho=0.6),
         "edge-gaps": gap_analysis(sset)["e"],
-        "gamma": optimal_gamma(sset.finite["e"], 1.0, rho=0.6),
-        "gamma-infeasible": optimal_gamma(GAPPY, 1.0, rho=0.3),
-        "rho": optimal_rho(sset.finite["e"], 1.0, gamma=0.3),
-        "rho-infeasible": optimal_rho(GAPPY, 1.0, gamma=0.9),
+        "gamma": optimal_gamma(sset.finite["e"], rho=0.6),
+        "gamma-infeasible": optimal_gamma(GAPPY, rho=0.3),
+        "rho": optimal_rho(sset.finite["e"], gamma=0.3),
+        "rho-infeasible": optimal_rho(GAPPY, gamma=0.9),
         "ratio": ratio,
         "ratio-derivative": derivative,
         "ratio-vacuous": ratio_reports(one, {"e": whole_edge(1.0)},

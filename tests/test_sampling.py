@@ -59,7 +59,7 @@ class TestFatCantorSearches:
     @pytest.mark.parametrize("depth, gamma", [(8, 0.4461805555555556),
                                               (10, 0.4448784722222222)])
     def test_optimal_gamma(self, depth, gamma):
-        res = optimal_gamma(svc_set(depth)[0], 1.0, 9 / 32)
+        res = optimal_gamma(svc_set(depth)[0], 9 / 32)
         assert (res.gamma, res.breakpoints) == (gamma, (0.0, 0.21875, 0.5, 0.78125, 1.0))
 
     @pytest.mark.parametrize("depth, rho, bps", [
@@ -71,7 +71,7 @@ class TestFatCantorSearches:
                                    0.7495179176330566, 0.874744176864624, 1.0)),
     ], ids=["depth-8", "depth-10"])
     def test_optimal_rho(self, depth, rho, bps):
-        res = optimal_rho(svc_set(depth)[0], 1.0, 1e-6)
+        res = optimal_rho(svc_set(depth)[0], 1e-6)
         assert (res.rho, res.breakpoints) == (rho, bps)
 
     def test_optimal_gamma_peak_memory(self):
@@ -80,7 +80,7 @@ class TestFatCantorSearches:
         iu, _ = svc_set(10)
         tracemalloc.start()
         try:
-            optimal_gamma(iu, 1.0, 9 / 32)
+            optimal_gamma(iu, 9 / 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,25 +234,25 @@ class TestGaps:
 class TestOptimalGamma:
     def test_full_edge(self):
         iu = IntervalUnion([(0.0, 1.0)], length=1.0)
-        res = optimal_gamma(iu, 1.0, rho=0.3)
+        res = optimal_gamma(iu, rho=0.3)
         assert res.feasible and res.gamma == pytest.approx(1.0, abs=1e-12)
 
     def test_rho_must_be_positive(self):
         with pytest.raises(ValueError, match="rho must be positive"):
-            optimal_gamma(IntervalUnion([(0.0, 1.0)], length=1.0), 1.0, rho=0.0)
+            optimal_gamma(IntervalUnion([(0.0, 1.0)], length=1.0), rho=0.0)
 
     @pytest.mark.parametrize("rho_frac", [0.55, 0.62, 0.75, 0.9])
     def test_half_interval_closed_form(self, rho_frac):
         ell = 1.0
         rho = rho_frac * ell
         iu = IntervalUnion([(0.0, ell / 2)], length=ell)
-        res = optimal_gamma(iu, ell, rho=rho)
+        res = optimal_gamma(iu, rho=rho)
         assert res.feasible
         assert res.gamma == pytest.approx(1.0 - ell / (2.0 * rho), abs=1e-6)
 
     def test_half_interval_infeasible(self):
         iu = IntervalUnion([(0.0, 0.5)], length=1.0)
-        res = optimal_gamma(iu, 1.0, rho=0.5)
+        res = optimal_gamma(iu, rho=0.5)
         assert not res.feasible and res.gamma == 0.0
         assert "gap" in res.gap_witness
 
@@ -265,7 +265,7 @@ class TestOptimalGamma:
             if iu.measure < 1e-3:
                 continue
             rho = float(rng.uniform(0.3, 1.0))
-            res = optimal_gamma(iu, 1.0, rho=rho)
+            res = optimal_gamma(iu, rho=rho)
             if not res.feasible:
                 continue
             check = verify_cover(single_edge_set(iu),
@@ -286,7 +286,7 @@ class TestOptimalGamma:
             if iu.measure < 0.05:
                 continue
             rho = float(rng.uniform(0.4, 0.9))
-            ts = _candidates(iu, 1.0, rho, 50)
+            ts = _candidates(iu, rho, 50)
             pref = iu.prefix_measures(ts)
 
             import functools
@@ -311,7 +311,7 @@ class TestOptimalGamma:
             best = None
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                # the feasibility DP at mid, called as optimal_gamma calls it (ell = 1)
+                # the feasibility DP at mid, called as optimal_gamma calls it (length 1)
                 t, q = ts.tolist(), (pref - mid * ts).tolist()
                 if _reach(t, q, rho + _EQ_SLACK, _EQ_SLACK):
                     lo, best = mid, _walk(t, q, rho + _EQ_SLACK, _EQ_SLACK)
@@ -329,36 +329,36 @@ class TestOptimalGamma:
         gamma_req = 0.5
         ok, _ = necessary_check(gaps, gamma_req, rho)
         assert not ok  # interior gap 0.6 > 2*(1-0.5)*0.4
-        res = optimal_gamma(iu, 1.0, rho=rho)
+        res = optimal_gamma(iu, rho=rho)
         assert (not res.feasible) or res.gamma < gamma_req
 
 
 class TestOptimalRho:
     def test_full_edge(self):
         iu = IntervalUnion([(0.0, 1.0)], length=1.0)
-        res = optimal_rho(iu, 1.0, gamma=1.0)
+        res = optimal_rho(iu, gamma=1.0)
         assert res.feasible and res.rho <= 1.0
 
     def test_gamma_domain(self):
         for gamma in (0.0, 1.5):
             with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-                optimal_rho(IntervalUnion([(0.0, 1.0)], length=1.0), 1.0, gamma=gamma)
+                optimal_rho(IntervalUnion([(0.0, 1.0)], length=1.0), gamma=gamma)
 
     def test_quarters_closed_form(self):
         ell = 1.0
         iu = IntervalUnion([(0.0, ell / 4), (3 * ell / 4, ell)], length=ell)
-        res = optimal_rho(iu, ell, gamma=0.5)
+        res = optimal_rho(iu, gamma=0.5)
         assert res.feasible
         assert res.rho == pytest.approx(ell / 2, abs=1e-8)
 
     def test_svc_four_ninths(self):
         iu, _ = svc_set(6)
-        res = optimal_rho(iu, 1.0, gamma=4 / 9)
+        res = optimal_rho(iu, gamma=4 / 9)
         assert res.feasible and res.rho <= 9 / 32 + 1e-9
 
     def test_infeasible_reports_density(self):
         iu = IntervalUnion([(0.0, 0.25)], length=1.0)
-        res = optimal_rho(iu, 1.0, gamma=0.5)
+        res = optimal_rho(iu, gamma=0.5)
         assert not res.feasible
         assert res.global_density == pytest.approx(0.25)
 
@@ -369,7 +369,7 @@ class TestOptimalRho:
         pts = np.sort(rng.uniform(0.0, 1.0, size=6))
         iu = IntervalUnion([(pts[0], pts[1]), (pts[2], pts[3]), (pts[4], pts[5])],
                            length=1.0)
-        res = optimal_rho(iu, 1.0, gamma=gamma, grid_n=60)
+        res = optimal_rho(iu, gamma=gamma, grid_n=60)
         if res.feasible:
             check = verify_cover(single_edge_set(iu),
                                  single_edge_cover(res.breakpoints),
@@ -377,9 +377,71 @@ class TestOptimalRho:
             assert isinstance(check, SamplingParams)
 
 
+class TestOneEdgePerSet:
+    """A union stores its edge length, and every search and check covers
+    exactly [0, omega.length]: a union built without a length ends its edge
+    at its last end."""
+
+    IU = IntervalUnion([(0.1, 0.3), (0.5, 0.9)])  # length 0.9
+
+    def assert_covers_the_edge(self, bps, gamma, rho):
+        assert self.IU.length == 0.9 and (bps[0], bps[-1]) == (0.0, 0.9)
+        check = verify_cover(single_edge_set(self.IU), single_edge_cover(bps),
+                             gamma=gamma, rho=rho)
+        assert isinstance(check, SamplingParams)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5])
+    def test_optimal_gamma(self, rho):
+        res = optimal_gamma(self.IU, rho=rho)
+        assert res.feasible
+        self.assert_covers_the_edge(res.breakpoints, res.gamma, rho)
+
+    def test_optimal_rho(self):
+        res = optimal_rho(self.IU, gamma=0.3)
+        assert res.feasible and res.global_density == pytest.approx(0.6 / 0.9)
+        self.assert_covers_the_edge(res.breakpoints, 0.3, res.rho)
+
+    def test_certified_params(self):
+        gamma, rho, bps = certified_params(self.IU)
+        self.assert_covers_the_edge(bps, gamma, rho)
+
+    def test_verify_cover_reads_the_same_edge(self):
+        # a cover that stops short of the union's edge, or runs past it, is refused
+        for bps in ((0.0, 0.45, 0.8), (0.0, 0.5, 1.0)):
+            res = verify_cover(single_edge_set(self.IU), single_edge_cover(bps),
+                               gamma=0.1, rho=0.6)
+            assert isinstance(res, CoverViolation)
+            assert res.issues == ["e: breakpoints must run from 0 to 0.9"]
+
+    def test_infeasible_names_the_widest_gap(self):
+        # the witness reads the gaps of the edge the search covered: once 0.0
+        # for a union of length 0.5 searched on [0, 1]
+        res = optimal_gamma(IntervalUnion([(0.0, 0.5)], length=1.0), rho=0.3)
+        assert not res.feasible
+        assert res.gap_witness == "gap of length 0.5 cannot be covered at rho=0.3"
+        refused = 0
+        for iu, rho, _, grid_n in reference_corpus(count=60):
+            res = optimal_gamma(iu, rho, grid_n=grid_n)
+            if not res.feasible and iu.measure > 0.0:
+                left, interior, right = iu.gaps()
+                assert res.gap_witness == (f"gap of length {max([left, right] + interior)} "
+                                           f"cannot be covered at rho={rho}")
+                refused += 1
+        assert refused >= 10
+
+    def test_a_stale_edge_length_argument_is_refused(self):
+        # grid_n is keyword-only: (omega, ell, rho) no longer runs with rho = ell
+        with pytest.raises(TypeError):
+            optimal_gamma(self.IU, 0.9, 9 / 32)
+        with pytest.raises(TypeError):
+            optimal_rho(self.IU, 0.9, 1e-6)
+        with pytest.raises(TypeError):
+            certified_params(self.IU, 0.9)
+
+
 def reference_corpus(seed=2024, count=200):
-    """Seeded (union, ell, rho, gamma, grid_n) cases: random unions with rho
-    below the widest gap, at or above ell and in between, touching and nearly
+    """Seeded (union, rho, gamma, grid_n) cases: random unions on edges of
+    length ell, with rho below the widest gap, at or above ell and in between, touching and nearly
     touching intervals, plus sets of measure below 1e-11 and the fat Cantor
     set."""
     rng = np.random.default_rng(seed)
@@ -400,14 +462,14 @@ def reference_corpus(seed=2024, count=200):
                else ell * float(rng.uniform(1.0, 1.5)) if c % 4 == 1
                else max(widest, 1e-3) * float(rng.uniform(1.0, 4.0)))
         grid_n = int(rng.choice([20, 50, 100, 200]))
-        cases.append((iu, ell, rho, float(rng.uniform(0.02, 1.0)), grid_n))
+        cases.append((iu, rho, float(rng.uniform(0.02, 1.0)), grid_n))
     tiny = IntervalUnion([(0.3, 0.3 + 5e-12)], length=1.0)
     dust = IntervalUnion([(0.05 + 0.1 * j, 0.05 + 0.1 * j + 1e-13)
                           for j in range(10)], length=1.0)
     svc, _ = svc_set(6)
-    cases += [(tiny, 1.0, 0.8, 1e-12, 200), (tiny, 1.0, 1.2, 1e-12, 200),
-              (dust, 1.0, 0.3, 1e-13, 200), (svc, 1.0, 9 / 32, 4 / 9, 200),
-              (svc, 1.0, 0.5, 0.5, 200), (svc, 1.0, 0.1, 1.0, 200)]
+    cases += [(tiny, 0.8, 1e-12, 200), (tiny, 1.2, 1e-12, 200),
+              (dust, 0.3, 1e-13, 200), (svc, 9 / 32, 4 / 9, 200),
+              (svc, 0.5, 0.5, 200), (svc, 0.1, 1.0, 200)]
     return cases
 
 
@@ -417,39 +479,39 @@ class TestReferenceKernels:
 
     def test_corpus_exercises_every_branch(self):
         corpus = reference_corpus()
-        results = [optimal_gamma(iu, ell, rho, n) for iu, ell, rho, _, n in corpus]
+        results = [optimal_gamma(iu, rho, grid_n=n) for iu, rho, _, n in corpus]
         assert sum(r.feasible for r in results) >= 100
         assert sum(not r.feasible for r in results) >= 30
         # the measure-zero rule refuses sets whose max-min density is positive
-        for iu, ell, rho, _, grid_n in corpus[-5:-3]:
-            ts = _candidates(iu, ell, rho, grid_n)
-            assert 0.0 < bottleneck_gamma(ts, iu.prefix_measures(ts), rho, ell)
-            assert not optimal_gamma(iu, ell, rho, grid_n).feasible
+        for iu, rho, _, grid_n in corpus[-5:-3]:
+            ts = _candidates(iu, rho, grid_n)
+            assert 0.0 < bottleneck_gamma(ts, iu.prefix_measures(ts), rho, iu.length)
+            assert not optimal_gamma(iu, rho, grid_n=grid_n).feasible
 
     def test_optimal_gamma_matches_bisection(self):
-        for iu, ell, rho, _, grid_n in reference_corpus():
-            assert np.array_equal(_candidates(iu, ell, rho, grid_n),
-                                  loop_candidates(iu, ell, rho, grid_n))
-            got = optimal_gamma(iu, ell, rho, grid_n)
-            want = bisection_optimal_gamma(iu, ell, rho, grid_n)
+        for iu, rho, _, grid_n in reference_corpus():
+            assert np.array_equal(_candidates(iu, rho, grid_n),
+                                  loop_candidates(iu, iu.length, rho, grid_n))
+            got = optimal_gamma(iu, rho, grid_n=grid_n)
+            want = bisection_optimal_gamma(iu, iu.length, rho, grid_n)
             assert (got.feasible, got.gamma, got.breakpoints, got.gap_witness) == \
                 (want["feasible"], want["gamma"], want["breakpoints"],
                  want["gap_witness"])
 
     def test_optimal_rho_matches_bisection(self):
-        for iu, ell, _, gamma, grid_n in reference_corpus():
-            got = optimal_rho(iu, ell, gamma, grid_n)
-            want = bisection_optimal_rho(iu, ell, gamma, grid_n)
+        for iu, _, gamma, grid_n in reference_corpus():
+            got = optimal_rho(iu, gamma, grid_n=grid_n)
+            want = bisection_optimal_rho(iu, iu.length, gamma, grid_n)
             assert (got.feasible, got.rho, got.breakpoints, got.global_density) == \
                 (want["feasible"], want["rho"], want["breakpoints"],
                  want["global_density"])
 
     def test_optimal_gamma_is_exact_on_its_grid(self):
         checked = 0
-        for iu, ell, rho, _, grid_n in reference_corpus(seed=77, count=60):
-            res = optimal_gamma(iu, ell, rho, grid_n)
-            ts = _candidates(iu, ell, rho, grid_n)
-            want = bottleneck_gamma(ts, iu.prefix_measures(ts), rho, ell)
+        for iu, rho, _, grid_n in reference_corpus(seed=77, count=60):
+            res = optimal_gamma(iu, rho, grid_n=grid_n)
+            ts = _candidates(iu, rho, grid_n)
+            want = bottleneck_gamma(ts, iu.prefix_measures(ts), rho, iu.length)
             if res.feasible:
                 assert res.gamma == pytest.approx(want, abs=1e-12)
                 checked += 1
@@ -459,7 +521,7 @@ class TestReferenceKernels:
 
 
 def grid_aligned_corpus(seed=5, count=40):
-    """(union, ell, gamma, grid_n) with every endpoint on the grid ell*i/grid_n,
+    """(union, gamma, grid_n) with every endpoint on the grid ell*i/grid_n,
     so that points shifted by the bisection's dyadic rho land on grid points
     and on other shifted points."""
     rng = np.random.default_rng(seed)
@@ -469,7 +531,7 @@ def grid_aligned_corpus(seed=5, count=40):
         ticks = np.unique(rng.integers(0, grid_n + 1, size=2 * int(rng.integers(1, 5))))
         ivs = [(ell * a / grid_n, ell * b / grid_n) for a, b in zip(ticks[::2], ticks[1::2])]
         if ivs:
-            cases.append((IntervalUnion(ivs, length=ell), ell,
+            cases.append((IntervalUnion(ivs, length=ell),
                           1e-6 if c % 3 else float(rng.uniform(0.02, 1.0)), grid_n))
     return cases
 
@@ -489,11 +551,12 @@ class TestRhoSearchSteps:
             return steps[-1][-1]
 
         monkeypatch.setattr(sampling, "_reach", spy)
-        corpus = [(iu, ell, gamma, n) for iu, ell, _, gamma, n in reference_corpus(count=40)]
+        corpus = [(iu, gamma, n) for iu, _, gamma, n in reference_corpus(count=40)]
         shared = 0  # steps where a shifted point is a base point or another shift
-        for iu, ell, gamma, grid_n in corpus + grid_aligned_corpus():
+        for iu, gamma, grid_n in corpus + grid_aligned_corpus():
             steps.clear()
-            res = optimal_rho(iu, ell, gamma, grid_n)
+            res = optimal_rho(iu, gamma, grid_n=grid_n)
+            ell = iu.length
             base = loop_candidates(iu, ell, 0.0, grid_n).size
             lo, hi = 0.0, ell
             for t, q, feasible in steps:
@@ -535,7 +598,7 @@ class TestGraphAggregation:
         sset = SamplingSet(finite={
             "a": IntervalUnion([(0.1, 0.3), (0.6, 0.8)], length=1.0),
             "b": IntervalUnion([(0.0, 0.2), (1.0, 1.1), (1.5, 1.6)], length=2.0)})
-        found = {eid: certified_params(iu, iu.length) for eid, iu in sset.finite.items()}
+        found = {eid: certified_params(iu) for eid, iu in sset.finite.items()}
         params = certify(sset)
         assert params.gamma == min(gamma for gamma, _, _ in found.values())
         assert params.rho <= max(rho for _, rho, _ in found.values())
