@@ -4,12 +4,12 @@ constants on compact metric graphs."""
 from .bounds import (BoundReport, h_bound, heat_trace_bound, observability_constant,
                      spectral_bound, standard_range, torsion_profile)
 from .graphs import (BoundarySubspace, Edge, MetricGraph, build_graph,
-                     diameter, dual_subspace, gauge_transform, graph_from_dict,
+                     dual_subspace, gauge_transform, graph_from_dict,
                      load_graph, metrics, standard_subspace,
                      subspace_from_basis, vertex_conditions_subspace)
 from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm,
-                       cosine_power_terms, differentiate, inner_product,
-                       masses, norm_sq, sup_on_disk_neighborhood)
+                       cosine_power_terms, inner_product, masses, norm_sq,
+                       sup_on_disk_neighborhood)
 from .sampling import (Cover, SamplingParams, SamplingSet, gap_analysis,
                        necessary_check, optimal_gamma, optimal_rho,
                        periodic_params, periodic_uniform_gamma, svc_set,

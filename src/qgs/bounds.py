@@ -233,27 +233,21 @@ class ObservabilityReport:
     d1: float
 
 
-# the C and K constants of the observability shape, flagged when all are kept
+# the C and K constants of the observability shape: universal, not pinned by
+# the paper, so every report carries the note "non-paper default constants"
 OBSERVABILITY_DEFAULTS = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "k1": 1.0, "k2": 5.0,
                           "k3": 1.0, "k4": 48.0}
 
 
-def observability_constant(gamma: float, rho: float, horizon: float,
-                           **overrides: float) -> ObservabilityReport:
+def observability_constant(gamma: float, rho: float, horizon: float) -> ObservabilityReport:
     """Explicit observability-constant shape (C1 d0 / T)(2 d0 + 1)^C2
     exp(C3 d1^2 / T) with d0 = (48/gamma)^5/12, d1 = (40 rho/log 2) log(48/gamma)
     (formula id observability), plus the envelope (K1 gamma^-K2 / T)
     exp(K3 rho^2 log^2(K4/gamma) / T).  The C and K constants are universal but
-    not pinned down here; callers override them by name, and the reports
-    carry a note when all seven equal OBSERVABILITY_DEFAULTS."""
-    if unknown := overrides.keys() - OBSERVABILITY_DEFAULTS.keys():
-        raise TypeError(f"unknown constants {sorted(unknown)}")
-    constants = {**OBSERVABILITY_DEFAULTS, **overrides}
-    c1, c2, c3, k1, k2, k3, k4 = constants.values()
+    not pinned down here: they are OBSERVABILITY_DEFAULTS, and the reports say so."""
+    c1, c2, c3, k1, k2, k3, k4 = OBSERVABILITY_DEFAULTS.values()
     if horizon <= 0.0:
         raise ValueError("time horizon must be positive")
-    if min(constants.values()) <= 0.0:
-        raise ValueError("constants must be positive")
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
     if rho <= 0.0:
@@ -261,7 +255,7 @@ def observability_constant(gamma: float, rho: float, horizon: float,
     log_d0 = -math.log(BASE_CONSTANT) + 5.0 * math.log(DENOMINATOR / gamma)
     d0 = _capped_exp(log_d0)
     d1 = (4.0 * SERIES_RADIUS * rho / LOG2) * math.log(DENOMINATOR / gamma)
-    notes = ("non-paper default constants",) if constants == OBSERVABILITY_DEFAULTS else ()
+    notes = ("non-paper default constants",)
     log_c = (math.log(c1) + log_d0 - math.log(horizon)
              + c2 * math.log1p(2.0 * d0) + c3 * d1 * d1 / horizon)
     main = _report("observability", log_c,

@@ -204,17 +204,6 @@ def metrics(g: MetricGraph) -> GraphMetrics:
     )
 
 
-def diameter(g: MetricGraph) -> float:
-    """The largest distance between two points of a compact connected graph
-    (0.0 without edges)."""
-    if not g.is_compact:
-        raise ValueError("diameter undefined on a non-compact graph")
-    m = metrics(g)
-    if not m.connected:
-        raise ValueError("diameter undefined on a disconnected graph")
-    return m.diameter or 0.0
-
-
 # ---------------------------------------------------------------------------
 # boundary subspaces
 

@@ -279,7 +279,23 @@ class GraphFunction:
         return val
 
     def derivative(self, order: int = 1) -> "GraphFunction":
-        return differentiate(self, order)
+        """Exact termwise derivative of the given order (order 0 is the identity)."""
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
+        terms = {e: list(ts) for e, ts in self.terms.items()}
+        for _ in range(order):
+            nxt: dict[str, list[PolyTrigTerm]] = {}
+            for e, ts in terms.items():
+                acc: list[PolyTrigTerm] = []
+                for c, p, w in ts:
+                    if p > 0:
+                        acc.append(PolyTrigTerm(c * p, p - 1, w))
+                    if w != 0.0:
+                        acc.append(PolyTrigTerm(c * 1j * w, p, w))
+                if acc:
+                    nxt[e] = acc
+            terms = nxt
+        return GraphFunction(self.graph, terms)
 
     def boundary_trace(self, sign: int) -> np.ndarray:
         """The boundary vector (sign * f(e, 0)) ⊕ f(e, len) in the graph's
@@ -313,26 +329,6 @@ class GraphFunction:
             e: [{"re": t.coeff.real, "im": t.coeff.imag, "power": t.power, "freq": t.freq}
                 for t in ts]
             for e, ts in sorted(self.terms.items())}}
-
-
-def differentiate(f: GraphFunction, order: int = 1) -> GraphFunction:
-    """Exact termwise derivative of the given order (order 0 is the identity)."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    terms = {e: list(ts) for e, ts in f.terms.items()}
-    for _ in range(order):
-        nxt: dict[str, list[PolyTrigTerm]] = {}
-        for e, ts in terms.items():
-            acc: list[PolyTrigTerm] = []
-            for c, p, w in ts:
-                if p > 0:
-                    acc.append(PolyTrigTerm(c * p, p - 1, w))
-                if w != 0.0:
-                    acc.append(PolyTrigTerm(c * 1j * w, p, w))
-            if acc:
-                nxt[e] = acc
-        terms = nxt
-    return GraphFunction(f.graph, terms)
 
 
 def _coerce_region(graph, region) -> dict[str, IntervalUnion] | None:
@@ -490,7 +486,7 @@ class _Settled:
 
     def __call__(self) -> float:
         if self.f is not None:
-            self.value, self.f = _gauss_norm_sq(differentiate(self.f, self.order), self.reg), None
+            self.value, self.f = _gauss_norm_sq(self.f.derivative(self.order), self.reg), None
         return self.value
 
 

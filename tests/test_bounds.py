@@ -288,8 +288,6 @@ class TestObservability:
     def test_domain(self):
         with pytest.raises(ValueError):
             observability_constant(0.5, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            observability_constant(0.5, 0.5, 1.0, c1=-1.0)
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
             observability_constant(1.5, 0.5, 1.0)
         with pytest.raises(ValueError, match="rho must be positive"):
@@ -298,12 +296,6 @@ class TestObservability:
     def test_default_marker(self):
         rep = observability_constant(0.5, 0.5, 1.0)
         assert any("default" in n for n in rep.c_squared.notes)
-        rep2 = observability_constant(0.5, 0.5, 1.0, k4=50.0)
-        assert not rep2.c_squared.notes
-
-    def test_unknown_constant_refused(self):
-        with pytest.raises(TypeError, match="c4"):
-            observability_constant(0.5, 0.5, 1.0, c4=1.0)
 
 
 class TestTorsionProfile:

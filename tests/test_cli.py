@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qgs import verify
 from qgs.cli import build_parser, main
 from qgs.graphs import load_graph
 from qgs.sampling import (Cover, SamplingParams, SamplingSet, certified_params, optimal_gamma,
@@ -119,6 +120,25 @@ class TestSampling:
         assert code == 1 and data["ok"] is False
         assert any(i.startswith(issue) for i in data["issues"])
 
+    def test_verify_prints_the_ray_cover(self, capsys, tmp_path):
+        # the head/body cover of a ray is part of the certificate
+        files = {}
+        for name, data in (
+                ("graph", _RAY),
+                ("set", {"external": {"r": {"head": [[0.0, 0.5]], "period": 1.0,
+                                            "body": [[0.25, 0.75]]}}}),
+                ("cover", {"external": {"r": {"head": [0.0, 0.5], "body": [0.0, 1.0]}}})):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(data))
+        code, out, err = run(capsys, "sampling", "verify", "--graph", str(files["graph"]),
+                             "--set", str(files["set"]), "--cover", str(files["cover"]),
+                             "--gamma", "0.4", "--rho", "1")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["ok"] is True and data["gamma"] == 0.5
+        assert data["cover"] == {"edges": {}, "external": {
+            "r": {"head": [0.0, 0.5], "body": [0.0, 1.0]}}}
+
     def test_gamma(self, capsys, interval_file, set_file):
         code, out, _ = run(capsys, "sampling", "gamma", "--graph", interval_file,
                            "--set", set_file, "--rho", "1.6")
@@ -204,13 +224,6 @@ class TestBound:
         assert data["d0"] == pytest.approx((48.0 / 0.5) ** 5 / 12.0, rel=1e-12)
         assert data["c_squared"]["formula"] == "observability"
         assert data["c_squared"]["notes"] == ["non-paper default constants"]
-
-    def test_observability_constants_drop_the_note(self, capsys):
-        code, out, _ = run(capsys, "bound", "observability", "--gamma", "0.5",
-                           "--rho", "0.5", "--horizon", "1.0", "--c1", "2")
-        assert code == 0
-        data = json.loads(out)
-        assert data["c_squared"]["notes"] == data["envelope"]["notes"] == []
 
     def test_torsion_bound(self, capsys, interval_file):
         code, out, _ = run(capsys, "bound", "torsion", "--graph", interval_file,
@@ -357,6 +370,15 @@ class TestVerify:
                              "--lambda-max", "5")
         assert (code, out, err) == (1, "", "error: no eigenvalues at or below 5.0\n")
 
+    def test_classify_failing_its_mass_bounds_exits_2(self, capsys, monkeypatch, interval_file):
+        cls = verify.EdgeClassification(good={"e": False}, m_max=verify.M_MAX, good_mass=0.0,
+                                        bad_mass=1.0, total_mass=1.0, closure_complete=False)
+        monkeypatch.setattr(verify, "classify_edges", lambda f, lam: cls)
+        code, out, err = run(capsys, "verify", "classify", "--graph", interval_file,
+                             "--lambda-max", "50")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["good"] == {"e": False}
+
     def test_trace_ineq(self, capsys, interval_file):
         code, out, _ = run(capsys, "verify", "trace-ineq", "--graph",
                            interval_file, "--trials", "20", "--seed", "3")
@@ -382,6 +404,15 @@ class TestAudit:
         assert header.startswith("trial,graph,gamma,rho,lam")
         assert len(out.read_text().splitlines()) == 11
 
+    def test_violation_is_reported_and_exits_2(self, capsys, monkeypatch):
+        trial = verify._audit_trial
+        monkeypatch.setattr(verify, "_audit_trial", lambda pool, seed, i, classify: (
+            trial(pool, seed, i, classify)[0], i != 1))
+        code, out, err = run(capsys, "audit", "--trials", "3", "--seed", "3",
+                             "--lambda-max", "30", "--format", "csv")
+        assert (code, err) == (2, "AUDIT VIOLATIONS: 1 of 3 trials\n")
+        assert len(out.splitlines()) == 4
+
 
 @pytest.mark.parametrize("argv", [
     ["sampling", "gaps", "--graph", "{graph}", "--set", "{set}", "--gamma", "nan", "--rho", "0.5"],
@@ -400,7 +431,8 @@ def test_non_finite_flag_refused(capsys, interval_file, set_file, argv):
     ["bound", "thm21", "--gamma", "x", "--rho", "0.5", "--lambda", "10"],
     ["bound"],
     ["sampling", "gamma", "--graph", "g.json", "--set", "s.json", "--rho", "0.5", "--grid", "5"],
-], ids=["missing-flag", "bad-value", "missing-subcommand", "removed-grid"])
+    ["bound", "observability", "--gamma", "0.5", "--rho", "0.5", "--horizon", "1", "--c1", "2"],
+], ids=["missing-flag", "bad-value", "missing-subcommand", "removed-grid", "removed-constant"])
 def test_usage_error_is_one_input_error_line(capsys, argv):
     # exit 2 is kept for an observed violation
     code, out, err = run(capsys, *argv)
@@ -458,8 +490,7 @@ _SURFACE = {
     "bound cor72": ["--gamma!", "--graph!", "--k!", "--out", "--rho!"],
     "bound trace": ["--gamma!", "--graph!", "--lambda-max=100.0", "--out", "--rho!", "--set",
                     "--t!"],
-    "bound observability": ["--c1=1.0", "--c2=1.0", "--c3=1.0", "--gamma!", "--horizon/-T!",
-                            "--k1=1.0", "--k2=5.0", "--k3=1.0", "--k4=48.0", "--out", "--rho!"],
+    "bound observability": ["--gamma!", "--horizon/-T!", "--out", "--rho!"],
     "bound torsion": ["--dirichlet!", "--gamma!", "--graph!", "--out", "--rho!"],
     "verify ratio": ["--graph!", "--lambda-max=100.0", "--modes=5", "--out", "--seed=20245",
                      "--set!"],
@@ -487,7 +518,7 @@ _LEAF_ARGV = {
     "bound thm26": "--gamma 1 --h 1",
     "bound cor72": "--graph {graph} --k 2 --gamma 1 --rho 1.5",
     "bound trace": "--graph {graph} --set {set} --gamma 1 --rho 0.02 --t 1 --lambda-max 100",
-    "bound observability": "--gamma 0.5 --rho 0.5 -T 1 --c1 2",
+    "bound observability": "--gamma 0.5 --rho 0.5 -T 1",
     "bound torsion": "--graph {graph} --dirichlet a --rho 1.5 --gamma 0.5",
     "verify ratio": "--graph {graph} --set {set} --lambda-max 50 --modes 3 --seed 5",
     "verify derivative": "--graph {graph} --set {set} --lambda-max 50 --modes 3 --seed 5",

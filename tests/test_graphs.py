@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
-                        _vertex_distances, build_graph, diameter, dual_subspace,
+                        _vertex_distances, build_graph, dual_subspace,
                         full_subspace, gauge_transform, graph_from_dict, metrics,
                         standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
@@ -167,7 +167,7 @@ class TestMetrics:
             ref = [lp_edge_pair_max(e, f, dv) for e, f in edge_pairs(g)]
             got = [_edge_pair_max(e, f, dv) for e, f in edge_pairs(g)]
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
-            assert diameter(g) == pytest.approx(max(ref), rel=1e-14, abs=0.0)
+            assert metrics(g).diameter == pytest.approx(max(ref), rel=1e-14, abs=0.0)
 
     def test_diameter_exact_on_near_ties(self):
         # Lengths 1 + eps on complete graphs leave route gaps of 1e-15..1e-9.
@@ -185,8 +185,6 @@ class TestMetrics:
         g = build_graph(["a", "b", "c", "d"],
                         [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)])
         assert metrics(g).diameter is None
-        with pytest.raises(ValueError):
-            diameter(g)
 
     def test_betti_with_ray(self):
         g = MetricGraph(["a"], [Edge("loop", "a", "a", 1.0),
@@ -202,14 +200,6 @@ class TestMetrics:
             assert metrics(g) == want
             for v in g.vertices:
                 assert len(g.vertex_coords(v)) == edge_end_degree(g, v)
-            if not g.is_compact:
-                with pytest.raises(ValueError, match="non-compact"):
-                    diameter(g)
-            elif not want.connected:
-                with pytest.raises(ValueError, match="disconnected"):
-                    diameter(g)
-            else:
-                assert diameter(g) == (want.diameter if g.edges else 0.0)
             ends = [frozenset((e.source, e.target)) for e in g.edges if e.is_finite]
             seen.update(name for name, hit in (
                 ("empty", not g.vertices), ("ray", not g.is_compact),

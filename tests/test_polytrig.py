@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qgs import verify
 from qgs.graphs import build_graph
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _gauss_norm_sq, cosine_power_terms, differentiate,
+                          _coerce_region, _gauss_norm_sq, cosine_power_terms,
                           gram, inner_product, integrate_powexp, masses, norm_sq,
                           sup_on_disk_neighborhood, whole_edge)
 from qgs.spectral import solve_torsion
@@ -175,7 +175,7 @@ class TestDifferentiate:
         g = interval_graph()
         k = 3.0
         f = cos_fn(g, k)
-        d2 = differentiate(f, 2)
+        d2 = f.derivative(2)
         want = cos_fn(g, k, amp=-k * k)
         diff = d2 - want
         assert norm_sq(diff) < 1e-24
@@ -183,18 +183,18 @@ class TestDifferentiate:
     def test_polynomial_vanishes(self):
         g = interval_graph(1.0)
         f = GraphFunction(g, {"e": [PolyTrigTerm(1.0, 2, 0.0)]})
-        assert differentiate(f, 3).is_zero()
+        assert f.derivative(3).is_zero()
 
     def test_order_zero_identity(self):
         g = interval_graph(1.0)
         f = GraphFunction(g, {"e": [PolyTrigTerm(2.0, 1, 1.5)]})
-        assert norm_sq(differentiate(f, 0) - f) < 1e-28
+        assert norm_sq(f.derivative(0) - f) < 1e-28
 
     def test_refusals(self):
         g = interval_graph(1.0)
         f = GraphFunction(g, {"e": [PolyTrigTerm(2.0, 1, 1.5)]})
         with pytest.raises(ValueError, match="derivative order must be >= 0"):
-            differentiate(f, -1)
+            f.derivative(-1)
         with pytest.raises(ValueError, match="functions live on different graphs"):
             f + GraphFunction(interval_graph(1.0), {"e": [PolyTrigTerm(1.0, 0, 0.0)]})
         for power in (-1, 3):
@@ -208,15 +208,15 @@ class TestDifferentiate:
         ell = 2.7
         g = interval_graph(ell)
         u = GraphFunction(g, {"e": [PolyTrigTerm(ell, 1, 0.0), PolyTrigTerm(-0.5, 2, 0.0)]})
-        u2 = differentiate(u, 2)
+        u2 = u.derivative(2)
         assert norm_sq(u2) == pytest.approx(ell, rel=1e-14)
 
     def test_compose_orders(self):
         g = interval_graph(1.0)
         f = GraphFunction(g, {"e": [PolyTrigTerm(1.0 + 0.5j, 2, 2.0),
                                     PolyTrigTerm(-0.25, 1, -3.0)]})
-        lhs = differentiate(differentiate(f, 2), 3)
-        rhs = differentiate(f, 5)
+        lhs = f.derivative(2).derivative(3)
+        rhs = f.derivative(5)
         assert norm_sq(lhs - rhs) < 1e-20
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qgs import report
@@ -10,8 +11,9 @@ from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, whole_edge
 from qgs.sampling import (Cover, SamplingSet, gap_analysis, optimal_gamma, optimal_rho,
                           verify_cover)
 from qgs.spectral import solve_torsion
-from qgs.verify import (audit, boundary_trace_check, classify_edges, kovrijkine_check,
-                        local_estimate_check, observability_numeric, ratio_reports)
+from qgs.verify import (CheckReport, audit, boundary_trace_check, classify_edges,
+                        kovrijkine_check, local_estimate_check, observability_numeric,
+                        ratio_reports)
 
 from oracles import ORACLE_ENCODERS, oracle_json
 
@@ -90,6 +92,14 @@ def test_edge_cases_are_present():
     assert REPORTS["ratio-vacuous"].vacuous and math.isnan(REPORTS["ratio-vacuous"].observed)
     for name in ("gamma-infeasible", "rho-infeasible"):
         assert not REPORTS[name].feasible and REPORTS[name].breakpoints is None
+
+
+def test_numpy_scalars_encode_as_json_scalars():
+    rep = CheckReport(name="kovrijkine", passed=np.bool_(True), lhs=np.float64(0.5),
+                      rhs=np.float64(np.inf), details={"grid": np.int64(2000)})
+    assert report.json_dumps(rep) == (
+        '{\n  "details": {\n    "grid": 2000\n  },\n  "lhs": 0.5,\n'
+        '  "name": "kovrijkine",\n  "passed": true,\n  "rhs": null\n}\n')
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

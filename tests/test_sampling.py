@@ -414,6 +414,9 @@ class TestOneEdgePerSet:
             assert res.issues == ["e: breakpoints must run from 0 to 0.9"]
 
     def test_infeasible_names_the_widest_gap(self):
+        # a set with no intervals has no gap to name
+        empty = optimal_gamma(IntervalUnion([], length=1.0), rho=0.3)
+        assert (empty.feasible, empty.gamma, empty.gap_witness) == (False, 0.0, "empty set")
         # the witness reads the gaps of the edge the search covered: once 0.0
         # for a union of length 0.5 searched on [0, 1]
         res = optimal_gamma(IntervalUnion([(0.0, 0.5)], length=1.0), rho=0.3)

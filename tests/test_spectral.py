@@ -13,8 +13,8 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
 from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
                           norm_sq)
 from qgs.spectral import (CLUSTER_GAP, EigenPair, _Eigenphases, _pair_integrals, _phase_fix,
-                          _secular_stack, boundary_residual, eigenvalues_up_to, secular_matrix,
-                          solve_torsion, spectral_sample)
+                          _secular_stack, boundary_residual, count_bound, eigenvalues_up_to,
+                          secular_matrix, solve_torsion, spectral_sample, wavenumber_range)
 
 from oracles import _phase_fix as loop_phase_fix
 from oracles import (_coeffs_to_function, det_scan_roots, fold_spectral_sample,
@@ -721,6 +721,26 @@ def _generic_k4():
                              ("e3", "c", "d", 0.969668), ("e4", "d", "a", 0.974166),
                              ("e5", "a", "c", 1.047653), ("e6", "b", "d", 0.998396)])
     return g, standard_subspace(g)
+
+
+class TestEigenphaseCount:
+    """The count that sizes the heat-trace tail and observability_numeric's
+    one solve: |G| k / pi - 2E <= #{0 < lambda <= k^2} <= count_bound, and
+    its inverse wavenumber_range, under Dirichlet, anti-Kirchhoff, raw-basis
+    and fluxed conditions alike."""
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_count_and_its_inverse(self, name):
+        g, y, lam_max = HARVEST_CASES[name]
+        total, edges = sum(g.edge_lengths.values()), len(g.edges)
+        roots = [p.k for p in eigenvalues_up_to(g, y, lam_max) if p.lam > 0.0]
+        # each root and a point just below it: the count's upper and lower extremes
+        for k in sorted({*roots, *(r * (1.0 - 1e-9) for r in roots), math.sqrt(lam_max)}):
+            count = sum(1 for r in roots if r <= k)
+            assert total * k / math.pi - 2 * edges <= count <= count_bound(total, edges, k)
+        for n, k in enumerate(roots, start=1):
+            lo, hi = wavenumber_range(total, edges, n)
+            assert lo <= k <= hi
 
 
 class TestRootSearch:
