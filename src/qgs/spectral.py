@@ -6,10 +6,12 @@ Y has the scale-invariant form "plus-trace in Y, minus-trace of i*f' in the
 complement of Y", so the bond scattering matrix U(k) = S J exp(ikL) on the
 2|E| edge ends is unitary, with S = 2 Q_Y - I constant, J swapping the two
 ends of each edge and L holding their lengths.  k > 0 is an eigenvalue of
-multiplicity m exactly when U(k) has the eigenvalue 1 with multiplicity m.
-The eigenfunctions span the null space of the secular matrix, which collects
-the same conditions as linear constraints on the edgewise (cos, sin)
-coefficients (affine a + b*x at k = 0).  Magnetic fluxes are absorbed into
+multiplicity m exactly when U(k) has the eigenvalue 1 with multiplicity m,
+and the null space of U(k) - I holds the eigenfunctions' outgoing amplitudes
+alpha: edge e carries alpha_(e,0) exp(ikx) + alpha_(e,l) exp(ikl) exp(-ikx).
+k = 0 is decided by the secular matrix, which collects the same conditions
+as linear constraints on the edgewise coefficients of a + b*x (of
+a cos kx + b sin kx for k > 0).  Magnetic fluxes are absorbed into
 the boundary subspace by the gauge rotation, so the solver itself only ever
 sees a free Laplacian; the returned eigenfunctions are the gauge-reduced
 representatives (same pointwise modulus as the magnetic ones).
@@ -41,6 +43,9 @@ _log = logging.getLogger("qgs.spectral")
 
 @dataclass
 class EigenPair:
+    """An eigenpair; residual is the m-th smallest singular value of U(k) - I
+    at a root of multiplicity m, and that of the row-scaled affine secular
+    matrix at k = 0."""
     k: float
     lam: float
     function: GraphFunction
@@ -66,37 +71,31 @@ def secular_matrix(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:
         raise ValueError("secular matrix requires a compact graph")
     if k < 0.0:
         raise ValueError("wavenumber must be nonnegative")
-    return _secular_stack(g, y, [k])[0]
+    return _secular(g, y, k)
 
 
-def _secular_stack(g: MetricGraph, y: BoundarySubspace, ks) -> np.ndarray:
-    """secular_matrix at every wavenumber of ks, stacked on a leading axis,
-    with one y.perp() SVD per call.  The rows hold the end values of f = a
-    cos kx + b sin kx (a + b x at k = 0) and of i f'; every entry, down to
-    the sign of a zero, is the float a one-wavenumber call has always built,
-    so an SVD of the stack sees the same input."""
+def _secular(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:
+    """secular_matrix without its checks.  The rows hold the end values of
+    f = a cos kx + b sin kx (a + b x at k = 0) and of i f'."""
     ne = len(g.edges)
-    ks = np.asarray(ks, dtype=float)
-    zero = ks == 0.0
-    kl = np.multiply.outer(ks, [g.edge_lengths[e.id] for e in g.edges])
-    cos = np.array(list(map(math.cos, kl.ravel().tolist()))).reshape(kl.shape)
-    sin = np.array(list(map(math.sin, kl.ravel().tolist()))).reshape(kl.shape)
-    b_plus = np.zeros((ks.size, g.n_boundary, 2 * ne), dtype=complex)
+    b_plus = np.zeros((g.n_boundary, 2 * ne), dtype=complex)
     b_minus = np.zeros_like(b_plus)
     col_a = {e.id: i for i, e in enumerate(g.edges)}
     for row, (eid, end) in enumerate(g.boundary_coords):
-        ia = col_a[eid]
-        ib = ia + ne
-        b_plus[:, row, ia] = np.where(zero, 1.0, cos[:, ia]) if end else 1.0
+        ia, ib = col_a[eid], col_a[eid] + ne
         if end == 0:
-            b_minus[:, row, ib] = np.where(zero, -1.0j, -1.0j * ks)
-        else:  # f = a + b x at k = 0, i f' = i b
-            b_plus[:, row, ib] = np.where(zero, g.edge_lengths[eid], sin[:, ia])
-            b_minus[:, row, ia] = np.where(zero, 0.0, -1.0j * ks * sin[:, ia])
-            b_minus[:, row, ib] = np.where(zero, 1.0j, 1.0j * ks * cos[:, ia])
+            b_plus[row, ia] = 1.0
+            b_minus[row, ib] = -1.0j if k == 0.0 else -1.0j * k
+        elif k == 0.0:  # f = a + b x, i f' = i b
+            b_plus[row, [ia, ib]] = 1.0, g.edge_lengths[eid]
+            b_minus[row, ib] = 1.0j
+        else:
+            c, s = math.cos(k * g.edge_lengths[eid]), math.sin(k * g.edge_lengths[eid])
+            b_plus[row, [ia, ib]] = c, s
+            b_minus[row, [ia, ib]] = -1.0j * k * s, 1.0j * k * c
     rows = [basis.conj() @ b for basis, b in ((y.perp().basis, b_plus), (y.basis, b_minus))
             if len(basis)]
-    return np.concatenate(rows, axis=1) if rows else np.zeros((ks.size, 0, 2 * ne), complex)
+    return np.concatenate(rows) if rows else np.zeros((0, 2 * ne), complex)
 
 
 def _unit_rows(mats: np.ndarray) -> np.ndarray:
@@ -110,7 +109,7 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     """Rotate every vector along the last axis (none of them zero) so its
     pivot entry is real and positive.  The pivot is the first entry within a
     relative 1e-8 of the largest modulus, so entries of equal modulus (a
-    travelling wave has |a| = |b|) cannot trade places under roundoff and
+    standing wave has |A| = |B|) cannot trade places under roundoff and
     turn the vector by a phase.  The pivot's modulus is a hypot, the value
     abs gives one complex number, not np.abs's vectorised one."""
     mag = np.abs(vecs)
@@ -120,19 +119,14 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
 
 
 def _eigenfunctions(g: MetricGraph, ks: np.ndarray, coeffs: np.ndarray) -> list[GraphFunction]:
-    """The function a cos kx + b sin kx (a + b x at k = 0) on every edge, for
-    each wavenumber of ks and row (a_e..., b_e...) of coeffs, built in the
-    form canonical_terms gives it: the terms (a + ib)/2 at frequency -k and
-    (a - ib)/2 at k (a at power 0 and b at power 1 where k = 0), each kept
-    when its modulus is at least PRUNE_REL times the larger of the two,
-    -0.0 folded by adding 0j, and an edge whose terms are both 0 left out.
-    The moduli are hypots, as abs computes them, since np.abs can differ in
-    the last bit."""
+    """The function A exp(-ikx) + B exp(ikx) (A + B x at k = 0) on every
+    edge, for each wavenumber of ks and row (A_e..., B_e...) of coeffs, built
+    in the form canonical_terms gives it: each term kept when its modulus is
+    at least PRUNE_REL times the larger of the two, -0.0 folded by adding 0j,
+    and an edge whose terms are both 0 left out.  The moduli are hypots, as
+    abs computes them, since np.abs can differ in the last bit."""
     ne = len(g.edges)
-    a, b = coeffs[:, :ne], coeffs[:, ne:]
-    zero = (ks == 0.0)[:, None]
-    first = np.where(zero, a, 0.5 * (a + 1j * b)) + 0j
-    second = np.where(zero, b, 0.5 * (a - 1j * b)) + 0j
+    first, second = coeffs[:, :ne] + 0j, coeffs[:, ne:] + 0j
     mag1, mag2 = np.hypot(first.real, first.imag), np.hypot(second.real, second.imag)
     peak = np.maximum(mag1, mag2)
     live = peak > 0.0
@@ -177,13 +171,17 @@ class _Eigenphases:
         self.stats = {"eigs": 0, "eig_calls": 0, "newton_steps": 0, "bisections": 0,
                       "probes": 0}
 
+    def unitary(self, ks: np.ndarray) -> np.ndarray:
+        """U at every wavenumber of ks, stacked on a leading axis."""
+        return self.sj * np.exp(1j * ks[:, None] * self.lengths)[:, None, :]
+
     def points(self, ks) -> list[_Point]:
         """U at every wavenumber of ks from one stacked eig call; each matrix
         gets the bits a one-matrix call gives it."""
         ks = np.asarray(ks, dtype=float)
         self.stats["eigs"] += ks.size
         self.stats["eig_calls"] += 1
-        w, v = np.linalg.eig(self.sj * np.exp(1j * ks[:, None] * self.lengths)[:, None, :])
+        w, v = np.linalg.eig(self.unitary(ks))
         return [_Point(k, p, vecs) for k, p, vecs
                 in zip(ks.tolist(), np.mod(np.angle(w), _TWO_PI), v)]
 
@@ -326,16 +324,14 @@ class _Eigenphases:
 
 
 def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """P[:, r, e]: the integrals of cos^2, cos sin and sin^2 of k x over
-    [0, l_e] at k = ks[r], or of 1, x and x^2 where k = 0: the entries of the
-    2 x 2 Gram W_e of an edge's (cos, sin) or affine pair.  The sin^2 integral
-    l/2 - sin(2kl)/4k cancels to an absolute 1e-16 l at small kl, which is
-    harmless: an eigenfunction's sin coefficient b has |b|^2 l of order
-    ||f||^2 at most there, since the integral of |f'|^2 is k^2 ||f||^2."""
-    k = np.where(ks > 0.0, ks, 1.0)[:, None]
-    half, odd = 0.5 * ells, np.sin(2.0 * k * ells) / (4.0 * k)
-    out = np.stack([half + odd, np.sin(k * ells) ** 2 / (2.0 * k), half - odd])
-    out[:, ks == 0.0] = np.array([ells, half * ells, ells ** 3 / 3.0])[:, None]
+    """P[:, r, e]: the entries <p, p>, <p, q> and <q, q> of the 2 x 2 Gram
+    W_e of an edge's pair p = exp(-ikx), q = exp(ikx) over [0, l_e] at
+    k = ks[r], or of p = 1, q = x where k = 0.  The coupling
+    l exp(-ikl) sinc(kl / pi) does not cancel at small kl."""
+    kl = np.multiply.outer(ks, ells)
+    diag = np.broadcast_to(ells, kl.shape)
+    out = np.stack([diag, diag * np.exp(-1j * kl) * np.sinc(kl / math.pi), diag])
+    out[:, ks == 0.0] = np.array([ells, 0.5 * ells * ells, ells ** 3 / 3.0])[:, None]
     return out
 
 
@@ -368,14 +364,15 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     Newton steps converge; a cluster of predicted crossings (a degenerate
     root) is closed by two probes just outside it.  The count is exact for
     every boundary subspace and flux, so the spectrum is complete.  One
-    harvest pass then turns the roots into eigenfunctions: the secular
-    matrices of every root and of k = 0 are one stack with one SVD, and each
-    root's eigenfunctions are the trailing right-singular vectors, as many as
-    the count says (at k = 0 as many as the singular values say),
-    L2-orthonormalised through the Cholesky factor of their Gram matrix,
-    which is closed form in the edgewise coefficients.  The roots of one
-    multiplicity share one array pass (phase fix, Gram, Cholesky and solve),
-    and the eigenfunctions' terms are built in canonical form directly.
+    harvest pass then turns the roots into eigenfunctions: U(k) - I at every
+    root is one stack with one SVD, and each root's eigenfunctions are the
+    trailing right-singular vectors, as many as the count says; at k = 0 they
+    are those of the affine secular matrix, as many as its singular values
+    say.  Each cluster is L2-orthonormalised through the Cholesky factor of
+    its Gram matrix, which is closed form in the edgewise coefficients.  The
+    roots of one multiplicity share one array pass (phase fix, Gram, Cholesky
+    and solve), and the eigenfunctions' terms are built in canonical form
+    directly.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -406,25 +403,24 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
         else:
             merged.append([k, m])
 
-    # Below k = 1 the sin columns vanish like k (the cos/sin ansatz degenerates
-    # toward the affine one) and would drive sigma_min to zero near k = 0, so
-    # they are divided by k
+    # k = 0 from its affine secular matrix, the roots from one stacked SVD of
+    # U(k) - I, whose null vectors are the outgoing amplitudes alpha: edge e
+    # carries A exp(-ikx) + B exp(ikx) with A = alpha_(e,l) exp(ikl) and
+    # B = alpha_(e,0), the affine (a, b) in the same layout at k = 0
+    _, sv0, vh0 = np.linalg.svd(_unit_rows(_secular(g, y_eff, 0.0)))
+    zero_mult = int(np.sum(sv0 < TOL_NULL)) if sv0[-1] < TOL_ACCEPT else 0
     ks = np.array([0.0] + [k for k, _ in merged])
-    mats = _secular_stack(g, y_eff, ks)
-    low = (ks > 0.0) & (ks < 1.0)
-    mats[low, :, ne:] /= ks[low, None, None]
-    _, sv, vh = np.linalg.svd(_unit_rows(mats))
-    zero_mult = int(np.sum(sv[0] < TOL_NULL)) if sv[0, -1] < TOL_ACCEPT else 0
-    ints = _pair_integrals(np.array([g.edge_lengths[e.id] for e in g.edges]), ks)
-    scale = np.ones_like(ks)
-    scale[low] = 1.0 / ks[low]
+    _, sv, vh = np.linalg.svd(phases.unitary(ks[1:]) - np.eye(2 * ne))
+    null = np.conj(np.concatenate([vh0[None], vh[..., np.r_[ne:2 * ne, 0:ne]]]))
+    ells = phases.lengths[:ne]
+    null[1:, :, :ne] *= np.exp(1j * ks[1:, None, None] * ells)
+    sv = np.concatenate([sv0[None], sv])
+    ints = _pair_integrals(ells, ks)
     clusters = [(0.0, zero_mult), *merged]
     funcs: list[list[GraphFunction]] = [[] for _ in clusters]
     for m in sorted({m for _, m in clusters} - {0}):
         idx = [i for i, (_, mi) in enumerate(clusters) if mi == m]
-        vecs = np.conj(vh[idx, -m:])
-        vecs[..., ne:] *= scale[idx, None, None]
-        vecs = _phase_fix(vecs)
+        vecs = _phase_fix(null[idx, -m:])
         # each cluster Gram G = sum_e V_e W_e V_e^H = L L^H: the rows of
         # L^-1 vecs are L2-orthonormal
         cross = (vecs[..., :ne] * ints[1, idx, None]) @ np.swapaxes(vecs[..., ne:].conj(), 1, 2)
@@ -492,7 +488,7 @@ def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
     if not g.edges:
         raise ValueError("torsion solve requires at least one edge")
     y = vertex_conditions_subspace(g, "standard", dict.fromkeys(dirichlet, "dirichlet"))
-    mat = _secular_stack(g, y, [0.0])[0]
+    mat = _secular(g, y, 0.0)
     if np.linalg.svd(_unit_rows(mat), compute_uv=False)[-1] < TOL_ACCEPT:
         raise ValueError("torsion system singular: some part of the graph is "
                          "not connected to the Dirichlet set")

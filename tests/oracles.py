@@ -944,7 +944,8 @@ def edgewise_classify_edges(f: GraphFunction, lam: float) -> EdgeClassification:
 # normalisation through the kernel Gram of throw-away functions, copied
 # verbatim from the solver before the stacked harvest (renamed only, and the
 # solver's DEBUG record dropped); the reference the one-pass harvest must
-# reproduce: eigenvalues, multiplicities and residuals bit for bit
+# reproduce: eigenvalues and multiplicities bit for bit, and each root's
+# eigenspace
 
 
 def loop_secular_matrix(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:

@@ -13,11 +13,11 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
 from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
                           norm_sq)
 from qgs.spectral import (CLUSTER_GAP, EigenPair, _Eigenphases, _pair_integrals, _phase_fix,
-                          _secular_stack, boundary_residual, count_bound, eigenvalues_up_to,
-                          secular_matrix, solve_torsion, spectral_sample, wavenumber_range)
+                          boundary_residual, count_bound, eigenvalues_up_to, secular_matrix,
+                          solve_torsion, spectral_sample, wavenumber_range)
 
 from oracles import _phase_fix as loop_phase_fix
-from oracles import (_coeffs_to_function, det_scan_roots, fold_spectral_sample,
+from oracles import (det_scan_roots, fold_spectral_sample,
                      loop_conditioned, loop_eigenphase_roots, loop_eigenvalues_up_to,
                      loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
                      torsion_fd)
@@ -594,34 +594,47 @@ def _clusters(pairs):
     return list(out.values())
 
 
+def _coefficients(f):
+    """{(edge, power, freq): coeff} of a function's terms."""
+    return {(eid, t.power, t.freq): t.coeff for eid, ts in f.terms.items() for t in ts}
+
+
 class TestOnePassHarvest:
-    """The stacked-SVD, closed-form-Gram harvest against the per-root one it
-    replaced (tests/oracles.py): the same roots, multiplicities and residuals
-    bit for bit, the same eigenfunctions to rounding."""
+    """The harvest from the null space of U(k) - I against the per-root
+    secular harvest (tests/oracles.py): the same roots and multiplicities bit
+    for bit, and each cluster the same eigenspace with an orthonormal basis."""
 
     @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
     def test_matches_per_root_oracle(self, name):
         g, y, lam_max = HARVEST_CASES[name]
         new = eigenvalues_up_to(g, y, lam_max)
         old = loop_eigenvalues_up_to(g, y, lam_max)
-        assert [(p.k, p.lam, p.residual) for p in new] == [(p.k, p.lam, p.residual)
-                                                           for p in old]
-        for p, q in zip(new, old):
-            big = max(abs(t.coeff) for ts in q.function.terms.values() for t in ts)
-            for eid in g.edge_ids:
-                a = {t[1:]: t.coeff for t in p.function.terms.get(eid, ())}
-                b = {t[1:]: t.coeff for t in q.function.terms.get(eid, ())}
-                for key in a.keys() | b.keys():
-                    assert abs(a.get(key, 0.0) - b.get(key, 0.0)) <= 1e-15 * big
+        assert [(p.k, p.lam) for p in new] == [(p.k, p.lam) for p in old]
+        for ps, qs in zip(_clusters(new), _clusters(old)):
+            # rotate the cluster onto the oracle's basis by the unitary polar
+            # factor W of the cross-Gram C[i, j] = <new_i, old_j>: sum_i
+            # conj(W[i, j]) new_i is old_j when both span one eigenspace
+            m = len(ps)
+            cross = gram([p.function for p in ps + qs])[:m, m:]
+            u, _, vh = np.linalg.svd(cross)
+            w = u @ vh
+            got = [_coefficients(p.function) for p in ps]
+            for j, q in enumerate(qs):
+                want = _coefficients(q.function)
+                big = max(map(abs, want.values()))
+                for key in want.keys() | {key for c in got for key in c}:
+                    turned = sum(np.conj(w[i, j]) * c.get(key, 0.0) for i, c in enumerate(got))
+                    assert abs(turned - want.get(key, 0.0)) <= 1e-13 * big
 
     def test_stacked_secular_matrices_are_the_scalar_ones(self):
-        # bit for bit, signs of zeros included: the SVD sees the same input
+        # secular_matrix against the loop that first built it, bit for bit,
+        # signs of zeros included
         rng = np.random.default_rng(0)
         for g, y, _ in HARVEST_CASES.values():
             y = gauge_transform(y, g)
             ks = np.concatenate([[0.0, 1e-9, 0.5], rng.uniform(0.0, 20.0, 10)])
-            for k, m in zip(ks.tolist(), _secular_stack(g, y, ks)):
-                assert np.array_equal(m.view(np.uint64),
+            for k in ks.tolist():
+                assert np.array_equal(secular_matrix(g, y, k).view(np.uint64),
                                       loop_secular_matrix(g, y, k).view(np.uint64))
 
     @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
@@ -642,23 +655,33 @@ class TestOnePassHarvest:
         g = interval(ell)
         ks = np.array([0.0, 1e-3, 0.7, 5.0])
         ints = _pair_integrals(np.array([ell]), ks)
-        for r, k in enumerate(ks):
-            want = gram([_coeffs_to_function(g, k, v) for v in np.eye(2)])
-            got = [[ints[0, r, 0], ints[1, r, 0]], [ints[1, r, 0], ints[2, r, 0]]]
+        for r, k in enumerate(ks.tolist()):
+            # exp(-ikx) and exp(ikx), or 1 and x at k = 0
+            pair = [(0, -k), (0, k)] if k else [(0, 0.0), (1, 0.0)]
+            want = gram([GraphFunction(g, {"e": [PolyTrigTerm(1.0, p, w)]}) for p, w in pair])
+            got = [[ints[0, r, 0], ints[1, r, 0]], [np.conj(ints[1, r, 0]), ints[2, r, 0]]]
             assert np.max(np.abs(want - got)) <= 1e-14 * max(ell, ell ** 3)
 
     @pytest.mark.parametrize("edges", [
         [("e1", "c", "a", 20.0), ("e2", "c", "b", 17.3), ("e3", "c", "s", 1e-3)],
         [("e1", "a", "v", 30.0), ("e2", "v", "b", 20.0), ("stub", "v", "s", 2e-3)],
+        # a 50-edge path (k_1 = pi / 50, k l < 0.09 on every edge) and a
+        # 40-cycle with flux 0.3 (k_1 = 0.3 / 40)
+        [(f"e{i}", f"v{i:02d}", f"v{i + 1:02d}", 1.0) for i in range(50)],
+        [(f"e{i}", f"v{i:02d}", f"v{(i + 1) % 40:02d}", 1.0, 0.3 if i == 0 else 0.0)
+         for i in range(40)],
     ])
     def test_unit_norm_at_small_k_ell(self, edges):
-        # k ~ 0.06-0.2: k l ~ 1e-4 on the short edge, where the sin^2 integral
-        # of the closed-form Gram would cancel
+        # k ~ 0.0075-0.2: k l ~ 1e-4 on the short edges, and k_1 l below 0.09
+        # on every edge of the path and the cycle, where the exponentials
+        # exp(ikx) and exp(-ikx) of one edge are nearly parallel
         g = build_graph(sorted({v for e in edges for v in e[1:3]}), edges)
         pairs = eigenvalues_up_to(g, standard_subspace(g), 0.05)
-        assert len(pairs) >= 3 and pairs[1].k < 0.1
+        assert len(pairs) >= 3 and [p.k for p in pairs if p.k > 0.0][0] < 0.1
         for p in pairs:
             assert abs(_gauss_norm_sq(p.function, None) - 1.0) <= 1e-13
+        dev = gram([p.function for p in pairs]) - np.eye(len(pairs))
+        assert np.max(np.abs(dev)) <= 1e-12
 
     def test_terms_are_canonical(self):
         # built straight from the coefficients, each eigenfunction's terms are
