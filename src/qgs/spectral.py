@@ -33,6 +33,8 @@ from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm, _pruned
 TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
 TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
+SIN_CLUSTER = 1e-3       # eigh columns whose sin(theta - _TURN) lie this close share one eig
+_TURN = 0.1              # eigh works on exp(-i _TURN) U, so phases 0 and pi differ in sine
 _SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
 MAX_SOLVE_ENTRIES = 2 ** 22  # cap on the (2E)^2 entries of a solve's cell or root stack
 _MAX_ROUNDS = 200        # root-search rounds: a split tree ~50 deep and 100 Newton rounds
@@ -146,6 +148,55 @@ def _eigenfunctions(g: MetricGraph, ks: np.ndarray, coeffs: np.ndarray) -> list[
     return out
 
 
+def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenphases in [0, 2 pi] and the orthonormal eigenvectors (as
+    columns) of every unitary matrix of the stack u, each matrix with the
+    bits a one-matrix stack gives it.
+
+    U shares its eigenvectors with the Hermitian skew part
+    H = (R - R^H) / 2i of R = exp(-i _TURN) U, whose eigenvalues are
+    sin(theta - _TURN): one stacked eigh of H resolves the phases well near
+    theta = 0, where the roots are (its slope there is cos(_TURN)).  The
+    turn keeps 0 and pi apart: under vertex conditions a bipartite graph's U
+    is similar to -U, so each root's phase 0 has a partner at pi, and
+    without the turn both have the sine 0.  The columns whose sin(theta - _TURN) lie within
+    SIN_CLUSTER of a neighbour are contiguous in eigh's sorted output and
+    form one cluster (close phases, or two whose sum is pi + 2 _TURN).
+    U compressed onto a cluster's columns is a small normal block; one
+    stacked eig per cluster size decomposes the blocks, and their
+    eigenvectors, orthonormalised by QR, rotate the cluster's columns.  Each
+    phase is the angle of its vector's Rayleigh quotient <v, U v>.
+
+    Accuracy: a cluster separated from the rest by SIN_CLUSTER has its
+    invariant subspace to about eps ||U|| / SIN_CLUSTER, and the Rayleigh
+    quotient of a normal matrix errs by the square of that, so the phases
+    are as accurate as eig's while the residuals ||U v - exp(i theta) v||
+    grow to about eps / SIN_CLUSTER.  SIN_CLUSTER trades that residual
+    against the size of the clusters: 1e-3 keeps it near 1e-12, and a
+    larger one buys little accuracy for more eig work."""
+    n = u.shape[-1]
+    r = u * complex(math.cos(_TURN), -math.sin(_TURN))
+    s, v = np.linalg.eigh(-0.5j * (r - np.swapaxes(r.conj(), 1, 2)))
+    # the vectors as rows, and U applied to each, C-contiguous: every sum
+    # below runs along a contiguous axis, whatever the stack's size
+    rows = np.swapaxes(v, 1, 2).reshape(-1, n).copy()
+    u_rows = (np.swapaxes(v, 1, 2) @ np.swapaxes(u, 1, 2)).reshape(-1, n)
+    close = np.diff(s, axis=1) < SIN_CLUSTER
+    if close.any():
+        head = np.ones(s.shape, dtype=bool)
+        head[:, 1:] = ~close
+        first = np.flatnonzero(head)
+        size = np.diff(np.append(first, head.size))
+        for c in sorted(set(size[size > 1].tolist())):
+            idx = first[size == c][:, None] + np.arange(c)
+            block = rows[idx].conj() @ np.swapaxes(u_rows[idx], 1, 2)
+            basis = np.swapaxes(np.linalg.qr(np.linalg.eig(block)[1])[0], 1, 2)
+            rows[idx], u_rows[idx] = basis @ rows[idx], basis @ u_rows[idx]
+    phases = np.mod(np.angle(np.einsum("ij,ij->i", rows.conj(), u_rows)), _TWO_PI)
+    return (phases.reshape(-1, n),
+            np.ascontiguousarray(np.swapaxes(rows.reshape(-1, n, n), 1, 2)))
+
+
 @dataclass
 class _Point:
     k: float
@@ -176,14 +227,13 @@ class _Eigenphases:
         return self.sj * np.exp(1j * ks[:, None] * self.lengths)[:, None, :]
 
     def points(self, ks) -> list[_Point]:
-        """U at every wavenumber of ks from one stacked eig call; each matrix
-        gets the bits a one-matrix call gives it."""
+        """U at every wavenumber of ks, decomposed by _unitary_eig in one
+        stacked call; each matrix gets the bits a one-matrix call gives it."""
         ks = np.asarray(ks, dtype=float)
         self.stats["eigs"] += ks.size
         self.stats["eig_calls"] += 1
-        w, v = np.linalg.eig(self.unitary(ks))
-        return [_Point(k, p, vecs) for k, p, vecs
-                in zip(ks.tolist(), np.mod(np.angle(w), _TWO_PI), v)]
+        phases, vecs = _unitary_eig(self.unitary(ks))
+        return [_Point(k, p, w) for k, p, w in zip(ks.tolist(), phases, vecs)]
 
     def count(self, a: _Point, b: _Point) -> int:
         """Roots in (a.k, b.k]: the lifted eigenphases gain 2|G|(b - a) in
@@ -221,7 +271,7 @@ class _Eigenphases:
         """(wavenumber, multiplicity) of the m roots in each count bracket
         (a.k, b.k], all brackets advanced together: in each round every live
         bracket takes one new point (a pair of probes takes two), and one
-        stacked eig call decomposes them all.  A bracket of several roots at
+        points call decomposes them all.  A bracket of several roots at
         least CLUSTER_GAP wide is split at its predicted points (two probes
         around a cluster of predictions, or one split between them), or at
         its midpoint when there are none or when the split that made it
@@ -231,9 +281,12 @@ class _Eigenphases:
         Any other bracket holds one root of multiplicity m, which Newton from
         b converges inside it: a step that leaves the bracket is replaced by
         the midpoint, and every new point narrows the bracket by its count.
-        A step is accepted without another eig when it is tiny or its
-        estimated error is at most 1e-13 max(1, k); a midpoint that is an end
-        or the current point cannot narrow the bracket and ends it there.
+        A step is accepted without another point when it is tiny or its
+        estimated error is at most 1e-13 max(1, k), unless it lands that
+        close above a.k from above: phases at 1 at a.k belong to the bracket
+        below, so such a target is one more point (and a bracket already
+        that narrow ends at b.k).  A midpoint that is an end or the current
+        point cannot narrow the bracket and ends it there.
         A bracket still live after _MAX_ROUNDS rounds is a ValueError."""
         out, live = [], [(a, b, m, b, True) for a, b, m in brackets]
         for _ in range(_MAX_ROUNDS):
@@ -257,7 +310,14 @@ class _Eigenphases:
                     # on them heads for k = 0, which is no root of the first cell
                     if max(a.k, CLUSTER_GAP) <= t <= b.k:
                         scale = max(1.0, p.k)
-                        if abs(step) <= 1e-12 * scale or err <= 1e-13 * scale:
+                        # so do phases at 1 at a.k, a root of the bracket
+                        # below: a target that close to a.k from above is a
+                        # root only if one more point counts it
+                        near = p is not a and t - a.k <= 1e-13 * scale
+                        if near and b.k - a.k <= 1e-13 * scale:
+                            out.append((b.k, m))
+                            continue
+                        if not near and (abs(step) <= 1e-12 * scale or err <= 1e-13 * scale):
                             out.append((t, m))
                             continue
                         self.stats["newton_steps"] += 1
@@ -308,8 +368,6 @@ class _Eigenphases:
         dist = np.where(crossed | ahead, np.abs(delta), math.inf)
         pick = np.argsort(dist, axis=1)[:, :m]
         q = np.take_along_axis(vecs, pick[:, None, :], axis=2)
-        if m > 1:
-            q = np.linalg.qr(q)[0]
         lq = np.swapaxes(q.conj(), 1, 2) * self.lengths
         speed = (lq * np.swapaxes(q, 1, 2)).real.sum(axis=(1, 2))
         step = -np.take_along_axis(delta, pick, axis=1).sum(axis=1) / speed
@@ -357,9 +415,10 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
 
     For k > 0 the eigenphases of the bond scattering matrix U(k) are sampled
-    on cells of width at most 1 / (longest edge), all cell ends with one
-    stacked eig; the exact root count of each cell is split, between the
-    crossings its phases predict, until every subcell holds one root (or is
+    on cells of width at most 1 / (longest edge), all cell ends decomposed
+    by one _unitary_eig call (a stacked eigh of the skew part of U); the
+    exact root count of each cell is split, between the crossings its
+    phases predict, until every subcell holds one root (or is
     narrower than CLUSTER_GAP, then one root of that multiplicity), which
     Newton steps converge; a cluster of predicted crossings (a degenerate
     root) is closed by two probes just outside it.  The count is exact for

@@ -28,6 +28,9 @@ exact rationals bound both.  The hand-written Horner loop is the reference for
 the numpy `polyval` that `qgs.verify.kovrijkine_check` evaluates with.  The
 per-edge Gram that `qgs.polytrig.gram` replaced, with its window picker and
 term Gram, is the reference its one-call Gram must match to a summation bound.
+Chebyshev-Lobatto collocation of the magnetic Laplacian, one generalized
+eigenproblem with the vertex conditions as rows, is the completeness oracle
+of the eigenphase solver under every boundary subspace and flux.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.optimize import linprog
 
@@ -1227,6 +1231,63 @@ def loop_eigenphase_roots(g: MetricGraph, y: BoundarySubspace,
         else:
             merged.append([k, m])
     return [(k, m) for k, m in merged], phases.stats
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev-Lobatto collocation of the magnetic Laplacian: the completeness
+# oracle for every vertex condition, sharing nothing with the eigenphase
+# solver (no scattering matrix, no count, no gauge rotation)
+
+
+def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto points t_j = cos(pi j / n) and the differentiation
+    matrix on them (Trefethen, Spectral Methods in MATLAB, cheb.m)."""
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[[0, n]] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    dt = t[:, None] - t[None, :]
+    d = np.outer(c, 1.0 / c) / (dt + np.eye(n + 1))
+    return t, d - np.diag(d.sum(axis=1))
+
+
+def collocation_eigenvalues(g: MetricGraph, y: BoundarySubspace, lam_max: float,
+                            nodes: int) -> np.ndarray:
+    """The eigenvalues in [0, lam_max] of the magnetic Laplacian
+    -(d/dx - i A_e)^2 (A_e = flux_e / length_e) under the boundary subspace
+    y, multiplicities included, as finite eigenvalues of one generalized
+    eigenproblem.  Each edge carries its values at nodes + 1 Chebyshev-Lobatto
+    points, x_0 = 0 and x_nodes = length.  The interior rows collocate the
+    equation; the 2E end rows are replaced by the conditions perp^H F = 0 and
+    Y^H (i F') = 0 on the end values F and the outward magnetic derivatives
+    F', rows with no right-hand side, so their eigenvalues are infinite.
+    Returned sorted, complex (a real spectrum up to the discretisation)."""
+    ne, n1 = len(g.edges), nodes + 1
+    t, d_t = _cheb(nodes)
+    a_mat = np.zeros((ne * n1, ne * n1), dtype=complex)
+    b_mat = np.zeros_like(a_mat)
+    ends = np.zeros((g.n_boundary, ne * n1), dtype=complex)   # F
+    outward = np.zeros_like(ends)                              # F'
+    col = {}
+    for i, e in enumerate(g.edges):
+        sl = slice(i * n1, (i + 1) * n1)
+        col[e.id] = i * n1
+        # x = length (1 - t) / 2 runs from 0 (t = 1) to the length (t = -1)
+        dm = -2.0 / e.length * d_t - 1j * (e.flux / e.length) * np.eye(n1)
+        a_mat[sl, sl] = -dm @ dm
+        b_mat[sl, sl] = np.eye(n1)
+        for row, (eid, end) in enumerate(g.boundary_coords):
+            if eid == e.id:
+                j = 0 if end == 0 else nodes
+                ends[row, i * n1 + j] = 1.0
+                outward[row, sl] = dm[j] if end else -dm[j]
+    cond = np.concatenate([y.perp().basis.conj() @ ends, y.basis.conj() @ (1j * outward)])
+    end_rows = [col[e.id] + j for e in g.edges for j in (0, nodes)]
+    a_mat[end_rows] = cond
+    b_mat[end_rows] = 0.0
+    w = scipy.linalg.eig(a_mat, b_mat, right=False)
+    w = w[np.isfinite(w) & (w.real <= lam_max)]
+    return w[np.argsort(w.real)]
 
 
 # ---------------------------------------------------------------------------

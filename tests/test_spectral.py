@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgs import spectral
 from qgs.cli import main
@@ -12,12 +14,13 @@ from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         vertex_conditions_subspace, zero_subspace)
 from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
                           norm_sq)
-from qgs.spectral import (CLUSTER_GAP, EigenPair, _Eigenphases, _pair_integrals, _phase_fix,
-                          boundary_residual, count_bound, eigenvalues_up_to, secular_matrix,
-                          solve_torsion, spectral_sample, wavenumber_range)
+from qgs.spectral import (_TURN, CLUSTER_GAP, SIN_CLUSTER, EigenPair, _Eigenphases,
+                          _pair_integrals, _phase_fix, _unitary_eig, boundary_residual, count_bound,
+                          eigenvalues_up_to, secular_matrix, solve_torsion, spectral_sample,
+                          wavenumber_range)
 
 from oracles import _phase_fix as loop_phase_fix
-from oracles import (det_scan_roots, fold_spectral_sample,
+from oracles import (collocation_eigenvalues, det_scan_roots, fold_spectral_sample,
                      loop_conditioned, loop_eigenphase_roots, loop_eigenvalues_up_to,
                      loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
                      torsion_fd)
@@ -746,6 +749,46 @@ def _generic_k4():
     return g, standard_subspace(g)
 
 
+class TestUnitaryEig:
+    """The eigh route of _unitary_eig against LAPACK's general eig on random
+    unitary stacks with planted hard cases: a pair within SIN_CLUSTER in
+    sin(theta - _TURN), pairs of equal sine, pairs theta and pi - theta,
+    phases at 0 and pi, near pi / 2, and exact multiplicities."""
+
+    @staticmethod
+    def stack(rng, planted, n=12, count=16):
+        out = []
+        for _ in range(count):
+            theta = np.concatenate([planted, rng.uniform(0.0, 2.0 * math.pi, n - len(planted))])
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            out.append((q * np.exp(1j * theta)) @ q.conj().T)
+        return np.array(out)
+
+    @pytest.mark.parametrize("planted", [
+        [0.3, 0.3 + 0.5 * SIN_CLUSTER],                  # close in sine and in theta
+        [0.7, math.pi + 2.0 * _TURN - 0.7, 2.0, math.pi + 2.0 * _TURN - 2.0],  # equal sines
+        [0.7, math.pi - 0.7, 2.0, math.pi - 2.0],        # theta beside pi - theta
+        [0.0, 0.0, 1e-9, math.pi],                       # at 0, and pi, whose sine is 0 too
+        [0.5 * math.pi - 1e-3, 0.5 * math.pi, 0.5 * math.pi + 2e-3],  # where sin is flat
+        [1.9] * 3 + [4.0] * 4,                           # exact multiplicities
+    ])
+    def test_against_eig(self, planted):
+        u = self.stack(np.random.default_rng(len(planted)), np.array(planted))
+        phases, vecs = _unitary_eig(u)
+        want = np.linalg.eigvals(u)
+        for p, v, w, m in zip(phases, vecs, want, u):
+            assert np.all((0.0 <= p) & (p <= 2.0 * math.pi))
+            # both sorted around the circle from the middle of eig's widest gap
+            ref = np.sort(np.mod(np.angle(w), 2.0 * math.pi))
+            gaps = np.diff(np.append(ref, ref[0] + 2.0 * math.pi))
+            cut = ref[np.argmax(gaps)] + 0.5 * gaps.max()
+            assert np.allclose(np.sort(np.mod(p - cut, 2.0 * math.pi)),
+                               np.sort(np.mod(np.angle(w) - cut, 2.0 * math.pi)),
+                               rtol=0.0, atol=1e-13)
+            assert np.max(np.abs(m @ v - v * np.exp(1j * p))) <= 1e-11
+            assert np.max(np.abs(v.conj().T @ v - np.eye(len(p)))) <= 1e-13
+
+
 class TestEigenphaseCount:
     """The count that sizes the heat-trace tail and observability_numeric's
     one solve: |G| k / pi - 2E <= #{0 < lambda <= k^2} <= count_bound, and
@@ -890,23 +933,52 @@ class TestRootSearch:
         d = record.diagnostics
         assert d["probes"] == 18 and d["eig_calls"] <= 3
 
-    def test_stuck_midpoint_ends_its_bracket(self, caplog):
-        # the 4-fold root at pi / 2 leaves a Newton bracket 2 ulps wide whose
-        # midpoint counts 0 < c < 4: it ends the bracket instead of being
-        # decomposed again in every round
+    def test_root_at_the_lower_end_belongs_below(self):
+        # a Dirichlet interval beside a standard triangle: the lower end a of
+        # (a.k, b.k] sits on the triangle's double root 6 pi / |cycle|, whose
+        # two phases read as just crossed there.  Newton from b on them heads
+        # for a.k, which is no root of the bracket; its one root is the
+        # interval's 3 pi / ell
+        ell, sides = 1.465813, (0.973243, 0.977883, 0.984873)
+        g = build_graph(["a", "b", "p", "q", "r"],
+                        [("e", "a", "b", ell), ("t1", "p", "q", sides[0]),
+                         ("t2", "q", "r", sides[1]), ("t3", "r", "p", sides[2])])
+        phases = _Eigenphases(g, vertex_conditions_subspace(
+            g, "standard", {"a": "dirichlet", "b": "dirichlet"}))
+        a, b = phases.points([6.0 * math.pi / sum(sides), 6.857])
+        assert np.count_nonzero(a.phases < 1e-15) == 2 and phases.count(a, b) == 1
+        [(k, m)] = phases.roots([(a, b, 1)])
+        assert m == 1 and abs(k - 3.0 * math.pi / ell) <= 1e-15 * k
+
+    def test_stuck_midpoint_ends_its_bracket(self, caplog, monkeypatch):
+        # a Newton bracket a few ulps wide around a degenerate root whose
+        # midpoint counts 0 < c < m ends instead of being decomposed again in
+        # every round
         with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
             self.assert_same_roots(*HARVEST_CASES["k33-standard"])
         [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
         assert record.diagnostics["eig_calls"] <= 30
-        # the same bracket built by hand: its midpoint counts 2, and the next
-        # midpoint is that point again, so the bracket ends there instead of
-        # running to the round cap
-        g, y, _ = HARVEST_CASES["k33-standard"]
+        # the 3-fold root 3 pi / 1.47 of the interval beside the triangle
+        # (the cycle is twice the interval, so the triangle's double roots
+        # fall on the interval's) in a 2-ulp bracket: two of its phases read
+        # as crossed at the midpoint, one does not.  With
+        # no Newton target (the NaN that too few phases inside the bracket's
+        # windows give), the bracket is bisected; the next midpoint is that
+        # point again, so the bracket ends there instead of running to the
+        # round cap
+        g, y, _ = HARVEST_CASES["interval+triangle"]
         phases = _Eigenphases(g, y)
-        a, b = phases.points([1.5707963267948966, 1.570796326794897])
+        a, b = phases.points([6.411413578754679, 6.411413578754681])
         [mid] = phases.points([0.5 * (a.k + b.k)])
-        assert (phases.count(a, b), phases.count(a, mid)) == (4, 2)
-        assert phases.roots([(a, b, 4)]) == [(1.5707963267948968, 4)]
+        assert (phases.count(a, b), phases.count(a, mid)) == (3, 2)
+        newton = _Eigenphases._newton_steps
+
+        def no_target(self, *args):
+            steps, errs = newton(self, *args)
+            return np.full_like(steps, math.nan), errs
+
+        monkeypatch.setattr(_Eigenphases, "_newton_steps", no_target)
+        assert phases.roots([(a, b, 3)]) == [(mid.k, 3)]
         assert phases.stats["eig_calls"] <= 3
 
 
@@ -937,3 +1009,71 @@ class TestFirstCell:
         assert max(p.residual for p in pairs) <= 1e-10
         dev = gram([p.function for p in pairs]) - np.eye(len(pairs))
         assert np.max(np.abs(dev)) <= 1e-12
+
+
+_SHAPES = {
+    "interval": ("ab", [("a", "b")]),
+    "lasso": ("vw", [("v", "v"), ("v", "w")]),
+    "star3": ("cxyz", [("c", "x"), ("c", "y"), ("c", "z")]),
+    "triangle+tail": ("pqrs", [("p", "q"), ("q", "r"), ("r", "p"), ("r", "s")]),
+    "k4": ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c"), ("b", "d")]),
+}
+
+
+@st.composite
+def _collocation_problems(draw):
+    """(graph, subspace, lam_max): a shape of _SHAPES with lengths in
+    [0.6, 1.4] and some fluxes, under a random global basis of random rank or
+    a random subspace of random rank at every vertex (local conditions)."""
+    vertices, ends = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+    edges = [(f"e{i}", u, v, draw(st.floats(0.6, 1.4)),
+              draw(st.sampled_from([0.0, 0.0, draw(st.floats(-math.pi, math.pi))])))
+             for i, (u, v) in enumerate(ends)]
+    g = build_graph(list(vertices), edges)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nb = g.n_boundary
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, nb))
+        rows = rng.normal(size=(rank, nb)) + 1j * rng.normal(size=(rank, nb))
+    else:
+        blocks = []
+        for v in g.vertices:
+            at = g.vertex_coords(v)
+            block = np.zeros((int(rng.integers(0, len(at) + 1)), nb), dtype=complex)
+            block[:, at] = rng.normal(size=(len(block), len(at))) + 1j * rng.normal(
+                size=(len(block), len(at)))
+            blocks.append(block)
+        rows = np.concatenate(blocks)
+    return g, subspace_from_basis(g, rows), draw(st.floats(10.0, 100.0))
+
+
+class TestCollocationOracle:
+    """Completeness under every vertex condition the loader accepts, against
+    Chebyshev-Lobatto collocation of the magnetic Laplacian
+    (tests/oracles.py), which shares no step with the eigenphase solver."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(problem=_collocation_problems())
+    def test_counts_and_values(self, problem):
+        g, y, lam_max = problem
+        nodes = 16 + math.ceil(math.sqrt(lam_max) * max(g.edge_lengths.values()))
+        coarse, fine = (collocation_eigenvalues(g, y, 1.1 * lam_max, n).real
+                        for n in (nodes, 2 * nodes))
+        # the cut lies in the widest gap of the fine spectrum in
+        # [0.85, 0.95] lam_max, so no eigenvalue sits near it
+        edges = np.concatenate([[0.85 * lam_max], fine[(fine > 0.85 * lam_max)
+                                                       & (fine < 0.95 * lam_max)],
+                                [0.95 * lam_max]])
+        i = int(np.argmax(np.diff(edges)))
+        cut = 0.5 * (edges[i] + edges[i + 1])
+        want, twin = fine[fine <= cut], coarse[coarse <= cut]
+        scale = np.maximum(1.0, np.abs(want))
+        assert len(twin) == len(want)
+        # the coarse error is at most about the node-doubling difference:
+        # its truncation error where the fine spectrum has converged, and
+        # below the fine spectrum's roundoff (which grows like nodes^4) where
+        # both have
+        tol = 2.0 * float(np.max(np.abs(twin - want) / scale, initial=0.0)) + 1e-12
+        got = np.array([p.lam for p in eigenvalues_up_to(g, y, lam_max) if p.lam <= cut])
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - twin) <= tol * scale)
