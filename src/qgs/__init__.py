@@ -11,8 +11,7 @@ from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm,
                        cosine_power_terms, inner_product, masses, norm_sq,
                        sup_on_disk_neighborhood)
 from .sampling import (Cover, SamplingParams, SamplingSet, gap_analysis,
-                       necessary_check, optimal_gamma, optimal_rho,
-                       periodic_params, periodic_uniform_gamma, svc_set,
+                       necessary_check, optimal_gamma, optimal_rho, svc_set,
                        verify_cover)
 from .spectral import (EigenPair, TorsionSolution, eigenvalues_up_to,
                        secular_matrix, solve_torsion, spectral_sample)

@@ -4,21 +4,20 @@ A set is (gamma, rho)-sampling on an edge when the edge admits a cover by
 adjacent closed intervals of length at most rho, each meeting the set in
 relative measure at least gamma.  Finite edges carry finite interval unions,
 each storing its edge length; infinite edges carry a head union plus an
-eventually periodic body.  Over a candidate breakpoint grid on a union's edge,
-gamma comes from an exact max-min dynamic program and rho from bisection over
-the cover-feasibility program; both are certified one-sided bounds, since any
-reported cover verifies exactly.
+eventually periodic body.  Whether a union's edge has a cover at (gamma, rho),
+with breakpoints anywhere, is decided exactly by one sweep over its m
+intervals in O(m); optimal gamma and rho come from bisection on that decision
+and are certified one-sided bounds, since any reported cover verifies exactly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
 
 from .graphs import MetricGraph, malformed, read_json
 from .polytrig import IntervalUnion
@@ -26,8 +25,11 @@ from .polytrig import IntervalUnion
 if TYPE_CHECKING:
     from fractions import Fraction
 
-RHO_TOL_REL = 1e-9       # binary search resolution on rho, relative to the edge
+RHO_TOL_REL = 1e-9       # bisection width on rho (gamma), relative to the edge (top density)
+COVER_SIZE = 200         # rho >= length/COVER_SIZE: a cover has about 2*COVER_SIZE + 2m windows
 _EQ_SLACK = 1e-12        # comparison slack for exact-measure boundary cases
+
+_log = logging.getLogger("qgs.sampling")
 
 
 @dataclass(frozen=True)
@@ -249,111 +251,119 @@ def necessary_check(gaps: Mapping[str, EdgeGaps], gamma: float, rho: float
 # optimisers
 
 
-def _rho_free(omega: IntervalUnion, grid_n: int) -> tuple[list[float], np.ndarray]:
-    """The points 0, ell = omega.length and the set's endpoints, sorted and
-    unique; and the candidates that do not depend on rho: those points and the
-    grid, sorted, unique, in [0, ell]."""
-    ell = omega.length
-    ends = np.unique(np.concatenate(([0.0, ell], omega.starts, omega.ends)) + 0.0)  # -0.0 -> 0.0
-    pts = np.union1d(ends, ell * np.arange(1, grid_n) / grid_n)
-    return ends.tolist(), pts[(pts >= -1e-15) & (pts <= ell * (1 + 1e-15))]
+def _reach(omega: IntervalUnion, gamma: float, rho: float
+           ) -> list[tuple[float, float, float, float]] | None:
+    """The set reached at (gamma, rho) on the edge [0, ell] of omega, as
+    pieces (lo, hi, g0, slope) on each of which g(y) = g0 + slope*y, or None
+    if ell is not in it.  With g(x) = |omega ∩ [0, x]| - gamma*x, a window
+    [y, x] has density at least gamma iff g(y) <= g(x): x is reached (ends
+    a cover of [0, x]) iff x = 0 or some reached y in [x - rho, x) has g(y)
+    <= g(x).  g rises on omega and falls on its gaps, so the reached set is
+    {0} on the left end gap, a suffix [c_k, b_k] of each interval [a_k, b_k]
+    (a reached point witnesses the later ones, where g is no lower) and a
+    prefix (b_k, d_k] of the gap after it (a gap point's witness lies at or
+    before b_k and witnesses the gap points before it too; with no c_k it
+    would witness b_k, so the prefix is empty).  On the window [x - rho, x)
+    the least g of a piece is 0, g(c_k) or g(d_k) until the window leaves
+    it, but g(z) on the suffix holding z = x - rho.  A deque keeps these
+    constants in the order they leave, each below those behind it.  Between
+    events (a constant leaving, z entering or leaving a suffix) the test is
+    linear in x: a constant against g(x), or g(z) <= g(x), i.e. |omega ∩ [z,
+    x]| >= gamma*rho, a measure constant for x on omega and falling at slope
+    1 on a gap.  c_k is the first x of its interval to pass, d_k the last of
+    its gap.  Each piece enters and leaves the deque once: O(m) for m
+    intervals.  A window with no reached point ends the sweep, as no later
+    point can be reached."""
+    a, b, cum, ell = omega.starts.tolist(), omega.ends.tolist(), omega.cum.tolist(), omega.length
+    s, inf, m = 1.0 - gamma, math.inf, len(a)
+    pieces = [(0.0, 0.0, 0.0, s)] if m and a[0] > 0.0 else []  # {0} on a left end gap
+    consts = deque([(rho, 0.0)] * len(pieces))  # (x at which it leaves, g)
+    suffixes: list[tuple[float, float, float]] = []  # (x it enters, x it leaves, g0)
+    sp = 0  # the first suffix the window has not left
 
+    def window(x: float) -> tuple[float, float | None, float]:
+        """(least constant, g0 of the suffix holding x - rho or None, next event)."""
+        nonlocal sp
+        while consts and consts[0][0] <= x:
+            consts.popleft()
+        while sp < len(suffixes) and suffixes[sp][1] <= x:
+            sp += 1
+        least, nxt = (consts[0][1], consts[0][0]) if consts else (inf, inf)
+        if sp == len(suffixes):
+            return least, None, nxt
+        enter, leave, g0 = suffixes[sp]
+        return (least, g0, min(nxt, leave)) if enter <= x else (least, None, min(nxt, enter))
 
-def _shifted(ends: list[float], rho: float, ell: float) -> list[float]:
-    """The points ends -/+ rho inside (0, ell), sorted and unique."""
-    return sorted({x for e in ends for x in (e - rho, e + rho) if 0.0 < x < ell})
+    def push(leave: float, g: float) -> None:
+        while consts and consts[-1][1] >= g:
+            consts.pop()
+        consts.append((leave, g))
 
-
-def _candidates(omega: IntervalUnion, rho: float, grid_n: int) -> np.ndarray:
-    ends, base = _rho_free(omega, grid_n)
-    return np.union1d(base, _shifted(ends, rho, omega.length))
-
-
-def _window_starts(ts: np.ndarray, rho: float, ell: float) -> list[int]:
-    """lo[i] = first j with ts[i] - ts[j] <= rho + slack: a window's start."""
-    slack_w = rho + _EQ_SLACK * max(1.0, ell)
-    t, lo, j = ts.tolist(), [], 0
-    for ti in t:
-        while ti - t[j] > slack_w:
-            j += 1
-        lo.append(j)
-    return lo
-
-
-def _maxmin_density(ts: np.ndarray, pref: np.ndarray, lo: list[int]) -> float:
-    """Exact max over candidate-aligned covers of the least window density
-    (-inf if none reaches ell): best[i] = max_j min(best[j], dens(j, i)).
-    The densities of a block of rows come from one array expression, the
-    same float per entry as row by row; the recurrence then runs row by row."""
-    n = ts.size
-    best = np.full(n, -np.inf)
-    best[0] = np.inf
-    maximum, minimum = np.maximum.reduce, np.minimum
-    a = 1
-    while a < n:
-        c = lo[a]
-        # at most 64 rows and about 2**15 densities: on wide windows a larger
-        # block falls out of cache and is slower than row by row
-        b = min(n, a + max(1, min(64, 32768 // (a - c + 1))))
-        with np.errstate(divide="ignore", invalid="ignore"):  # j >= i: unused
-            dens = (pref[a:b, None] - pref[c:b]) / (ts[a:b, None] - ts[c:b])
-        for i, row, j in zip(range(a, b), dens, lo[a:b]):
-            if j < i:
-                window = row[j - c:i - c]
-                best[i] = maximum(minimum(best[j:i], window, out=window))
-        a = b
-    return float(best[-1])
-
-
-def _reach(t: list[float], q: list[float], slack_w: float, slack_m: float) -> bool:
-    """Forward pass of the cover DP over the candidates t, with q = pref -
-    gamma*t: [t[j], t[i]] is a window iff t[i] - t[j] <= slack_w, and dense
-    enough iff q[j] <= q[i] + slack_m.  Sets q = inf at the unreached
-    candidates, in place; True iff ell is reached."""
-    inf = math.inf
-    live = deque([0])  # the reached candidates of the window, in increasing q
-    popleft, pop, append = live.popleft, live.pop, live.append
-    j, q_min = 0, q[0]  # the window's start; q at live[0]
-    for i in range(1, len(t)):
-        ti = t[i]
-        if ti - t[j] > slack_w:  # the window moved: drop what it left behind
-            j += 1
-            while ti - t[j] > slack_w:
-                j += 1
-            while live[0] < j:
-                popleft()
-                if not live:  # no window beyond this one holds a reached point
-                    return False
-            q_min = q[live[0]]
-        qi = q[i]
-        if q_min <= qi + slack_m:
-            if q_min >= qi:  # i undercuts every reached point of the window
-                live.clear()
-                q_min = qi
+    for k in range(m):
+        ak, bk = a[k], b[k]
+        g0 = cum[k] - ak  # g = g0 + s*x on [ak, bk]
+        x, c = ak, (ak if k == 0 and ak <= 0.0 else None)
+        while c is None:
+            least, gz, t = window(x)
+            if least == inf and gz is None:
+                return None
+            t = min(t, bk)
+            if least <= g0 + s * x or gz is not None and g0 - gz + s * rho >= 0.0:
+                c = x
+            elif s > 0.0 and least <= g0 + s * t:
+                c = min(max(x, (least - g0) / s), t)
+            elif t >= bk:
+                break
             else:
-                while q[live[-1]] >= qi:  # stops above live[0], whose q < qi
-                    pop()
-            append(i)
+                x = t
+        if c is None:
+            continue
+        push(c + rho, g0 + s * c)
+        suffixes.append((c + rho, bk + rho, g0))
+        pieces.append((c, bk, g0, s))
+        end = a[k + 1] if k + 1 < m else ell
+        G, x, d = cum[k + 1], bk, None  # g = G - gamma*x on the gap
+        while d is None and end > bk:
+            least, gz, t = window(x)
+            t = min(t, end)
+            e = max((G - least) / gamma, -inf if gz is None else G - gz + s * rho)
+            if e < t or t >= end:
+                d = max(x, min(e, end))
+            else:
+                x = t
+        if d is not None and d > bk:
+            push(d + rho, G - gamma * d)
+            pieces.append((bk, d, G, -gamma))
+    return pieces if pieces and pieces[-1][1] >= ell else None
+
+
+def _walk(pieces: list[tuple[float, float, float, float]], ell: float, gamma: float,
+          rho: float) -> list[float]:
+    """Breakpoints of a cover of [0, ell] through the reached set `pieces`
+    of _reach, walked back from ell: each step goes to the earliest reached
+    y in [x - rho, x) with g(y) <= g(x), up to a tie of 1e-14*max(1, ell)
+    on g and on the ends of the pieces, whose g lines it extends, but none
+    on the width, nor on the point 0 of a left end gap, whose neighbours
+    are not reached.  A gap never witnesses its own points."""
+    tie = 1e-14 * max(1.0, ell)
+    his = [hi + tie if hi > 0.0 else 0.0 for _, hi, _, _ in pieces]
+    i = len(pieces) - 1
+    x = ell
+    gx = pieces[i][2] + pieces[i][3] * x
+    path = [x]
+    while x > 0.0:
+        z = x - rho
+        for j in range(bisect_left(his, z), i if pieces[i][3] < 0.0 else i + 1):
+            lo, hi, g0, slope = pieces[j]
+            y = max(lo, z) if slope >= 0.0 else max(lo, z, min(hi, (g0 - gx) / gamma))
+            if y < x and y <= his[j] and g0 + slope * y <= gx + tie:
+                break
         else:
-            q[i] = inf
-    return q[-1] != inf
-
-
-def _walk(t: list[float], q: list[float], slack_w: float, slack_m: float
-          ) -> list[float]:
-    """Breakpoints of the cover a successful _reach found: from ell back to 0,
-    each step goes to the earliest dense-enough reached point of its window
-    (the longest step)."""
-    i = len(t) - 1
-    path = [t[i]]
-    while i > 0:
-        ti, bound = t[i], q[i] + slack_m
-        j = i - 1
-        while j >= 0 and ti - t[j] <= slack_w:
-            if q[j] <= bound:
-                i = j
-            j -= 1
-        path.append(t[i])
+            raise AssertionError(f"no reached point witnesses {x!r}")
+        while x - y > rho:
+            y = math.nextafter(y, math.inf)
+        x, gx, i = y, g0 + slope * y, j
+        path.append(x)
     return path[::-1]
 
 
@@ -379,92 +389,103 @@ def _achieved(omega: IntervalUnion, bps: list[float]) -> tuple[float, float]:
     return min(dens), max(widths)
 
 
-def optimal_gamma(omega: IntervalUnion, rho: float, *, grid_n: int = 200) -> GammaResult:
+def _search(decide, good: float, ideal: float, width: float):
+    """(parameter, its pieces, sweeps): the parameter nearest `ideal` that
+    `decide` passes, by bisection from `good` down to `width`; ideal itself
+    if it passes, good with pieces None if good fails too."""
+    got = decide(ideal)
+    if got is not None:
+        return ideal, got, 1
+    got, bad, sweeps = decide(good), ideal, 2
+    while got is not None and abs(bad - good) > width:
+        mid, sweeps = 0.5 * (good + bad), sweeps + 1
+        pieces = decide(mid)
+        if pieces is None:
+            bad = mid
+        else:
+            good, got = mid, pieces
+    return good, got, sweeps
+
+
+def _log_search(kind: str, sweeps: int, omega: IntervalUnion, bps, feasible: bool) -> None:
+    diagnostics = dict(search=kind, sweeps=sweeps, pieces=len(omega),
+                       windows=len(bps) - 1 if bps else 0, feasible=feasible)
+    _log.debug("optimal_%s %s", kind, diagnostics, extra={"diagnostics": diagnostics})
+
+
+def optimal_gamma(omega: IntervalUnion, rho: float) -> GammaResult:
     """Largest certified gamma such that omega is (gamma, rho)-sampling on its
-    edge [0, omega.length]: the exact max-min window density over
-    candidate-aligned covers (one forward DP), certified by the cover the
-    feasibility DP builds at it.  A lower bound on the true optimum; exact
-    when an optimal cover's breakpoints lie in the candidate set."""
+    edge [0, omega.length], over covers with breakpoints anywhere: the least
+    density of the cover walked at the passing end of a bisection on the
+    exact decision _reach, to RHO_TOL_REL times min(1, |omega|/length), a
+    lower bound within that width of the optimum.  A set with no cover denser
+    than 10*_EQ_SLACK is refused with its widest gap; a rho below
+    length/COVER_SIZE is a ValueError."""
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
+    ell = omega.length
+    if rho < ell / COVER_SIZE:
+        raise ValueError(f"rho = {rho:g} is below the edge length / {COVER_SIZE} = "
+                         f"{ell / COVER_SIZE:g}: its cover could take more than "
+                         f"{2 * COVER_SIZE} windows")
     if omega.measure <= 0.0:
+        _log_search("gamma", 0, omega, None, False)
         return GammaResult(gamma=0.0, breakpoints=None, feasible=False,
                            gap_witness="empty set")
-    ell = omega.length
-    ts = _candidates(omega, rho, grid_n)
-    pref = omega.prefix_measures(ts)
-    gamma = _maxmin_density(ts, pref, _window_starts(ts, rho, ell))
-    bps = None
-    if gamma > 0.0:  # the feasibility DP's cover at gamma, preferring long steps
-        slack_m = _EQ_SLACK * max(1.0, ell)
-        t, q = ts.tolist(), (pref - gamma * ts).tolist()
-        if _reach(t, q, rho + slack_m, slack_m):
-            bps = _walk(t, q, rho + slack_m, slack_m)
+    top = min(1.0, omega.measure / ell)
+    gamma, got, sweeps = _search(lambda g: _reach(omega, g, rho), 10.0 * _EQ_SLACK, top,
+                                 RHO_TOL_REL * top)
+    bps = _walk(got, ell, gamma, rho) if got is not None else None
     gamma_star = _achieved(omega, bps)[0] if bps else 0.0
-    if gamma_star <= 10.0 * _EQ_SLACK:
-        # no cover, or only ones with a measure-zero window the slack let through
+    feasible = gamma_star > 10.0 * _EQ_SLACK
+    _log_search("gamma", sweeps, omega, bps, feasible)
+    if not feasible:
+        # no cover, or only ones with a measure-zero window the tie let through
         left, interior, right = omega.gaps()
-        worst = max([left, right] + interior)
         return GammaResult(gamma=0.0, breakpoints=None, feasible=False,
-                           gap_witness=f"gap of length {worst} cannot be covered "
-                                       f"at rho={rho}")
+                           gap_witness=f"gap of length {max([left, right] + interior)} "
+                                       f"cannot be covered at rho={rho}")
     return GammaResult(gamma=gamma_star, breakpoints=tuple(bps), feasible=True)
 
 
-def optimal_rho(omega: IntervalUnion, gamma: float, *, grid_n: int = 200) -> RhoResult:
-    """Smallest certified rho for the given gamma on the edge [0, omega.length]
-    (an upper bound on the true minimum), with its certificate cover."""
+def optimal_rho(omega: IntervalUnion, gamma: float) -> RhoResult:
+    """Smallest certified rho for the given gamma on the edge [0,
+    omega.length], over covers with breakpoints anywhere: the widest window
+    of the cover walked at the passing end of a bisection on the exact
+    decision _reach, to RHO_TOL_REL times the length and stopping at the
+    floor length/COVER_SIZE, an upper bound within that width of the minimum
+    or at the floor."""
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
     ell = omega.length
     global_density = omega.measure / ell if ell > 0 else 0.0
     if global_density + _EQ_SLACK < gamma:
+        _log_search("rho", 0, omega, None, False)
         return RhoResult(rho=math.inf, breakpoints=None, feasible=False,
                          global_density=global_density)
-    # each step adds to the rho-free candidates only the points shifted by
-    # its rho; the last feasible step's DP state yields the cover at the end
-    ends, base = _rho_free(omega, grid_n)
-    t_base = base.tolist()
-    in_base = set(t_base)
-    q_base = (omega.prefix_measures(base) - gamma * base).tolist()
-    slack_m = _EQ_SLACK * max(1.0, ell)
-    lo, hi = 0.0, ell
-    last = None
-    while hi - lo > RHO_TOL_REL * ell:
-        mid = 0.5 * (lo + hi)
-        pts = [x for x in _shifted(ends, mid, ell) if x not in in_base]
-        t, q = t_base[:], q_base[:]
-        for x, p in zip(pts[::-1], omega.prefix_measures(pts)[::-1].tolist()):
-            at = bisect_left(t_base, x)
-            t.insert(at, x)
-            q.insert(at, p - gamma * x)
-        if _reach(t, q, mid + slack_m, slack_m):
-            hi = mid
-            last = (t, q, mid + slack_m)
-        else:
-            lo = mid
-    best = _walk(*last, slack_m) if last else [0.0, ell]
-    _, rho_star = _achieved(omega, best)
-    return RhoResult(rho=rho_star, breakpoints=tuple(best), feasible=True,
-                     global_density=global_density)
+    rho, got, sweeps = _search(lambda r: _reach(omega, gamma, r), ell, ell / COVER_SIZE,
+                               RHO_TOL_REL * ell)
+    # within _EQ_SLACK of the global density the one window [0, ell] is the cover
+    best = _walk(got, ell, gamma, rho) if got is not None else [0.0, ell]
+    _log_search("rho", sweeps, omega, best, True)
+    return RhoResult(rho=_achieved(omega, best)[1], breakpoints=tuple(best),
+                     feasible=True, global_density=global_density)
 
 
 def certified_params(omega: IntervalUnion) -> tuple[float, float, tuple[float, ...]] | None:
     """(gamma, rho, cover breakpoints) of omega on its edge [0, omega.length]
-    at the smallest workable rho, the one optimal_rho finds for gamma = 1e-6,
-    or None if the edge cannot be certified.  gamma is optimal_gamma's at that
-    rho.  That DP is aligned to the candidates at rho, which optimal_rho's
-    cover (built at the rho of a bisection step) need not be; where it finds
-    no cover, that cover certifies at its achieved gamma, under the same
-    measure-zero rule."""
+    at the smallest workable rho, the one optimal_rho finds for gamma = 1e-6
+    (raised to the floor length/COVER_SIZE optimal_gamma takes), or None if
+    the edge cannot be certified.  gamma is optimal_gamma's at that rho: both
+    searches decide over all covers, so optimal_rho's own cover is one that
+    optimal_gamma maximises over, and it finds one at least as dense."""
     res_r = optimal_rho(omega, gamma=1e-6)
     if not res_r.feasible:
         return None
-    res_g = optimal_gamma(omega, rho=res_r.rho)
-    if res_g.feasible:
-        return res_g.gamma, res_r.rho, res_g.breakpoints
-    gamma = _achieved(omega, list(res_r.breakpoints))[0]
-    return (gamma, res_r.rho, res_r.breakpoints) if gamma > 10.0 * _EQ_SLACK else None
+    rho = max(res_r.rho, omega.length / COVER_SIZE)
+    res_g = optimal_gamma(omega, rho=rho)
+    assert res_g.feasible, f"optimal_gamma found no cover at rho = {rho!r}"
+    return res_g.gamma, rho, res_g.breakpoints
 
 
 def certify(sset: SamplingSet) -> SamplingParams:
@@ -490,26 +511,6 @@ def certify(sset: SamplingSet) -> SamplingParams:
 
 # ---------------------------------------------------------------------------
 # catalogue sets
-
-
-def periodic_params(density: float, rho: float) -> float:
-    """Certified gamma for a 1-periodic set of per-period density on a ray,
-    covered by adjacent windows of length exactly rho: the floor-based value
-    (n*density + max(0, frac - (1-density))) / rho with n = floor(rho)."""
-    if not (0.0 < density < 1.0):
-        raise ValueError("density must lie in (0, 1)")
-    if rho <= 1.0 - density:
-        raise ValueError(f"rho must exceed the worst-case gap {1.0 - density}")
-    n = math.floor(rho)
-    frac = rho - n
-    return (n * density + max(0.0, frac - (1.0 - density))) / rho
-
-
-def periodic_uniform_gamma(density: float) -> float:
-    """rho-independent fallback valid for every rho >= 1: density/(2-density)."""
-    if not (0.0 < density < 1.0):
-        raise ValueError("density must lie in (0, 1)")
-    return density / (2.0 - density)
 
 
 def svc_set(depth: int) -> tuple[IntervalUnion, Fraction]:

@@ -146,6 +146,14 @@ class TestSampling:
         data = json.loads(out)
         assert data["aggregate"] is not None and 0.0 < data["aggregate"] <= 1.0
 
+    def test_gamma_refuses_a_rho_below_the_floor(self, capsys, interval_file, set_file):
+        # rho below length/200 could take a cover of more than 400 windows
+        code, out, err = run(capsys, "sampling", "gamma", "--graph", interval_file,
+                             "--set", set_file, "--rho", "1e-9")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rho = 1e-09 is below the edge length / 200")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["gamma", "--rho", "0.6"], ["rho", "--gamma", "0.3"]],
                              ids=["gamma", "rho"])
     def test_ray_entry_voids_the_aggregate(self, capsys, tmp_path, argv):
@@ -272,10 +280,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "derivative", *argv)
         assert (code, err) == (0, "") and json.loads(out)["vacuous"] is True
 
-    def test_set_certified_by_the_rho_cover(self, capsys, tmp_path):
-        # certify seed 7107's lasso: on the tail, optimal_gamma at optimal_rho's
-        # rho finds no candidate-aligned cover, but optimal_rho's own cover
-        # certifies at the gamma it achieves
+    def test_no_fallback_to_the_rho_cover(self, capsys, tmp_path):
+        # certify seed 7107's lasso: on the tail, a candidate grid at
+        # optimal_rho's rho once held no cover, and certified_params fell
+        # back to optimal_rho's own; deciding over every cover, optimal_gamma
+        # at that rho finds one at least as dense
         graph, sset = tmp_path / "lasso.json", tmp_path / "set.json"
         graph.write_text(json.dumps({"vertices": ["v", "w"], "edges": [
             {"id": "loop", "from": "v", "to": "v", "length": 1.486532},
@@ -292,10 +301,13 @@ class TestVerify:
         omega = SamplingSet.load(g, str(sset))
         tail = omega.finite["tail"]
         res_r = optimal_rho(tail, gamma=1e-6)
-        assert not optimal_gamma(tail, rho=res_r.rho).feasible
-        gamma, rho, bps = certified_params(tail)
-        assert (rho, bps) == (res_r.rho, res_r.breakpoints)
-        assert gamma == pytest.approx(5.99e-4, rel=1e-2)
+        own = verify_cover(SamplingSet(finite={"tail": tail}),
+                           Cover(breakpoints={"tail": res_r.breakpoints}),
+                           gamma=1e-6, rho=res_r.rho)
+        assert isinstance(own, SamplingParams)
+        res_g = optimal_gamma(tail, rho=res_r.rho)
+        assert res_g.feasible and res_g.gamma >= own.gamma
+        assert certified_params(tail) == (res_g.gamma, res_r.rho, res_g.breakpoints)
         found = {eid: certified_params(iu) for eid, iu in omega.finite.items()}
         params = verify_cover(omega, Cover(breakpoints={e: f[2] for e, f in found.items()}),
                               gamma=min(f[0] for f in found.values()),
@@ -343,7 +355,7 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["observable"] is True and data["formula_c_squared"] is None
-        assert data["formula_log_c_squared"] == pytest.approx(521034.9079190787, rel=1e-12)
+        assert data["formula_log_c_squared"] == pytest.approx(521026.13267588743, rel=1e-12)
         assert data["numeric_log_c_squared"] == math.log(data["numeric_c_squared"])
 
     def test_observability_on_seventy_edges(self, capsys, tmp_path):
