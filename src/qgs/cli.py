@@ -176,8 +176,9 @@ def _compare(args, which):
     the set: report `which` of `ratio_reports` (0 mass, 1 derivative); exit 2
     on a violation."""
     g, y, sset = _graph_and_set(args)
-    chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
+    # a set that cannot be certified is refused before the eigen-solve
     params = smp.certify(sset)
+    chosen, f, lam = _random_sample(g, y, args.lambda_max, args.modes, args.seed)
     bound = bnd.spectral_bound(params.gamma, params.rho, lam)
     out = vfy.ratio_reports(f, sset.finite, bound)[which]
     if out is None:

@@ -7,8 +7,9 @@ complement of Y", so the bond scattering matrix U(k) = S J exp(ikL) on the
 2|E| edge ends is unitary, with S = 2 Q_Y - I constant, J swapping the two
 ends of each edge and L holding their lengths.  k > 0 is an eigenvalue of
 multiplicity m exactly when U(k) has the eigenvalue 1 with multiplicity m,
-and the null space of U(k) - I holds the eigenfunctions' outgoing amplitudes
-alpha: edge e carries alpha_(e,0) exp(ikx) + alpha_(e,l) exp(ikl) exp(-ikx).
+and the null space of U(k) - I, found by inverse iteration (two LU solves),
+holds the eigenfunctions' outgoing amplitudes alpha: edge e carries
+alpha_(e,0) exp(ikx) + alpha_(e,l) exp(ikl) exp(-ikx).
 k = 0 is decided by the secular matrix, which collects the same conditions
 as linear constraints on the edgewise coefficients of a + b*x (of
 a cos kx + b sin kx for k > 0).  Magnetic fluxes are absorbed into
@@ -22,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 SIN_CLUSTER = 1e-3       # eigh columns whose sin(theta - _TURN) lie this close share one eig
 _TURN = 0.1              # eigh works on exp(-i _TURN) U, so phases 0 and pi differ in sine
 _SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
+_SHIFT = 1e-12           # shift of U - I in the null-vector solves, far below any phase gap
 MAX_SOLVE_ENTRIES = 2 ** 22  # cap on the (2E)^2 entries of a solve's cell or root stack
 _MAX_ROUNDS = 200        # root-search rounds: a split tree ~50 deep and 100 Newton rounds
 _TWO_PI = 2.0 * math.pi
@@ -45,9 +47,12 @@ _log = logging.getLogger("qgs.spectral")
 
 @dataclass
 class EigenPair:
-    """An eigenpair; residual is the m-th smallest singular value of U(k) - I
-    at a root of multiplicity m, and that of the row-scaled affine secular
-    matrix at k = 0."""
+    """An eigenpair.  At a root k > 0 of multiplicity m, residual is
+    ||(U(k) - I) V||_2 of the orthonormal block V of outgoing amplitudes the
+    root's m eigenfunctions come from (a vector norm when m = 1), which the
+    m-th smallest singular value of U(k) - I bounds from below; at k = 0 it
+    is the m-th smallest singular value of the row-scaled affine secular
+    matrix."""
     k: float
     lam: float
     function: GraphFunction
@@ -202,10 +207,7 @@ class _Point:
     k: float
     phases: np.ndarray   # eigenphases of U(k) in [0, 2 pi]
     vecs: np.ndarray     # unit eigenvectors, as columns
-
-    @cached_property
-    def phase_sum(self) -> float:
-        return float(self.phases.sum())
+    phase_sum: float     # phases.sum()
 
 
 class _Eigenphases:
@@ -233,13 +235,32 @@ class _Eigenphases:
         self.stats["eigs"] += ks.size
         self.stats["eig_calls"] += 1
         phases, vecs = _unitary_eig(self.unitary(ks))
-        return [_Point(k, p, w) for k, p, w in zip(ks.tolist(), phases, vecs)]
+        return [_Point(k, p, w, t) for k, p, w, t in zip(ks.tolist(), phases, vecs,
+                                                        phases.sum(axis=1).tolist())]
 
     def count(self, a: _Point, b: _Point) -> int:
         """Roots in (a.k, b.k]: the lifted eigenphases gain 2|G|(b - a) in
         total, and each crossing of 1 moves one wrapped phase back by 2 pi."""
         turn = self.length_sum * (b.k - a.k)
         return round((turn + a.phase_sum - b.phase_sum) / _TWO_PI)
+
+    def cells(self, k_hi: float) -> list[tuple[_Point, _Point, int]]:
+        """The count brackets (a.k, b.k] of m > 0 roots among the cells of
+        width at most 1 / ell_max that tile (0, k_hi], all cell ends
+        decomposed in one points call and every count taken in one array
+        pass with count's floating-point operations."""
+        n_cells = max(1, math.ceil(k_hi * self.ell_max))
+        self.stats["cells"] = n_cells
+        ends = self.points(np.linspace(0.0, k_hi, n_cells + 1))
+        # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
+        first = ends[0]
+        first.phases[first.phases > _TWO_PI - _SNAP] = 0.0
+        first.phase_sum = float(first.phases.sum())
+        ks = np.array([p.k for p in ends])
+        sums = np.array([p.phase_sum for p in ends])
+        turn = self.length_sum * (ks[1:] - ks[:-1])
+        counts = np.rint((turn + sums[:-1] - sums[1:]) / _TWO_PI).astype(int).tolist()
+        return [(a, b, m) for a, b, m in zip(ends, ends[1:], counts) if m]
 
     def _predicted_split(self, a: _Point, b: _Point, m: int) -> list[float]:
         """Split points for the count bracket (a.k, b.k] of m roots, from the
@@ -411,8 +432,61 @@ def _refuse_oversize(entries: float, lam_max: float) -> None:
                          f"up to lambda = {lam_max:g}, above the cap of {MAX_SOLVE_ENTRIES}")
 
 
-def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> list[EigenPair]:
-    """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included.
+@cache
+def _start_block(n: int, m: int) -> np.ndarray:
+    """The fixed n x m start block of the null-vector solves,
+    exp(i sqrt(2) (j l)^1.5) in row j and column l (both counted from 1): a
+    closed form, so reports reproduce and no random generator is loaded."""
+    jl = np.outer(np.arange(1.0, n + 1.0), np.arange(1.0, m + 1.0))
+    block = np.exp(1j * math.sqrt(2.0) * jl ** 1.5)
+    block.flags.writeable = False  # shared by every caller through the cache
+    return block
+
+
+def _null_vectors(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of the stack u, U at a root of multiplicity m, an
+    orthonormal basis V (as columns) of the eigenspace of U at 1, and the
+    residual ||(U - I) V||_2 on the unshifted matrix.
+
+    Two steps of inverse iteration from _start_block: two stacked solves with
+    U - (1 + _SHIFT) I, then each column normalised (m = 1) or the block
+    orthonormalised by QR.  Inverse iteration converges to the eigenvectors
+    whose eigenvalues lie nearest the shift, and at a root the m eigenvalues
+    of U - I in the cluster lie within the root's error of 0, while every
+    other one lies a phase gap away: a shift far below that gap costs no
+    accuracy, and it keeps an exact root (U - I exactly singular, as on an
+    equilateral graph) from meeting a zero pivot, which a shift of 4e-16 did
+    on a raw-basis lasso."""
+    n = u.shape[-1]
+    a = u - np.eye(n)
+    shifted = a - _SHIFT * np.eye(n)
+    x = np.linalg.solve(shifted, np.linalg.solve(shifted, _start_block(n, m)))
+    if m == 1:
+        v = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return v, np.linalg.norm((a @ v)[..., 0], axis=1)
+    v = np.linalg.qr(x)[0]
+    r = a @ v
+    return v, np.sqrt(np.linalg.eigvalsh(np.swapaxes(r.conj(), 1, 2) @ r)[:, -1])
+
+
+def _merged(roots: list[tuple[float, int]]) -> list[list]:
+    """[wavenumber, multiplicity] of each root in order: a degenerate root
+    that roundoff split across a cell edge, every root within CLUSTER_GAP
+    above a cluster's first, is one root."""
+    merged: list[list] = []
+    for k, m in sorted(roots):
+        if merged and k - merged[-1][0] < CLUSTER_GAP:
+            merged[-1][1] += m
+        else:
+            merged.append([k, m])
+    return merged
+
+
+def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float,
+                      count: int | None = None) -> list[EigenPair]:
+    """All eigenpairs with eigenvalue in [0, lam_max], multiplicities included;
+    with a count, only the lowest of them up to the count-th (zero modes
+    included) and the rest of its cluster, each the pair the full solve gives.
 
     For k > 0 the eigenphases of the bond scattering matrix U(k) are sampled
     on cells of width at most 1 / (longest edge), all cell ends decomposed
@@ -422,16 +496,23 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
     narrower than CLUSTER_GAP, then one root of that multiplicity), which
     Newton steps converge; a cluster of predicted crossings (a degenerate
     root) is closed by two probes just outside it.  The count is exact for
-    every boundary subspace and flux, so the spectrum is complete.  One
-    harvest pass then turns the roots into eigenfunctions: U(k) - I at every
-    root is one stack with one SVD, and each root's eigenfunctions are the
-    trailing right-singular vectors, as many as the count says; at k = 0 they
-    are those of the affine secular matrix, as many as its singular values
-    say.  Each cluster is L2-orthonormalised through the Cholesky factor of
-    its Gram matrix, which is closed form in the edgewise coefficients.  The
-    roots of one multiplicity share one array pass (phase fix, Gram, Cholesky
-    and solve), and the eigenfunctions' terms are built in canonical form
-    directly.
+    every boundary subspace and flux, so the spectrum is complete.  With a
+    count, the cells' cumulative counts name the cell that holds the
+    count-th eigenvalue, and the cells above it are never searched: each
+    cell's roots are searched independently, with the bits the full solve
+    gives them.  A cluster that reaches the last searched cell's end takes
+    in the next cell too, so it is kept whole.
+
+    One harvest pass then turns the roots into eigenfunctions: the roots of
+    one multiplicity m take their null vectors of U(k) - I from two stacked
+    LU solves (_null_vectors, inverse iteration at a shift of _SHIFT), and
+    the pair's residual is ||(U(k) - I) V||_2 of the returned block.  At
+    k = 0 they are the trailing right-singular vectors of the affine secular
+    matrix, as many as its singular values say.  Each cluster is
+    L2-orthonormalised through the Cholesky factor of its Gram matrix, which
+    is closed form in the edgewise coefficients.  The roots of one
+    multiplicity share one array pass (phase fix, Gram, Cholesky and solve),
+    and the eigenfunctions' terms are built in canonical form directly.
     """
     if not g.is_compact:
         raise ValueError("eigenvalue solve requires a compact graph")
@@ -439,47 +520,61 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
         raise ValueError("eigenvalue solve requires at least one edge")
     if lam_max <= 0.0:
         raise ValueError("lam_max must be positive")
+    if count is not None and count < 1:
+        raise ValueError("count must be positive")
     k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
     ne = len(g.edges)
     # the cell stack holds ceil(k ell_max) + 1 matrices, the root search and
     # the harvest about one per root; inf and nan are refused too
     _refuse_oversize((k_hi * max(g.edge_lengths.values()) + 2) * (2 * ne) ** 2, lam_max)
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
-    phases = _Eigenphases(g, y_eff)
-    n_cells = max(1, math.ceil(k_hi * phases.ell_max))
-    ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
-    # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
-    ends[0].phases[ends[0].phases > _TWO_PI - _SNAP] = 0.0
-    brackets = [(a, b, m) for a, b in zip(ends, ends[1:]) if (m := phases.count(a, b))]
-    _refuse_oversize((sum(m for *_, m in brackets) + 1) * (2 * ne) ** 2, lam_max)
-    roots = phases.roots(brackets)
-
-    # a degenerate root that roundoff split across a cell edge is one root
-    merged: list[list] = []  # [wavenumber, multiplicity]
-    for k, m in sorted(roots):
-        if merged and k - merged[-1][0] < CLUSTER_GAP:
-            merged[-1][1] += m
-        else:
-            merged.append([k, m])
-
-    # k = 0 from its affine secular matrix, the roots from one stacked SVD of
-    # U(k) - I, whose null vectors are the outgoing amplitudes alpha: edge e
-    # carries A exp(-ikx) + B exp(ikx) with A = alpha_(e,l) exp(ikl) and
-    # B = alpha_(e,0), the affine (a, b) in the same layout at k = 0
+    # k = 0 from its affine secular matrix, whose null vectors are the
+    # affine (a, b) in the layout of the amplitudes below; first, since a
+    # count includes the zero modes
     _, sv0, vh0 = np.linalg.svd(_unit_rows(_secular(g, y_eff, 0.0)))
     zero_mult = int(np.sum(sv0 < TOL_NULL)) if sv0[-1] < TOL_ACCEPT else 0
-    ks = np.array([0.0] + [k for k, _ in merged])
-    _, sv, vh = np.linalg.svd(phases.unitary(ks[1:]) - np.eye(2 * ne))
-    null = np.conj(np.concatenate([vh0[None], vh[..., np.r_[ne:2 * ne, 0:ne]]]))
-    ells = phases.lengths[:ne]
-    null[1:, :, :ne] *= np.exp(1j * ks[1:, None, None] * ells)
-    sv = np.concatenate([sv0[None], sv])
-    ints = _pair_integrals(ells, ks)
+    phases = _Eigenphases(g, y_eff)
+    brackets = phases.cells(k_hi)
+    reach = np.cumsum([zero_mult] + [m for *_, m in brackets])
+    kept = brackets if count is None else brackets[:int(np.searchsorted(reach, count))]
+    roots, new = [], kept
+    while True:
+        _refuse_oversize((sum(m for *_, m in kept) + 1) * (2 * ne) ** 2, lam_max)
+        roots += phases.roots(new)
+        merged = _merged(roots)
+        if count is None:
+            break
+        cut = int(np.searchsorted(np.cumsum([zero_mult] + [m for _, m in merged]), count))
+        new = brackets[len(kept):len(kept) + 1]
+        # the count-th eigenvalue's cluster may go on into the next cell
+        if not (0 < cut == len(merged) and new and merged[-1][0] + CLUSTER_GAP > new[0][0].k):
+            merged = merged[:cut]
+            break
+        kept = kept + new
+
     clusters = [(0.0, zero_mult), *merged]
+    ks = np.array([k for k, _ in clusters])
+    ells = phases.lengths[:ne]
+    ints = _pair_integrals(ells, ks)
+    residuals = np.zeros(len(clusters))
     funcs: list[list[GraphFunction]] = [[] for _ in clusters]
+    solves = 0
     for m in sorted({m for _, m in clusters} - {0}):
         idx = [i for i, (_, mi) in enumerate(clusters) if mi == m]
-        vecs = _phase_fix(null[idx, -m:])
+        blocks, at = [], [i for i in idx if i]
+        if idx[0] == 0:
+            blocks.append(np.conj(vh0[None, -m:]))
+            residuals[0] = sv0[-m]
+        if at:
+            # the null vectors are the outgoing amplitudes alpha: edge e
+            # carries A exp(-ikx) + B exp(ikx) with A = alpha_(e,l) exp(ikl)
+            # and B = alpha_(e,0)
+            null, residuals[at] = _null_vectors(phases.unitary(ks[at]), m)
+            solves += 2
+            amps = np.swapaxes(null, 1, 2)[..., np.r_[ne:2 * ne, 0:ne]]
+            amps[..., :ne] *= np.exp(1j * ks[at, None, None] * ells)
+            blocks.append(amps)
+        vecs = _phase_fix(np.concatenate(blocks))
         # each cluster Gram G = sum_e V_e W_e V_e^H = L L^H: the rows of
         # L^-1 vecs are L2-orthonormal
         cross = (vecs[..., :ne] * ints[1, idx, None]) @ np.swapaxes(vecs[..., ne:].conj(), 1, 2)
@@ -489,10 +584,11 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) -> li
         fs = _eigenfunctions(g, np.repeat(ks[idx], m), coeffs.reshape(-1, 2 * ne))
         for j, i in enumerate(idx):
             funcs[i] = fs[j * m:(j + 1) * m]
-    pairs = [EigenPair(k=k, lam=k * k, function=f, residual=float(sv[i, -m]))
+    pairs = [EigenPair(k=k, lam=k * k, function=f, residual=float(residuals[i]))
              for i, (k, m) in enumerate(clusters) for f in funcs[i]]
-    diagnostics = dict(phases.stats, cells=n_cells, svds=len(ks), zero_multiplicity=zero_mult,
-                       count=zero_mult + sum(m for _, m in merged), pairs=len(pairs))
+    diagnostics = dict(phases.stats, svds=1, solves=solves,
+                       zero_multiplicity=zero_mult, count=int(reach[-1]), kept=len(pairs),
+                       worst_residual=float(residuals.max()))
     _log.debug("eigenvalues_up_to %s", diagnostics, extra={"diagnostics": diagnostics})
     return pairs
 

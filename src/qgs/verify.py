@@ -348,9 +348,10 @@ def observability_numeric(g: MetricGraph, y: BoundarySubspace, omega, horizon: f
     if modes < 1:
         raise ValueError("need at least one mode")
     # by the eigenphase count the modes-th positive eigenvalue lies at or
-    # below k^2, so this one solve holds the modes; the check guards that count
+    # below k^2, so this one solve, stopped at the modes-th pair, holds the
+    # modes; the check guards that count
     k = wavenumber_range(sum(g.edge_lengths.values()), len(g.edges), modes)[1]
-    pairs = eigenvalues_up_to(g, y, k * k)
+    pairs = eigenvalues_up_to(g, y, k * k, modes)
     if len(pairs) < modes:
         raise ValueError(f"could not compute {modes} modes")
     pairs = pairs[:modes]

@@ -1097,12 +1097,7 @@ def loop_eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float) 
 
     # the solver's own root search: this reference checks the harvest
     phases = _Eigenphases(g, y_eff)
-    k_hi = math.sqrt(lam_max * (1.0 + 1e-12))
-    n_cells = max(1, math.ceil(k_hi * phases.ell_max))
-    ends = phases.points(np.linspace(0.0, k_hi, n_cells + 1))
-    ends[0].phases[ends[0].phases > _TWO_PI - _SNAP] = 0.0
-    roots = phases.roots([(a, b, m) for a, b in zip(ends, ends[1:])
-                          if (m := phases.count(a, b))])
+    roots = phases.roots(phases.cells(math.sqrt(lam_max * (1.0 + 1e-12))))
 
     # a degenerate root that roundoff split across a cell edge is one root
     merged: list[list] = []  # [wavenumber, multiplicity]

@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -280,6 +282,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "derivative", *argv)
         assert (code, err) == (0, "") and json.loads(out)["vacuous"] is True
 
+    @pytest.mark.parametrize("command", ["ratio", "derivative"])
+    def test_uncertifiable_set_refused_before_the_solve(self, capsys, monkeypatch, interval_file,
+                                                        tmp_path, command):
+        # an edge without control set cannot be certified: the refusal comes
+        # before the eigen-solve, whose own error would be printed otherwise
+        import qgs.cli
+
+        def solve(*args):
+            raise ValueError("eigen-solve ran")
+
+        monkeypatch.setattr(qgs.cli, "eigenvalues_up_to", solve)
+        sset = tmp_path / "gap.json"
+        sset.write_text(json.dumps({"edges": {"e": []}}))
+        code, out, err = run(capsys, "verify", command, "--graph", interval_file,
+                             "--set", str(sset), "--lambda-max", "50")
+        assert (code, out, err) == (1, "", "error: edge 'e': set cannot be certified\n")
+
     def test_no_fallback_to_the_rho_cover(self, capsys, tmp_path):
         # certify seed 7107's lasso: on the tail, a candidate grid at
         # optimal_rho's rho once held no cover, and certified_params fell
@@ -358,19 +377,38 @@ class TestVerify:
         assert data["formula_log_c_squared"] == pytest.approx(521026.13267588743, rel=1e-12)
         assert data["numeric_log_c_squared"] == math.log(data["numeric_c_squared"])
 
-    def test_observability_on_seventy_edges(self, capsys, tmp_path):
-        # the solve sized by the eigenphase count holds 141 roots of 140 x 140
-        # matrices, under the size cap
+    def _observe_star(self, capsys, caplog, tmp_path, lengths):
+        """verify observability at 4 modes on a star with [0, l/2] on every
+        edge: exit 0, observable, and the solve's DEBUG record."""
+        n = len(lengths)
         graph, sset = tmp_path / "star.json", tmp_path / "set.json"
         graph.write_text(json.dumps({
-            "vertices": ["c", *(f"w{i}" for i in range(70))],
-            "edges": [{"id": f"e{i}", "from": "c", "to": f"w{i}", "length": 1.0}
-                      for i in range(70)]}))
-        sset.write_text(json.dumps({"edges": {f"e{i}": [[0.0, 0.5]] for i in range(70)}}))
-        code, out, _ = run(capsys, "verify", "observability", "--graph", str(graph),
-                           "--set", str(sset), "--horizon", "0.5", "--modes", "4")
+            "vertices": ["c", *(f"w{i}" for i in range(n))],
+            "edges": [{"id": f"e{i}", "from": "c", "to": f"w{i}", "length": ell}
+                      for i, ell in enumerate(lengths)]}))
+        sset.write_text(json.dumps({"edges": {f"e{i}": [[0.0, 0.5 * ell]]
+                                              for i, ell in enumerate(lengths)}}))
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            code, out, _ = run(capsys, "verify", "observability", "--graph", str(graph),
+                               "--set", str(sset), "--horizon", "0.5", "--modes", "4")
         assert code == 0
         assert json.loads(out)["observable"] is True
+        [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
+        return record.diagnostics
+
+    def test_observability_on_seventy_edges(self, capsys, caplog, tmp_path):
+        # the solve sized by the eigenphase count spans 141 roots of 140 x 140
+        # matrices, under the size cap; stopped at the 4th eigenvalue, it
+        # keeps the 0 and all of the 69-fold pi / 2
+        d = self._observe_star(capsys, caplog, tmp_path, [1.0] * 70)
+        assert (d["count"], d["kept"]) == (141, 70)
+
+    def test_observability_stops_at_the_fourth_eigenvalue(self, capsys, caplog, tmp_path):
+        # lengths uniform in [0.6, 1.4]: 147 simple roots up to the count's
+        # bound, of which the solve keeps the 4 it needs
+        rng = random.Random(1)
+        d = self._observe_star(capsys, caplog, tmp_path, [rng.uniform(0.6, 1.4) for _ in range(70)])
+        assert (d["count"], d["kept"]) == (147, 4)
 
     def test_classify_without_eigenvalues_refused(self, capsys, tmp_path):
         # a Dirichlet interval of length 1 has no eigenvalue below pi^2
@@ -719,12 +757,14 @@ def test_constants_past_the_float_range_saturate(capsys, interval_file, argv, ke
 
 def test_import_loads_no_scipy():
     # nor numpy.polynomial, which kovrijkine_check reaches at call time, nor
-    # fractions and decimal, which svc_set reaches at call time
+    # fractions and decimal, which svc_set reaches at call time, nor
+    # numpy.random, which only the commands that draw samples reach
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     code = ("import qgs.cli, sys; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
-            "or m.startswith('numpy.polynomial') or m in ('fractions', 'decimal')))")
+            "or m.startswith(('numpy.polynomial', 'numpy.random')) "
+            "or m in ('fractions', 'decimal')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert res.stdout.strip() == "[]"

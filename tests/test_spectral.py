@@ -697,14 +697,34 @@ class TestOnePassHarvest:
             for p in eigenvalues_up_to(g, y, lam_max):
                 assert bits(p.function) == bits(GraphFunction(g, p.function.terms))
 
-    def test_svds_one_per_distinct_root_and_zero(self, caplog):
+    def test_one_svd_and_two_solves_per_multiplicity(self, caplog):
+        # the SVD runs at k = 0 only; the roots of one multiplicity take
+        # their null vectors from two stacked LU solves
         g = _equilateral("star5")
         with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
             pairs = eigenvalues_up_to(g, standard_subspace(g), 150.0)
         [record] = [r for r in caplog.records if r.name == "qgs.spectral"]
-        roots = {p.k for p in pairs if p.k > 0.0}
-        assert len(roots) < len(pairs) - 1  # the 5-star has multiple roots
-        assert record.diagnostics["svds"] == len(roots) + 1
+        mults = {len(c) for c in _clusters(pairs) if c[0].k > 0.0}
+        assert mults == {1, 4}  # the 5-star has simple and 4-fold roots
+        d = record.diagnostics
+        assert (d["svds"], d["solves"]) == (1, 2 * len(mults))
+        assert d["kept"] == d["count"] == len(pairs)
+        assert d["worst_residual"] == max(p.residual for p in pairs)
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_residual_against_the_oracle_sigma(self, name):
+        # ||(U - I) V||_2 of the returned block is at least the m-th smallest
+        # singular value sigma_m of U - I (the oracle's residual) in exact
+        # arithmetic; the shift of the solves must not cost more than a
+        # factor of 2 above a roundoff floor
+        g, y, lam_max = HARVEST_CASES[name]
+        new = eigenvalues_up_to(g, y, lam_max)
+        old = loop_eigenvalues_up_to(g, y, lam_max)
+        for p, q in zip(new, old):
+            if p.k > 0.0:
+                assert 0.5 * q.residual - 1e-14 <= p.residual <= 2.0 * q.residual + 1e-14
+            else:
+                assert p.residual == q.residual
 
     def test_record_is_opt_in(self, caplog, capsys, tmp_path):
         path = tmp_path / "lasso.json"
@@ -716,6 +736,86 @@ class TestOnePassHarvest:
         assert err == "" and json.loads(out)["count"] == len(
             eigenvalues_up_to(lasso(), standard_subspace(lasso()), 50.0))
         assert not [r for r in caplog.records if r.name == "qgs.spectral"]
+        # and the report's bytes do not change with the record on
+        with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+            assert main(["spectrum", "--graph", str(path), "--lambda-max", "50"]) == 0
+        assert capsys.readouterr() == (out, "")
+        assert [r for r in caplog.records if r.name == "qgs.spectral"]
+
+
+def _bits(p):
+    """A pair's wavenumber, eigenvalue, residual and terms, as exact bits."""
+    return (p.k.hex(), p.lam.hex(), p.residual.hex(),
+            {e: [(t.coeff.real.hex(), t.coeff.imag.hex(), t.power, t.freq.hex()) for t in ts]
+             for e, ts in p.function.terms.items()})
+
+
+class TestCountStop:
+    """A solve stopped at the count-th eigenvalue is the full solve's first
+    pairs, bit for bit, through the end of that eigenvalue's cluster."""
+
+    @pytest.mark.parametrize("name", sorted(HARVEST_CASES))
+    def test_prefix_of_the_full_solve(self, name):
+        g, y, lam_max = HARVEST_CASES[name]
+        full = eigenvalues_up_to(g, y, lam_max)
+        for count in sorted({1, 2, 3, len(full) // 2, len(full) - 1, len(full)}):
+            part = eigenvalues_up_to(g, y, lam_max, count)
+            # the count-th pair's cluster is kept whole, and nothing above it
+            end = max(i for i, p in enumerate(full) if p.k == full[count - 1].k) + 1
+            assert [_bits(p) for p in part] == [_bits(p) for p in full[:end]]
+
+    def test_degenerate_cluster_cut_at_the_count(self, caplog):
+        # the 5-star's 4-fold pi / 2 follows the zero mode: any count from 2
+        # to 5 keeps all of it
+        g = _equilateral("star5")
+        y = standard_subspace(g)
+        full = eigenvalues_up_to(g, y, 150.0)
+        assert [len(c) for c in _clusters(full)][:2] == [1, 4]
+        for count in range(2, 6):
+            with caplog.at_level(logging.DEBUG, logger="qgs.spectral"):
+                part = eigenvalues_up_to(g, y, 150.0, count)
+            assert [_bits(p) for p in part] == [_bits(p) for p in full[:5]]
+            d = caplog.records[-1].diagnostics
+            assert (d["kept"], d["count"]) == (5, len(full))
+        assert [_bits(p) for p in eigenvalues_up_to(g, y, 150.0, 1)] == [_bits(full[0])]
+
+    def test_cluster_split_across_a_cell_edge_is_kept_whole(self):
+        # an equilateral 8-star solved to k = pi: the cells end at j pi / 4,
+        # and roundoff puts one of the 7-fold pi / 2 in the cell below the
+        # end pi / 2 and six in the cell above; a count of 2 names the cell
+        # below, and the cluster takes in the cell above
+        g = build_graph(["c"] + [f"w{i}" for i in range(8)],
+                        [(f"e{i}", "c", f"w{i}", 1.0) for i in range(8)])
+        y = standard_subspace(g)
+        lam_max = math.pi ** 2 / (1.0 + 1e-12)
+        assert math.sqrt(lam_max * (1.0 + 1e-12)) == math.pi
+        assert [m for *_, m in _Eigenphases(g, y).cells(math.pi)] == [1, 6]
+        full = eigenvalues_up_to(g, y, lam_max)
+        assert [len(c) for c in _clusters(full)] == [1, 7]
+        for count in (2, 8):
+            assert ([_bits(p) for p in eigenvalues_up_to(g, y, lam_max, count)]
+                    == [_bits(p) for p in full])
+
+    def test_zero_modes_alone(self):
+        # two components: 0 twice, and a count of 1 or 2 keeps both
+        g = build_graph(["a", "b", "c", "d"], [("e", "a", "b", 1.0), ("f", "c", "d", 1.3)])
+        y = standard_subspace(g)
+        full = eigenvalues_up_to(g, y, 50.0)
+        for count in (1, 2):
+            part = eigenvalues_up_to(g, y, 50.0, count)
+            assert [_bits(p) for p in part] == [_bits(p) for p in full[:2]]
+        assert [p.lam for p in part] == [0.0, 0.0]
+
+    def test_count_above_the_range_is_the_full_solve(self):
+        g = lasso()
+        y = standard_subspace(g)
+        full = eigenvalues_up_to(g, y, 100.0)
+        assert ([_bits(p) for p in eigenvalues_up_to(g, y, 100.0, len(full) + 5)]
+                == [_bits(p) for p in full])
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            eigenvalues_up_to(lasso(), standard_subspace(lasso()), 10.0, 0)
 
 
 def _seeded_graph(seed):
