@@ -9,8 +9,8 @@ form: `integrate_powexp` integrates all windows of all edges in one numpy
 call (2d sinc(wd/pi) exp(iwm) for p = 0; the antiderivative, or a
 fixed-length series near wd = 0, for p >= 1).  Every L2 integral goes
 through it once, over one layout of terms and windows (`_layout`): `masses`
-gives the masses of many functions and their derivatives (`norm_sq` is one
-of them), `gram` the cross terms (`inner_product` is one of them).
+gives the masses of many functions and their derivatives, `gram` the cross
+terms (`inner_product` is one of them).
 A norm too small for the closed form to resolve from rounding is
 integrated again by a positive Gauss rule with an explicit error bound.
 """
@@ -28,7 +28,7 @@ MAX_TERM_POWER = 2       # per-term polynomial degree cap; products reach 4
 PRUNE_REL = 1e-15        # drop terms whose |coeff| is below this times the edge max
 _SERIES_SWITCH = 0.5     # |w*d| below which the Taylor branch of the kernel is used
 _SERIES_TERMS = 8        # fixed length of that branch (see _exp_poly_base)
-_RESOLVED_REL = 1e-12    # norm_sq below this share of its gross scale is re-integrated
+_RESOLVED_REL = 1e-12    # a mass below this share of its gross scale is re-integrated
 SUP_SAMPLES = 4096       # boundary points of sup_on_disk_neighborhood's stadium
 
 # Pascal triangle up to the largest power a pairwise product can reach.
@@ -478,7 +478,7 @@ class _Settled:
 
     def __init__(self, f: GraphFunction, reg, order: int, val: complex, gross: float):
         if abs(val.imag) > 1e-10 * max(val.real, 0.0) + 1e-12 * gross + 1e-300:
-            raise AssertionError(f"norm_sq lost hermiticity: {val!r}")
+            raise AssertionError(f"mass lost hermiticity: {val!r}")
         # a copy of f, which keeps this through its Mass: no reference cycle
         self.f = (GraphFunction._canonical(f.graph, f.terms) if val.real <= _RESOLVED_REL * gross
                   else None)
@@ -488,11 +488,6 @@ class _Settled:
         if self.f is not None:
             self.value, self.f = _gauss_norm_sq(self.f.derivative(self.order), self.reg), None
         return self.value
-
-
-def norm_sq(f: GraphFunction, region=None) -> float:
-    """Squared L2 norm over the region (the whole graph without one)."""
-    return masses([f], region)[0].part
 
 
 def _gauss_norm_sq(f: GraphFunction, reg) -> float:

@@ -62,6 +62,8 @@ class SamplingSet:
 
     @classmethod
     def from_dict(cls, g: MetricGraph, data: Mapping) -> "SamplingSet":
+        """The set a file describes on g.  A finite edge the file omits
+        carries the empty set, so no certificate can pass over it."""
         finite: dict[str, IntervalUnion] = {}
         external: dict[str, PeriodicTail] = {}
         with malformed("sampling set"):
@@ -72,6 +74,8 @@ class SamplingSet:
                 if not math.isfinite(ell):
                     raise ValueError(f"edge {eid!r} is infinite; use the external section")
                 finite[eid] = IntervalUnion(ivs, length=ell)
+            for eid in g.internal_ids:
+                finite.setdefault(eid, IntervalUnion([], length=g.edge_lengths[eid]))
             for eid, spec in dict(data.get("external", {})).items():
                 if eid not in g.edge_lengths or math.isfinite(g.edge_lengths[eid]):
                     raise ValueError(f"external section references non-ray edge {eid!r}")

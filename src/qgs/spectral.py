@@ -10,9 +10,10 @@ multiplicity m exactly when U(k) has the eigenvalue 1 with multiplicity m,
 and the null space of U(k) - I, found by inverse iteration (two LU solves),
 holds the eigenfunctions' outgoing amplitudes alpha: edge e carries
 alpha_(e,0) exp(ikx) + alpha_(e,l) exp(ikl) exp(-ikx).
-k = 0 is decided by the secular matrix, which collects the same conditions
-as linear constraints on the edgewise coefficients of a + b*x (of
-a cos kx + b sin kx for k > 0).  Magnetic fluxes are absorbed into
+k = 0 comes from the quadratic form, which the same scale invariance makes
+exactly sum_e int |f'|^2: the zero modes are the edgewise constants a whose
+end values D a (a_e at both ends of edge e) lie in Y, the null space of
+P_{Y-perp} D / sqrt(2).  Magnetic fluxes are absorbed into
 the boundary subspace by the gauge rotation, so the solver itself only ever
 sees a free Laplacian; the returned eigenfunctions are the gauge-reduced
 representatives (same pointwise modulus as the magnetic ones).
@@ -27,12 +28,10 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import (BoundarySubspace, MetricGraph, gauge_transform,
+from .graphs import (RANK_TOL, BoundarySubspace, MetricGraph, gauge_transform,
                      vertex_conditions_subspace)
 from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm, _pruned
 
-TOL_ACCEPT = 1e-8        # sigma_min acceptance of the k = 0 root (rows scaled to O(1))
-TOL_NULL = 1e-6          # singular-value threshold for the k = 0 multiplicity
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 SIN_CLUSTER = 1e-3       # eigh columns whose sin(theta - _TURN) lie this close share one eig
 _TURN = 0.1              # eigh works on exp(-i _TURN) U, so phases 0 and pi differ in sine
@@ -51,8 +50,8 @@ class EigenPair:
     ||(U(k) - I) V||_2 of the orthonormal block V of outgoing amplitudes the
     root's m eigenfunctions come from (a vector norm when m = 1), which the
     m-th smallest singular value of U(k) - I bounds from below; at k = 0 it
-    is the m-th smallest singular value of the row-scaled affine secular
-    matrix."""
+    is ||M V||_2 of the orthonormal block V of edgewise constants the zero
+    modes come from, M = P_{Y-perp} D / sqrt(2) (see _zero_modes)."""
     k: float
     lam: float
     function: GraphFunction
@@ -105,11 +104,19 @@ def _secular(g: MetricGraph, y: BoundarySubspace, k: float) -> np.ndarray:
     return np.concatenate(rows) if rows else np.zeros((0, 2 * ne), complex)
 
 
-def _unit_rows(mats: np.ndarray) -> np.ndarray:
-    """Rows scaled down to unit norm but never up: amplifying a vanishing row
-    would erase the rank defect of a degenerate root.  0 is an eigenvalue
-    where the k = 0 matrix scaled so has sigma_min below TOL_ACCEPT."""
-    return mats / np.maximum(np.linalg.norm(mats, axis=-1), 1.0)[..., None]
+def _zero_modes(g: MetricGraph, y: BoundarySubspace) -> tuple[np.ndarray, float]:
+    """The zero modes under y, the null space of M = P_{Y-perp} D / sqrt(2)
+    as orthonormal rows a of edgewise constants, and the residual ||M V||_2
+    of their block V (0.0 when there are none).  D / sqrt(2) is an isometry,
+    so M's singular values lie in [0, 1], and the rank counts those above
+    RANK_TOL itself: a rule relative to the largest would read a standard
+    loop's M, 0 up to roundoff, as rank 1 and lose its zero mode."""
+    ne = len(g.edges)
+    perp = np.eye(g.n_boundary) - y.basis.T @ y.basis.conj()
+    m = (perp[:, :ne] + perp[:, ne:]) / math.sqrt(2.0)
+    _, sv, vh = np.linalg.svd(m)
+    modes = vh[np.count_nonzero(sv > RANK_TOL):].conj()
+    return modes, float(np.linalg.norm(m @ modes.T, 2)) if len(modes) else 0.0
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -126,9 +133,9 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
 
 
 def _eigenfunctions(g: MetricGraph, ks: np.ndarray, coeffs: np.ndarray) -> list[GraphFunction]:
-    """The function A exp(-ikx) + B exp(ikx) (A + B x at k = 0) on every
-    edge, for each wavenumber of ks and row (A_e..., B_e...) of coeffs, built
-    in the form canonical_terms gives it: each term kept when its modulus is
+    """The function A exp(-ikx) + B exp(ikx) on every edge, for each
+    wavenumber of ks and row (A_e..., B_e...) of coeffs, built in the form
+    canonical_terms gives it: each term kept when its modulus is
     at least PRUNE_REL times the larger of the two, -0.0 folded by adding 0j,
     and an edge whose terms are both 0 left out.  The moduli are hypots, as
     abs computes them, since np.abs can differ in the last bit."""
@@ -143,11 +150,11 @@ def _eigenfunctions(g: MetricGraph, ks: np.ndarray, coeffs: np.ndarray) -> list[
     out = []
     for k, row1, row2, row_keep1, row_keep2 in zip(ks.tolist(), first.tolist(), second.tolist(),
                                                      keep1.tolist(), keep2.tolist()):
-        w1, p2 = (0.0, 1) if k == 0.0 else (-k, 0)
         terms = {}
         for eid, c1, c2, s1, s2 in zip(eids, row1, row2, row_keep1, row_keep2):
             if s1 or s2:
-                pair = (PolyTrigTerm(c1, 0, w1), PolyTrigTerm(c2, p2, k))
+                # 0.0 - k: the frequency +0.0 at k = 0, not -0.0
+                pair = (PolyTrigTerm(c1, 0, 0.0 - k), PolyTrigTerm(c2, 0, k))
                 terms[eid] = pair[0 if s1 else 1:2 if s2 else 1]
         out.append(GraphFunction._canonical(g, terms))
     return out
@@ -405,13 +412,11 @@ class _Eigenphases:
 def _pair_integrals(ells: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """P[:, r, e]: the entries <p, p>, <p, q> and <q, q> of the 2 x 2 Gram
     W_e of an edge's pair p = exp(-ikx), q = exp(ikx) over [0, l_e] at
-    k = ks[r], or of p = 1, q = x where k = 0.  The coupling
-    l exp(-ikl) sinc(kl / pi) does not cancel at small kl."""
+    k = ks[r] (p = q = 1 at k = 0).  The coupling l exp(-ikl) sinc(kl / pi)
+    does not cancel at small kl."""
     kl = np.multiply.outer(ks, ells)
     diag = np.broadcast_to(ells, kl.shape)
-    out = np.stack([diag, diag * np.exp(-1j * kl) * np.sinc(kl / math.pi), diag])
-    out[:, ks == 0.0] = np.array([ells, 0.5 * ells * ells, ells ** 3 / 3.0])[:, None]
-    return out
+    return np.stack([diag, diag * np.exp(-1j * kl) * np.sinc(kl / math.pi), diag])
 
 
 def count_bound(total_length: float, edges: int, k: float) -> float:
@@ -506,9 +511,10 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float,
     One harvest pass then turns the roots into eigenfunctions: the roots of
     one multiplicity m take their null vectors of U(k) - I from two stacked
     LU solves (_null_vectors, inverse iteration at a shift of _SHIFT), and
-    the pair's residual is ||(U(k) - I) V||_2 of the returned block.  At
-    k = 0 they are the trailing right-singular vectors of the affine secular
-    matrix, as many as its singular values say.  Each cluster is
+    the pair's residual is ||(U(k) - I) V||_2 of the returned block.  The
+    zero modes are the edgewise constants of _zero_modes (one SVD of M =
+    P_{Y-perp} D / sqrt(2), residual ||M V||_2), which enter as the
+    amplitudes (a, 0): a_e is the term at frequency 0.  Each cluster is
     L2-orthonormalised through the Cholesky factor of its Gram matrix, which
     is closed form in the edgewise coefficients.  The roots of one
     multiplicity share one array pass (phase fix, Gram, Cholesky and solve),
@@ -528,11 +534,9 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float,
     # the harvest about one per root; inf and nan are refused too
     _refuse_oversize((k_hi * max(g.edge_lengths.values()) + 2) * (2 * ne) ** 2, lam_max)
     y_eff = gauge_transform(y, g) if any(e.flux != 0.0 for e in g.edges) else y
-    # k = 0 from its affine secular matrix, whose null vectors are the
-    # affine (a, b) in the layout of the amplitudes below; first, since a
-    # count includes the zero modes
-    _, sv0, vh0 = np.linalg.svd(_unit_rows(_secular(g, y_eff, 0.0)))
-    zero_mult = int(np.sum(sv0 < TOL_NULL)) if sv0[-1] < TOL_ACCEPT else 0
+    # k = 0 first, since a count includes the zero modes
+    zero, zero_residual = _zero_modes(g, y_eff)
+    zero_mult = len(zero)
     phases = _Eigenphases(g, y_eff)
     brackets = phases.cells(k_hi)
     reach = np.cumsum([zero_mult] + [m for *_, m in brackets])
@@ -563,8 +567,8 @@ def eigenvalues_up_to(g: MetricGraph, y: BoundarySubspace, lam_max: float,
         idx = [i for i, (_, mi) in enumerate(clusters) if mi == m]
         blocks, at = [], [i for i in idx if i]
         if idx[0] == 0:
-            blocks.append(np.conj(vh0[None, -m:]))
-            residuals[0] = sv0[-m]
+            blocks.append(np.concatenate([zero, np.zeros_like(zero)], axis=1)[None])
+            residuals[0] = zero_residual
         if at:
             # the null vectors are the outgoing amplitudes alpha: edge e
             # carries A exp(-ikx) + B exp(ikx) with A = alpha_(e,l) exp(ikl)
@@ -630,8 +634,9 @@ def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
     returns the total integral of u (the torsional rigidity).  The edgewise
     (a, b) solve the k = 0 secular system of that boundary subspace, whose
     right side carries the traces of -x^2/2.  By the Fredholm alternative the
-    system is solvable exactly when 0 is not an eigenvalue, which is decided
-    by the k = 0 acceptance rule of eigenvalues_up_to."""
+    system is solvable exactly when 0 is not an eigenvalue, so the solve is
+    refused when _zero_modes, the rule eigenvalues_up_to takes its zero modes
+    from, finds one."""
     dirichlet = tuple(dict.fromkeys(str(v) for v in dirichlet))
     if not dirichlet:
         raise ValueError("Dirichlet vertex set must be nonempty")
@@ -643,8 +648,7 @@ def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
     if not g.edges:
         raise ValueError("torsion solve requires at least one edge")
     y = vertex_conditions_subspace(g, "standard", dict.fromkeys(dirichlet, "dirichlet"))
-    mat = _secular(g, y, 0.0)
-    if np.linalg.svd(_unit_rows(mat), compute_uv=False)[-1] < TOL_ACCEPT:
+    if len(_zero_modes(g, y)[0]):
         raise ValueError("torsion system singular: some part of the graph is "
                          "not connected to the Dirichlet set")
     # -x^2/2 has plus-trace -l^2/2 and minus-trace of i f' equal to -i l at
@@ -652,7 +656,7 @@ def solve_torsion(g: MetricGraph, dirichlet) -> TorsionSolution:
     at_len = np.array([end * g.edge_lengths[eid] for eid, end in g.boundary_coords])
     rhs = np.concatenate([y.perp().basis.conj() @ (0.5 * at_len ** 2),
                           y.basis.conj() @ (1.0j * at_len)])
-    sol = np.linalg.solve(mat, rhs).real
+    sol = np.linalg.solve(_secular(g, y, 0.0), rhs).real
     terms, rigidity = {}, 0.0
     for e, a, b in zip(g.edges, sol, sol[len(g.edges):]):
         terms[e.id] = [PolyTrigTerm(-0.5, 2, 0.0), PolyTrigTerm(b, 1, 0.0),

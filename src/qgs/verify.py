@@ -19,7 +19,7 @@ from .bounds import BoundReport, observability_constant, spectral_bound
 from .graphs import (BoundarySubspace, MetricGraph, build_graph,
                      standard_subspace, vertex_conditions_subspace)
 from .polytrig import (GraphFunction, IntervalUnion, PolyTrigTerm, cosine_power_terms,
-                       gram, masses, norm_sq, sup_on_disk_neighborhood, whole_edge)
+                       gram, masses, sup_on_disk_neighborhood, whole_edge)
 from .sampling import Cover, SamplingParams, SamplingSet, verify_cover
 from .spectral import (EigenPair, boundary_residual, eigenvalues_up_to, spectral_sample,
                        wavenumber_range)
@@ -57,14 +57,6 @@ def _bounded_ratio(part: float, total: float) -> float:
     if ratio > 1.0 + 1e-12:
         raise AssertionError(f"ratio {ratio} exceeds 1")
     return min(ratio, 1.0)
-
-
-def mass_ratio(f: GraphFunction, omega) -> float:
-    """||chi_omega f||^2 / ||f||^2, both sides by exact quadrature."""
-    m = masses([f], omega)[0]
-    if m.whole <= 0.0:
-        raise ValueError("mass ratio undefined for the zero function")
-    return _bounded_ratio(m.part, m.whole)
 
 
 def _passes(observed: float, bound: BoundReport) -> bool:
@@ -406,16 +398,14 @@ def lasso_counterexample() -> dict:
     residual = boundary_residual(g, y, phi)
     if residual >= 1e-10:
         raise AssertionError(f"loop mode fails the vertex conditions: {residual}")
-    nrm = norm_sq(phi)
-    tail_only = {"tail": whole_edge(1.0)}
-    loop_only = {"loop": whole_edge(1.0)}
-    ratio_tail = mass_ratio(phi, tail_only)
-    ratio_loop = mass_ratio(phi, loop_only)
+    nrm = masses([phi])[0].whole
+    tail, loop = (masses([phi], {eid: whole_edge(1.0)})[0] for eid in ("tail", "loop"))
     total = sum(g.edge_lengths.values())
     return {"lambda": k * k, "norm_sq": nrm, "residual": residual,
             "tail_measure": 1.0, "total_length": total,
             "volume_fraction": 1.0 / total,
-            "ratio_tail": ratio_tail, "ratio_loop": ratio_loop}
+            "ratio_tail": _bounded_ratio(tail.part, tail.whole),
+            "ratio_loop": _bounded_ratio(loop.part, loop.whole)}
 
 
 # ---------------------------------------------------------------------------

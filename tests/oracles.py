@@ -51,10 +51,21 @@ from scipy.optimize import linprog
 from qgs.graphs import (BoundarySubspace, Edge, GraphMetrics, MetricGraph, _edge_pair_max,
                         _vertex_distances, gauge_transform)
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
-                          _coerce_region, _gauss_norm_sq, integrate_powexp)
-from qgs.spectral import (_SNAP, _TWO_PI, CLUSTER_GAP, TOL_ACCEPT, TOL_NULL, EigenPair,
-                          TorsionSolution, _Eigenphases)
+                          _coerce_region, _gauss_norm_sq, integrate_powexp, masses)
+from qgs.spectral import _SNAP, _TWO_PI, CLUSTER_GAP, EigenPair, TorsionSolution, _Eigenphases
 from qgs.verify import M_MAX, EdgeClassification
+
+# the affine k = 0 rule, the reference for the solver's zero modes: sigma_min
+# acceptance of the root on the row-scaled affine secular matrix, and the
+# singular-value threshold of its multiplicity
+TOL_ACCEPT = 1e-8
+TOL_NULL = 1e-6
+
+
+def norm_sq(f: GraphFunction, region=None) -> float:
+    """f's mass on the region (the whole graph without one), read from
+    masses."""
+    return masses([f], region)[0].part
 
 
 def _simpson(fun, a, b, fa, fm, fb):

@@ -14,7 +14,7 @@ from qgs.bounds import h_bound, heat_trace_bound, spectral_bound
 from qgs.graphs import (build_graph, dual_subspace, full_subspace, metrics,
                         standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
+from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm
 from qgs.sampling import (Cover, SamplingParams, SamplingSet, gap_analysis,
                           necessary_check, optimal_gamma, svc_set, verify_cover)
 from qgs.spectral import boundary_residual, eigenvalues_up_to, solve_torsion
@@ -22,7 +22,7 @@ from qgs.verify import (DEFAULT_SEED, audit, boundary_trace_check,
                         classify_edges, lasso_counterexample,
                         observability_numeric, optimality_example)
 
-from oracles import det_scan_roots
+from oracles import det_scan_roots, norm_sq
 
 AUDIT_TRIALS = 10_000
 

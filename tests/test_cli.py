@@ -299,6 +299,21 @@ class TestVerify:
                              "--set", str(sset), "--lambda-max", "50")
         assert (code, out, err) == (1, "", "error: edge 'e': set cannot be certified\n")
 
+    @pytest.mark.parametrize("argv", [["ratio", "--lambda-max", "20"],
+                                      ["derivative", "--lambda-max", "20"],
+                                      ["observability", "--horizon", "0.5", "--modes", "2"]])
+    def test_omitted_edge_refused(self, capsys, tmp_path, argv):
+        # a set file that names one edge of a two-edge path says nothing
+        # about the other: it carries the empty set there, and the set is
+        # not certified for the graph (once a pass at gamma ~ 1e-6)
+        graph, sset = tmp_path / "path2.json", tmp_path / "set.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [
+            {"id": "e1", "from": "a", "to": "b", "length": 1.0},
+            {"id": "e2", "from": "b", "to": "c", "length": 1.0}]}))
+        sset.write_text(json.dumps({"edges": {"e1": [[0.0, 0.5]]}}))
+        code, out, err = run(capsys, "verify", *argv, "--graph", str(graph), "--set", str(sset))
+        assert (code, out, err) == (1, "", "error: edge 'e2': set cannot be certified\n")
+
     def test_no_fallback_to_the_rho_cover(self, capsys, tmp_path):
         # certify seed 7107's lasso: on the tail, a candidate grid at
         # optimal_rho's rho once held no cover, and certified_params fell

@@ -12,10 +12,10 @@ from qgs.graphs import (BoundarySubspace, Edge, MetricGraph, _edge_pair_max,
                         full_subspace, gauge_transform, graph_from_dict, metrics,
                         standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm, norm_sq
+from qgs.polytrig import GraphFunction, IntervalUnion, PolyTrigTerm
 
 from oracles import (diameter_point_cloud, edge_end_degree, exact_edge_pair_max,
-                     lp_edge_pair_max, subdivide, union_find_metrics)
+                     lp_edge_pair_max, norm_sq, subdivide, union_find_metrics)
 
 
 def interval(ell=math.pi):

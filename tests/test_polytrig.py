@@ -12,13 +12,13 @@ from qgs import verify
 from qgs.graphs import build_graph
 from qgs.polytrig import (_RESOLVED_REL, GraphFunction, IntervalUnion, PolyTrigTerm,
                           _coerce_region, _gauss_norm_sq, cosine_power_terms,
-                          gram, inner_product, integrate_powexp, masses, norm_sq,
+                          gram, inner_product, integrate_powexp, masses,
                           sup_on_disk_neighborhood, whole_edge)
 from qgs.spectral import solve_torsion
 
 from oracles import (adaptive_simpson, clip_prefix_measures, edge_windows, edgewise_gram,
                      eval_terms, exact_prefix_measures, integral_pairs_simpson,
-                     loop_integrate_powexp, loop_norm_sq, term_gram)
+                     loop_integrate_powexp, loop_norm_sq, norm_sq, term_gram)
 
 # w*d values on both sides of the series/closed-form switch at 1/2 and at the
 # extremes of both branches

@@ -669,6 +669,16 @@ class TestJsonRoundTrip:
         again = SamplingSet.load(g, p)
         assert again.finite["e"] == s.finite["e"]
 
+    def test_omitted_finite_edge_is_empty(self):
+        # a file that omits a finite edge puts the empty set there, so the
+        # graph-level certificate is refused instead of passing over it
+        g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 2.0)])
+        s = SamplingSet.from_dict(g, {"edges": {"e1": [[0.0, 0.5]]}})
+        assert list(s.finite) == ["e1", "e2"]
+        assert s.finite["e2"] == IntervalUnion([], length=2.0)
+        with pytest.raises(ValueError, match="edge 'e2': set cannot be certified"):
+            certify(s)
+
     def test_external_set(self):
         from qgs.graphs import Edge, MetricGraph
         g = MetricGraph(["v"], [Edge("r", "v", None, math.inf)])

@@ -12,8 +12,7 @@ from qgs.cli import main
 from qgs.graphs import (build_graph, dual_subspace, full_subspace,
                         gauge_transform, standard_subspace, subspace_from_basis,
                         vertex_conditions_subspace, zero_subspace)
-from qgs.polytrig import (GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product,
-                          norm_sq)
+from qgs.polytrig import GraphFunction, PolyTrigTerm, _gauss_norm_sq, gram, inner_product
 from qgs.spectral import (_TURN, CLUSTER_GAP, SIN_CLUSTER, EigenPair, _Eigenphases,
                           _pair_integrals, _phase_fix, _unitary_eig, boundary_residual, count_bound,
                           eigenvalues_up_to, secular_matrix, solve_torsion, spectral_sample,
@@ -22,8 +21,8 @@ from qgs.spectral import (_TURN, CLUSTER_GAP, SIN_CLUSTER, EigenPair, _Eigenphas
 from oracles import _phase_fix as loop_phase_fix
 from oracles import (collocation_eigenvalues, det_scan_roots, fold_spectral_sample,
                      loop_conditioned, loop_eigenphase_roots, loop_eigenvalues_up_to,
-                     loop_secular_matrix, loop_solve_torsion, sigma_min_scan, strip_fluxes,
-                     torsion_fd)
+                     loop_null_space, loop_secular_matrix, loop_solve_torsion, norm_sq,
+                     sigma_min_scan, strip_fluxes, torsion_fd)
 
 
 def interval(ell=math.pi):
@@ -364,6 +363,67 @@ class TestTorsion:
             assert got.dirichlet == want.dirichlet
         assert shapes == {"loop", "multi", "plain"}
 
+    def test_refused_exactly_with_a_zero_mode(self):
+        # possibly disconnected multigraphs: the solve is refused exactly
+        # when the eigen-solve under the same conditions finds 0
+        rng = np.random.default_rng(4404)
+        refused = 0
+        for _ in range(150):
+            nv = int(rng.integers(2, 7))
+            vs = [f"v{i}" for i in range(nv)]
+            g = build_graph(vs, [(f"e{j}", vs[int(rng.integers(nv))], vs[int(rng.integers(nv))],
+                                  float(rng.uniform(0.2, 3.0)))
+                                 for j in range(int(rng.integers(1, 6)))])
+            dirichlet = [vs[i] for i in rng.choice(nv, size=int(rng.integers(1, 3)),
+                                                   replace=False)]
+            y = vertex_conditions_subspace(g, "standard", dict.fromkeys(dirichlet, "dirichlet"))
+            zero = any(p.lam == 0.0 for p in eigenvalues_up_to(g, y, 1.0))
+            try:
+                solve_torsion(g, dirichlet)
+            except ValueError as exc:
+                assert "singular" in str(exc) and zero
+                refused += 1
+            else:
+                assert not zero
+        assert 20 <= refused <= 130
+
+
+class TestZeroModes:
+    """k = 0 from the null space of M = P_{Y-perp} D / sqrt(2): the zero
+    modes are edgewise constants, and the rank counts the singular values of
+    M above RANK_TOL itself (D / sqrt(2) is an isometry)."""
+
+    @pytest.mark.parametrize("g, default, mult", [
+        # M is 0 up to roundoff: a rank relative to its largest singular
+        # value would be 1 and lose the zero mode
+        (loop(1.0), "standard", 1),
+        # Y is everything, Y-perp nothing: every edge carries its own constant
+        (three_star(1.0), "neumann", 3),
+        (loop(1.0, flux=0.5), "standard", 0),
+    ], ids=["standard-loop", "neumann-star3", "fluxed-loop"])
+    def test_edge_cases(self, g, default, mult):
+        y = vertex_conditions_subspace(g, default)
+        pairs = eigenvalues_up_to(g, y, 20.0)
+        zero = [p for p in pairs if p.lam == 0.0]
+        assert len(zero) == mult and all(p.k > 0.0 for p in pairs[mult:])
+        sv = np.linalg.svd(_contraction(g, gauge_transform(y, g)), compute_uv=False)
+        assert int(np.sum(sv <= 1e-10)) == mult
+        if default == "standard" and mult:
+            assert sv.max() <= 1e-15
+        dev = gram([p.function for p in zero]) - np.eye(mult)
+        assert np.max(np.abs(dev), initial=0.0) <= 1e-14
+        for p in zero:
+            assert p.residual <= 1e-15
+
+    @pytest.mark.parametrize("flux", [1e-5, 1e-7, 1e-9])
+    def test_small_flux_is_no_zero_mode(self, flux):
+        # the lowest eigenvalue of a fluxed unit loop is flux^2; the affine
+        # rule (multiplicity tolerance 1e-6) also read it as a zero mode,
+        # and the eigenphase count found it once more: four eigenvalues
+        g = loop(1.0, flux=flux)
+        lams = [p.lam for p in eigenvalues_up_to(g, standard_subspace(g), 50.0)]
+        assert len(lams) == 3 and lams[0] == pytest.approx(flux ** 2, rel=1e-6)
+
 
 class TestSubdivisionInvariance:
     def test_spectrum_unchanged(self):
@@ -602,6 +662,23 @@ def _coefficients(f):
     return {(eid, t.power, t.freq): t.coeff for eid, ts in f.terms.items() for t in ts}
 
 
+def _contraction(g, y):
+    """M = P_{Y-perp} D / sqrt(2), D copying each edge's constant to both of
+    its ends, built from the projector of y."""
+    ne = len(g.edges)
+    perp = np.eye(g.n_boundary) - y.basis.T @ y.basis.conj()
+    d = np.zeros((g.n_boundary, ne))
+    for row, (eid, _) in enumerate(g.boundary_coords):
+        d[row, g.edge_ids.index(eid)] = 1.0
+    return perp @ d / math.sqrt(2.0)
+
+
+def _constants(g, pairs):
+    """The edgewise constants of zero modes, one row each."""
+    return np.array([[sum(t.coeff for t in p.function.terms.get(eid, ())) for eid in g.edge_ids]
+                     for p in pairs])
+
+
 class TestOnePassHarvest:
     """The harvest from the null space of U(k) - I against the per-root
     secular harvest (tests/oracles.py): the same roots and multiplicities bit
@@ -659,9 +736,8 @@ class TestOnePassHarvest:
         ks = np.array([0.0, 1e-3, 0.7, 5.0])
         ints = _pair_integrals(np.array([ell]), ks)
         for r, k in enumerate(ks.tolist()):
-            # exp(-ikx) and exp(ikx), or 1 and x at k = 0
-            pair = [(0, -k), (0, k)] if k else [(0, 0.0), (1, 0.0)]
-            want = gram([GraphFunction(g, {"e": [PolyTrigTerm(1.0, p, w)]}) for p, w in pair])
+            # exp(-ikx) and exp(ikx), both 1 at k = 0
+            want = gram([GraphFunction(g, {"e": [PolyTrigTerm(1.0, 0, w)]}) for w in (-k, k)])
             got = [[ints[0, r, 0], ints[1, r, 0]], [np.conj(ints[1, r, 0]), ints[2, r, 0]]]
             assert np.max(np.abs(want - got)) <= 1e-14 * max(ell, ell ** 3)
 
@@ -716,15 +792,22 @@ class TestOnePassHarvest:
         # ||(U - I) V||_2 of the returned block is at least the m-th smallest
         # singular value sigma_m of U - I (the oracle's residual) in exact
         # arithmetic; the shift of the solves must not cost more than a
-        # factor of 2 above a roundoff floor
+        # factor of 2 above a roundoff floor.  At k = 0 the residual is
+        # ||M V||_2 of the zero modes' constants, M = P_{Y-perp} D / sqrt(2),
+        # which is basis-free: any orthonormal basis V of their span gives it
         g, y, lam_max = HARVEST_CASES[name]
         new = eigenvalues_up_to(g, y, lam_max)
         old = loop_eigenvalues_up_to(g, y, lam_max)
         for p, q in zip(new, old):
             if p.k > 0.0:
                 assert 0.5 * q.residual - 1e-14 <= p.residual <= 2.0 * q.residual + 1e-14
-            else:
-                assert p.residual == q.residual
+        zero = [p for p in new if p.k == 0.0]
+        assert len(zero) == sum(q.k == 0.0 for q in old)
+        if zero:
+            v = np.linalg.qr(_constants(g, zero).T)[0]
+            want = np.linalg.norm(_contraction(g, gauge_transform(y, g)) @ v, 2)
+            assert {p.residual for p in zero} == {zero[0].residual}
+            assert abs(zero[0].residual - want) <= 1e-15
 
     def test_record_is_opt_in(self, caplog, capsys, tmp_path):
         path = tmp_path / "lasso.json"
@@ -1177,3 +1260,20 @@ class TestCollocationOracle:
         got = np.array([p.lam for p in eigenvalues_up_to(g, y, lam_max) if p.lam <= cut])
         assert len(got) == len(want)
         assert np.all(np.abs(got - twin) <= tol * scale)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(problem=_collocation_problems())
+    def test_zero_multiplicity(self, problem):
+        # the zero modes against the nullity of the affine secular matrix
+        # a + b x (the rule the solver used before) and against the
+        # collocation eigenvalues at 0; each one is edgewise constant, a term
+        # of power 0 at frequency +0.0 per edge
+        g, y, _ = problem
+        zero = [p for p in eigenvalues_up_to(g, y, 1.0) if p.lam == 0.0]
+        nullity = len(loop_null_space(g, gauge_transform(y, g), 0.0)[1])
+        near = collocation_eigenvalues(g, y, 1.0, 16)
+        assert len(zero) == nullity == int(np.sum(np.abs(near) <= 1e-8))
+        for p in zero:
+            assert p.k == 0.0 and math.copysign(1.0, p.k) == 1.0
+            for ts in p.function.terms.values():
+                assert [(t.power, t.freq, math.copysign(1.0, t.freq)) for t in ts] == [(0, 0.0, 1.0)]
