@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 ORTHO_TOL = 1e-12        # orthonormality validation tolerance
-RANK_TOL = 1e-10         # SVD rank tolerance, relative to the largest singular value
+RANK_TOL = 1e-10         # SVD rank tolerance: relative to the largest singular value in
+                         # _span_and_perp, absolute on spectral._zero_modes' isometry-scaled M
 
 CONDITION_NAMES = ("standard", "dirichlet", "neumann", "anti-kirchhoff")
 

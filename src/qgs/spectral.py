@@ -35,7 +35,7 @@ from .polytrig import PRUNE_REL, GraphFunction, PolyTrigTerm, _pruned
 CLUSTER_GAP = 1e-7       # count cells narrower than this hold one root
 SIN_CLUSTER = 1e-3       # eigh columns whose sin(theta - _TURN) lie this close share one eig
 _TURN = 0.1              # eigh works on exp(-i _TURN) U, so phases 0 and pi differ in sine
-_SNAP = 1e-9             # eigenphases of U(0) this close to 1 sit at 1
+_SNAP = 2.0 * RANK_TOL   # eigenphases of U(0) this close to 1 sit at 1 (see cells)
 _SHIFT = 1e-12           # shift of U - I in the null-vector solves, far below any phase gap
 MAX_SOLVE_ENTRIES = 2 ** 22  # cap on the (2E)^2 entries of a solve's cell or root stack
 _MAX_ROUNDS = 200        # root-search rounds: a split tree ~50 deep and 100 Newton rounds
@@ -259,7 +259,11 @@ class _Eigenphases:
         n_cells = max(1, math.ceil(k_hi * self.ell_max))
         self.stats["cells"] = n_cells
         ends = self.points(np.linspace(0.0, k_hi, n_cells + 1))
-        # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+
+        # phases at 1 for k = 0 leave it counter-clockwise: no root at k = 0+.
+        # U(0) = S J is a product of two reflections, so its phases near 1 are
+        # +-2 asin(sigma) for the singular values sigma of _zero_modes' M:
+        # the phases snapped here are the modes that M's rank rule counts
+        # as zero modes (and phases exactly at 1 that are no eigenvalue).
         first = ends[0]
         first.phases[first.phases > _TWO_PI - _SNAP] = 0.0
         first.phase_sum = float(first.phases.sum())
